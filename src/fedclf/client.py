@@ -1,20 +1,28 @@
-"""Local training step: one client trains on the received global model.
+"""Local training step: a cohort of clients trains on the received global model.
 
 The statistics the server needs for selection are measured at the *received*
 parameters, before any weight update, so utilities always rank clients
 against the model they were handed.
+
+The cohort is trained and evaluated as one stacked parameter block: shards of
+equal size are evaluated together, and at each SGD step the clients whose
+batches have the same size take one stacked step.  Every client keeps its own
+seeded batch schedule, so each result is bitwise equal to training that client
+alone.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .dataset import ClientDataset
-from .model import ModelParams, TrainConfig, evaluate, sgd_epochs
+from .model import ModelParams, SampleStack, TrainConfig, evaluate, sgd_epochs
 
-__all__ = ["ClientUpdateResult", "client_update", "rms_utility"]
+__all__ = ["ClientUpdateResult", "NonFiniteUpdateError", "client_update", "rms_utility"]
 
 
 @dataclass(frozen=True)
@@ -38,38 +46,88 @@ class ClientUpdateResult:
     grad_norm_utility: float | None = None
 
 
-def rms_utility(per_sample: np.ndarray) -> float:
-    """Sample count times the root-mean-square of per-sample values."""
+class NonFiniteUpdateError(ValueError):
+    """Local training produced non-finite parameters."""
+
+    def __init__(self, client_ids: Sequence[int], round_index: int | None = None):
+        where = "" if round_index is None else f"round {round_index}: "
+        super().__init__(
+            f"{where}non-finite parameters after local training for client(s) "
+            + ", ".join(str(c) for c in client_ids)
+        )
+        self.client_ids = tuple(client_ids)
+        self.round_index = round_index
+
+
+def rms_utility(per_sample: np.ndarray) -> float | np.ndarray:
+    """Sample count times the root-mean-square of per-sample values (over
+    the last axis, so a stack of rows gives one utility per row)."""
     per_sample = np.asarray(per_sample, dtype=np.float64)
-    return float(per_sample.size * np.sqrt(np.mean(per_sample**2)))
+    n = per_sample.shape[-1]
+    return n * np.sqrt((per_sample**2).sum(axis=-1) / n)
+
+
+def _by_size(clients: Sequence[ClientDataset]) -> list[tuple[list[int], SampleStack]]:
+    """Cohort positions grouped by ``n_k``, with each group's stacked shards."""
+    groups = defaultdict(list)
+    for i, client in enumerate(clients):
+        groups[client.n_k].append(i)
+    return [
+        (rows, SampleStack.of([clients[i].data for i in rows]))
+        for rows in groups.values()
+    ]
 
 
 def client_update(
-    client: ClientDataset,
+    clients: Sequence[ClientDataset],
     global_params: ModelParams,
-    cfg: TrainConfig,
+    cfgs: Sequence[TrainConfig],
     want_grad_norm: bool = False,
-) -> ClientUpdateResult:
-    """Measure utilities at the received params, then train locally."""
-    report = evaluate(
-        global_params,
-        client.data,
-        want_per_sample=True,
-        want_grad_norms=want_grad_norm,
-    )
-    grad_norm_utility = None
-    if want_grad_norm:
-        grad_norm_utility = rms_utility(report.per_sample_grad_norms)
-    new_params = sgd_epochs(global_params, client.data, cfg)
-    delta = float(np.linalg.norm(new_params.values - global_params.values))
-    post_loss = evaluate(new_params, client.data).mean_loss
-    return ClientUpdateResult(
-        client_id=client.client_id,
-        new_params=new_params,
-        loss_utility=rms_utility(report.per_sample_losses),
-        mean_loss=report.mean_loss,
-        n_k=client.n_k,
-        weight_delta_norm=delta,
-        post_training_loss=post_loss,
-        grad_norm_utility=grad_norm_utility,
-    )
+) -> list[ClientUpdateResult]:
+    """Measure utilities at the received params, then train every client.
+
+    ``cfgs`` holds one training config per client; results come back in the
+    order of ``clients``.  Raises ``NonFiniteUpdateError`` naming every
+    client whose trained parameters are not all finite.
+    """
+    tag = global_params.shape_tag
+    groups = _by_size(clients)
+    pre = {}
+    for rows, stack in groups:
+        report = evaluate(
+            global_params, stack, want_per_sample=True, want_grad_norms=want_grad_norm
+        )
+        norms = (
+            rms_utility(report.per_sample_grad_norms)
+            if want_grad_norm
+            else [None] * len(rows)
+        )
+        pre.update(
+            zip(rows, zip(rms_utility(report.per_sample_losses), report.mean_loss, norms))
+        )
+
+    trained = sgd_epochs(global_params, [c.data for c in clients], cfgs).values
+    finite = np.isfinite(trained).all(axis=1)
+    if not finite.all():
+        raise NonFiniteUpdateError([clients[i].client_id for i in np.flatnonzero(~finite)])
+
+    post = {}
+    for rows, stack in groups:
+        post.update(zip(rows, evaluate(ModelParams(trained[rows], tag), stack).mean_loss))
+
+    results = []
+    for i, client in enumerate(clients):
+        loss_utility, mean_loss, grad_norm_utility = pre[i]
+        results.append(
+            ClientUpdateResult(
+                client_id=client.client_id,
+                new_params=ModelParams(trained[i], tag),
+                loss_utility=float(loss_utility),
+                mean_loss=float(mean_loss),
+                n_k=client.n_k,
+                weight_delta_norm=float(np.linalg.norm(trained[i] - global_params.values)),
+                post_training_loss=float(post[i]),
+                grad_norm_utility=None if grad_norm_utility is None else float(grad_norm_utility),
+            )
+        )
+    return results

@@ -395,6 +395,15 @@ def load_dataset(path: str | Path) -> LabeledDataset:
             offset,
         )
     features = parsed["x"].astype(np.float64).reshape(num_samples, num_features)
+    finite = np.isfinite(features)
+    if not finite.all():
+        first, feature = (int(i) for i in np.argwhere(~finite)[0])
+        offset = body_start + first * record.itemsize + feature * 4
+        raise DatasetFormatError(
+            f"non-finite value {features[first, feature]} in feature {feature} "
+            f"of sample {first}",
+            offset,
+        )
     return LabeledDataset(features, labels, num_classes)
 
 

@@ -73,7 +73,6 @@ class ClientRecord:
     last_trained_round: int | None = None
     last_grad_norm_utility: float | None = None
     last_weight_delta_norm: float | None = None
-    last_round_duration: float | None = None
     # Global metrics of the model the client last measured against; used by
     # the compounding calibration mode.
     loss_at_last_training: float | None = None
@@ -316,8 +315,6 @@ def update_after_round(
         record.last_weight_delta_norm = result.weight_delta_norm
         if result.grad_norm_utility is not None:
             record.last_grad_norm_utility = result.grad_norm_utility
-        if state.strategy is Strategy.OORT_LIKE:
-            record.last_round_duration = state.durations.get(result.client_id)
         record.loss_at_last_training = global_loss
         record.acc_at_last_training = global_accuracy
     return state

@@ -11,19 +11,17 @@ two rounds; rounds 1 and 2 and every warmup round always select.  Disabling
 feedback selects every round.
 
 Determinism: all randomness is derived from the experiment seed via
-``seeds.split_seed``, and client results are aggregated in client-id order,
-so serial and parallel dispatch produce identical records.  In the emitted
-CSV, the timestamp header line and the ``elapsed_s`` column are wall-clock
-measurements and are excluded from the byte-determinism contract (see
-``deterministic_csv_payload``).
+``seeds.split_seed``, and client results are aggregated in client-id order.
+The cohort trains as one stacked block whose results are bitwise equal to
+training each client alone.  In the emitted CSV, the timestamp header line
+and the ``elapsed_s`` column are wall-clock measurements and are excluded
+from the byte-determinism contract (see ``deterministic_csv_payload``).
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -31,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .client import ClientUpdateResult, client_update
+from .client import ClientUpdateResult, NonFiniteUpdateError, client_update
 from .dataset import (
     ClientDataset,
     LabeledDataset,
@@ -76,10 +74,7 @@ __all__ = [
     "selection_log_csv",
     "summary_text",
     "deterministic_csv_payload",
-    "THREADS_ENV_VAR",
 ]
-
-THREADS_ENV_VAR = "FEDCLF_THREADS"
 
 RUN_LOG_HEADER = "round,accuracy,test_loss,ma_accuracy,selection_ran,selected_ids,elapsed_s"
 SELECTION_LOG_HEADER = "round,strategy,sampled_flag,selected_ids,factor_mode,factor_value"
@@ -232,14 +227,6 @@ def moving_average(acc_history: Sequence[float], round_index: int, window: int) 
     return float(np.mean(values))
 
 
-def _worker_count() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 class Experiment:
     """One configured run over pre-built client shards and a test set."""
 
@@ -283,28 +270,28 @@ class Experiment:
             )
         return GlobalTrend.empty()
 
-    def _train_one(self, client_id: int, round_index: int) -> ClientUpdateResult:
-        cfg = self.cfg
-        train_cfg = TrainConfig(
-            epochs=cfg.epochs,
-            learning_rate=cfg.learning_rate,
-            batch_size=cfg.batch_size,
-            rng_seed=split_seed(cfg.seed, f"train-r{round_index}", client_id),
-        )
-        return client_update(
-            self.clients[client_id],
-            self.params,
-            train_cfg,
-            want_grad_norm=cfg.strategy is Strategy.GRAD_NORM,
-        )
-
     def _dispatch(self, selected: set[int], round_index: int) -> list[ClientUpdateResult]:
+        """Train the cohort in one stacked call; results in client-id order."""
+        cfg = self.cfg
         ids = sorted(selected)
-        workers = _worker_count()
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(lambda cid: self._train_one(cid, round_index), ids))
-        return [self._train_one(cid, round_index) for cid in ids]
+        train_cfgs = [
+            TrainConfig(
+                epochs=cfg.epochs,
+                learning_rate=cfg.learning_rate,
+                batch_size=cfg.batch_size,
+                rng_seed=split_seed(cfg.seed, f"train-r{round_index}", cid),
+            )
+            for cid in ids
+        ]
+        try:
+            return client_update(
+                [self.clients[cid] for cid in ids],
+                self.params,
+                train_cfgs,
+                want_grad_norm=cfg.strategy is Strategy.GRAD_NORM,
+            )
+        except NonFiniteUpdateError as exc:
+            raise NonFiniteUpdateError(exc.client_ids, round_index) from None
 
     def run_round(self, round_index: int) -> RoundRecord:
         started = time.perf_counter()

@@ -17,6 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import fedclf.server
 from fedclf.cli import main as cli_main
 from fedclf.client import ClientUpdateResult, client_update
 from fedclf.dataset import (
@@ -49,7 +50,6 @@ from fedclf.selection import (
 )
 from fedclf.server import (
     ExperimentConfig,
-    THREADS_ENV_VAR,
     aggregate,
     deterministic_csv_payload,
     moving_average,
@@ -179,8 +179,8 @@ def test_criterion_3_loss_utility_and_calibration():
         n = int(rng.integers(1, 40))
         client = ClientDataset(0, make_synthetic(n, 4, 3, seed=trial))
         params = init_params(softmax_tag(4, 3), seed=trial)
-        result = client_update(
-            client, params, TrainConfig(epochs=1, learning_rate=0.05)
+        [result] = client_update(
+            [client], params, [TrainConfig(epochs=1, learning_rate=0.05)]
         )
         losses = evaluate(params, client.data, want_per_sample=True).per_sample_losses
         expected = n * math.sqrt(sum(v * v for v in losses) / n)
@@ -404,17 +404,25 @@ def test_criterion_10_determinism(tmp_path, monkeypatch):
         partition=replace(BASE_RUN.partition, shard_size=10),
         batch_size=32,
     )
-    monkeypatch.setenv(THREADS_ENV_VAR, "1")
-    serial = run_experiment(cfg)
-    monkeypatch.setenv(THREADS_ENV_VAR, "5")
-    parallel = run_experiment(cfg)
+    stacked = run_experiment(cfg)
+
+    def one_at_a_time(clients, params, cfgs, **kwargs):
+        """Reference dispatch: each client trains alone."""
+        return [
+            result
+            for client, train_cfg in zip(clients, cfgs)
+            for result in client_update([client], params, [train_cfg], **kwargs)
+        ]
+
+    monkeypatch.setattr(fedclf.server, "client_update", one_at_a_time)
+    per_client = run_experiment(cfg)
     strip = lambda history: [replace(r, wall_time=0.0) for r in history]
-    schedule_ok = strip(serial) == strip(parallel)
+    schedule_ok = strip(stacked) == strip(per_client)
 
     ok = rerun_ok and schedule_ok
     _line(
         10,
         ok,
-        f"identical rerun payloads={rerun_ok}, serial==parallel records={schedule_ok}",
+        f"identical rerun payloads={rerun_ok}, stacked==per-client records={schedule_ok}",
     )
     assert ok

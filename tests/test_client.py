@@ -1,4 +1,5 @@
-"""Local-update contract: loss utilities, training, scheduling independence."""
+"""Local-update contract: loss utilities, training, scheduling independence,
+and bitwise equality of a stacked cohort with per-client updates."""
 
 from __future__ import annotations
 
@@ -9,19 +10,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedclf.client import client_update, rms_utility
+from fedclf.client import NonFiniteUpdateError, client_update, rms_utility
 from fedclf.dataset import ClientDataset, LabeledDataset, make_synthetic
-from fedclf.model import TrainConfig, evaluate, init_params, softmax_tag
+from fedclf.model import TrainConfig, evaluate, init_params, mlp_tag, softmax_tag
 
 
 def make_client(client_id=0, n=20, f=4, c=3, seed=0):
     return ClientDataset(client_id, make_synthetic(n, f, c, seed=seed))
 
 
+def update_one(client, params, cfg, **kwargs):
+    """``client_update`` for a cohort of one."""
+    [result] = client_update([client], params, [cfg], **kwargs)
+    return result
+
+
 def test_zero_lr_returns_received_params_and_pretrain_loss():
     client = make_client()
     params = init_params(softmax_tag(4, 3), seed=1)
-    result = client_update(client, params, TrainConfig(epochs=1, learning_rate=0.0))
+    result = update_one(client, params, TrainConfig(epochs=1, learning_rate=0.0))
     assert np.array_equal(result.new_params.values, params.values)
     assert result.mean_loss == pytest.approx(
         evaluate(params, client.data).mean_loss, abs=1e-12
@@ -34,7 +41,7 @@ def test_single_sample_utility_equals_its_loss():
     data = LabeledDataset(np.array([[0.3, -1.0]]), np.array([1]), 3)
     client = ClientDataset(0, data)
     params = init_params(softmax_tag(2, 3), seed=2)
-    result = client_update(client, params, TrainConfig(epochs=1, learning_rate=0.1))
+    result = update_one(client, params, TrainConfig(epochs=1, learning_rate=0.1))
     loss = evaluate(params, data, want_per_sample=True).per_sample_losses[0]
     assert result.loss_utility == pytest.approx(float(loss), abs=1e-12)
 
@@ -45,7 +52,7 @@ def test_identical_per_sample_losses_collapse_to_count_times_loss():
     data = LabeledDataset(np.repeat(row, 4, axis=0), np.array([1, 1, 1, 1]), 2)
     client = ClientDataset(0, data)
     params = init_params(softmax_tag(2, 2), seed=3)
-    result = client_update(client, params, TrainConfig(epochs=1, learning_rate=0.05))
+    result = update_one(client, params, TrainConfig(epochs=1, learning_rate=0.05))
     loss = evaluate(params, data, want_per_sample=True).per_sample_losses[0]
     assert result.loss_utility == pytest.approx(4.0 * float(loss), abs=1e-9)
 
@@ -53,7 +60,7 @@ def test_identical_per_sample_losses_collapse_to_count_times_loss():
 def test_loss_utility_matches_independent_recomputation():
     client = make_client(n=33, seed=7)
     params = init_params(softmax_tag(4, 3), seed=4)
-    result = client_update(client, params, TrainConfig(epochs=1, learning_rate=0.1))
+    result = update_one(client, params, TrainConfig(epochs=1, learning_rate=0.1))
     losses = evaluate(params, client.data, want_per_sample=True).per_sample_losses
     expected = len(losses) * (sum(v * v for v in losses) / len(losses)) ** 0.5
     assert result.loss_utility == pytest.approx(expected, abs=1e-9)
@@ -77,8 +84,8 @@ def test_grad_norm_utility_present_only_on_request():
     client = make_client(seed=9)
     params = init_params(softmax_tag(4, 3), seed=5)
     cfg = TrainConfig(epochs=1, learning_rate=0.05)
-    assert client_update(client, params, cfg).grad_norm_utility is None
-    result = client_update(client, params, cfg, want_grad_norm=True)
+    assert update_one(client, params, cfg).grad_norm_utility is None
+    result = update_one(client, params, cfg, want_grad_norm=True)
     assert result.grad_norm_utility is not None
     assert result.grad_norm_utility >= 0.0
 
@@ -91,7 +98,7 @@ def test_results_independent_of_execution_order():
         out = {}
         for i in order:
             cfg = TrainConfig(epochs=1, learning_rate=0.1, rng_seed=1000 + i)
-            out[i] = client_update(clients[i], params, cfg)
+            out[i] = update_one(clients[i], params, cfg)
         return out
 
     forward = run_all(range(6))
@@ -108,7 +115,113 @@ def test_results_independent_of_execution_order():
 def test_post_training_loss_reported():
     client = make_client(n=60, seed=10)
     params = init_params(softmax_tag(4, 3), seed=7)
-    result = client_update(
+    result = update_one(
         client, params, TrainConfig(epochs=5, learning_rate=0.5)
     )
     assert result.post_training_loss < result.mean_loss
+
+
+# ------------------------------------------- stacked cohort == per-client
+
+
+def result_bytes(result):
+    """Every field of a result, as exact bytes where it is a float."""
+    floats = (
+        result.loss_utility,
+        result.mean_loss,
+        result.weight_delta_norm,
+        result.post_training_loss,
+        np.nan if result.grad_norm_utility is None else result.grad_norm_utility,
+    )
+    return (
+        result.client_id,
+        result.n_k,
+        result.new_params.shape_tag,
+        result.new_params.values.tobytes(),
+        np.array(floats).tobytes(),
+    )
+
+
+def assert_cohort_matches_singles(clients, params, cfgs, want_grad_norm=False):
+    cohort = client_update(clients, params, cfgs, want_grad_norm=want_grad_norm)
+    assert [r.client_id for r in cohort] == [c.client_id for c in clients]
+    for client, cfg, result in zip(clients, cfgs, cohort):
+        single = update_one(client, params, cfg, want_grad_norm=want_grad_norm)
+        assert result_bytes(result) == result_bytes(single)
+
+
+def ragged_cohort(sizes, f=4, c=3):
+    # Ids deliberately out of order: results follow the cohort's order.
+    return [
+        ClientDataset(10 - i, make_synthetic(n, f, c, seed=100 + i))
+        for i, n in enumerate(sizes)
+    ]
+
+
+@pytest.mark.parametrize(
+    "tag, sizes, batch, epochs",
+    [
+        (softmax_tag(4, 3), [7, 12, 12, 30, 5, 12], 8, 1),  # ragged n_k and last batches
+        (mlp_tag(4, 5, 3), [7, 12, 12, 30, 5, 12], 5, 3),  # mlp, epochs > 1
+        (softmax_tag(4, 3), [3, 9, 9, 20], 16, 2),  # batch_size > n_k for most
+        (mlp_tag(4, 6, 3), [1, 1, 2, 40], 64, 1),  # full-batch, single-sample shards
+    ],
+)
+def test_cohort_update_matches_per_client_updates(tag, sizes, batch, epochs):
+    clients = ragged_cohort(sizes)
+    params = init_params(tag, seed=11)
+    cfgs = [
+        TrainConfig(epochs=epochs, learning_rate=0.3, batch_size=batch, rng_seed=50 + i)
+        for i in range(len(clients))
+    ]
+    assert_cohort_matches_singles(clients, params, cfgs)
+    assert_cohort_matches_singles(clients, params, cfgs, want_grad_norm=True)
+
+
+def test_cohort_clients_may_use_different_configs():
+    clients = ragged_cohort([10, 10, 10, 17])
+    params = init_params(mlp_tag(4, 3, 3), seed=12)
+    cfgs = [
+        TrainConfig(epochs=1, learning_rate=0.1, batch_size=4, rng_seed=1),
+        TrainConfig(epochs=3, learning_rate=0.5, batch_size=4, rng_seed=2),
+        TrainConfig(epochs=2, learning_rate=0.0, batch_size=10, rng_seed=3),
+        TrainConfig(epochs=1, learning_rate=0.2, batch_size=6, rng_seed=4),
+    ]
+    assert_cohort_matches_singles(clients, params, cfgs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sizes=st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=8),
+    batch=st.integers(min_value=1, max_value=48),
+    epochs=st.integers(min_value=1, max_value=3),
+    mlp=st.booleans(),
+)
+def test_cohort_matches_per_client_for_random_shard_sizes(sizes, batch, epochs, mlp):
+    clients = ragged_cohort(sizes)
+    params = init_params(mlp_tag(4, 5, 3) if mlp else softmax_tag(4, 3), seed=13)
+    cfgs = [
+        TrainConfig(epochs=epochs, learning_rate=0.2, batch_size=batch, rng_seed=i)
+        for i in range(len(clients))
+    ]
+    assert_cohort_matches_singles(clients, params, cfgs)
+
+
+def test_cohort_needs_one_config_per_client():
+    clients = ragged_cohort([5, 6])
+    params = init_params(softmax_tag(4, 3), seed=14)
+    with pytest.raises(ValueError, match="2 shards but 1 train configs"):
+        client_update(clients, params, [TrainConfig(epochs=1, learning_rate=0.1)])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_training_names_the_clients():
+    good = make_client(client_id=3, seed=1)
+    features = make_client(seed=2).data.features.copy()
+    features[4, 1] = np.inf
+    bad = ClientDataset(8, LabeledDataset(features, make_client(seed=2).data.labels, 3))
+    params = init_params(softmax_tag(4, 3), seed=15)
+    cfg = TrainConfig(epochs=1, learning_rate=0.1)
+    with pytest.raises(NonFiniteUpdateError, match="client\\(s\\) 8$") as err:
+        client_update([good, bad], params, [cfg, cfg])
+    assert err.value.client_ids == (8,)

@@ -327,6 +327,21 @@ def test_load_dataset_rejects_label_equal_to_num_classes(tmp_path):
     assert err.value.offset == len(header) + 8 + 4
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_load_dataset_rejects_non_finite_feature(tmp_path, bad):
+    # Three samples of (2 float32 features + uint32 label) = 12 bytes each;
+    # the first bad value is feature 1 of sample 1, a later one is ignored.
+    features = np.array([[0.5, 1.0], [2.0, bad], [bad, 0.0]], dtype="<f4")
+    labels = np.array([0, 1, 0], dtype="<u4")
+    header = b"FEDDS v1 3 2 2\n"
+    body = b"".join(f.tobytes() + y.tobytes() for f, y in zip(features, labels))
+    path = tmp_path / "nan.fedds"
+    path.write_bytes(header + body)
+    with pytest.raises(DatasetFormatError, match="feature 1 of sample 1") as err:
+        load_dataset(path)
+    assert err.value.offset == len(header) + 12 + 4
+
+
 def test_load_dataset_rejects_empty_file(tmp_path):
     path = tmp_path / "empty.fedds"
     path.write_bytes(b"")

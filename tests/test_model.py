@@ -10,6 +10,7 @@ import pytest
 from fedclf.dataset import LabeledDataset, make_synthetic
 from fedclf.model import (
     ModelParams,
+    SampleStack,
     TrainConfig,
     evaluate,
     grad_check,
@@ -162,6 +163,43 @@ def test_per_sample_grad_norms_match_per_sample_gradients(tag_maker):
         assert report.per_sample_grad_norms[i] == pytest.approx(
             float(np.linalg.norm(g)), rel=1e-9
         )
+
+
+# ---------------------------------------------------------- stacked kernel
+
+
+@pytest.mark.parametrize("tag_maker", [lambda: softmax_tag(4, 3), lambda: mlp_tag(4, 5, 3)])
+def test_stacked_kernel_rows_equal_single_model_calls(tag_maker):
+    tag = tag_maker()
+    shards = [small_data(n=9, seed=s) for s in range(4)]
+    values = np.stack([init_params(tag, seed=s).values for s in range(4)])
+    stack = SampleStack.of(shards)
+    assert stack.num_samples == 36
+    report = evaluate(ModelParams(values, tag), stack, True, True)
+    grads = gradient(ModelParams(values, tag), stack)
+    shared = evaluate(ModelParams(values[0], tag), stack, want_per_sample=True)
+    for i, shard in enumerate(shards):
+        single = ModelParams(values[i], tag)
+        alone = evaluate(single, shard, True, True)
+        assert report.mean_loss[i] == alone.mean_loss
+        assert report.accuracy[i] == alone.accuracy
+        assert np.array_equal(report.per_sample_losses[i], alone.per_sample_losses)
+        assert np.array_equal(report.per_sample_grad_norms[i], alone.per_sample_grad_norms)
+        assert np.array_equal(grads[i], gradient(single, shard))
+        # One parameter vector broadcasts over every block of the stack.
+        first = evaluate(ModelParams(values[0], tag), shard, want_per_sample=True)
+        assert np.array_equal(shared.per_sample_losses[i], first.per_sample_losses)
+
+
+def test_cohort_sgd_rows_equal_single_model_training():
+    tag = mlp_tag(4, 3, 3)
+    params = init_params(tag, seed=3)
+    shards = [small_data(n=n, seed=n) for n in (5, 11, 11, 2)]
+    cfgs = [TrainConfig(epochs=2, learning_rate=0.4, batch_size=4, rng_seed=i) for i in range(4)]
+    trained = sgd_epochs(params, shards, cfgs)
+    assert trained.values.shape == (4, param_count(tag))
+    for row, shard, cfg in zip(trained.values, shards, cfgs):
+        assert np.array_equal(row, sgd_epochs(params, shard, cfg).values)
 
 
 # ------------------------------------------------------------- sgd_epochs

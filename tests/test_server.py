@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fedclf.client import ClientUpdateResult
+import fedclf.server
+from fedclf.client import ClientUpdateResult, NonFiniteUpdateError
 from fedclf.dataset import (
     ClientDataset,
+    LabeledDataset,
     PartitionSpec,
     SplitMode,
     make_synthetic,
@@ -21,7 +22,6 @@ from fedclf.server import (
     Experiment,
     ExperimentConfig,
     RoundRecord,
-    THREADS_ENV_VAR,
     aggregate,
     build_experiment,
     deterministic_csv_payload,
@@ -245,15 +245,17 @@ def test_identical_clients_aggregate_to_single_update():
     from fedclf.model import TrainConfig
     from fedclf.seeds import split_seed
 
-    single = client_update(
-        clients[0],
+    [single] = client_update(
+        [clients[0]],
         initial,
-        TrainConfig(
-            epochs=1,
-            learning_rate=0.2,
-            batch_size=64,
-            rng_seed=split_seed(cfg.seed, "train-r1", 0),
-        ),
+        [
+            TrainConfig(
+                epochs=1,
+                learning_rate=0.2,
+                batch_size=64,
+                rng_seed=split_seed(cfg.seed, "train-r1", 0),
+            )
+        ],
     )
     assert experiment.params.values == pytest.approx(
         single.new_params.values, abs=1e-9
@@ -288,22 +290,39 @@ def test_run_experiment_deterministic_histories():
         assert ra.selection_ran == rb.selection_ran
 
 
-def test_serial_and_parallel_dispatch_agree():
-    cfg = small_config(rounds=6, select_k=4, seed=31)
-    old = os.environ.get(THREADS_ENV_VAR)
-    try:
-        os.environ[THREADS_ENV_VAR] = "1"
-        serial = run_experiment(cfg)
-        os.environ[THREADS_ENV_VAR] = "4"
-        parallel = run_experiment(cfg)
-    finally:
-        if old is None:
-            os.environ.pop(THREADS_ENV_VAR, None)
-        else:
-            os.environ[THREADS_ENV_VAR] = old
-    # wall_time is a clock reading; everything else must match exactly.
-    strip = lambda recs: [replace(r, wall_time=0.0) for r in recs]
-    assert strip(serial) == strip(parallel)
+def test_each_round_dispatches_the_cohort_in_one_call(monkeypatch):
+    cohorts = []
+    original = fedclf.server.client_update
+
+    def recording(clients, params, cfgs, **kwargs):
+        cohorts.append([c.client_id for c in clients])
+        return original(clients, params, cfgs, **kwargs)
+
+    monkeypatch.setattr(fedclf.server, "client_update", recording)
+    history = run_experiment(small_config(rounds=6, select_k=4, seed=31))
+    assert cohorts == [list(r.selected_ids) for r in history]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_update_names_round_and_clients():
+    clients = [
+        ClientDataset(i, make_synthetic(12, 3, 2, seed=i)) for i in range(4)
+    ]
+    features = clients[2].data.features.copy()
+    features[0, 0] = np.nan
+    clients[2] = ClientDataset(2, LabeledDataset(features, clients[2].data.labels, 2))
+    cfg = small_config(
+        num_clients=4,
+        select_k=4,
+        rounds=3,
+        partition=PartitionSpec(shard_size=3, split_mode=SplitMode.EQUAL, num_clients=4),
+    )
+    experiment = Experiment(cfg, clients, make_synthetic(20, 3, 2, seed=9))
+    with pytest.raises(NonFiniteUpdateError, match="^round 1: .*client\\(s\\) 2$") as err:
+        experiment.run_round(1)
+    assert err.value.round_index == 1
+    assert err.value.client_ids == (2,)
+    assert experiment.history == []
 
 
 def test_run_experiment_writes_outputs(tmp_path):
