@@ -1,8 +1,10 @@
 """Command-line front end: partition datasets, run experiments, run batteries.
 
 Configuration precedence: built-in defaults < ``--config`` key=value file <
-explicit flags.  Battery specs use the same key=value format plus the list
-keys ``strategies``, ``datasets`` (entries like ``s50-equal``) and ``seeds``.
+explicit flags.  Each row of ``server.CONFIG_KEYS`` gives one config-file key
+and its flag ``--<key>``.  Battery specs use the same key=value format plus
+the list keys ``strategies``, ``datasets`` (entries like ``s50-equal``) and
+``seeds``.
 """
 
 from __future__ import annotations
@@ -10,14 +12,14 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from enum import EnumMeta
+from functools import cache
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from .dataset import (
-    ConfigurationError,
-    DatasetFormatError,
-    PartitionSpec,
     SplitMode,
     label_distribution,
     load_dataset,
@@ -26,20 +28,21 @@ from .dataset import (
     partition_report,
     save_dataset,
 )
-from .selection import FactorMode, Strategy
-from .server import ExperimentConfig, run_experiment, summary_text
+from .selection import Strategy
+from .server import CONFIG_KEYS, ConfigKey, ExperimentConfig, run_experiment, summary_text
 
 __all__ = ["main"]
 
 
 def _parse_synthetic(text: str) -> tuple[int, int, int]:
     """Parse a CxFxN spec like ``10x8x6000``."""
+    bad = argparse.ArgumentTypeError  # argparse shows its message as is
     try:
         c, f, n = (int(p) for p in text.split("x"))
     except ValueError:
-        raise ValueError(f"bad --synthetic spec {text!r}, want CxFxN") from None
+        raise bad(f"bad --synthetic spec {text!r}, want CxFxN") from None
     if c < 1 or f < 1 or n < 1:
-        raise ValueError(f"bad --synthetic spec {text!r}, counts must be positive")
+        raise bad(f"bad --synthetic spec {text!r}, counts must be positive")
     return c, f, n
 
 
@@ -69,117 +72,65 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", type=Path, help="key=value config file")
-    parser.add_argument("--clients", type=int, help="total clients K")
-    parser.add_argument("--select-k", type=int, help="clients selected per round")
-    parser.add_argument("--rounds", type=int, help="total rounds R")
-    parser.add_argument("--epochs", type=int, help="local epochs E")
-    parser.add_argument("--lr", type=float, help="learning rate")
-    parser.add_argument("--batch", type=int, help="local batch size")
-    parser.add_argument(
-        "--strategy", choices=[s.value for s in Strategy], help="selection strategy"
-    )
-    parser.add_argument(
-        "--factor-mode",
-        choices=[m.value for m in FactorMode],
-        help="calibration correction factor",
-    )
-    parser.add_argument(
-        "--no-feedback",
-        action="store_true",
-        default=None,
-        help="sample every round instead of gating on accuracy decline",
-    )
-    parser.add_argument("--S", type=int, dest="shard_size", help="partition shard size")
-    parser.add_argument(
-        "--split", choices=[m.value for m in SplitMode], help="equal or nonequal split"
-    )
-    parser.add_argument("--min-fraction", type=float, help="nonequal share floor")
-    parser.add_argument("--window", type=int, help="moving-average window N")
-    parser.add_argument("--seed", type=int, help="experiment seed")
-    parser.add_argument("--synthetic", help="synthetic dataset spec CxFxN")
-    parser.add_argument("--input", type=Path, help="FEDDS dataset file to train on")
-    parser.add_argument("--model", help="shape tag: softmax or mlp:<hidden>")
-    parser.add_argument("--checkpoint-every", type=int, help="checkpoint period")
-    parser.add_argument("--out", type=Path, help="output directory")
+def _parse_path(text: str) -> str:
+    return str(Path(text))
 
 
-# config-file key -> attribute on the parsed-args namespace
-_RUN_KEYS = {
-    "clients": ("clients", int),
-    "select_k": ("select_k", int),
-    "rounds": ("rounds", int),
-    "epochs": ("epochs", int),
-    "lr": ("lr", float),
-    "batch": ("batch", int),
-    "strategy": ("strategy", str),
-    "factor_mode": ("factor_mode", str),
-    "feedback": ("feedback", _parse_bool),
-    "S": ("shard_size", int),
-    "split": ("split", str),
-    "min_fraction": ("min_fraction", float),
-    "window": ("window", int),
-    "seed": ("seed", int),
-    "synthetic": ("synthetic", str),
-    "input": ("input", Path),
-    "model": ("model", str),
-    "checkpoint_every": ("checkpoint_every", int),
+_PARSERS = {
+    bool: _parse_bool,
+    int: int,
+    float: float,
+    str: str,
+    str | None: _parse_path,
+    tuple[int, int, int]: _parse_synthetic,
 }
+_KEYS = {k.key: k for k in CONFIG_KEYS}
+_BATTERY_KEYS = ("strategies", "datasets", "seeds", "out")
+_type_hints = cache(get_type_hints)  # each call evaluates every annotation again
+
+
+def _parser(k: ConfigKey):
+    """Text -> value for the type of the field ``k`` sets."""
+    kind = ExperimentConfig
+    for name in k.field.split("."):
+        kind = _type_hints(kind)[name]
+    return kind if isinstance(kind, EnumMeta) else _PARSERS[kind]
+
+
+def _add_flag(parser: argparse.ArgumentParser, k: ConfigKey, *aliases: str) -> None:
+    parse = _parser(k)
+    if parse is _parse_bool:
+        how = {"action": argparse.BooleanOptionalAction}
+    else:
+        choices = [m.value for m in parse] if isinstance(parse, EnumMeta) else None
+        how = {"type": parse, "choices": choices}
+    parser.add_argument(
+        f"--{k.key.replace('_', '-')}",
+        *aliases,
+        dest=k.key,
+        help=f"{k.help} (key {k.key}, summary config.{k.name})",
+        **how,
+    )
 
 
 def _config_from_sources(args: argparse.Namespace) -> ExperimentConfig:
     """Merge defaults, config file and flags into an ExperimentConfig."""
-    merged: dict[str, object] = {}
-    if args.config is not None:
-        file_values = _read_kv_file(args.config)
-        for key, raw in file_values.items():
-            if key in ("strategies", "datasets", "seeds", "out"):
-                continue  # battery-only / output keys
-            if key not in _RUN_KEYS:
+    values: dict[str, object] = {}
+    if getattr(args, "config", None) is not None:
+        for key, text in _read_kv_file(args.config).items():
+            if key in _BATTERY_KEYS:
+                continue
+            if key not in _KEYS:
                 raise ValueError(f"unknown config key {key!r}")
-            attr, convert = _RUN_KEYS[key]
-            merged[attr] = convert(raw)
-    for attr in (
-        "clients", "select_k", "rounds", "epochs", "lr", "batch", "strategy",
-        "factor_mode", "shard_size", "split", "min_fraction", "window", "seed",
-        "synthetic", "input", "model", "checkpoint_every",
-    ):
-        value = getattr(args, attr, None)
-        if value is not None:
-            merged[attr] = value
-    if getattr(args, "no_feedback", None):
-        merged["feedback"] = False
-
-    base = ExperimentConfig()
-    synthetic = (
-        _parse_synthetic(str(merged["synthetic"]))
-        if "synthetic" in merged
-        else base.synthetic_shape
-    )
-    spec = PartitionSpec(
-        shard_size=int(merged.get("shard_size", base.partition.shard_size)),
-        split_mode=SplitMode(str(merged.get("split", base.partition.split_mode.value))),
-        num_clients=int(merged.get("clients", base.num_clients)),
-        min_fraction=float(merged.get("min_fraction", base.partition.min_fraction)),
-    )
-    return ExperimentConfig(
-        num_clients=int(merged.get("clients", base.num_clients)),
-        select_k=int(merged.get("select_k", base.select_k)),
-        rounds=int(merged.get("rounds", base.rounds)),
-        epochs=int(merged.get("epochs", base.epochs)),
-        learning_rate=float(merged.get("lr", base.learning_rate)),
-        batch_size=int(merged.get("batch", base.batch_size)),
-        shape_tag=str(merged.get("model", base.shape_tag)),
-        strategy=Strategy(str(merged.get("strategy", base.strategy.value))),
-        factor_mode=FactorMode(str(merged.get("factor_mode", base.factor_mode.value))),
-        feedback_enabled=bool(merged.get("feedback", base.feedback_enabled)),
-        partition=spec,
-        moving_avg_window=int(merged.get("window", base.moving_avg_window)),
-        seed=int(merged.get("seed", base.seed)),
-        synthetic_shape=synthetic,
-        dataset_path=str(merged["input"]) if "input" in merged else None,
-        checkpoint_every=int(merged.get("checkpoint_every", base.checkpoint_every)),
+            values[_KEYS[key].field] = _parser(_KEYS[key])(text)
+    for k in CONFIG_KEYS:
+        if getattr(args, k.key, None) is not None:
+            values[k.field] = getattr(args, k.key)
+    spec = {f.partition(".")[2]: v for f, v in values.items() if "." in f}
+    cfg = replace(ExperimentConfig(), **{f: v for f, v in values.items() if "." not in f})
+    # The spec's client count mirrors the run's (build_experiment sets it anyway).
+    return replace(
+        cfg, partition=replace(cfg.partition, num_clients=cfg.num_clients, **spec)
     )
 
 
@@ -188,21 +139,13 @@ def cmd_partition(args: argparse.Namespace) -> int:
         raise ValueError("partition requires --out DIR")
     if (args.input is None) == (args.synthetic is None):
         raise ValueError("give exactly one of --input FILE or --synthetic CxFxN")
-    if args.input is not None:
-        dataset = load_dataset(args.input)
+    cfg = _config_from_sources(args)
+    if cfg.dataset_path is not None:
+        dataset = load_dataset(cfg.dataset_path)
     else:
-        num_classes, num_features, num_samples = _parse_synthetic(args.synthetic)
-        dataset = make_synthetic(
-            num_samples, num_features, num_classes, seed=args.seed or 0
-        )
-    spec = PartitionSpec(
-        shard_size=args.shard_size if args.shard_size is not None else 50,
-        split_mode=SplitMode(args.split or "equal"),
-        num_clients=args.clients if args.clients is not None else 50,
-        min_fraction=args.min_fraction if args.min_fraction is not None else 0.2,
-        seed=args.seed or 0,
-    )
-    clients = partition(dataset, spec)
+        num_classes, num_features, num_samples = cfg.synthetic_shape
+        dataset = make_synthetic(num_samples, num_features, num_classes, seed=cfg.seed)
+    clients = partition(dataset, replace(cfg.partition, seed=cfg.seed))
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)
     for client in clients:
@@ -249,10 +192,7 @@ def cmd_battery(args: argparse.Namespace) -> int:
     strategies = [Strategy(s.strip()) for s in values["strategies"].split(",")]
     datasets = [_parse_dataset_entry(e) for e in values["datasets"].split(",")]
     seeds = [int(s.strip()) for s in values["seeds"].split(",")]
-    base_feedback = _parse_bool(values.get("feedback", "true"))
-
-    ns = argparse.Namespace(config=args.spec, no_feedback=None)
-    base_cfg = _config_from_sources(ns)
+    base_cfg = _config_from_sources(argparse.Namespace(config=args.spec))
 
     rows: list[tuple[str, str, int, float, float, int]] = []
     for shard_size, split_mode in datasets:
@@ -270,7 +210,9 @@ def cmd_battery(args: argparse.Namespace) -> int:
                     ),
                     # Baselines sample every round; only the calibrated-loss
                     # strategy runs with the feedback gate.
-                    feedback_enabled=base_feedback and strategy is Strategy.FEDCLF,
+                    feedback_enabled=(
+                        base_cfg.feedback_enabled and strategy is Strategy.FEDCLF
+                    ),
                 )
                 history = run_experiment(cfg)
                 ma_tail = [r.ma_accuracy for r in history[-10:]]
@@ -318,24 +260,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_part = sub.add_parser("partition", help="partition a dataset and report skew")
-    p_part.add_argument("--synthetic", help="synthetic dataset spec CxFxN")
-    p_part.add_argument("--input", type=Path, help="FEDDS dataset file")
-    p_part.add_argument("--S", type=int, dest="shard_size", help="shard size")
-    p_part.add_argument("--clients", type=int, help="number of clients K")
-    p_part.add_argument(
-        "--mode",
-        "--split",
-        dest="split",
-        choices=[m.value for m in SplitMode],
-        help="equal or nonequal split",
-    )
-    p_part.add_argument("--min-fraction", type=float, help="nonequal share floor")
-    p_part.add_argument("--seed", type=int, help="partition seed")
+    for key in ("synthetic", "input", "S", "clients", "min_fraction", "seed"):
+        _add_flag(p_part, _KEYS[key])
+    _add_flag(p_part, _KEYS["split"], "--mode")
     p_part.add_argument("--out", type=Path, help="output directory")
     p_part.set_defaults(func=cmd_partition)
 
     p_run = sub.add_parser("run", help="run one experiment")
-    _add_run_flags(p_run)
+    p_run.add_argument("--config", type=Path, help="key=value config file")
+    for k in CONFIG_KEYS:
+        _add_flag(p_run, k)
+    p_run.add_argument("--out", type=Path, help="output directory")
     p_run.set_defaults(func=cmd_run)
 
     p_bat = sub.add_parser("battery", help="run a strategy-comparison battery")
@@ -350,7 +285,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ConfigurationError, DatasetFormatError, OSError) as exc:
+    except (ValueError, argparse.ArgumentTypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -32,8 +32,6 @@ class ClientUpdateResult:
     ``loss_utility`` is ``n_k * RMS(per-sample losses)``; ``mean_loss`` is the
     plain mean of the same losses.  ``grad_norm_utility`` (``n_k * RMS`` of
     per-sample gradient norms) is present only when requested.
-    ``post_training_loss`` is a diagnostic: the local mean loss after the
-    weight update.
     """
 
     client_id: int
@@ -42,18 +40,18 @@ class ClientUpdateResult:
     mean_loss: float
     n_k: int
     weight_delta_norm: float
-    post_training_loss: float
     grad_norm_utility: float | None = None
 
 
 class NonFiniteUpdateError(ValueError):
-    """Local training produced non-finite parameters."""
+    """Local training diverged: a trained parameter, loss utility or weight
+    change is not finite."""
 
     def __init__(self, client_ids: Sequence[int], round_index: int | None = None):
         where = "" if round_index is None else f"round {round_index}: "
         super().__init__(
-            f"{where}non-finite parameters after local training for client(s) "
-            + ", ".join(str(c) for c in client_ids)
+            f"{where}non-finite parameters, loss utility or weight change after "
+            "local training for client(s) " + ", ".join(str(c) for c in client_ids)
         )
         self.client_ids = tuple(client_ids)
         self.round_index = round_index
@@ -88,12 +86,12 @@ def client_update(
 
     ``cfgs`` holds one training config per client; results come back in the
     order of ``clients``.  Raises ``NonFiniteUpdateError`` naming every
-    client whose trained parameters are not all finite.
+    client whose trained parameters, loss utility or weight-change norm is
+    not finite.
     """
     tag = global_params.shape_tag
-    groups = _by_size(clients)
     pre = {}
-    for rows, stack in groups:
+    for rows, stack in _by_size(clients):
         report = evaluate(
             global_params, stack, want_per_sample=True, want_grad_norms=want_grad_norm
         )
@@ -107,13 +105,14 @@ def client_update(
         )
 
     trained = sgd_epochs(global_params, [c.data for c in clients], cfgs).values
-    finite = np.isfinite(trained).all(axis=1)
+    deltas = [np.linalg.norm(row - global_params.values) for row in trained]
+    finite = (
+        np.isfinite(trained).all(axis=1)
+        & np.isfinite([pre[i][0] for i in range(len(clients))])
+        & np.isfinite(deltas)
+    )
     if not finite.all():
         raise NonFiniteUpdateError([clients[i].client_id for i in np.flatnonzero(~finite)])
-
-    post = {}
-    for rows, stack in groups:
-        post.update(zip(rows, evaluate(ModelParams(trained[rows], tag), stack).mean_loss))
 
     results = []
     for i, client in enumerate(clients):
@@ -125,8 +124,7 @@ def client_update(
                 loss_utility=float(loss_utility),
                 mean_loss=float(mean_loss),
                 n_k=client.n_k,
-                weight_delta_norm=float(np.linalg.norm(trained[i] - global_params.values)),
-                post_training_loss=float(post[i]),
+                weight_delta_norm=float(deltas[i]),
                 grad_norm_utility=None if grad_norm_utility is None else float(grad_norm_utility),
             )
         )

@@ -40,6 +40,7 @@ __all__ = [
     "softmax_tag",
     "mlp_tag",
     "parse_shape_tag",
+    "resolve_shape_tag",
     "param_count",
     "init_params",
     "evaluate",
@@ -66,11 +67,27 @@ def parse_shape_tag(tag: str) -> tuple[str, tuple[int, ...]]:
         dims = tuple(int(d) for d in dims_text.split("x"))
     except ValueError:
         raise ValueError(f"unknown shape_tag {tag!r}") from None
-    if kind == "softmax" and len(dims) == 2 and all(d >= 1 for d in dims):
-        return kind, dims
-    if kind == "mlp" and len(dims) == 3 and all(d >= 1 for d in dims):
+    if (
+        {"softmax": 2, "mlp": 3}.get(kind) == len(dims)
+        and all(d >= 1 for d in dims)
+        and tag == f"{kind}:{'x'.join(map(str, dims))}"  # no sign, space or leading zero
+    ):
         return kind, dims
     raise ValueError(f"unknown shape_tag {tag!r}")
+
+
+def resolve_shape_tag(model: str, num_features: int, num_classes: int) -> str:
+    """The full shape tag of a configured ``model`` (``softmax`` or
+    ``mlp:<H>``) over data with the given feature and class counts."""
+    kind, colon, hidden = model.partition(":")
+    tag = f"{kind}:{num_features}x{hidden + 'x' if colon else ''}{num_classes}"
+    try:
+        parse_shape_tag(tag)
+    except ValueError:
+        raise ValueError(
+            f"unknown shape_tag {model!r}, want softmax or mlp:<H> with H >= 1"
+        ) from None
+    return tag
 
 
 def _layer_sizes(dims: tuple[int, ...]) -> list[tuple[int, int]]:

@@ -70,7 +70,6 @@ class ClientRecord:
     client_id: int
     n_k: int
     last_loss_utility: float | None = None
-    last_trained_round: int | None = None
     last_grad_norm_utility: float | None = None
     last_weight_delta_norm: float | None = None
     # Global metrics of the model the client last measured against; used by
@@ -154,25 +153,17 @@ def selection_factor(trend: GlobalTrend, factor_mode: FactorMode) -> float:
     return num / den
 
 
-def calibrate(
-    record: ClientRecord, trend: GlobalTrend, factor_mode: FactorMode
-) -> float:
-    """Stale loss utility times the global-trend correction factor.
+def calibrate(record: ClientRecord, factor: float) -> float:
+    """Stale loss utility times the round's correction factor.
 
     Callers skip this for clients selected in the last round (their utility is
-    fresh).  If the factor cannot be computed (missing or non-positive
-    denominator), the raw utility is returned and a warning logged.
+    fresh).  An undefined (NaN) factor leaves the raw utility.
     """
     if record.last_loss_utility is None:
         raise SelectionError(
             f"client {record.client_id} has no stored loss utility"
         )
-    factor = selection_factor(trend, factor_mode)
     if math.isnan(factor):
-        logger.warning(
-            "calibration skipped for client %d: correction factor undefined",
-            record.client_id,
-        )
         return record.last_loss_utility
     return record.last_loss_utility * factor
 
@@ -195,7 +186,9 @@ def _oort_system_factor(state: SelectorState, cid: int) -> float:
     return (state.preferred_duration / duration) ** OORT_PENALTY_ALPHA
 
 
-def _utility(state: SelectorState, record: ClientRecord, trend: GlobalTrend) -> float:
+def _utility(
+    state: SelectorState, record: ClientRecord, trend: GlobalTrend, factor: float
+) -> float:
     strategy = state.strategy
     if strategy is Strategy.NEWT_LIKE:
         if record.last_weight_delta_norm is None:
@@ -225,10 +218,7 @@ def _utility(state: SelectorState, record: ClientRecord, trend: GlobalTrend) -> 
         return record.last_loss_utility
     if state.compound_factors:
         factor = _compound_factor(record, trend, state.factor_mode)
-        if not math.isnan(factor):
-            return record.last_loss_utility * factor
-        return record.last_loss_utility
-    return calibrate(record, trend, state.factor_mode)
+    return calibrate(record, factor)
 
 
 def _warmup_pick(state: SelectorState, round_index: int, k: int) -> set[int]:
@@ -276,12 +266,29 @@ def select(
         ids = sorted(state.records)
         selected = {int(c) for c in rng.choice(ids, size=k, replace=False)}
     else:
+        factor = selection_factor(trend, state.factor_mode)
         scored = [
-            (-_utility(state, record, trend), cid)
+            (-_utility(state, record, trend, factor), cid)
             for cid, record in state.records.items()
         ]
         scored.sort()
         selected = {cid for _, cid in scored[:k]}
+        if (
+            state.strategy is Strategy.FEDCLF
+            and not state.compound_factors
+            and math.isnan(factor)
+        ):
+            raw = sum(
+                cid not in state.last_round_selected and r.last_loss_utility is not None
+                for cid, r in state.records.items()
+            )
+            if raw:
+                logger.warning(
+                    "round %d: correction factor undefined, %d clients kept raw "
+                    "utilities",
+                    round_index,
+                    raw,
+                )
 
     state.sampled_once |= selected
     state.last_round_selected = set(selected)
@@ -291,7 +298,6 @@ def select(
 def update_after_round(
     state: SelectorState,
     results: list[ClientUpdateResult],
-    round_index: int,
     global_accuracy: float | None = None,
     global_loss: float | None = None,
 ) -> SelectorState:
@@ -310,7 +316,6 @@ def update_after_round(
             )
         record = state.records[result.client_id]
         record.last_loss_utility = result.loss_utility
-        record.last_trained_round = round_index
         record.n_k = result.n_k
         record.last_weight_delta_norm = result.weight_delta_norm
         if result.grad_norm_utility is not None:

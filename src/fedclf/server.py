@@ -24,8 +24,10 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
+from enum import Enum
+from functools import reduce
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,9 +47,8 @@ from .model import (
     TrainConfig,
     evaluate,
     init_params,
-    mlp_tag,
+    resolve_shape_tag,
     save_params,
-    softmax_tag,
 )
 from .seeds import split_seed
 from .selection import (
@@ -65,6 +66,8 @@ from .selection import (
 __all__ = [
     "RoundRecord",
     "ExperimentConfig",
+    "ConfigKey",
+    "CONFIG_KEYS",
     "Experiment",
     "aggregate",
     "feedback_gate",
@@ -102,7 +105,8 @@ class ExperimentConfig:
     (classes, features, samples) for the generated dataset and is ignored
     when ``dataset_path`` is set.  ``partition.seed`` and
     ``partition.num_clients`` are overridden from this config, so the single
-    ``seed`` here determines the entire run.
+    ``seed`` here determines the entire run.  ``CONFIG_KEYS`` names every
+    other field.
     """
 
     num_clients: int = 50
@@ -147,32 +151,68 @@ class ExperimentConfig:
             raise ValueError("batch_size must be >= 1")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
-        _resolve_shape_kind(self.shape_tag)
+        resolve_shape_tag(self.shape_tag, 1, 1)  # any data dims: checks the grammar
         if self.dataset_path is None:
             c, f, n = self.synthetic_shape
             if c < 1 or f < 1 or n < 1:
                 raise ValueError(f"bad synthetic_shape {self.synthetic_shape}")
 
 
-def _resolve_shape_kind(tag: str) -> tuple[str, int | None]:
-    """Split a config-level shape tag into (kind, hidden width)."""
-    if tag == "softmax" or tag.startswith("softmax:"):
-        return "softmax", None
-    if tag.startswith("mlp"):
-        parts = tag.split(":")
-        if len(parts) >= 2:
-            dims = parts[1].split("x")
-            # "mlp:<H>" or a full "mlp:<F>x<H>x<C>" tag.
-            hidden = int(dims[1]) if len(dims) == 3 else int(dims[0])
-            return "mlp", hidden
-    raise ValueError(f"unknown shape_tag {tag!r}")
+class ConfigKey(NamedTuple):
+    """One run setting: its config-file key (the flag is ``--<key>`` with
+    ``-`` for ``_``), the dotted ``ExperimentConfig`` field it sets, and help."""
+
+    key: str
+    field: str
+    help: str
+
+    @property
+    def name(self) -> str:
+        """The name in ``summary.txt`` (``config.<name>``)."""
+        return self.field.rpartition(".")[2]
+
+    def value(self, cfg: ExperimentConfig) -> object:
+        return reduce(getattr, self.field.split("."), cfg)
 
 
-def resolve_shape_tag(tag: str, num_features: int, num_classes: int) -> str:
-    kind, hidden = _resolve_shape_kind(tag)
-    if kind == "softmax":
-        return softmax_tag(num_features, num_classes)
-    return mlp_tag(num_features, hidden, num_classes)
+# In summary.txt order.
+CONFIG_KEYS = (
+    ConfigKey("clients", "num_clients", "total clients K"),
+    ConfigKey("select_k", "select_k", "clients selected per round"),
+    ConfigKey("rounds", "rounds", "total rounds R"),
+    ConfigKey("epochs", "epochs", "local epochs E"),
+    ConfigKey("lr", "learning_rate", "learning rate"),
+    ConfigKey("batch", "batch_size", "local batch size"),
+    ConfigKey("model", "shape_tag", "softmax or mlp:<hidden>"),
+    ConfigKey("strategy", "strategy", "selection strategy"),
+    ConfigKey("factor_mode", "factor_mode", "calibration correction factor"),
+    ConfigKey("feedback", "feedback_enabled", "resample only on accuracy decline"),
+    ConfigKey("S", "partition.shard_size", "partition shard size"),
+    ConfigKey("split", "partition.split_mode", "equal or nonequal split"),
+    ConfigKey("min_fraction", "partition.min_fraction", "nonequal share floor"),
+    ConfigKey("window", "moving_avg_window", "moving-average window N"),
+    ConfigKey("seed", "seed", "experiment seed"),
+    ConfigKey("synthetic", "synthetic_shape", "synthetic dataset spec CxFxN"),
+    ConfigKey("input", "dataset_path", "FEDDS dataset file to train on"),
+    ConfigKey("test_fraction", "test_fraction", "held-out test share"),
+    ConfigKey("cluster_spread", "cluster_spread", "synthetic class-cluster spread"),
+    ConfigKey("warmup", "warmup_enabled", "unique-sampling warmup rounds"),
+    ConfigKey(
+        "compound_factors",
+        "compound_factors",
+        "scale stale utilities by the trend since each client last trained",
+    ),
+    ConfigKey("checkpoint_every", "checkpoint_every", "checkpoint period"),
+)
+
+
+def _echo(value: object) -> str:
+    """A config value as ``summary.txt`` spells it."""
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return "x".join(str(v) for v in value)
+    return "" if value is None else str(value)
 
 
 def aggregate(results: Sequence[ClientUpdateResult]) -> ModelParams:
@@ -314,7 +354,6 @@ class Experiment:
         update_after_round(
             self.selector,
             results,
-            round_index,
             global_accuracy=prev.test_accuracy if prev else None,
             global_loss=prev.test_loss if prev else None,
         )
@@ -409,28 +448,7 @@ def summary_text(cfg: ExperimentConfig, history: Sequence[RoundRecord]) -> str:
         f"final_ma_accuracy={final.ma_accuracy:.10f}",
         f"final_test_loss={final.test_loss:.10f}",
         f"sampling_occasions={occasions}",
-        f"config.num_clients={cfg.num_clients}",
-        f"config.select_k={cfg.select_k}",
-        f"config.rounds={cfg.rounds}",
-        f"config.epochs={cfg.epochs}",
-        f"config.learning_rate={cfg.learning_rate}",
-        f"config.batch_size={cfg.batch_size}",
-        f"config.shape_tag={cfg.shape_tag}",
-        f"config.strategy={cfg.strategy.value}",
-        f"config.factor_mode={cfg.factor_mode.value}",
-        f"config.feedback_enabled={cfg.feedback_enabled}",
-        f"config.shard_size={cfg.partition.shard_size}",
-        f"config.split_mode={cfg.partition.split_mode.value}",
-        f"config.min_fraction={cfg.partition.min_fraction}",
-        f"config.moving_avg_window={cfg.moving_avg_window}",
-        f"config.seed={cfg.seed}",
-        f"config.synthetic_shape={cfg.synthetic_shape[0]}x{cfg.synthetic_shape[1]}x{cfg.synthetic_shape[2]}",
-        f"config.dataset_path={cfg.dataset_path or ''}",
-        f"config.test_fraction={cfg.test_fraction}",
-        f"config.cluster_spread={cfg.cluster_spread}",
-        f"config.warmup_enabled={cfg.warmup_enabled}",
-        f"config.compound_factors={cfg.compound_factors}",
-        f"config.checkpoint_every={cfg.checkpoint_every}",
+        *(f"config.{k.name}={_echo(k.value(cfg))}" for k in CONFIG_KEYS),
     ]
     return "\n".join(lines) + "\n"
 

@@ -46,6 +46,7 @@ from fedclf.selection import (
     calibrate,
     make_selector,
     select,
+    selection_factor,
     warmup_rounds,
 )
 from fedclf.server import (
@@ -127,7 +128,6 @@ def test_criterion_1_aggregation_oracle():
                     mean_loss=1.0,
                     n_k=int(rng.integers(1, 500)),
                     weight_delta_norm=0.0,
-                    post_training_loss=1.0,
                 )
             )
         out = aggregate(results).values
@@ -191,9 +191,7 @@ def test_criterion_3_loss_utility_and_calibration():
     unit = GlobalTrend(acc_prev=0.5, acc_prev2=0.5, loss_prev=1.3, loss_prev2=1.3)
     identity_ok = all(
         calibrate(
-            ClientRecord(0, 5, last_loss_utility=u, last_trained_round=1),
-            unit,
-            mode,
+            ClientRecord(0, 5, last_loss_utility=u), selection_factor(unit, mode)
         )
         == u
         for u in (0.0, 0.37, 12.5)
@@ -213,7 +211,6 @@ def test_criterion_3_loss_utility_and_calibration():
             state = make_selector(strategy, clients, rng_seed=trial)
             for cid, value in utilities.items():
                 state.records[cid].last_loss_utility = value
-                state.records[cid].last_trained_round = 1
             state.sampled_once = set(utilities)
             state.last_round_selected = set(last)
             pair.append(select(state, 40, k, size, unit))

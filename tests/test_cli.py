@@ -2,16 +2,39 @@
 
 from __future__ import annotations
 
+from dataclasses import fields, is_dataclass
+from enum import Enum
+
 import numpy as np
 import pytest
 
 from fedclf.cli import main
-from fedclf.dataset import load_dataset
-from fedclf.server import deterministic_csv_payload
+from fedclf.dataset import PartitionSpec, SplitMode, load_dataset
+from fedclf.selection import FactorMode, Strategy
+from fedclf.server import (
+    CONFIG_KEYS,
+    ExperimentConfig,
+    RoundRecord,
+    deterministic_csv_payload,
+    summary_text,
+)
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+@pytest.fixture
+def built_configs(monkeypatch):
+    """Stub out the experiment run; collect every config ``run`` builds."""
+    configs = []
+
+    def fake_run(cfg, out_dir=None):
+        configs.append(cfg)
+        return [RoundRecord(1, 0.5, 1.0, 0.5, True, (0,), 0.0)]
+
+    monkeypatch.setattr("fedclf.cli.run_experiment", fake_run)
+    return configs
 
 
 # -------------------------------------------------------------- partition
@@ -149,6 +172,132 @@ def test_run_config_file_with_flag_override(tmp_path):
     summary = (out / "summary.txt").read_text()
     assert "rounds=5" in summary.splitlines()[0]
     assert "config.num_clients=6" in summary
+
+
+def test_config_keys_and_flags_build_the_same_config(tmp_path, built_configs):
+    data = str(tmp_path / "data.fedds")
+    keys = {
+        "clients": "6", "select_k": "2", "rounds": "3", "epochs": "2",
+        "lr": "0.05", "batch": "16", "strategy": "random", "factor_mode": "acc",
+        "feedback": "false", "S": "5", "split": "nonequal", "min_fraction": "0.5",
+        "window": "4", "seed": "8", "synthetic": "3x4x240", "input": data,
+        "model": "mlp:7", "checkpoint_every": "2",
+    }
+    config = tmp_path / "run.conf"
+    config.write_text("".join(f"{key}={value}\n" for key, value in keys.items()))
+    flags = ["--no-feedback"]
+    for key, value in keys.items():
+        if key != "feedback":
+            flags += [f"--{key.replace('_', '-')}", value]
+    assert run_cli("run", "--config", str(config), "--out", str(tmp_path / "a")) == 0
+    assert run_cli("run", *flags, "--out", str(tmp_path / "b")) == 0
+    assert run_cli("run", "--out", str(tmp_path / "c")) == 0
+    expected = ExperimentConfig(
+        num_clients=6,
+        select_k=2,
+        rounds=3,
+        epochs=2,
+        learning_rate=0.05,
+        batch_size=16,
+        shape_tag="mlp:7",
+        strategy=Strategy.RANDOM,
+        factor_mode=FactorMode.ACC_RATIO,
+        feedback_enabled=False,
+        partition=PartitionSpec(
+            shard_size=5, split_mode=SplitMode.NONEQUAL, num_clients=6, min_fraction=0.5
+        ),
+        moving_avg_window=4,
+        seed=8,
+        synthetic_shape=(3, 4, 240),
+        dataset_path=data,
+        checkpoint_every=2,
+    )
+    assert built_configs == [expected, expected, ExperimentConfig()]
+
+
+def _leaf_fields(obj, prefix=""):
+    """Dotted names of every field of ``obj``, nested dataclasses expanded."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            yield from _leaf_fields(value, f"{prefix}{f.name}.")
+        else:
+            yield f"{prefix}{f.name}"
+
+
+def _other_value(default):
+    """A value unlike ``default`` and its config-file text."""
+    if isinstance(default, bool):
+        return not default, str(not default).lower()
+    if isinstance(default, Enum):
+        other = next(m for m in type(default) if m is not default)
+        return other, other.value
+    if isinstance(default, int):
+        return default + 3, str(default + 3)
+    if isinstance(default, float):
+        return default / 2, repr(default / 2)
+    if isinstance(default, tuple):
+        return (3, 4, 50), "3x4x50"
+    if default is None:
+        return "data.fedds", "data.fedds"
+    return "mlp:7", "mlp:7"
+
+
+# build_experiment sets these two from num_clients and seed.
+DERIVED = ("partition.num_clients", "partition.seed")
+
+
+@pytest.mark.parametrize(
+    "field", [f for f in _leaf_fields(ExperimentConfig()) if f not in DERIVED]
+)
+def test_every_config_field_has_a_key_a_flag_and_a_summary_line(
+    tmp_path, built_configs, field
+):
+    [k] = [k for k in CONFIG_KEYS if k.field == field]
+    default = k.value(ExperimentConfig())
+    value, text = _other_value(default)
+    config = tmp_path / "run.conf"
+    config.write_text(f"{k.key}={text}\n")
+    flag = f"--{k.key.replace('_', '-')}"
+    if isinstance(value, bool):
+        flags = [flag if value else f"--no-{k.key.replace('_', '-')}"]
+    else:
+        flags = [flag, text]
+    assert run_cli("run", "--config", str(config), "--out", str(tmp_path / "a")) == 0
+    assert run_cli("run", *flags, "--out", str(tmp_path / "b")) == 0
+    assert [k.value(cfg) for cfg in built_configs] == [value, value]
+    history = [RoundRecord(1, 0.5, 1.0, 0.5, True, (0,), 0.0)]
+    before, after = (
+        [
+            line
+            for line in summary_text(cfg, history).splitlines()
+            if line.startswith(f"config.{k.name}=")
+        ]
+        for cfg in (ExperimentConfig(), built_configs[0])
+    )
+    assert len(before) == 1 and before != after
+
+
+@pytest.mark.parametrize(
+    "tag", ["mlpx:16", "softmax:junk", "softmax:", "mlp:16:3", "mlp:8x16x10"]
+)
+def test_run_rejects_malformed_model_tags(tmp_path, capsys, tag):
+    out = tmp_path / "out"
+    assert run_cli("run", "--model", tag, "--rounds", "1", "--out", str(out)) == 1
+    assert f"unknown shape_tag {tag!r}" in capsys.readouterr().err
+    assert not (out / "run.csv").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverged_run_fails_without_a_run_log(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = run_cli(
+        "run", "--synthetic", "4x4x600", "--clients", "5", "--select-k", "2",
+        "--rounds", "3", "--S", "10", "--lr", "1e300", "--out", str(out),
+    )
+    assert code == 1
+    assert "round 1: non-finite" in capsys.readouterr().err
+    assert not (out / "run.csv").exists()
 
 
 def test_run_rejects_unknown_config_key(tmp_path, capsys):

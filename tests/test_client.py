@@ -112,15 +112,6 @@ def test_results_independent_of_execution_order():
         assert forward[i].loss_utility == shuffled[i].loss_utility
 
 
-def test_post_training_loss_reported():
-    client = make_client(n=60, seed=10)
-    params = init_params(softmax_tag(4, 3), seed=7)
-    result = update_one(
-        client, params, TrainConfig(epochs=5, learning_rate=0.5)
-    )
-    assert result.post_training_loss < result.mean_loss
-
-
 # ------------------------------------------- stacked cohort == per-client
 
 
@@ -130,7 +121,6 @@ def result_bytes(result):
         result.loss_utility,
         result.mean_loss,
         result.weight_delta_norm,
-        result.post_training_loss,
         np.nan if result.grad_norm_utility is None else result.grad_norm_utility,
     )
     return (

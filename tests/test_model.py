@@ -41,7 +41,10 @@ def test_param_count_mlp():
     assert param_count(mlp_tag(4, 6, 3)) == 4 * 6 + 6 + 6 * 3 + 3
 
 
-@pytest.mark.parametrize("tag", ["conv:3x3", "softmax:4", "mlp:2x2", "softmax:0x2", ""])
+@pytest.mark.parametrize(
+    "tag",
+    ["conv:3x3", "softmax:4", "mlp:2x2", "softmax:0x2", "", "softmax:+4x3", "mlp:4x06x3"],
+)
 def test_parse_shape_tag_rejects_unknown(tag):
     with pytest.raises(ValueError, match="unknown shape_tag"):
         parse_shape_tag(tag)

@@ -19,6 +19,7 @@ from fedclf.selection import (
     calibrate,
     make_selector,
     select,
+    selection_factor,
     update_after_round,
     warmup_rounds,
 )
@@ -38,7 +39,6 @@ def trained_selector(strategy, utilities, seed=0, last_round=()):  # noqa: D103
     for cid, utility in utilities.items():
         record = state.records[cid]
         record.last_loss_utility = utility
-        record.last_trained_round = 1
         record.last_grad_norm_utility = utility
         record.last_weight_delta_norm = utility
     state.sampled_once = set(utilities)
@@ -55,7 +55,6 @@ def dummy_result(cid, loss_utility=1.0, n_k=6, delta=0.5):
         mean_loss=loss_utility / n_k,
         n_k=n_k,
         weight_delta_norm=delta,
-        post_training_loss=0.1,
     )
 
 
@@ -63,35 +62,42 @@ def dummy_result(cid, loss_utility=1.0, n_k=6, delta=0.5):
 
 
 def test_calibrate_unit_factor_is_identity():
-    record = ClientRecord(0, 10, last_loss_utility=3.7, last_trained_round=2)
-    assert calibrate(record, unit_trend(), FactorMode.LOSS_RATIO) == 3.7
+    record = ClientRecord(0, 10, last_loss_utility=3.7)
+    assert calibrate(record, selection_factor(unit_trend(), FactorMode.LOSS_RATIO)) == 3.7
 
 
 def test_calibrate_loss_ratio():
-    record = ClientRecord(0, 10, last_loss_utility=10.0, last_trained_round=2)
+    record = ClientRecord(0, 10, last_loss_utility=10.0)
     trend = GlobalTrend(acc_prev=0.5, acc_prev2=0.4, loss_prev=0.8, loss_prev2=1.0)
-    assert calibrate(record, trend, FactorMode.LOSS_RATIO) == pytest.approx(8.0)
+    factor = selection_factor(trend, FactorMode.LOSS_RATIO)
+    assert calibrate(record, factor) == pytest.approx(8.0)
 
 
 def test_calibrate_acc_ratio():
-    record = ClientRecord(0, 10, last_loss_utility=10.0, last_trained_round=2)
+    record = ClientRecord(0, 10, last_loss_utility=10.0)
     trend = GlobalTrend(acc_prev=0.55, acc_prev2=0.50, loss_prev=1.0, loss_prev2=1.0)
-    assert calibrate(record, trend, FactorMode.ACC_RATIO) == pytest.approx(11.0)
+    factor = selection_factor(trend, FactorMode.ACC_RATIO)
+    assert calibrate(record, factor) == pytest.approx(11.0)
 
 
 def test_calibrate_guard_returns_raw_and_warns(caplog):
-    record = ClientRecord(0, 10, last_loss_utility=5.0, last_trained_round=2)
+    record = ClientRecord(0, 10, last_loss_utility=5.0)
     bad = GlobalTrend(acc_prev=0.5, acc_prev2=0.4, loss_prev=1.0, loss_prev2=0.0)
-    with caplog.at_level(logging.WARNING, logger="fedclf.selection"):
-        assert calibrate(record, bad, FactorMode.LOSS_RATIO) == 5.0
-    assert "calibration skipped" in caplog.text
+    assert calibrate(record, selection_factor(bad, FactorMode.LOSS_RATIO)) == 5.0
     nan_trend = GlobalTrend.empty()
-    assert calibrate(record, nan_trend, FactorMode.ACC_RATIO) == 5.0
+    assert calibrate(record, selection_factor(nan_trend, FactorMode.ACC_RATIO)) == 5.0
+    # Ranking warns once per round, not once per client.
+    utilities = {i: float(i) for i in range(6)}
+    state = trained_selector(Strategy.FEDCLF, utilities, last_round={5})
+    with caplog.at_level(logging.WARNING, logger="fedclf.selection"):
+        assert select(state, 9, k=2, num_clients=6, trend=bad) == {4, 5}
+    [message] = caplog.messages
+    assert message == "round 9: correction factor undefined, 5 clients kept raw utilities"
 
 
 def test_calibrate_requires_stored_utility():
     with pytest.raises(SelectionError, match="no stored loss utility"):
-        calibrate(ClientRecord(0, 10), unit_trend(), FactorMode.LOSS_RATIO)
+        calibrate(ClientRecord(0, 10), 1.0)
 
 
 # ----------------------------------------------------------------- warmup
@@ -232,7 +238,6 @@ def test_untrained_clients_forced_when_warmup_disabled():
     clients = make_clients(4)
     state = make_selector(Strategy.FEDCLF, clients, rng_seed=0, warmup_enabled=False)
     state.records[1].last_loss_utility = 100.0
-    state.records[1].last_trained_round = 1
     chosen = select(state, 2, k=2, num_clients=4, trend=unit_trend())
     # Untrained clients get infinite utility; the trained one loses.
     assert 1 not in chosen
@@ -243,7 +248,6 @@ def test_oort_penalizes_slow_clients():
     state = make_selector(Strategy.OORT_LIKE, clients, rng_seed=4)
     for cid in range(6):
         state.records[cid].last_loss_utility = 1.0
-        state.records[cid].last_trained_round = 1
     state.sampled_once = set(range(6))
     slowest = max(state.durations, key=state.durations.get)
     fastest = min(state.durations, key=state.durations.get)
@@ -268,9 +272,9 @@ def test_update_after_round_refreshes_selected_records():
     state = make_selector(Strategy.FEDCLF, clients, rng_seed=8)
     chosen = select(state, 1, k=5, num_clients=50, trend=GlobalTrend.empty())
     results = [dummy_result(cid, loss_utility=float(cid)) for cid in sorted(chosen)]
-    update_after_round(state, results, 1)
+    update_after_round(state, results)
     trained = [
-        cid for cid, rec in state.records.items() if rec.last_trained_round == 1
+        cid for cid, rec in state.records.items() if rec.last_loss_utility is not None
     ]
     assert sorted(trained) == sorted(chosen)
     untouched = set(range(50)) - chosen
@@ -280,21 +284,21 @@ def test_update_after_round_refreshes_selected_records():
 def test_update_after_round_rejects_empty_results():
     state = trained_selector(Strategy.FEDCLF, {0: 1.0}, last_round={0})
     with pytest.raises(SelectionError, match="no results"):
-        update_after_round(state, [], 3)
+        update_after_round(state, [])
 
 
 def test_update_after_round_rejects_unselected_client():
     state = trained_selector(Strategy.FEDCLF, {0: 1.0, 1: 1.0}, last_round={0})
     with pytest.raises(SelectionError, match="not selected"):
-        update_after_round(state, [dummy_result(1)], 3)
+        update_after_round(state, [dummy_result(1)])
 
 
 def test_update_after_round_is_idempotent():
     state = trained_selector(Strategy.FEDCLF, {0: 1.0, 1: 1.0}, last_round={0})
     result = dummy_result(0, loss_utility=2.5)
-    update_after_round(state, [result], 4, global_accuracy=0.5, global_loss=0.9)
+    update_after_round(state, [result], global_accuracy=0.5, global_loss=0.9)
     snapshot = vars(state.records[0]).copy()
-    update_after_round(state, [result], 4, global_accuracy=0.5, global_loss=0.9)
+    update_after_round(state, [result], global_accuracy=0.5, global_loss=0.9)
     assert vars(state.records[0]) == snapshot
 
 

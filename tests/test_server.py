@@ -43,7 +43,6 @@ def result_with(values, n_k, tag=None):
         mean_loss=0.5,
         n_k=n_k,
         weight_delta_norm=0.0,
-        post_training_loss=0.5,
     )
 
 
