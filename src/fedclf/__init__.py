@@ -25,15 +25,14 @@ from .model import (
     sgd_epochs,
 )
 from .selection import (
-    ClientRecord,
     FactorMode,
     GlobalTrend,
     SelectorState,
     Strategy,
-    calibrate,
     make_selector,
     select,
     update_after_round,
+    utilities,
 )
 from .server import (
     Experiment,

@@ -22,14 +22,18 @@ import numpy as np
 from .dataset import (
     SplitMode,
     label_distribution,
-    load_dataset,
-    make_synthetic,
-    partition,
     partition_report,
     save_dataset,
 )
 from .selection import Strategy
-from .server import CONFIG_KEYS, ConfigKey, ExperimentConfig, run_experiment, summary_text
+from .server import (
+    CONFIG_KEYS,
+    ConfigKey,
+    ExperimentConfig,
+    build_partition,
+    run_experiment,
+    summary_text,
+)
 
 __all__ = ["main"]
 
@@ -139,19 +143,12 @@ def cmd_partition(args: argparse.Namespace) -> int:
         raise ValueError("partition requires --out DIR")
     if (args.input is None) == (args.synthetic is None):
         raise ValueError("give exactly one of --input FILE or --synthetic CxFxN")
-    cfg = _config_from_sources(args)
-    if cfg.dataset_path is not None:
-        dataset = load_dataset(cfg.dataset_path)
-    else:
-        num_classes, num_features, num_samples = cfg.synthetic_shape
-        dataset = make_synthetic(num_samples, num_features, num_classes, seed=cfg.seed)
-    clients = partition(dataset, replace(cfg.partition, seed=cfg.seed))
+    clients, train, _ = build_partition(_config_from_sources(args))
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)
     for client in clients:
         save_dataset(client.data, out / f"client_{client.client_id:03d}.fedds")
-    reference = label_distribution(dataset)
-    report = partition_report(clients, reference)
+    report = partition_report(clients, label_distribution(train))
     (out / "report.csv").write_text(report)
     print(f"wrote {len(clients)} shard files and report.csv to {out}")
     print(report.splitlines()[-1])

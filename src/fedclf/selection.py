@@ -9,13 +9,17 @@ The calibrated-loss strategy keeps the raw loss utility for clients that
 trained in the most recent round and multiplies everyone else's stale utility
 by a global-trend correction factor: the ratio of the global test loss over
 the last two rounds (default), or the accuracy ratio in the alternate mode.
+
+The selector state is one numpy column per client field, indexed by client id
+(clients are numbered ``0..K-1``); each strategy's utility is one expression
+over those columns.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -27,14 +31,13 @@ from .seeds import split_seed
 __all__ = [
     "Strategy",
     "FactorMode",
-    "ClientRecord",
     "GlobalTrend",
     "SelectorState",
     "SelectionError",
     "make_selector",
     "warmup_rounds",
     "selection_factor",
-    "calibrate",
+    "utilities",
     "select",
     "update_after_round",
 ]
@@ -63,21 +66,6 @@ class SelectionError(RuntimeError):
     """Selector state and inputs disagree; indicates a harness bug."""
 
 
-@dataclass
-class ClientRecord:
-    """Server-side bookkeeping for one client."""
-
-    client_id: int
-    n_k: int
-    last_loss_utility: float | None = None
-    last_grad_norm_utility: float | None = None
-    last_weight_delta_norm: float | None = None
-    # Global metrics of the model the client last measured against; used by
-    # the compounding calibration mode.
-    loss_at_last_training: float | None = None
-    acc_at_last_training: float | None = None
-
-
 @dataclass(frozen=True)
 class GlobalTrend:
     """Accuracy and global test loss of the last two completed rounds."""
@@ -94,17 +82,28 @@ class GlobalTrend:
 
 @dataclass
 class SelectorState:
+    """Selector settings plus one column per client field, indexed by id.
+
+    NaN in a utility or anchor column means "not measured yet".
+    """
+
     strategy: Strategy
-    records: dict[int, ClientRecord]
     rng_seed: int
-    factor_mode: FactorMode = FactorMode.LOSS_RATIO
-    warmup_enabled: bool = True
-    compound_factors: bool = False
-    sampled_once: set[int] = field(default_factory=set)
-    last_round_selected: set[int] = field(default_factory=set)
-    # Fixed simulated per-client round durations (Oort-style baseline only).
-    durations: dict[int, float] = field(default_factory=dict)
-    preferred_duration: float = math.inf
+    factor_mode: FactorMode
+    warmup_enabled: bool
+    compound_factors: bool
+    n_k: np.ndarray
+    loss_utility: np.ndarray
+    grad_norm_utility: np.ndarray
+    weight_delta_norm: np.ndarray
+    # Global test loss and accuracy of the model each client last trained
+    # from; they anchor the compounding calibration mode.
+    loss_anchor: np.ndarray
+    acc_anchor: np.ndarray
+    # Simulated-duration penalty of the Oort-style baseline; ones otherwise.
+    oort_penalty: np.ndarray
+    sampled_once: np.ndarray
+    last_round_selected: np.ndarray
 
 
 def make_selector(
@@ -115,125 +114,130 @@ def make_selector(
     warmup_enabled: bool = True,
     compound_factors: bool = False,
 ) -> SelectorState:
-    """Build selector state covering ``clients``.
+    """Build selector state covering ``clients``, whose ids must be ``0..K-1``.
 
     For the Oort-style baseline, per-client round durations are simulated
-    once from a seeded lognormal and the preferred duration is their median.
+    once from a seeded lognormal; clients slower than the median duration
+    are penalized by ``(median / duration) ** OORT_PENALTY_ALPHA``.
     """
-    records = {c.client_id: ClientRecord(c.client_id, c.n_k) for c in clients}
-    state = SelectorState(
+    ids = [c.client_id for c in clients]
+    if sorted(ids) != list(range(len(ids))):
+        raise SelectionError(f"client ids must be 0..{len(ids) - 1}, got {sorted(ids)}")
+    n_k = np.zeros(len(ids), dtype=np.int64)
+    n_k[ids] = [c.n_k for c in clients]
+    penalty = np.ones(len(ids))
+    if strategy is Strategy.OORT_LIKE:
+        rng = np.random.default_rng(split_seed(rng_seed, "durations"))
+        durations = rng.lognormal(mean=math.log(10.0), sigma=0.5, size=len(ids))
+        preferred = float(np.median(durations))
+        # Python's ``**`` (libm pow): numpy squares, which can differ in the
+        # last bit.
+        penalty = np.array(
+            [min(1.0, (preferred / d) ** OORT_PENALTY_ALPHA) for d in durations.tolist()]
+        )
+    nan_columns = ("loss_utility", "grad_norm_utility", "weight_delta_norm",
+                   "loss_anchor", "acc_anchor")
+    return SelectorState(
         strategy=strategy,
-        records=records,
         rng_seed=rng_seed,
         factor_mode=factor_mode,
         warmup_enabled=warmup_enabled,
         compound_factors=compound_factors,
+        n_k=n_k,
+        oort_penalty=penalty,
+        sampled_once=np.zeros(len(ids), dtype=bool),
+        last_round_selected=np.zeros(len(ids), dtype=bool),
+        **{name: np.full(len(ids), np.nan) for name in nan_columns},
     )
-    if strategy is Strategy.OORT_LIKE:
-        rng = np.random.default_rng(split_seed(rng_seed, "durations"))
-        ids = sorted(records)
-        samples = rng.lognormal(mean=math.log(10.0), sigma=0.5, size=len(ids))
-        state.durations = {cid: float(d) for cid, d in zip(ids, samples)}
-        state.preferred_duration = float(np.median(samples))
-    return state
 
 
 def warmup_rounds(num_clients: int, k: int) -> int:
     return math.ceil(num_clients / k)
 
 
+def _ratio(num, den):
+    """``num / den`` where both are finite and ``den > 0``; NaN elsewhere."""
+    defined = np.isfinite(num) & np.isfinite(den) & (den > 0.0)
+    return np.divide(num, den, out=np.full(np.shape(defined), np.nan), where=defined)
+
+
 def selection_factor(trend: GlobalTrend, factor_mode: FactorMode) -> float:
     """The one-round correction factor; NaN when the trend cannot supply it."""
     if factor_mode is FactorMode.LOSS_RATIO:
-        num, den = trend.loss_prev, trend.loss_prev2
-    else:
-        num, den = trend.acc_prev, trend.acc_prev2
-    if not (math.isfinite(num) and math.isfinite(den)) or den <= 0.0:
-        return math.nan
-    return num / den
+        return float(_ratio(trend.loss_prev, trend.loss_prev2))
+    return float(_ratio(trend.acc_prev, trend.acc_prev2))
 
 
-def calibrate(record: ClientRecord, factor: float) -> float:
-    """Stale loss utility times the round's correction factor.
+def _require(missing: np.ndarray, round_index: int, what: str) -> None:
+    if missing.any():
+        ids = ", ".join(str(c) for c in np.flatnonzero(missing).tolist())
+        raise SelectionError(f"round {round_index}: client(s) {ids} {what}")
 
-    Callers skip this for clients selected in the last round (their utility is
-    fresh).  An undefined (NaN) factor leaves the raw utility.
+
+def utilities(state: SelectorState, trend: GlobalTrend, round_index: int) -> np.ndarray:
+    """The utility each client is ranked by, indexed by client id.
+
+    A client with no loss utility ranks first (``inf``, forced exploration)
+    when warmup is disabled; with warmup enabled it is an error.  The
+    calibrated-loss strategy scales stale utilities by the correction factor
+    (per client, against its anchor, in compound mode); a stale client whose
+    factor is undefined keeps its raw utility, and one warning per round
+    counts them.  The random strategy does not rank; its column is the raw
+    loss utility.
     """
-    if record.last_loss_utility is None:
-        raise SelectionError(
-            f"client {record.client_id} has no stored loss utility"
+    if state.strategy is Strategy.NEWT_LIKE:
+        delta = state.weight_delta_norm
+        return np.where(np.isnan(delta), state.n_k, delta * state.n_k)
+    loss = state.loss_utility
+    unmeasured = np.isnan(loss)
+    if state.warmup_enabled:
+        _require(
+            unmeasured,
+            round_index,
+            "reached ranking without a stored utility; warmup should have covered it",
         )
-    if math.isnan(factor):
-        return record.last_loss_utility
-    return record.last_loss_utility * factor
-
-
-def _compound_factor(record: ClientRecord, trend: GlobalTrend, mode: FactorMode) -> float:
-    """Factor against the global metrics at the client's last measurement."""
-    if mode is FactorMode.LOSS_RATIO:
-        num, den = trend.loss_prev, record.loss_at_last_training
+    if state.strategy is Strategy.GRAD_NORM:
+        utility = state.grad_norm_utility
+        _require(
+            ~unmeasured & np.isnan(utility),
+            round_index,
+            "have no gradient-norm utility; enable per-sample gradient norms "
+            "for this strategy",
+        )
+    elif state.strategy is Strategy.OORT_LIKE:
+        utility = loss * state.oort_penalty
+    elif state.strategy is Strategy.FEDCLF:
+        if not state.compound_factors:
+            factor = selection_factor(trend, state.factor_mode)
+        elif state.factor_mode is FactorMode.LOSS_RATIO:
+            factor = _ratio(trend.loss_prev, state.loss_anchor)
+        else:
+            factor = _ratio(trend.acc_prev, state.acc_anchor)
+        stale, undefined = ~state.last_round_selected, np.isnan(factor)
+        raw = np.count_nonzero(stale & undefined & ~unmeasured)
+        if raw:
+            logger.warning(
+                "round %d: correction factor undefined, %d clients kept raw utilities",
+                round_index,
+                raw,
+            )
+        utility = np.where(stale & ~undefined, loss * factor, loss)
     else:
-        num, den = trend.acc_prev, record.acc_at_last_training
-    if den is None or not (math.isfinite(num) and math.isfinite(den)) or den <= 0.0:
-        return math.nan
-    return num / den
+        utility = loss
+    return np.where(unmeasured, np.inf, utility)
 
 
-def _oort_system_factor(state: SelectorState, cid: int) -> float:
-    duration = state.durations.get(cid)
-    if duration is None or duration <= state.preferred_duration:
-        return 1.0
-    return (state.preferred_duration / duration) ** OORT_PENALTY_ALPHA
-
-
-def _utility(
-    state: SelectorState, record: ClientRecord, trend: GlobalTrend, factor: float
-) -> float:
-    strategy = state.strategy
-    if strategy is Strategy.NEWT_LIKE:
-        if record.last_weight_delta_norm is None:
-            return float(record.n_k)
-        return record.last_weight_delta_norm * record.n_k
-    if record.last_loss_utility is None:
-        if state.warmup_enabled:
-            raise SelectionError(
-                f"client {record.client_id} reached ranking without a "
-                "stored utility; warmup should have covered it"
-            )
-        return math.inf  # forced exploration when warmup was disabled
-    if strategy is Strategy.RAW_LOSS:
-        return record.last_loss_utility
-    if strategy is Strategy.GRAD_NORM:
-        if record.last_grad_norm_utility is None:
-            raise SelectionError(
-                f"client {record.client_id} has no gradient-norm utility; "
-                "enable per-sample gradient norms for this strategy"
-            )
-        return record.last_grad_norm_utility
-    if strategy is Strategy.OORT_LIKE:
-        return record.last_loss_utility * _oort_system_factor(state, record.client_id)
-    # Calibrated loss: fresh utility for last-round participants, corrected
-    # stale utility for everyone else.
-    if record.client_id in state.last_round_selected:
-        return record.last_loss_utility
-    if state.compound_factors:
-        factor = _compound_factor(record, trend, state.factor_mode)
-    return calibrate(record, factor)
-
-
-def _warmup_pick(state: SelectorState, round_index: int, k: int) -> set[int]:
-    all_ids = sorted(state.records)
-    available = sorted(set(all_ids) - state.sampled_once)
+def _warmup_pick(state: SelectorState, round_index: int, k: int) -> np.ndarray:
+    available = np.flatnonzero(~state.sampled_once)
     rng = np.random.default_rng(split_seed(state.rng_seed, "warmup", round_index))
-    if len(available) >= k:
-        chosen = rng.choice(available, size=k, replace=False)
-        return {int(c) for c in chosen}
+    if available.size >= k:
+        return rng.choice(available, size=k, replace=False)
     # Final warmup round when k does not divide K: take everyone still
     # unsampled and pad from already-sampled clients.
-    chosen = set(available)
-    pool = sorted(state.sampled_once - chosen)
-    pad = rng.choice(pool, size=k - len(chosen), replace=False)
-    return chosen | {int(c) for c in pad}
+    pad = rng.choice(
+        np.flatnonzero(state.sampled_once), size=k - available.size, replace=False
+    )
+    return np.concatenate([available, pad])
 
 
 def select(
@@ -246,53 +250,31 @@ def select(
     """Choose ``k`` of ``num_clients`` clients for this round.
 
     Warmup rounds draw seeded-uniformly from clients never sampled; later
-    rounds rank by the strategy's utility and keep the top ``k`` (utility
-    descending, then client id ascending).  The returned set is recorded as
-    the most recent cohort.
+    rounds rank by ``utilities`` and keep the top ``k`` (utility descending,
+    then client id ascending).  The returned set is recorded as the most
+    recent cohort.
     """
     if not 1 <= k <= num_clients:
         raise ValueError(f"need 1 <= k <= K, got k={k}, K={num_clients}")
-    if len(state.records) != num_clients:
+    if state.n_k.size != num_clients:
         raise SelectionError(
-            f"selector covers {len(state.records)} clients, expected {num_clients}"
+            f"selector covers {state.n_k.size} clients, expected {num_clients}"
         )
 
     if state.warmup_enabled and round_index <= warmup_rounds(num_clients, k):
-        selected = _warmup_pick(state, round_index, k)
+        chosen = _warmup_pick(state, round_index, k)
     elif state.strategy is Strategy.RANDOM:
         rng = np.random.default_rng(
             split_seed(state.rng_seed, "random-select", round_index)
         )
-        ids = sorted(state.records)
-        selected = {int(c) for c in rng.choice(ids, size=k, replace=False)}
+        chosen = rng.choice(num_clients, size=k, replace=False)
     else:
-        factor = selection_factor(trend, state.factor_mode)
-        scored = [
-            (-_utility(state, record, trend, factor), cid)
-            for cid, record in state.records.items()
-        ]
-        scored.sort()
-        selected = {cid for _, cid in scored[:k]}
-        if (
-            state.strategy is Strategy.FEDCLF
-            and not state.compound_factors
-            and math.isnan(factor)
-        ):
-            raw = sum(
-                cid not in state.last_round_selected and r.last_loss_utility is not None
-                for cid, r in state.records.items()
-            )
-            if raw:
-                logger.warning(
-                    "round %d: correction factor undefined, %d clients kept raw "
-                    "utilities",
-                    round_index,
-                    raw,
-                )
+        chosen = np.argsort(-utilities(state, trend, round_index), kind="stable")[:k]
 
-    state.sampled_once |= selected
-    state.last_round_selected = set(selected)
-    return selected
+    state.sampled_once[chosen] = True
+    state.last_round_selected[:] = False
+    state.last_round_selected[chosen] = True
+    return set(chosen.tolist())
 
 
 def update_after_round(
@@ -301,25 +283,24 @@ def update_after_round(
     global_accuracy: float | None = None,
     global_loss: float | None = None,
 ) -> SelectorState:
-    """Fold the round's client reports into the selector records.
+    """Fold the round's client reports into the selector columns.
 
     ``global_accuracy`` / ``global_loss`` are the test metrics of the model
     the clients trained from; they anchor the compounding calibration mode.
-    Clients that did not train keep their (now stale) records untouched.
+    Clients that did not train keep their (now stale) entries untouched.
     """
     if not results:
         raise SelectionError("update_after_round called with no results")
+    loss_anchor = math.nan if global_loss is None else global_loss
+    acc_anchor = math.nan if global_accuracy is None else global_accuracy
     for result in results:
-        if result.client_id not in state.last_round_selected:
-            raise SelectionError(
-                f"result for client {result.client_id}, which was not selected"
-            )
-        record = state.records[result.client_id]
-        record.last_loss_utility = result.loss_utility
-        record.n_k = result.n_k
-        record.last_weight_delta_norm = result.weight_delta_norm
+        cid = result.client_id
+        if not (0 <= cid < state.n_k.size and state.last_round_selected[cid]):
+            raise SelectionError(f"result for client {cid}, which was not selected")
+        state.loss_utility[cid] = result.loss_utility
+        state.weight_delta_norm[cid] = result.weight_delta_norm
         if result.grad_norm_utility is not None:
-            record.last_grad_norm_utility = result.grad_norm_utility
-        record.loss_at_last_training = global_loss
-        record.acc_at_last_training = global_accuracy
+            state.grad_norm_utility[cid] = result.grad_norm_utility
+        state.loss_anchor[cid] = loss_anchor
+        state.acc_anchor[cid] = acc_anchor
     return state

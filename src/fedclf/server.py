@@ -70,6 +70,7 @@ __all__ = [
     "CONFIG_KEYS",
     "Experiment",
     "aggregate",
+    "build_partition",
     "feedback_gate",
     "moving_average",
     "run_experiment",
@@ -393,9 +394,15 @@ class Experiment:
         return self.history
 
 
-def build_experiment(cfg: ExperimentConfig) -> Experiment:
-    """Materialize data, split, partition and wire up an Experiment."""
-    cfg.validate()
+def build_partition(
+    cfg: ExperimentConfig,
+) -> tuple[list[ClientDataset], LabeledDataset, LabeledDataset]:
+    """The run's client shards, training split and test split.
+
+    Reads only the data, seed, client-count and partition settings of
+    ``cfg``: the shards are the partition of the training split that a run
+    with these settings trains on.
+    """
     if cfg.dataset_path is not None:
         full = load_dataset(cfg.dataset_path)
     else:
@@ -415,7 +422,13 @@ def build_experiment(cfg: ExperimentConfig) -> Experiment:
         num_clients=cfg.num_clients,
         seed=split_seed(cfg.seed, "partition"),
     )
-    clients = partition(train, spec)
+    return partition(train, spec), train, test
+
+
+def build_experiment(cfg: ExperimentConfig) -> Experiment:
+    """Materialize data, split, partition and wire up an Experiment."""
+    cfg.validate()
+    clients, _, test = build_partition(cfg)
     return Experiment(cfg, clients, test)
 
 

@@ -39,14 +39,12 @@ from fedclf.model import (
     softmax_tag,
 )
 from fedclf.selection import (
-    ClientRecord,
     FactorMode,
     GlobalTrend,
     Strategy,
-    calibrate,
     make_selector,
     select,
-    selection_factor,
+    utilities,
     warmup_rounds,
 )
 from fedclf.server import (
@@ -189,14 +187,14 @@ def test_criterion_3_loss_utility_and_calibration():
 
     # Unit correction factor is the identity.
     unit = GlobalTrend(acc_prev=0.5, acc_prev2=0.5, loss_prev=1.3, loss_prev2=1.3)
-    identity_ok = all(
-        calibrate(
-            ClientRecord(0, 5, last_loss_utility=u), selection_factor(unit, mode)
-        )
-        == u
-        for u in (0.0, 0.37, 12.5)
-        for mode in FactorMode
-    )
+    stale = [0.0, 0.37, 12.5]
+    clients = [ClientDataset(i, make_synthetic(2, 2, 2, seed=i)) for i in range(4)]
+    identity_ok = True
+    for mode in FactorMode:
+        state = make_selector(Strategy.FEDCLF, clients, rng_seed=0, factor_mode=mode)
+        state.loss_utility[:] = [*stale, 1.0]
+        state.last_round_selected[3] = True
+        identity_ok &= utilities(state, unit, 40)[:3].tolist() == stale
 
     # Calibrated selection equals raw-loss selection under a unit factor.
     set_matches = 0
@@ -204,15 +202,14 @@ def test_criterion_3_loss_utility_and_calibration():
         size = int(rng.integers(3, 30))
         k = int(rng.integers(1, size + 1))
         clients = [ClientDataset(i, make_synthetic(2, 2, 2, seed=i)) for i in range(size)]
-        utilities = {i: float(rng.uniform(0.05, 20.0)) for i in range(size)}
+        values = [float(rng.uniform(0.05, 20.0)) for _ in range(size)]
         last = {int(c) for c in rng.choice(size, size=k, replace=False)}
         pair = []
         for strategy in (Strategy.FEDCLF, Strategy.RAW_LOSS):
             state = make_selector(strategy, clients, rng_seed=trial)
-            for cid, value in utilities.items():
-                state.records[cid].last_loss_utility = value
-            state.sampled_once = set(utilities)
-            state.last_round_selected = set(last)
+            state.loss_utility[:] = values
+            state.sampled_once[:] = True
+            state.last_round_selected[list(last)] = True
             pair.append(select(state, 40, k, size, unit))
         set_matches += pair[0] == pair[1]
     selection_ok = set_matches == 100

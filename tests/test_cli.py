@@ -8,13 +8,14 @@ from enum import Enum
 import numpy as np
 import pytest
 
-from fedclf.cli import main
-from fedclf.dataset import PartitionSpec, SplitMode, load_dataset
+from fedclf.cli import _config_from_sources, build_parser, main
+from fedclf.dataset import PartitionSpec, SplitMode, load_dataset, save_dataset
 from fedclf.selection import FactorMode, Strategy
 from fedclf.server import (
     CONFIG_KEYS,
     ExperimentConfig,
     RoundRecord,
+    build_experiment,
     deterministic_csv_payload,
     summary_text,
 )
@@ -60,8 +61,9 @@ def test_partition_mean_emd_grows_with_shard_size(tmp_path):
     means = {}
     for shard_size in (5, 100):
         out = tmp_path / f"s{shard_size}"
+        # 2400 samples leave a 2000-sample training split: 20 shards of 100.
         run_cli(
-            "partition", "--synthetic", "10x4x2000", "--S", str(shard_size),
+            "partition", "--synthetic", "10x4x2400", "--S", str(shard_size),
             "--clients", "20", "--mode", "equal", "--seed", "3", "--out", str(out),
         )
         last = (out / "report.csv").read_text().strip().splitlines()[-1]
@@ -88,6 +90,24 @@ def test_partition_is_byte_reproducible(tmp_path):
         )
         reports.append((out / "report.csv").read_bytes())
     assert reports[0] == reports[1]
+
+
+def test_partition_shards_are_the_runs_training_shards(tmp_path):
+    # Three clients: the default select_k of 5 would not validate, and the
+    # partition command must not need it.
+    flags = [
+        "--synthetic", "4x3x400", "--S", "10", "--clients", "3",
+        "--split", "nonequal", "--min-fraction", "0.3", "--seed", "9",
+    ]
+    out = tmp_path / "parts"
+    assert run_cli("partition", *flags, "--out", str(out)) == 0
+    args = build_parser().parse_args(["run", *flags, "--select-k", "2"])
+    experiment = build_experiment(_config_from_sources(args))
+    assert len(list(out.glob("client_*.fedds"))) == len(experiment.clients) == 3
+    for cid, client in experiment.clients.items():
+        expected = tmp_path / f"run_{cid:03d}.fedds"
+        save_dataset(client.data, expected)
+        assert (out / f"client_{cid:03d}.fedds").read_bytes() == expected.read_bytes()
 
 
 def test_partition_requires_exactly_one_source(tmp_path, capsys):

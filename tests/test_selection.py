@@ -3,26 +3,35 @@
 from __future__ import annotations
 
 import logging
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedclf.client import ClientUpdateResult
-from fedclf.dataset import ClientDataset, make_synthetic
+from fedclf.dataset import ClientDataset, PartitionSpec, SplitMode, make_synthetic
 from fedclf.model import init_params, softmax_tag
+from fedclf.seeds import split_seed
 from fedclf.selection import (
-    ClientRecord,
     FactorMode,
     GlobalTrend,
     SelectionError,
     Strategy,
-    calibrate,
     make_selector,
     select,
-    selection_factor,
     update_after_round,
+    utilities,
     warmup_rounds,
 )
+from fedclf.server import ExperimentConfig, run_experiment
+
+# Selector columns where NaN means "not measured yet".
+MEASURED = (
+    "loss_utility", "grad_norm_utility", "weight_delta_norm", "loss_anchor", "acc_anchor"
+)
+COLUMNS = (*MEASURED, "n_k", "oort_penalty", "sampled_once", "last_round_selected")
 
 
 def make_clients(k=10, n=6):
@@ -33,16 +42,16 @@ def unit_trend(acc=0.5, loss=1.0):
     return GlobalTrend(acc_prev=acc, acc_prev2=acc, loss_prev=loss, loss_prev2=loss)
 
 
-def trained_selector(strategy, utilities, seed=0, last_round=()):  # noqa: D103
-    clients = make_clients(len(utilities))
-    state = make_selector(strategy, clients, rng_seed=seed)
-    for cid, utility in utilities.items():
-        record = state.records[cid]
-        record.last_loss_utility = utility
-        record.last_grad_norm_utility = utility
-        record.last_weight_delta_norm = utility
-    state.sampled_once = set(utilities)
-    state.last_round_selected = set(last_round)
+def trained_selector(strategy, values, seed=0, last_round=(), **options):
+    """A selector past warmup whose loss, gradient-norm and weight-change
+    utilities all equal ``values`` (client id -> value)."""
+    state = make_selector(strategy, make_clients(len(values)), rng_seed=seed, **options)
+    ids, column = list(values), list(values.values())
+    state.loss_utility[ids] = column
+    state.grad_norm_utility[ids] = column
+    state.weight_delta_norm[ids] = column
+    state.sampled_once[ids] = True
+    state.last_round_selected[list(last_round)] = True
     return state
 
 
@@ -58,46 +67,82 @@ def dummy_result(cid, loss_utility=1.0, n_k=6, delta=0.5):
     )
 
 
-# -------------------------------------------------------------- calibrate
+# ------------------------------------------------------------ calibration
 
 
 def test_calibrate_unit_factor_is_identity():
-    record = ClientRecord(0, 10, last_loss_utility=3.7)
-    assert calibrate(record, selection_factor(unit_trend(), FactorMode.LOSS_RATIO)) == 3.7
+    state = trained_selector(Strategy.FEDCLF, {0: 3.7, 1: 1.0}, last_round={1})
+    for mode in FactorMode:
+        state.factor_mode = mode
+        assert utilities(state, unit_trend(), 9)[0] == 3.7
 
 
 def test_calibrate_loss_ratio():
-    record = ClientRecord(0, 10, last_loss_utility=10.0)
+    state = trained_selector(Strategy.FEDCLF, {0: 10.0, 1: 1.0}, last_round={1})
     trend = GlobalTrend(acc_prev=0.5, acc_prev2=0.4, loss_prev=0.8, loss_prev2=1.0)
-    factor = selection_factor(trend, FactorMode.LOSS_RATIO)
-    assert calibrate(record, factor) == pytest.approx(8.0)
+    assert utilities(state, trend, 9)[0] == pytest.approx(8.0)
 
 
 def test_calibrate_acc_ratio():
-    record = ClientRecord(0, 10, last_loss_utility=10.0)
+    state = trained_selector(
+        Strategy.FEDCLF, {0: 10.0, 1: 1.0}, last_round={1},
+        factor_mode=FactorMode.ACC_RATIO,
+    )
     trend = GlobalTrend(acc_prev=0.55, acc_prev2=0.50, loss_prev=1.0, loss_prev2=1.0)
-    factor = selection_factor(trend, FactorMode.ACC_RATIO)
-    assert calibrate(record, factor) == pytest.approx(11.0)
+    assert utilities(state, trend, 9)[0] == pytest.approx(11.0)
 
 
 def test_calibrate_guard_returns_raw_and_warns(caplog):
-    record = ClientRecord(0, 10, last_loss_utility=5.0)
     bad = GlobalTrend(acc_prev=0.5, acc_prev2=0.4, loss_prev=1.0, loss_prev2=0.0)
-    assert calibrate(record, selection_factor(bad, FactorMode.LOSS_RATIO)) == 5.0
-    nan_trend = GlobalTrend.empty()
-    assert calibrate(record, selection_factor(nan_trend, FactorMode.ACC_RATIO)) == 5.0
+    state = trained_selector(Strategy.FEDCLF, {0: 5.0, 1: 1.0}, last_round={1})
+    assert utilities(state, bad, 9)[0] == 5.0
+    state.factor_mode = FactorMode.ACC_RATIO
+    assert utilities(state, GlobalTrend.empty(), 9)[0] == 5.0
     # Ranking warns once per round, not once per client.
-    utilities = {i: float(i) for i in range(6)}
-    state = trained_selector(Strategy.FEDCLF, utilities, last_round={5})
+    caplog.clear()
+    values = {i: float(i) for i in range(6)}
+    state = trained_selector(Strategy.FEDCLF, values, last_round={5})
     with caplog.at_level(logging.WARNING, logger="fedclf.selection"):
         assert select(state, 9, k=2, num_clients=6, trend=bad) == {4, 5}
     [message] = caplog.messages
     assert message == "round 9: correction factor undefined, 5 clients kept raw utilities"
 
 
+def test_compound_undefined_anchor_keeps_raw_and_warns(caplog):
+    state = trained_selector(
+        Strategy.FEDCLF, {0: 10.0, 1: 8.0, 2: 6.0, 3: 1.0}, last_round={3},
+        compound_factors=True,
+    )
+    state.loss_anchor[[0, 2, 3]] = [2.0, 0.0, 4.0]  # client 1 has no anchor
+    with caplog.at_level(logging.WARNING, logger="fedclf.selection"):
+        column = utilities(state, unit_trend(loss=1.0), 7)
+    assert column.tolist() == [5.0, 8.0, 6.0, 1.0]
+    [message] = caplog.messages
+    assert message == "round 7: correction factor undefined, 2 clients kept raw utilities"
+
+
+def test_compound_run_warns_for_clients_trained_in_round_one(caplog):
+    # Round-1 clients have no previous global model to anchor against.
+    cfg = ExperimentConfig(
+        num_clients=10, select_k=2, rounds=7, synthetic_shape=(4, 4, 600),
+        partition=PartitionSpec(
+            shard_size=10, split_mode=SplitMode.EQUAL, num_clients=10
+        ),
+        feedback_enabled=False, compound_factors=True,
+    )
+    with caplog.at_level(logging.WARNING, logger="fedclf.selection"):
+        history = run_experiment(cfg)
+    assert history[0].selected_ids == (0, 1)
+    assert caplog.messages[0] == (
+        "round 6: correction factor undefined, 2 clients kept raw utilities"
+    )
+
+
 def test_calibrate_requires_stored_utility():
-    with pytest.raises(SelectionError, match="no stored loss utility"):
-        calibrate(ClientRecord(0, 10), 1.0)
+    state = trained_selector(Strategy.FEDCLF, {0: 1.0, 1: 1.0})
+    state.loss_utility[1] = np.nan
+    with pytest.raises(SelectionError, match="round 3: client.s. 1 reached ranking"):
+        utilities(state, unit_trend(), 3)
 
 
 # ----------------------------------------------------------------- warmup
@@ -114,7 +159,7 @@ def test_warmup_covers_every_client_once():
             assert not (chosen & earlier)
         seen.append(chosen)
     assert set().union(*seen) == set(range(50))
-    assert state.sampled_once == set(range(50))
+    assert state.sampled_once.all()
 
 
 def test_warmup_rounds_ceil():
@@ -134,6 +179,12 @@ def test_warmup_pads_final_round_when_k_does_not_divide():
     assert union == set(range(10))
 
 
+def test_make_selector_requires_ids_zero_to_k_minus_one():
+    clients = [ClientDataset(i, make_synthetic(4, 2, 2, seed=i)) for i in (0, 2)]
+    with pytest.raises(SelectionError, match="client ids must be 0..1"):
+        make_selector(Strategy.FEDCLF, clients, rng_seed=0)
+
+
 # ---------------------------------------------------------------- ranking
 
 
@@ -148,14 +199,14 @@ def test_top_k_matches_brute_force_sort():
     for trial in range(30):
         size = int(rng.integers(2, 20))
         k = int(rng.integers(1, size + 1))
-        utilities = {i: float(rng.choice([0.5, 1.0, 2.0, 3.0])) for i in range(size)}
-        state = trained_selector(Strategy.RAW_LOSS, utilities, seed=trial)
+        values = {i: float(rng.choice([0.5, 1.0, 2.0, 3.0])) for i in range(size)}
+        state = trained_selector(Strategy.RAW_LOSS, values, seed=trial)
         chosen = select(state, 50, k=k, num_clients=size, trend=unit_trend())
-        ranked = sorted(utilities, key=lambda cid: (-utilities[cid], cid))
+        ranked = sorted(values, key=lambda cid: (-values[cid], cid))
         assert chosen == set(ranked[:k])
         if len(chosen) < size:
-            worst_in = min(utilities[c] for c in chosen)
-            best_out = max(utilities[c] for c in set(utilities) - chosen)
+            worst_in = min(values[c] for c in chosen)
+            best_out = max(values[c] for c in set(values) - chosen)
             assert worst_in >= best_out
 
 
@@ -164,44 +215,44 @@ def test_fedclf_equals_rawloss_under_unit_factor():
     for trial in range(40):
         size = int(rng.integers(3, 25))
         k = int(rng.integers(1, size + 1))
-        utilities = {i: float(rng.uniform(0.1, 9.0)) for i in range(size)}
+        values = {i: float(rng.uniform(0.1, 9.0)) for i in range(size)}
         last = set(
             int(c) for c in rng.choice(size, size=min(k, size), replace=False)
         )
-        a = trained_selector(Strategy.FEDCLF, utilities, seed=trial, last_round=last)
-        b = trained_selector(Strategy.RAW_LOSS, utilities, seed=trial, last_round=last)
+        a = trained_selector(Strategy.FEDCLF, values, seed=trial, last_round=last)
+        b = trained_selector(Strategy.RAW_LOSS, values, seed=trial, last_round=last)
         trend = unit_trend()
         assert select(a, 60, k, size, trend) == select(b, 60, k, size, trend)
 
 
 def test_calibration_preserves_order_of_stale_clients():
-    utilities = {0: 4.0, 1: 3.0, 2: 2.0, 3: 1.0, 4: 8.0}
+    values = {0: 4.0, 1: 3.0, 2: 2.0, 3: 1.0, 4: 8.0}
     for factor in (0.25, 1.0, 3.0):
         trend = GlobalTrend(
             acc_prev=0.5, acc_prev2=0.5, loss_prev=factor, loss_prev2=1.0
         )
-        state = trained_selector(Strategy.FEDCLF, utilities, last_round={4})
+        state = trained_selector(Strategy.FEDCLF, values, last_round={4})
         chosen = select(state, 70, k=3, num_clients=5, trend=trend)
         stale_ranking = [cid for cid in (0, 1, 2, 3) if cid in chosen]
         # Stale clients keep their relative order under any positive factor.
         assert stale_ranking == sorted(
-            stale_ranking, key=lambda cid: -utilities[cid]
+            stale_ranking, key=lambda cid: -values[cid]
         )
 
 
 def test_fedclf_last_round_clients_not_calibrated():
-    utilities = {0: 10.0, 1: 9.0, 2: 1.0}
+    values = {0: 10.0, 1: 9.0, 2: 1.0}
     # Factor 0.5 halves stale utilities; client 1 trained last round so its
     # raw 9.0 beats client 0's calibrated 5.0.
     trend = GlobalTrend(acc_prev=0.5, acc_prev2=0.5, loss_prev=0.5, loss_prev2=1.0)
-    state = trained_selector(Strategy.FEDCLF, utilities, last_round={1})
+    state = trained_selector(Strategy.FEDCLF, values, last_round={1})
     chosen = select(state, 80, k=1, num_clients=3, trend=trend)
     assert chosen == {1}
 
 
 def test_random_strategy_is_repeatable():
-    utilities = {i: 1.0 for i in range(12)}
-    state = trained_selector(Strategy.RANDOM, utilities, seed=21)
+    values = {i: 1.0 for i in range(12)}
+    state = trained_selector(Strategy.RANDOM, values, seed=21)
     first = select(state, 30, k=4, num_clients=12, trend=unit_trend())
     second = select(state, 30, k=4, num_clients=12, trend=unit_trend())
     assert first == second
@@ -210,18 +261,18 @@ def test_random_strategy_is_repeatable():
 
 
 def test_gradnorm_strategy_uses_gradient_utilities():
-    utilities = {0: 1.0, 1: 2.0, 2: 3.0}
-    state = trained_selector(Strategy.GRAD_NORM, utilities)
-    state.records[0].last_grad_norm_utility = 9.0  # overrides loss ordering
+    state = trained_selector(Strategy.GRAD_NORM, {0: 1.0, 1: 2.0, 2: 3.0})
+    state.grad_norm_utility[0] = 9.0  # overrides loss ordering
     chosen = select(state, 40, k=1, num_clients=3, trend=unit_trend())
     assert chosen == {0}
+    state.grad_norm_utility[2] = np.nan
+    with pytest.raises(SelectionError, match="client.s. 2 have no gradient-norm"):
+        select(state, 41, k=1, num_clients=3, trend=unit_trend())
 
 
 def test_newt_strategy_ranks_by_delta_times_samples():
     state = trained_selector(Strategy.NEWT_LIKE, {0: 1.0, 1: 1.0, 2: 1.0})
-    state.records[0].last_weight_delta_norm = 0.1
-    state.records[1].last_weight_delta_norm = 5.0
-    state.records[2].last_weight_delta_norm = 1.0
+    state.weight_delta_norm[:] = [0.1, 5.0, 1.0]
     chosen = select(state, 40, k=1, num_clients=3, trend=unit_trend())
     assert chosen == {1}
 
@@ -229,7 +280,7 @@ def test_newt_strategy_ranks_by_delta_times_samples():
 def test_newt_untrained_clients_rank_by_sample_count():
     clients = make_clients(3)
     state = make_selector(Strategy.NEWT_LIKE, clients, rng_seed=0, warmup_enabled=False)
-    state.records[2].n_k = 50
+    state.n_k[2] = 50
     chosen = select(state, 1, k=1, num_clients=3, trend=GlobalTrend.empty())
     assert chosen == {2}
 
@@ -237,23 +288,24 @@ def test_newt_untrained_clients_rank_by_sample_count():
 def test_untrained_clients_forced_when_warmup_disabled():
     clients = make_clients(4)
     state = make_selector(Strategy.FEDCLF, clients, rng_seed=0, warmup_enabled=False)
-    state.records[1].last_loss_utility = 100.0
+    state.loss_utility[1] = 100.0
     chosen = select(state, 2, k=2, num_clients=4, trend=unit_trend())
     # Untrained clients get infinite utility; the trained one loses.
     assert 1 not in chosen
 
 
 def test_oort_penalizes_slow_clients():
-    clients = make_clients(6)
-    state = make_selector(Strategy.OORT_LIKE, clients, rng_seed=4)
-    for cid in range(6):
-        state.records[cid].last_loss_utility = 1.0
-    state.sampled_once = set(range(6))
-    slowest = max(state.durations, key=state.durations.get)
-    fastest = min(state.durations, key=state.durations.get)
+    state = trained_selector(Strategy.OORT_LIKE, {cid: 1.0 for cid in range(6)}, seed=4)
+    durations = np.random.default_rng(split_seed(4, "durations")).lognormal(
+        mean=math.log(10.0), sigma=0.5, size=6
+    )
+    preferred = float(np.median(durations))
+    assert state.oort_penalty.tolist() == [
+        1.0 if d <= preferred else (preferred / d) ** 2.0 for d in durations.tolist()
+    ]
     chosen = select(state, 30, k=3, num_clients=6, trend=unit_trend())
-    assert fastest in chosen
-    assert slowest not in chosen
+    assert int(np.argmin(durations)) in chosen
+    assert int(np.argmax(durations)) not in chosen
 
 
 def test_select_validates_k_and_coverage():
@@ -264,6 +316,108 @@ def test_select_validates_k_and_coverage():
         select(state, 5, k=1, num_clients=9, trend=unit_trend())
 
 
+# ---------------------------------------------------- reference property
+
+
+def _reference_utilities(case):
+    """Plain per-client oracle: each utility in Python floats."""
+    strategy, trend, mode = case["strategy"], case["trend"], case["mode"]
+    durations = np.random.default_rng(split_seed(case["seed"], "durations")).lognormal(
+        mean=math.log(10.0), sigma=0.5, size=case["size"]
+    )
+    preferred = float(np.median(durations))
+
+    def ratio(num, den):
+        if den is None or not (math.isfinite(num) and math.isfinite(den)) or den <= 0.0:
+            return math.nan
+        return num / den
+
+    def utility(cid):
+        loss, delta = case["loss_utility"][cid], case["weight_delta_norm"][cid]
+        n_k = case["n_k"][cid]
+        if strategy is Strategy.NEWT_LIKE:
+            return float(n_k) if delta is None else delta * n_k
+        if loss is None:
+            return math.inf
+        if strategy is Strategy.RAW_LOSS:
+            return loss
+        if strategy is Strategy.GRAD_NORM:
+            return case["grad_norm_utility"][cid]
+        if strategy is Strategy.OORT_LIKE:
+            d = float(durations[cid])
+            return loss * (1.0 if d <= preferred else (preferred / d) ** 2.0)
+        if cid in case["last"]:
+            return loss
+        if mode is FactorMode.LOSS_RATIO:
+            num, den, anchor = trend.loss_prev, trend.loss_prev2, case["loss_anchor"][cid]
+        else:
+            num, den, anchor = trend.acc_prev, trend.acc_prev2, case["acc_anchor"][cid]
+        factor = ratio(num, anchor if case["compound"] else den)
+        return loss if math.isnan(factor) else loss * factor
+
+    return [utility(cid) for cid in range(case["size"])]
+
+
+# Few distinct values, so ties are common.
+_values = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]) | st.floats(0.01, 50.0)
+_trend_values = st.sampled_from([math.nan, 0.0, -0.5, 0.5, 1.0, 2.0]) | st.floats(0.01, 5.0)
+_CASE_CLIENTS = make_clients(12)
+
+
+@st.composite
+def _selector_cases(draw):
+    size = draw(st.integers(2, len(_CASE_CLIENTS)))
+    k = draw(st.integers(1, size))
+    warmup = draw(st.booleans())
+    column = lambda values: draw(st.lists(values, min_size=size, max_size=size))  # noqa: E731
+    return {
+        "size": size,
+        "k": k,
+        "seed": draw(st.integers(0, 2**32)),
+        "strategy": draw(st.sampled_from(Strategy)),
+        "mode": draw(st.sampled_from(FactorMode)),
+        "compound": draw(st.booleans()),
+        "warmup": warmup,
+        "round": warmup_rounds(size, k) + draw(st.integers(1, 5)),
+        "n_k": column(st.integers(1, 40)),
+        "loss_utility": column(_values if warmup else st.none() | _values),
+        "grad_norm_utility": column(_values),
+        "weight_delta_norm": column(st.none() | _values),
+        "loss_anchor": column(st.none() | _trend_values),
+        "acc_anchor": column(st.none() | _trend_values),
+        "last": set(draw(st.lists(st.integers(0, size - 1), max_size=k))),
+        "trend": GlobalTrend(*(draw(_trend_values) for _ in range(4))),
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_selector_cases())
+def test_select_matches_per_client_reference(case):
+    size = case["size"]
+    state = make_selector(
+        case["strategy"], _CASE_CLIENTS[:size], rng_seed=case["seed"],
+        factor_mode=case["mode"], warmup_enabled=case["warmup"],
+        compound_factors=case["compound"],
+    )
+    state.n_k[:] = case["n_k"]
+    for name in MEASURED:
+        getattr(state, name)[:] = [math.nan if v is None else v for v in case[name]]
+    state.sampled_once[:] = True
+    state.last_round_selected[list(case["last"])] = True
+    k, round_index = case["k"], case["round"]
+    if case["strategy"] is Strategy.RANDOM:
+        seed = split_seed(case["seed"], "random-select", round_index)
+        picked = np.random.default_rng(seed).choice(list(range(size)), size=k, replace=False)
+        expected = {int(c) for c in picked}
+    else:
+        reference = _reference_utilities(case)
+        assert utilities(state, case["trend"], round_index).tolist() == reference
+        expected = set(sorted(range(size), key=lambda cid: (-reference[cid], cid))[:k])
+    chosen = select(state, round_index, k, size, case["trend"])
+    assert chosen == expected
+    assert len(chosen) == k
+
+
 # ------------------------------------------------------ update_after_round
 
 
@@ -272,13 +426,13 @@ def test_update_after_round_refreshes_selected_records():
     state = make_selector(Strategy.FEDCLF, clients, rng_seed=8)
     chosen = select(state, 1, k=5, num_clients=50, trend=GlobalTrend.empty())
     results = [dummy_result(cid, loss_utility=float(cid)) for cid in sorted(chosen)]
-    update_after_round(state, results)
-    trained = [
-        cid for cid, rec in state.records.items() if rec.last_loss_utility is not None
-    ]
-    assert sorted(trained) == sorted(chosen)
-    untouched = set(range(50)) - chosen
-    assert all(state.records[cid].last_loss_utility is None for cid in untouched)
+    update_after_round(state, results, global_accuracy=0.25, global_loss=1.5)
+    trained = np.flatnonzero(~np.isnan(state.loss_utility)).tolist()
+    assert trained == sorted(chosen)
+    assert state.loss_utility[trained].tolist() == [float(c) for c in trained]
+    assert (state.loss_anchor[trained] == 1.5).all()
+    assert (state.acc_anchor[trained] == 0.25).all()
+    assert np.isnan(np.delete(state.loss_anchor, trained)).all()
 
 
 def test_update_after_round_rejects_empty_results():
@@ -291,39 +445,44 @@ def test_update_after_round_rejects_unselected_client():
     state = trained_selector(Strategy.FEDCLF, {0: 1.0, 1: 1.0}, last_round={0})
     with pytest.raises(SelectionError, match="not selected"):
         update_after_round(state, [dummy_result(1)])
+    with pytest.raises(SelectionError, match="client 7, which was not selected"):
+        update_after_round(state, [dummy_result(7)])
 
 
 def test_update_after_round_is_idempotent():
     state = trained_selector(Strategy.FEDCLF, {0: 1.0, 1: 1.0}, last_round={0})
     result = dummy_result(0, loss_utility=2.5)
     update_after_round(state, [result], global_accuracy=0.5, global_loss=0.9)
-    snapshot = vars(state.records[0]).copy()
+    snapshot = {name: getattr(state, name).copy() for name in COLUMNS}
     update_after_round(state, [result], global_accuracy=0.5, global_loss=0.9)
-    assert vars(state.records[0]) == snapshot
+    for name in COLUMNS:
+        np.testing.assert_array_equal(getattr(state, name), snapshot[name])
 
 
 def test_compound_mode_uses_loss_at_last_training():
-    utilities = {0: 10.0, 1: 1.0}
-    state = trained_selector(Strategy.FEDCLF, utilities, last_round={1})
-    state.compound_factors = True
-    state.records[0].loss_at_last_training = 2.0
+    values = {0: 10.0, 1: 1.0}
+    state = trained_selector(
+        Strategy.FEDCLF, values, last_round={1}, compound_factors=True
+    )
+    state.loss_anchor[0] = 2.0
     # Current global loss 0.5 against anchored 2.0: stale utility scales by
     # 0.25 regardless of the one-round ratio.
     trend = GlobalTrend(acc_prev=0.5, acc_prev2=0.5, loss_prev=0.5, loss_prev2=0.5)
     chosen = select(state, 60, k=1, num_clients=2, trend=trend)
     assert chosen == {0}  # 10 * 0.25 = 2.5 still beats raw 1.0
 
-    state = trained_selector(Strategy.FEDCLF, utilities, last_round={1})
-    state.compound_factors = True
-    state.records[0].loss_at_last_training = 20.0
+    state = trained_selector(
+        Strategy.FEDCLF, values, last_round={1}, compound_factors=True
+    )
+    state.loss_anchor[0] = 20.0
     chosen = select(state, 61, k=1, num_clients=2, trend=trend)
     assert chosen == {1}  # 10 * 0.025 = 0.25 now loses
 
 
 def test_selection_determinism_for_identical_state():
     for strategy in Strategy:
-        utilities = {i: float(i % 4) + 0.5 for i in range(9)}
-        a = trained_selector(strategy, utilities, seed=13, last_round={1, 2})
-        b = trained_selector(strategy, utilities, seed=13, last_round={1, 2})
+        values = {i: float(i % 4) + 0.5 for i in range(9)}
+        a = trained_selector(strategy, values, seed=13, last_round={1, 2})
+        b = trained_selector(strategy, values, seed=13, last_round={1, 2})
         trend = unit_trend()
         assert select(a, 44, 3, 9, trend) == select(b, 44, 3, 9, trend)
