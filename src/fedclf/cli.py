@@ -257,7 +257,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_part = sub.add_parser("partition", help="partition a dataset and report skew")
-    for key in ("synthetic", "input", "S", "clients", "min_fraction", "seed"):
+    for key in (
+        "synthetic", "input", "S", "clients", "min_fraction", "seed",
+        "test_fraction", "cluster_spread",
+    ):
         _add_flag(p_part, _KEYS[key])
     _add_flag(p_part, _KEYS["split"], "--mode")
     p_part.add_argument("--out", type=Path, help="output directory")

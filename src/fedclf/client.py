@@ -1,14 +1,16 @@
-"""Local training step: a cohort of clients trains on the received global model.
+"""Local training and utility measurement for a cohort of clients.
 
-The statistics the server needs for selection are measured at the *received*
-parameters, before any weight update, so utilities always rank clients
-against the model they were handed.
+``client_update`` trains a cohort from the received global model.
+``measure_utilities`` measures the statistics selection ranks by, at the
+model the clients received.  The server calls it only when a selection is
+about to read them (and once at run end), since a cohort that trains again
+in the next round would overwrite them unread.
 
-The cohort is trained and evaluated as one stacked parameter block: shards of
+The cohort is trained and measured as one stacked parameter block: shards of
 equal size are evaluated together, and at each SGD step the clients whose
 batches have the same size take one stacked step.  Every client keeps its own
-seeded batch schedule, so each result is bitwise equal to training that client
-alone.
+seeded batch schedule, so each result is bitwise equal to training or
+measuring that client alone.
 """
 
 from __future__ import annotations
@@ -22,36 +24,34 @@ import numpy as np
 from .dataset import ClientDataset
 from .model import ModelParams, SampleStack, TrainConfig, evaluate, sgd_epochs
 
-__all__ = ["ClientUpdateResult", "NonFiniteUpdateError", "client_update", "rms_utility"]
+__all__ = [
+    "ClientUpdateResult",
+    "NonFiniteUpdateError",
+    "client_update",
+    "measure_utilities",
+    "rms_utility",
+]
 
 
 @dataclass(frozen=True)
 class ClientUpdateResult:
-    """What a client reports back after a round.
-
-    ``loss_utility`` is ``n_k * RMS(per-sample losses)``; ``mean_loss`` is the
-    plain mean of the same losses.  ``grad_norm_utility`` (``n_k * RMS`` of
-    per-sample gradient norms) is present only when requested.
-    """
+    """What a client reports back after training in a round."""
 
     client_id: int
     new_params: ModelParams
-    loss_utility: float
-    mean_loss: float
     n_k: int
     weight_delta_norm: float
-    grad_norm_utility: float | None = None
 
 
 class NonFiniteUpdateError(ValueError):
-    """Local training diverged: a trained parameter, loss utility or weight
-    change is not finite."""
+    """Local training diverged: a trained parameter, weight change or
+    utility is not finite."""
 
     def __init__(self, client_ids: Sequence[int], round_index: int | None = None):
         where = "" if round_index is None else f"round {round_index}: "
         super().__init__(
-            f"{where}non-finite parameters, loss utility or weight change after "
-            "local training for client(s) " + ", ".join(str(c) for c in client_ids)
+            f"{where}non-finite parameters, weight change or utility for client(s) "
+            + ", ".join(str(c) for c in client_ids)
         )
         self.client_ids = tuple(client_ids)
         self.round_index = round_index
@@ -65,6 +65,12 @@ def rms_utility(per_sample: np.ndarray) -> float | np.ndarray:
     return n * np.sqrt((per_sample**2).sum(axis=-1) / n)
 
 
+def _raise_non_finite(clients: Sequence[ClientDataset], finite: np.ndarray) -> None:
+    """Raise ``NonFiniteUpdateError`` naming the clients where ``finite`` is false."""
+    if not finite.all():
+        raise NonFiniteUpdateError([clients[i].client_id for i in np.flatnonzero(~finite)])
+
+
 def _by_size(clients: Sequence[ClientDataset]) -> list[tuple[list[int], SampleStack]]:
     """Cohort positions grouped by ``n_k``, with each group's stacked shards."""
     groups = defaultdict(list)
@@ -76,56 +82,55 @@ def _by_size(clients: Sequence[ClientDataset]) -> list[tuple[list[int], SampleSt
     ]
 
 
+def measure_utilities(
+    clients: Sequence[ClientDataset],
+    params: ModelParams,
+    want_grad_norm: bool = False,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Utilities of every client at ``params``, in the order of ``clients``.
+
+    Returns the loss utilities ``n_k * RMS(per-sample losses)`` and, when
+    ``want_grad_norm`` is set, the gradient-norm utilities ``n_k * RMS`` of
+    per-sample gradient norms (else ``None``).  Raises
+    ``NonFiniteUpdateError`` naming every client with a non-finite utility.
+    """
+    loss = np.empty(len(clients))
+    grad_norm = np.empty(len(clients)) if want_grad_norm else None
+    for rows, stack in _by_size(clients):
+        report = evaluate(
+            params, stack, want_per_sample=True, want_grad_norms=want_grad_norm
+        )
+        loss[rows] = rms_utility(report.per_sample_losses)
+        if want_grad_norm:
+            grad_norm[rows] = rms_utility(report.per_sample_grad_norms)
+    finite = np.isfinite(loss)
+    if want_grad_norm:
+        finite &= np.isfinite(grad_norm)
+    _raise_non_finite(clients, finite)
+    return loss, grad_norm
+
+
 def client_update(
     clients: Sequence[ClientDataset],
     global_params: ModelParams,
     cfgs: Sequence[TrainConfig],
-    want_grad_norm: bool = False,
 ) -> list[ClientUpdateResult]:
-    """Measure utilities at the received params, then train every client.
+    """Train every client of the cohort from ``global_params``.
 
     ``cfgs`` holds one training config per client; results come back in the
     order of ``clients``.  Raises ``NonFiniteUpdateError`` naming every
-    client whose trained parameters, loss utility or weight-change norm is
-    not finite.
+    client whose trained parameters or weight-change norm is not finite.
     """
     tag = global_params.shape_tag
-    pre = {}
-    for rows, stack in _by_size(clients):
-        report = evaluate(
-            global_params, stack, want_per_sample=True, want_grad_norms=want_grad_norm
-        )
-        norms = (
-            rms_utility(report.per_sample_grad_norms)
-            if want_grad_norm
-            else [None] * len(rows)
-        )
-        pre.update(
-            zip(rows, zip(rms_utility(report.per_sample_losses), report.mean_loss, norms))
-        )
-
     trained = sgd_epochs(global_params, [c.data for c in clients], cfgs).values
     deltas = [np.linalg.norm(row - global_params.values) for row in trained]
-    finite = (
-        np.isfinite(trained).all(axis=1)
-        & np.isfinite([pre[i][0] for i in range(len(clients))])
-        & np.isfinite(deltas)
-    )
-    if not finite.all():
-        raise NonFiniteUpdateError([clients[i].client_id for i in np.flatnonzero(~finite)])
-
-    results = []
-    for i, client in enumerate(clients):
-        loss_utility, mean_loss, grad_norm_utility = pre[i]
-        results.append(
-            ClientUpdateResult(
-                client_id=client.client_id,
-                new_params=ModelParams(trained[i], tag),
-                loss_utility=float(loss_utility),
-                mean_loss=float(mean_loss),
-                n_k=client.n_k,
-                weight_delta_norm=float(deltas[i]),
-                grad_norm_utility=None if grad_norm_utility is None else float(grad_norm_utility),
-            )
+    _raise_non_finite(clients, np.isfinite(trained).all(axis=1) & np.isfinite(deltas))
+    return [
+        ClientUpdateResult(
+            client_id=client.client_id,
+            new_params=ModelParams(trained[i], tag),
+            n_k=client.n_k,
+            weight_delta_norm=float(deltas[i]),
         )
-    return results
+        for i, client in enumerate(clients)
+    ]

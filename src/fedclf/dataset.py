@@ -148,7 +148,8 @@ class PartitionSpec:
     ``shard_size`` controls heterogeneity: the label-sorted data is cut into
     shards of this size before shuffling.  ``min_fraction`` applies to
     non-equal splits only and bounds every client's share from below at
-    ``min_fraction * (total / num_clients)`` samples.
+    ``min_fraction * (total / num_clients)`` samples, capped at
+    ``total // num_clients`` (the most every client can have at once).
     """
 
     shard_size: int
@@ -262,7 +263,8 @@ def partition(dataset: LabeledDataset, spec: PartitionSpec) -> list[ClientDatase
     are exactly ``total // num_clients`` whenever the number of clients
     divides the number of shards.  Non-equal mode slices the shuffled shard
     sequence into contiguous blocks whose sizes follow seeded random weights,
-    floored at ``min_fraction * (total / num_clients)``.
+    floored at ``min_fraction * (total / num_clients)`` (at most
+    ``total // num_clients``).
 
     The union of client samples is always exactly the input multiset, and the
     result is a pure function of ``(dataset, spec)`` including ``spec.seed``.

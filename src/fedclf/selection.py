@@ -40,6 +40,7 @@ __all__ = [
     "utilities",
     "select",
     "update_after_round",
+    "record_utilities",
 ]
 
 logger = logging.getLogger(__name__)
@@ -283,11 +284,12 @@ def update_after_round(
     global_accuracy: float | None = None,
     global_loss: float | None = None,
 ) -> SelectorState:
-    """Fold the round's client reports into the selector columns.
+    """Fold the round's training reports into the selector columns.
 
     ``global_accuracy`` / ``global_loss`` are the test metrics of the model
     the clients trained from; they anchor the compounding calibration mode.
     Clients that did not train keep their (now stale) entries untouched.
+    Utilities are stored by ``record_utilities`` when they are measured.
     """
     if not results:
         raise SelectionError("update_after_round called with no results")
@@ -297,10 +299,20 @@ def update_after_round(
         cid = result.client_id
         if not (0 <= cid < state.n_k.size and state.last_round_selected[cid]):
             raise SelectionError(f"result for client {cid}, which was not selected")
-        state.loss_utility[cid] = result.loss_utility
         state.weight_delta_norm[cid] = result.weight_delta_norm
-        if result.grad_norm_utility is not None:
-            state.grad_norm_utility[cid] = result.grad_norm_utility
         state.loss_anchor[cid] = loss_anchor
         state.acc_anchor[cid] = acc_anchor
+    return state
+
+
+def record_utilities(
+    state: SelectorState,
+    client_ids: list[int],
+    loss_utility: np.ndarray,
+    grad_norm_utility: np.ndarray | None = None,
+) -> SelectorState:
+    """Store the utilities measured for ``client_ids`` (aligned arrays)."""
+    state.loss_utility[client_ids] = loss_utility
+    if grad_norm_utility is not None:
+        state.grad_norm_utility[client_ids] = grad_norm_utility
     return state

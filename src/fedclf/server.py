@@ -6,6 +6,12 @@ reuses the previous one, (3) dispatches local training to the cohort,
 the new global model on the held-out test set, and (6) appends a round
 record including the moving-average accuracy.
 
+Client utilities are measured at the model each client received, but only
+when something reads them: the server keeps the last trained cohort with its
+received model and measures it when the gate opens (before ``select``) and
+once at the end of ``run``.  A round that reuses the cohort only replaces the
+pending cohort, whose utilities no selection would have read.
+
 The gate resamples only when test accuracy strictly declined between the last
 two rounds; rounds 1 and 2 and every warmup round always select.  Disabling
 feedback selects every round.
@@ -31,7 +37,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .client import ClientUpdateResult, NonFiniteUpdateError, client_update
+from .client import ClientUpdateResult, NonFiniteUpdateError, client_update, measure_utilities
 from .dataset import (
     ClientDataset,
     LabeledDataset,
@@ -57,6 +63,7 @@ from .selection import (
     SelectorState,
     Strategy,
     make_selector,
+    record_utilities,
     select,
     selection_factor,
     update_after_round,
@@ -299,6 +306,8 @@ class Experiment:
         )
         self.history: list[RoundRecord] = []
         self.selection_log: list[str] = [SELECTION_LOG_HEADER]
+        # The last trained cohort, not yet measured: (round, ids, received model).
+        self.pending: tuple[int, list[int], ModelParams] | None = None
         self.warmup = warmup_rounds(cfg.num_clients, cfg.select_k) if cfg.warmup_enabled else 0
 
     def _trend(self) -> GlobalTrend:
@@ -311,10 +320,9 @@ class Experiment:
             )
         return GlobalTrend.empty()
 
-    def _dispatch(self, selected: set[int], round_index: int) -> list[ClientUpdateResult]:
+    def _dispatch(self, ids: list[int], round_index: int) -> list[ClientUpdateResult]:
         """Train the cohort in one stacked call; results in client-id order."""
         cfg = self.cfg
-        ids = sorted(selected)
         train_cfgs = [
             TrainConfig(
                 epochs=cfg.epochs,
@@ -325,14 +333,26 @@ class Experiment:
             for cid in ids
         ]
         try:
-            return client_update(
+            return client_update([self.clients[cid] for cid in ids], self.params, train_cfgs)
+        except NonFiniteUpdateError as exc:
+            raise NonFiniteUpdateError(exc.client_ids, round_index) from None
+
+    def measure_pending(self) -> None:
+        """Measure the pending cohort at the model it received and store its
+        utilities in the selector; errors name the round it trained in."""
+        if self.pending is None:
+            return
+        round_index, ids, received = self.pending
+        self.pending = None
+        try:
+            utilities = measure_utilities(
                 [self.clients[cid] for cid in ids],
-                self.params,
-                train_cfgs,
-                want_grad_norm=cfg.strategy is Strategy.GRAD_NORM,
+                received,
+                want_grad_norm=self.cfg.strategy is Strategy.GRAD_NORM,
             )
         except NonFiniteUpdateError as exc:
             raise NonFiniteUpdateError(exc.client_ids, round_index) from None
+        record_utilities(self.selector, ids, *utilities)
 
     def run_round(self, round_index: int) -> RoundRecord:
         started = time.perf_counter()
@@ -342,13 +362,16 @@ class Experiment:
             self.history, round_index, enabled=cfg.feedback_enabled, warmup=self.warmup
         )
         if gate:
+            self.measure_pending()
             selected = select(
                 self.selector, round_index, cfg.select_k, cfg.num_clients, trend
             )
         else:
-            selected = set(self.history[-1].selected_ids)
+            selected = self.history[-1].selected_ids
 
-        results = self._dispatch(selected, round_index)
+        ids = sorted(selected)
+        results = self._dispatch(ids, round_index)
+        self.pending = (round_index, ids, self.params)
         # Metrics of the model that was dispatched; anchors stale-loss records.
         prev = self.history[-1] if self.history else None
         self.params = aggregate(results)
@@ -366,7 +389,7 @@ class Experiment:
             test_loss=report.mean_loss,
             ma_accuracy=moving_average(acc_history, round_index, cfg.moving_avg_window),
             selection_ran=gate,
-            selected_ids=tuple(sorted(selected)),
+            selected_ids=tuple(ids),
             wall_time=time.perf_counter() - started,
         )
         self.history.append(record)
@@ -391,6 +414,7 @@ class Experiment:
                 save_params(
                     self.params, checkpoint_dir / f"checkpoint_r{round_index:04d}.fedw"
                 )
+        self.measure_pending()
         return self.history
 
 

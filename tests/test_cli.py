@@ -94,20 +94,27 @@ def test_partition_is_byte_reproducible(tmp_path):
 
 def test_partition_shards_are_the_runs_training_shards(tmp_path):
     # Three clients: the default select_k of 5 would not validate, and the
-    # partition command must not need it.
-    flags = [
-        "--synthetic", "4x3x400", "--S", "10", "--clients", "3",
-        "--split", "nonequal", "--min-fraction", "0.3", "--seed", "9",
-    ]
-    out = tmp_path / "parts"
-    assert run_cli("partition", *flags, "--out", str(out)) == 0
-    args = build_parser().parse_args(["run", *flags, "--select-k", "2"])
-    experiment = build_experiment(_config_from_sources(args))
-    assert len(list(out.glob("client_*.fedds"))) == len(experiment.clients) == 3
-    for cid, client in experiment.clients.items():
-        expected = tmp_path / f"run_{cid:03d}.fedds"
-        save_dataset(client.data, expected)
-        assert (out / f"client_{cid:03d}.fedds").read_bytes() == expected.read_bytes()
+    # partition command must not need it.  The second case sets the two data
+    # settings build_partition reads beyond the partition's own.
+    for name, data_flags in (
+        ("defaults", []),
+        ("data", ["--test-fraction", "0.4", "--cluster-spread", "2.5"]),
+    ):
+        flags = [
+            "--synthetic", "4x3x400", "--S", "10", "--clients", "3",
+            "--split", "nonequal", "--min-fraction", "0.3", "--seed", "9",
+            *data_flags,
+        ]
+        out = tmp_path / name
+        assert run_cli("partition", *flags, "--out", str(out)) == 0
+        args = build_parser().parse_args(["run", *flags, "--select-k", "2"])
+        experiment = build_experiment(_config_from_sources(args))
+        assert len(list(out.glob("client_*.fedds"))) == len(experiment.clients) == 3
+        for cid, client in experiment.clients.items():
+            expected = out / f"run_{cid:03d}.fedds"
+            save_dataset(client.data, expected)
+            written = (out / f"client_{cid:03d}.fedds").read_bytes()
+            assert written == expected.read_bytes()
 
 
 def test_partition_requires_exactly_one_source(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Local-update contract: loss utilities, training, scheduling independence,
-and bitwise equality of a stacked cohort with per-client updates."""
+and bitwise equality of a stacked cohort with per-client updates and
+measurements."""
 
 from __future__ import annotations
 
@@ -10,7 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedclf.client import NonFiniteUpdateError, client_update, rms_utility
+from fedclf.client import (
+    NonFiniteUpdateError,
+    client_update,
+    measure_utilities,
+    rms_utility,
+)
 from fedclf.dataset import ClientDataset, LabeledDataset, make_synthetic
 from fedclf.model import TrainConfig, evaluate, init_params, mlp_tag, softmax_tag
 
@@ -19,10 +25,17 @@ def make_client(client_id=0, n=20, f=4, c=3, seed=0):
     return ClientDataset(client_id, make_synthetic(n, f, c, seed=seed))
 
 
-def update_one(client, params, cfg, **kwargs):
+def update_one(client, params, cfg):
     """``client_update`` for a cohort of one."""
-    [result] = client_update([client], params, [cfg], **kwargs)
+    [result] = client_update([client], params, [cfg])
     return result
+
+
+def measure_one(client, params, want_grad_norm=False):
+    """``measure_utilities`` for a cohort of one: (loss, grad-norm or None)."""
+    loss, grad_norm = measure_utilities([client], params, want_grad_norm)
+    assert loss.shape == (1,)
+    return float(loss[0]), None if grad_norm is None else float(grad_norm[0])
 
 
 def test_zero_lr_returns_received_params_and_pretrain_loss():
@@ -30,9 +43,6 @@ def test_zero_lr_returns_received_params_and_pretrain_loss():
     params = init_params(softmax_tag(4, 3), seed=1)
     result = update_one(client, params, TrainConfig(epochs=1, learning_rate=0.0))
     assert np.array_equal(result.new_params.values, params.values)
-    assert result.mean_loss == pytest.approx(
-        evaluate(params, client.data).mean_loss, abs=1e-12
-    )
     assert result.weight_delta_norm == 0.0
     assert result.n_k == client.n_k
 
@@ -41,9 +51,9 @@ def test_single_sample_utility_equals_its_loss():
     data = LabeledDataset(np.array([[0.3, -1.0]]), np.array([1]), 3)
     client = ClientDataset(0, data)
     params = init_params(softmax_tag(2, 3), seed=2)
-    result = update_one(client, params, TrainConfig(epochs=1, learning_rate=0.1))
+    utility, _ = measure_one(client, params)
     loss = evaluate(params, data, want_per_sample=True).per_sample_losses[0]
-    assert result.loss_utility == pytest.approx(float(loss), abs=1e-12)
+    assert utility == pytest.approx(float(loss), abs=1e-12)
 
 
 def test_identical_per_sample_losses_collapse_to_count_times_loss():
@@ -52,19 +62,21 @@ def test_identical_per_sample_losses_collapse_to_count_times_loss():
     data = LabeledDataset(np.repeat(row, 4, axis=0), np.array([1, 1, 1, 1]), 2)
     client = ClientDataset(0, data)
     params = init_params(softmax_tag(2, 2), seed=3)
-    result = update_one(client, params, TrainConfig(epochs=1, learning_rate=0.05))
+    utility, _ = measure_one(client, params)
     loss = evaluate(params, data, want_per_sample=True).per_sample_losses[0]
-    assert result.loss_utility == pytest.approx(4.0 * float(loss), abs=1e-9)
+    assert utility == pytest.approx(4.0 * float(loss), abs=1e-9)
 
 
 def test_loss_utility_matches_independent_recomputation():
     client = make_client(n=33, seed=7)
     params = init_params(softmax_tag(4, 3), seed=4)
-    result = update_one(client, params, TrainConfig(epochs=1, learning_rate=0.1))
-    losses = evaluate(params, client.data, want_per_sample=True).per_sample_losses
+    utility, _ = measure_one(client, params)
+    report = evaluate(params, client.data, want_per_sample=True)
+    losses = report.per_sample_losses
     expected = len(losses) * (sum(v * v for v in losses) / len(losses)) ** 0.5
-    assert result.loss_utility == pytest.approx(expected, abs=1e-9)
-    assert result.loss_utility >= result.n_k * result.mean_loss - 1e-9
+    assert utility == pytest.approx(expected, abs=1e-9)
+    # RMS dominates the mean: the utility is at least n_k times the mean loss.
+    assert utility >= client.n_k * report.mean_loss - 1e-9
 
 
 @settings(max_examples=60, deadline=None)
@@ -83,11 +95,10 @@ def test_rms_utility_dominates_sum(values):
 def test_grad_norm_utility_present_only_on_request():
     client = make_client(seed=9)
     params = init_params(softmax_tag(4, 3), seed=5)
-    cfg = TrainConfig(epochs=1, learning_rate=0.05)
-    assert update_one(client, params, cfg).grad_norm_utility is None
-    result = update_one(client, params, cfg, want_grad_norm=True)
-    assert result.grad_norm_utility is not None
-    assert result.grad_norm_utility >= 0.0
+    assert measure_one(client, params)[1] is None
+    loss, grad_norm = measure_one(client, params, want_grad_norm=True)
+    assert grad_norm is not None and grad_norm >= 0.0
+    assert loss == measure_one(client, params)[0]
 
 
 def test_results_independent_of_execution_order():
@@ -109,7 +120,7 @@ def test_results_independent_of_execution_order():
         assert np.array_equal(
             forward[i].new_params.values, shuffled[i].new_params.values
         )
-        assert forward[i].loss_utility == shuffled[i].loss_utility
+        assert forward[i].weight_delta_norm == shuffled[i].weight_delta_norm
 
 
 # ------------------------------------------- stacked cohort == per-client
@@ -117,27 +128,29 @@ def test_results_independent_of_execution_order():
 
 def result_bytes(result):
     """Every field of a result, as exact bytes where it is a float."""
-    floats = (
-        result.loss_utility,
-        result.mean_loss,
-        result.weight_delta_norm,
-        np.nan if result.grad_norm_utility is None else result.grad_norm_utility,
-    )
     return (
         result.client_id,
         result.n_k,
         result.new_params.shape_tag,
         result.new_params.values.tobytes(),
-        np.array(floats).tobytes(),
+        np.float64(result.weight_delta_norm).tobytes(),
     )
 
 
 def assert_cohort_matches_singles(clients, params, cfgs, want_grad_norm=False):
-    cohort = client_update(clients, params, cfgs, want_grad_norm=want_grad_norm)
+    """Training and measuring the cohort at once equals doing it per client,
+    bit for bit."""
+    cohort = client_update(clients, params, cfgs)
     assert [r.client_id for r in cohort] == [c.client_id for c in clients]
     for client, cfg, result in zip(clients, cfgs, cohort):
-        single = update_one(client, params, cfg, want_grad_norm=want_grad_norm)
-        assert result_bytes(result) == result_bytes(single)
+        assert result_bytes(result) == result_bytes(update_one(client, params, cfg))
+    loss, grad_norm = measure_utilities(clients, params, want_grad_norm)
+    singles = [measure_one(client, params, want_grad_norm) for client in clients]
+    assert loss.tobytes() == np.array([s[0] for s in singles]).tobytes()
+    if want_grad_norm:
+        assert grad_norm.tobytes() == np.array([s[1] for s in singles]).tobytes()
+    else:
+        assert grad_norm is None
 
 
 def ragged_cohort(sizes, f=4, c=3):
@@ -215,3 +228,17 @@ def test_non_finite_training_names_the_clients():
     with pytest.raises(NonFiniteUpdateError, match="client\\(s\\) 8$") as err:
         client_update([good, bad], params, [cfg, cfg])
     assert err.value.client_ids == (8,)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_utility_names_the_clients():
+    # Finite losses near 1e198 square to inf inside the RMS.
+    good = make_client(client_id=3, seed=1)
+    features = make_client(seed=2).data.features * 1e200
+    bad = ClientDataset(8, LabeledDataset(features, make_client(seed=2).data.labels, 3))
+    params = init_params(softmax_tag(4, 3), seed=15)
+    assert np.isfinite(evaluate(params, bad.data).mean_loss)
+    for want_grad_norm in (False, True):
+        with pytest.raises(NonFiniteUpdateError, match="client\\(s\\) 8$") as err:
+            measure_utilities([good, bad], params, want_grad_norm)
+        assert err.value.client_ids == (8,)

@@ -222,21 +222,35 @@ def test_partition_too_few_shards_is_configuration_error():
     assert "S=60" in message and "K=3" in message and "100" in message
 
 
-def test_partition_nonequal_respects_floor_and_varies():
+@settings(max_examples=60, deadline=None)
+@given(
+    min_fraction=st.floats(min_value=0.01, max_value=1.0),
+    shard_size=st.integers(min_value=1, max_value=100),
+    num_clients=st.integers(min_value=2, max_value=30),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_partition_nonequal_respects_floor_and_varies(
+    min_fraction, shard_size, num_clients, seed
+):
     ds = make_synthetic(3000, 2, 5, seed=21)
     spec = PartitionSpec(
-        shard_size=10,
+        shard_size=shard_size,
         split_mode=SplitMode.NONEQUAL,
-        num_clients=20,
-        min_fraction=0.2,
-        seed=77,
+        num_clients=num_clients,
+        min_fraction=min_fraction,
+        seed=seed,
     )
     clients = partition(ds, spec)
-    floor = 0.2 * ds.num_samples / 20
     sizes = [c.n_k for c in clients]
+    # The floor is min_fraction of an equal share, capped at the largest
+    # share every client can have at once (total // K).
+    total = ds.num_samples
+    floor = min(min_fraction * total / num_clients, total // num_clients)
     assert all(size >= floor for size in sizes)
-    assert len(set(sizes)) > 1
-    assert sum(sizes) == ds.num_samples
+    assert sum(sizes) == total
+    assert sample_multiset(clients) == sample_multiset(ds_clients(ds))
+    if min_fraction <= 0.5 and num_clients >= 5:
+        assert len(set(sizes)) > 1
 
 
 def test_partition_emd_ladder_ordering_on_cifar_like_data():

@@ -20,6 +20,7 @@ from fedclf.selection import (
     SelectionError,
     Strategy,
     make_selector,
+    record_utilities,
     select,
     update_after_round,
     utilities,
@@ -55,15 +56,10 @@ def trained_selector(strategy, values, seed=0, last_round=(), **options):
     return state
 
 
-def dummy_result(cid, loss_utility=1.0, n_k=6, delta=0.5):
+def dummy_result(cid, n_k=6, delta=0.5):
     params = init_params(softmax_tag(2, 2), seed=cid)
     return ClientUpdateResult(
-        client_id=cid,
-        new_params=params,
-        loss_utility=loss_utility,
-        mean_loss=loss_utility / n_k,
-        n_k=n_k,
-        weight_delta_norm=delta,
+        client_id=cid, new_params=params, n_k=n_k, weight_delta_norm=delta
     )
 
 
@@ -425,11 +421,19 @@ def test_update_after_round_refreshes_selected_records():
     clients = make_clients(50)
     state = make_selector(Strategy.FEDCLF, clients, rng_seed=8)
     chosen = select(state, 1, k=5, num_clients=50, trend=GlobalTrend.empty())
-    results = [dummy_result(cid, loss_utility=float(cid)) for cid in sorted(chosen)]
+    results = [dummy_result(cid, delta=float(cid)) for cid in sorted(chosen)]
     update_after_round(state, results, global_accuracy=0.25, global_loss=1.5)
-    trained = np.flatnonzero(~np.isnan(state.loss_utility)).tolist()
+    trained = np.flatnonzero(~np.isnan(state.weight_delta_norm)).tolist()
     assert trained == sorted(chosen)
-    assert state.loss_utility[trained].tolist() == [float(c) for c in trained]
+    assert state.weight_delta_norm[trained].tolist() == [float(c) for c in trained]
+    # Utilities are written only when measured.
+    assert np.isnan(state.loss_utility).all()
+    record_utilities(state, trained, np.array(trained) + 0.5)
+    assert state.loss_utility[trained].tolist() == [c + 0.5 for c in trained]
+    assert np.isnan(np.delete(state.loss_utility, trained)).all()
+    assert np.isnan(state.grad_norm_utility).all()
+    record_utilities(state, trained[:2], np.zeros(2), np.array([3.0, 4.0]))
+    assert state.grad_norm_utility[trained[:2]].tolist() == [3.0, 4.0]
     assert (state.loss_anchor[trained] == 1.5).all()
     assert (state.acc_anchor[trained] == 0.25).all()
     assert np.isnan(np.delete(state.loss_anchor, trained)).all()
@@ -451,7 +455,7 @@ def test_update_after_round_rejects_unselected_client():
 
 def test_update_after_round_is_idempotent():
     state = trained_selector(Strategy.FEDCLF, {0: 1.0, 1: 1.0}, last_round={0})
-    result = dummy_result(0, loss_utility=2.5)
+    result = dummy_result(0, delta=2.5)
     update_after_round(state, [result], global_accuracy=0.5, global_loss=0.9)
     snapshot = {name: getattr(state, name).copy() for name in COLUMNS}
     update_after_round(state, [result], global_accuracy=0.5, global_loss=0.9)

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fedclf.server
-from fedclf.client import ClientUpdateResult, NonFiniteUpdateError
+from fedclf.client import ClientUpdateResult, NonFiniteUpdateError, measure_utilities
 from fedclf.dataset import (
     ClientDataset,
     LabeledDataset,
@@ -17,18 +19,20 @@ from fedclf.dataset import (
     make_synthetic,
 )
 from fedclf.model import ModelParams, load_params, softmax_tag
-from fedclf.selection import Strategy
+from fedclf.selection import FactorMode, Strategy, record_utilities
 from fedclf.server import (
     Experiment,
     ExperimentConfig,
     RoundRecord,
     aggregate,
     build_experiment,
+    build_partition,
     deterministic_csv_payload,
     feedback_gate,
     moving_average,
     run_experiment,
     run_log_csv,
+    selection_log_csv,
     summary_text,
 )
 
@@ -39,8 +43,6 @@ def result_with(values, n_k, tag=None):
     return ClientUpdateResult(
         client_id=0,
         new_params=params,
-        loss_utility=1.0,
-        mean_loss=0.5,
         n_k=n_k,
         weight_delta_norm=0.0,
     )
@@ -200,13 +202,27 @@ def test_zero_lr_freezes_accuracy_and_cohort():
         assert rec.selected_ids == history[warmup - 1].selected_ids
 
 
-def test_gate_soundness_and_frozen_cohorts_from_log():
-    cfg = small_config(rounds=25, seed=9)
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    strategy=st.sampled_from(list(Strategy)),
+    feedback=st.booleans(),
+    warmup=st.booleans(),
+)
+def test_gate_soundness_and_frozen_cohorts_from_log(seed, strategy, feedback, warmup):
+    cfg = small_config(
+        rounds=25,
+        seed=seed,
+        strategy=strategy,
+        feedback_enabled=feedback,
+        warmup_enabled=warmup,
+    )
     history = run_experiment(cfg)
-    warmup = -(-cfg.num_clients // cfg.select_k)
+    warmup_end = -(-cfg.num_clients // cfg.select_k) if warmup else 0
     for rec in history:
         r = rec.round_index
-        if r <= max(2, warmup):
+        assert len(set(rec.selected_ids)) == cfg.select_k
+        if r <= max(2, warmup_end) or not feedback:
             assert rec.selection_ran is True
         else:
             declined = history[r - 2].test_accuracy < history[r - 3].test_accuracy
@@ -322,6 +338,136 @@ def test_non_finite_update_names_round_and_clients():
     assert err.value.round_index == 1
     assert err.value.client_ids == (2,)
     assert experiment.history == []
+
+
+# ---------------------------------------------------- deferred measurement
+
+
+class EagerExperiment(Experiment):
+    """Reference: measures each cohort at the model it received right after
+    it trains, so nothing is ever left pending."""
+
+    def run_round(self, round_index):
+        received = self.params
+        record = super().run_round(round_index)
+        ids = list(record.selected_ids)
+        utilities = measure_utilities(
+            [self.clients[cid] for cid in ids],
+            received,
+            want_grad_norm=self.cfg.strategy is Strategy.GRAD_NORM,
+        )
+        record_utilities(self.selector, ids, *utilities)
+        self.pending = None
+        return record
+
+
+def selector_columns(state):
+    return [
+        getattr(state, f.name).tobytes()
+        for f in fields(state)
+        if isinstance(getattr(state, f.name), np.ndarray)
+    ]
+
+
+def run_recorded(cfg, experiment_cls, monkeypatch):
+    """Deterministic outputs, the selector columns at every ``select`` and at
+    run end, and the number of deferred measurement calls of one run."""
+    columns, measured = [], []
+    select, measure = fedclf.server.select, fedclf.server.measure_utilities
+
+    def recording_select(state, *args):
+        columns.append(selector_columns(state))
+        return select(state, *args)
+
+    def counting_measure(*args, **kwargs):
+        measured.append(1)
+        return measure(*args, **kwargs)
+
+    clients, _, test = build_partition(cfg)
+    experiment = experiment_cls(cfg, clients, test)
+    with monkeypatch.context() as patch:
+        patch.setattr(fedclf.server, "select", recording_select)
+        patch.setattr(fedclf.server, "measure_utilities", counting_measure)
+        history = experiment.run()
+    columns.append(selector_columns(experiment.selector))
+    outputs = (
+        deterministic_csv_payload(run_log_csv(history)),
+        selection_log_csv(experiment),
+        summary_text(cfg, history),
+    )
+    return outputs, columns, len(measured), history
+
+
+ORACLE_CASES = {
+    **{
+        f"{s.value}-{'feedback' if fb else 'no-feedback'}": dict(
+            strategy=s, feedback_enabled=fb
+        )
+        for s in Strategy
+        for fb in (True, False)
+    },
+    "fedclf-compound": dict(compound_factors=True),
+    "fedclf-acc-compound": dict(compound_factors=True, factor_mode=FactorMode.ACC_RATIO),
+    **{
+        f"{s.value}-no-warmup": dict(strategy=s, warmup_enabled=False)
+        for s in (Strategy.FEDCLF, Strategy.GRAD_NORM, Strategy.OORT_LIKE)
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_deferred_measurement_matches_eager_oracle(case, monkeypatch):
+    cfg = small_config(rounds=20, seed=13, **ORACLE_CASES[case])
+    deferred = run_recorded(cfg, Experiment, monkeypatch)
+    eager = run_recorded(cfg, EagerExperiment, monkeypatch)
+    outputs, columns, calls, history = deferred
+    assert outputs == eager[0]
+    assert columns == eager[1]
+    # One measurement per reopened gate after round 1 and one at run end.
+    assert calls == sum(r.selection_ran for r in history[1:]) + 1
+    if cfg.feedback_enabled:
+        assert calls < cfg.rounds  # some round reused its cohort unmeasured
+
+
+def overflowing_clients():
+    """Four clients; client 2's features are so large that its losses (about
+    1e198) are finite but their squares in the loss utility overflow."""
+    clients = [ClientDataset(i, make_synthetic(12, 3, 2, seed=i)) for i in range(4)]
+    data = clients[2].data
+    clients[2] = ClientDataset(
+        2, LabeledDataset(data.features * 1e200, data.labels, data.num_classes)
+    )
+    return clients
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("rounds", [3, 1], ids=["next-selection", "run-end"])
+def test_non_finite_utility_names_training_round_and_clients(
+    rounds, tmp_path, monkeypatch
+):
+    # Zero learning rate: training stays finite, and every round trains all
+    # four clients.  With 3 rounds, round 2's selection measures round 1's
+    # cohort; with 1 round, the run-end measurement of the last cohort does.
+    cfg = small_config(
+        num_clients=4,
+        select_k=4,
+        rounds=rounds,
+        learning_rate=0.0,
+        partition=PartitionSpec(shard_size=3, split_mode=SplitMode.EQUAL, num_clients=4),
+    )
+    clients, test = overflowing_clients(), make_synthetic(20, 3, 2, seed=9)
+    experiment = Experiment(cfg, clients, test)
+    with pytest.raises(NonFiniteUpdateError, match="^round 1: .*client\\(s\\) 2$") as err:
+        experiment.run()
+    assert err.value.round_index == 1
+    assert err.value.client_ids == (2,)
+    assert len(experiment.history) == 1
+    assert np.isfinite(experiment.params.values).all()
+
+    monkeypatch.setattr(fedclf.server, "build_partition", lambda _: (clients, None, test))
+    with pytest.raises(NonFiniteUpdateError):
+        run_experiment(cfg, out_dir=tmp_path)
+    assert not (tmp_path / "run.csv").exists()
 
 
 def test_run_experiment_writes_outputs(tmp_path):
