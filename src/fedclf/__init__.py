@@ -1,6 +1,6 @@
 """Deterministic federated-learning simulator with calibrated-loss selection."""
 
-from .client import ClientUpdateResult, NonFiniteUpdateError, client_update
+from .client import NonFiniteUpdateError, client_update
 from .dataset import (
     ClientDataset,
     LabelDistribution,

@@ -89,7 +89,7 @@ _PARSERS = {
     tuple[int, int, int]: _parse_synthetic,
 }
 _KEYS = {k.key: k for k in CONFIG_KEYS}
-_BATTERY_KEYS = ("strategies", "datasets", "seeds", "out")
+_BATTERY_KEYS = ("strategies", "datasets", "seeds")
 _type_hints = cache(get_type_hints)  # each call evaluates every annotation again
 
 
@@ -183,7 +183,7 @@ def cmd_battery(args: argparse.Namespace) -> int:
     if args.out is None:
         raise ValueError("battery requires --out DIR")
     values = _read_kv_file(args.spec)
-    for key in ("strategies", "datasets", "seeds"):
+    for key in _BATTERY_KEYS:
         if key not in values or not values[key].strip():
             raise ValueError(f"battery spec must set a non-empty {key!r} list")
     strategies = [Strategy(s.strip()) for s in values["strategies"].split(",")]

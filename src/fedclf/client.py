@@ -1,10 +1,12 @@
 """Local training and utility measurement for a cohort of clients.
 
-``client_update`` trains a cohort from the received global model.
-``measure_utilities`` measures the statistics selection ranks by, at the
-model the clients received.  The server calls it only when a selection is
-about to read them (and once at run end), since a cohort that trains again
-in the next round would overwrite them unread.
+``client_update`` trains a cohort from the received global model and returns
+the trained parameters as one ``(g, P)`` stack, row ``i`` for the ``i``-th
+client, with each client's weight-change norm.  ``measure_utilities``
+measures the statistics selection ranks by, at the model the clients
+received.  The server calls it only when a selection is about to read them
+(and once at run end), since a cohort that trains again in the next round
+would overwrite them unread.
 
 The cohort is trained and measured as one stacked parameter block: shards of
 equal size are evaluated together, and at each SGD step the clients whose
@@ -16,7 +18,6 @@ measuring that client alone.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -25,22 +26,11 @@ from .dataset import ClientDataset
 from .model import ModelParams, SampleStack, TrainConfig, evaluate, sgd_epochs
 
 __all__ = [
-    "ClientUpdateResult",
     "NonFiniteUpdateError",
     "client_update",
     "measure_utilities",
     "rms_utility",
 ]
-
-
-@dataclass(frozen=True)
-class ClientUpdateResult:
-    """What a client reports back after training in a round."""
-
-    client_id: int
-    new_params: ModelParams
-    n_k: int
-    weight_delta_norm: float
 
 
 class NonFiniteUpdateError(ValueError):
@@ -114,23 +104,16 @@ def client_update(
     clients: Sequence[ClientDataset],
     global_params: ModelParams,
     cfgs: Sequence[TrainConfig],
-) -> list[ClientUpdateResult]:
+) -> tuple[ModelParams, np.ndarray]:
     """Train every client of the cohort from ``global_params``.
 
-    ``cfgs`` holds one training config per client; results come back in the
-    order of ``clients``.  Raises ``NonFiniteUpdateError`` naming every
-    client whose trained parameters or weight-change norm is not finite.
+    ``cfgs`` holds one training config per client.  Returns the ``(g, P)``
+    stack of trained parameters and the weight-change norm of each row, both
+    in the order of ``clients``.  Raises ``NonFiniteUpdateError`` naming
+    every client whose trained parameters or weight-change norm is not
+    finite.
     """
-    tag = global_params.shape_tag
-    trained = sgd_epochs(global_params, [c.data for c in clients], cfgs).values
-    deltas = [np.linalg.norm(row - global_params.values) for row in trained]
-    _raise_non_finite(clients, np.isfinite(trained).all(axis=1) & np.isfinite(deltas))
-    return [
-        ClientUpdateResult(
-            client_id=client.client_id,
-            new_params=ModelParams(trained[i], tag),
-            n_k=client.n_k,
-            weight_delta_norm=float(deltas[i]),
-        )
-        for i, client in enumerate(clients)
-    ]
+    trained = sgd_epochs(global_params, [c.data for c in clients], cfgs)
+    deltas = np.array([np.linalg.norm(row - global_params.values) for row in trained.values])
+    _raise_non_finite(clients, np.isfinite(trained.values).all(axis=1) & np.isfinite(deltas))
+    return trained, deltas

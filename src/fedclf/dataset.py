@@ -193,12 +193,14 @@ def mean_partition_emd(
     )
 
 
-def _shard_sequence(dataset: LabeledDataset, spec: PartitionSpec, rng) -> np.ndarray:
+def _shard_sequence(
+    dataset: LabeledDataset, spec: PartitionSpec, rng
+) -> tuple[np.ndarray, list[np.ndarray]]:
     """Label-sort, cut into shards of ``shard_size``, shuffle shard order.
 
-    Returns the flat index sequence of the shuffled shards; a trailing short
-    shard (when shard_size does not divide the total) is shuffled like any
-    other.
+    Returns the flat index sequence of the shuffled shards and the shuffled
+    shards themselves (index arrays); a trailing short shard (when shard_size
+    does not divide the total) is shuffled like any other.
     """
     order = np.argsort(dataset.labels, kind="stable")
     total = dataset.num_samples

@@ -16,10 +16,6 @@ and a single vector broadcasts over a stack of blocks.  The kernel uses only
 stacked ``@``, elementwise operations and reductions that are computed
 separately per model, so each model's results are bitwise equal to running it
 alone.
-
-Parameter files (``FEDW v1``): one ASCII header line
-``FEDW v1 <shape_tag> <len>\\n`` followed by ``len`` little-endian float64
-values.
 """
 
 from __future__ import annotations
@@ -27,7 +23,6 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -47,8 +42,6 @@ __all__ = [
     "gradient",
     "sgd_epochs",
     "grad_check",
-    "save_params",
-    "load_params",
 ]
 
 
@@ -409,27 +402,3 @@ def grad_check(params: ModelParams, data, epsilon: float = 1e-5) -> float:
         worst = max(worst, err)
     return worst
 
-
-def save_params(params: ModelParams, path: str | Path) -> None:
-    header = f"FEDW v1 {params.shape_tag} {params.values.size}\n"
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        fh.write(params.values.astype("<f8").tobytes())
-
-
-def load_params(path: str | Path) -> ModelParams:
-    raw = Path(path).read_bytes()
-    newline = raw.find(b"\n", 0, 256)
-    if newline < 0:
-        raise ValueError(f"{path}: missing FEDW header")
-    fields = raw[:newline].decode("ascii").split(" ")
-    if len(fields) != 4 or fields[0] != "FEDW" or fields[1] != "v1":
-        raise ValueError(f"{path}: bad FEDW header {raw[:newline]!r}")
-    tag, length = fields[2], int(fields[3])
-    body = raw[newline + 1 :]
-    if len(body) != length * 8:
-        raise ValueError(
-            f"{path}: expected {length * 8} body bytes, found {len(body)}"
-        )
-    values = np.frombuffer(body, dtype="<f8").copy()
-    return ModelParams(values, tag)

@@ -24,7 +24,6 @@ from enum import Enum
 
 import numpy as np
 
-from .client import ClientUpdateResult
 from .dataset import ClientDataset
 from .seeds import split_seed
 
@@ -280,28 +279,27 @@ def select(
 
 def update_after_round(
     state: SelectorState,
-    results: list[ClientUpdateResult],
+    client_ids: list[int],
+    weight_delta_norms: np.ndarray,
     global_accuracy: float | None = None,
     global_loss: float | None = None,
 ) -> SelectorState:
     """Fold the round's training reports into the selector columns.
 
+    ``weight_delta_norms`` is aligned with ``client_ids``.
     ``global_accuracy`` / ``global_loss`` are the test metrics of the model
     the clients trained from; they anchor the compounding calibration mode.
     Clients that did not train keep their (now stale) entries untouched.
     Utilities are stored by ``record_utilities`` when they are measured.
     """
-    if not results:
-        raise SelectionError("update_after_round called with no results")
-    loss_anchor = math.nan if global_loss is None else global_loss
-    acc_anchor = math.nan if global_accuracy is None else global_accuracy
-    for result in results:
-        cid = result.client_id
+    if not client_ids:
+        raise SelectionError("update_after_round called with no clients")
+    for cid in client_ids:
         if not (0 <= cid < state.n_k.size and state.last_round_selected[cid]):
             raise SelectionError(f"result for client {cid}, which was not selected")
-        state.weight_delta_norm[cid] = result.weight_delta_norm
-        state.loss_anchor[cid] = loss_anchor
-        state.acc_anchor[cid] = acc_anchor
+    state.weight_delta_norm[client_ids] = weight_delta_norms
+    state.loss_anchor[client_ids] = math.nan if global_loss is None else global_loss
+    state.acc_anchor[client_ids] = math.nan if global_accuracy is None else global_accuracy
     return state
 
 

@@ -4,7 +4,8 @@ Each round the server (1) consults the feedback gate, (2) selects a cohort or
 reuses the previous one, (3) dispatches local training to the cohort,
 (4) aggregates the returned parameters by sample-count weights, (5) evaluates
 the new global model on the held-out test set, and (6) appends a round
-record including the moving-average accuracy.
+record including the moving-average accuracy.  The round records are the
+run's whole log: ``run.csv`` and ``selection.csv`` are rendered from them.
 
 Client utilities are measured at the model each client received, but only
 when something reads them: the server keeps the last trained cohort with its
@@ -37,7 +38,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .client import ClientUpdateResult, NonFiniteUpdateError, client_update, measure_utilities
+from .client import NonFiniteUpdateError, client_update, measure_utilities
 from .dataset import (
     ClientDataset,
     LabeledDataset,
@@ -54,7 +55,6 @@ from .model import (
     evaluate,
     init_params,
     resolve_shape_tag,
-    save_params,
 )
 from .seeds import split_seed
 from .selection import (
@@ -140,7 +140,6 @@ class ExperimentConfig:
     cluster_spread: float = 1.0
     warmup_enabled: bool = True
     compound_factors: bool = False
-    checkpoint_every: int = 0
 
     def validate(self) -> None:
         if not 1 <= self.select_k <= self.num_clients:
@@ -157,8 +156,6 @@ class ExperimentConfig:
             raise ValueError("learning_rate must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.checkpoint_every < 0:
-            raise ValueError("checkpoint_every must be >= 0")
         resolve_shape_tag(self.shape_tag, 1, 1)  # any data dims: checks the grammar
         if self.dataset_path is None:
             c, f, n = self.synthetic_shape
@@ -210,7 +207,6 @@ CONFIG_KEYS = (
         "compound_factors",
         "scale stale utilities by the trend since each client last trained",
     ),
-    ConfigKey("checkpoint_every", "checkpoint_every", "checkpoint period"),
 )
 
 
@@ -223,20 +219,22 @@ def _echo(value: object) -> str:
     return "" if value is None else str(value)
 
 
-def aggregate(results: Sequence[ClientUpdateResult]) -> ModelParams:
-    """Sample-count-weighted mean of the clients' returned parameters."""
-    if not results:
+def aggregate(trained: ModelParams, n_k: Sequence[int]) -> ModelParams:
+    """Sample-count-weighted mean of a ``(g, P)`` stack of trained parameters;
+    row ``i`` has weight ``n_k[i]``, and rows are summed in order."""
+    if trained.values.ndim != 2 or len(trained.values) != len(n_k):
+        raise ValueError(
+            f"{trained.values.shape} parameter stack for {len(n_k)} sample counts"
+        )
+    if not n_k:
         raise ValueError("cannot aggregate zero results")
-    tags = {r.new_params.shape_tag for r in results}
-    if len(tags) != 1:
-        raise ValueError(f"mixed shape tags in aggregation: {sorted(tags)}")
-    total = sum(r.n_k for r in results)
+    total = sum(n_k)
     if total <= 0:
         raise ValueError("total sample count is zero")
-    out = np.zeros_like(results[0].new_params.values)
-    for r in results:
-        out += (r.n_k / total) * r.new_params.values
-    return ModelParams(out, results[0].new_params.shape_tag)
+    out = np.zeros_like(trained.values[0])
+    for n, row in zip(n_k, trained.values):
+        out += (n / total) * row
+    return ModelParams(out, trained.shape_tag)
 
 
 def feedback_gate(
@@ -262,6 +260,19 @@ def feedback_gate(
     acc_prev = history[round_index - 2].test_accuracy
     acc_prev2 = history[round_index - 3].test_accuracy
     return acc_prev < acc_prev2
+
+
+def _trend(history: Sequence[RoundRecord]) -> GlobalTrend:
+    """Test accuracy and loss of the last two records; empty before that."""
+    if len(history) < 2:
+        return GlobalTrend.empty()
+    prev2, prev = history[-2], history[-1]
+    return GlobalTrend(
+        acc_prev=prev.test_accuracy,
+        acc_prev2=prev2.test_accuracy,
+        loss_prev=prev.test_loss,
+        loss_prev2=prev2.test_loss,
+    )
 
 
 def moving_average(acc_history: Sequence[float], round_index: int, window: int) -> float:
@@ -305,23 +316,18 @@ class Experiment:
             compound_factors=cfg.compound_factors,
         )
         self.history: list[RoundRecord] = []
-        self.selection_log: list[str] = [SELECTION_LOG_HEADER]
         # The last trained cohort, not yet measured: (round, ids, received model).
         self.pending: tuple[int, list[int], ModelParams] | None = None
         self.warmup = warmup_rounds(cfg.num_clients, cfg.select_k) if cfg.warmup_enabled else 0
+        # Test (accuracy, loss) of the initial model: round 1's anchors.  Only
+        # compound mode reads anchors, so only it evaluates the initial model.
+        self.initial_metrics: tuple[float | None, float | None] = (None, None)
+        if cfg.compound_factors:
+            report = evaluate(self.params, test_data)
+            self.initial_metrics = (report.accuracy, report.mean_loss)
 
-    def _trend(self) -> GlobalTrend:
-        if len(self.history) >= 2:
-            return GlobalTrend(
-                acc_prev=self.history[-1].test_accuracy,
-                acc_prev2=self.history[-2].test_accuracy,
-                loss_prev=self.history[-1].test_loss,
-                loss_prev2=self.history[-2].test_loss,
-            )
-        return GlobalTrend.empty()
-
-    def _dispatch(self, ids: list[int], round_index: int) -> list[ClientUpdateResult]:
-        """Train the cohort in one stacked call; results in client-id order."""
+    def _dispatch(self, ids: list[int], round_index: int) -> tuple[ModelParams, np.ndarray]:
+        """Train the cohort in one stacked call; rows in client-id order."""
         cfg = self.cfg
         train_cfgs = [
             TrainConfig(
@@ -357,7 +363,7 @@ class Experiment:
     def run_round(self, round_index: int) -> RoundRecord:
         started = time.perf_counter()
         cfg = self.cfg
-        trend = self._trend()
+        trend = _trend(self.history)
         gate = feedback_gate(
             self.history, round_index, enabled=cfg.feedback_enabled, warmup=self.warmup
         )
@@ -370,17 +376,15 @@ class Experiment:
             selected = self.history[-1].selected_ids
 
         ids = sorted(selected)
-        results = self._dispatch(ids, round_index)
+        trained, deltas = self._dispatch(ids, round_index)
         self.pending = (round_index, ids, self.params)
         # Metrics of the model that was dispatched; anchors stale-loss records.
-        prev = self.history[-1] if self.history else None
-        self.params = aggregate(results)
-        update_after_round(
-            self.selector,
-            results,
-            global_accuracy=prev.test_accuracy if prev else None,
-            global_loss=prev.test_loss if prev else None,
-        )
+        if self.history:
+            anchor = self.history[-1].test_accuracy, self.history[-1].test_loss
+        else:
+            anchor = self.initial_metrics
+        self.params = aggregate(trained, [self.clients[cid].n_k for cid in ids])
+        update_after_round(self.selector, ids, deltas, *anchor)
         report = evaluate(self.params, self.test_data)
         acc_history = [r.test_accuracy for r in self.history] + [report.accuracy]
         record = RoundRecord(
@@ -393,27 +397,11 @@ class Experiment:
             wall_time=time.perf_counter() - started,
         )
         self.history.append(record)
-
-        factor = selection_factor(trend, cfg.factor_mode)
-        self.selection_log.append(
-            f"{round_index},{cfg.strategy.value},{int(gate)},"
-            f"{';'.join(str(i) for i in record.selected_ids)},"
-            f"{cfg.factor_mode.value},"
-            f"{'' if math.isnan(factor) else f'{factor:.10f}'}"
-        )
         return record
 
-    def run(self, checkpoint_dir: Path | None = None) -> list[RoundRecord]:
+    def run(self) -> list[RoundRecord]:
         for round_index in range(1, self.cfg.rounds + 1):
             self.run_round(round_index)
-            if (
-                checkpoint_dir is not None
-                and self.cfg.checkpoint_every > 0
-                and round_index % self.cfg.checkpoint_every == 0
-            ):
-                save_params(
-                    self.params, checkpoint_dir / f"checkpoint_r{round_index:04d}.fedw"
-                )
         self.measure_pending()
         return self.history
 
@@ -471,8 +459,18 @@ def run_log_csv(history: Sequence[RoundRecord], timestamp: str | None = None) ->
     return "\n".join(lines) + "\n"
 
 
-def selection_log_csv(experiment: Experiment) -> str:
-    return "\n".join(experiment.selection_log) + "\n"
+def selection_log_csv(cfg: ExperimentConfig, history: Sequence[RoundRecord]) -> str:
+    """The selection log CSV; each row's factor is the one-round correction
+    factor that round's trend (its two previous records) gives."""
+    lines = [SELECTION_LOG_HEADER]
+    for i, r in enumerate(history):
+        factor = selection_factor(_trend(history[:i]), cfg.factor_mode)
+        lines.append(
+            f"{r.round_index},{cfg.strategy.value},{int(r.selection_ran)},"
+            f"{';'.join(str(c) for c in r.selected_ids)},{cfg.factor_mode.value},"
+            f"{'' if math.isnan(factor) else f'{factor:.10f}'}"
+        )
+    return "\n".join(lines) + "\n"
 
 
 def summary_text(cfg: ExperimentConfig, history: Sequence[RoundRecord]) -> str:
@@ -507,15 +505,14 @@ def deterministic_csv_payload(csv_text: str) -> str:
 def run_experiment(
     cfg: ExperimentConfig, out_dir: str | Path | None = None
 ) -> list[RoundRecord]:
-    """Run one experiment; optionally write run/selection logs and summary."""
-    experiment = build_experiment(cfg)
-    out_path = Path(out_dir) if out_dir is not None else None
-    if out_path is not None:
+    """Run one experiment; once it completes, write its run and selection
+    logs and summary to ``out_dir`` when one is given."""
+    history = build_experiment(cfg).run()
+    if out_dir is not None:
+        out_path = Path(out_dir)
         out_path.mkdir(parents=True, exist_ok=True)
-    history = experiment.run(checkpoint_dir=out_path)
-    if out_path is not None:
         stamp = datetime.now(timezone.utc).isoformat()
         (out_path / "run.csv").write_text(run_log_csv(history, timestamp=stamp))
-        (out_path / "selection.csv").write_text(selection_log_csv(experiment))
+        (out_path / "selection.csv").write_text(selection_log_csv(cfg, history))
         (out_path / "summary.txt").write_text(summary_text(cfg, history))
     return history

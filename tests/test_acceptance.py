@@ -19,7 +19,7 @@ import pytest
 
 import fedclf.server
 from fedclf.cli import main as cli_main
-from fedclf.client import ClientUpdateResult, client_update, measure_utilities
+from fedclf.client import client_update, measure_utilities
 from fedclf.dataset import (
     ClientDataset,
     PartitionSpec,
@@ -114,21 +114,14 @@ def test_criterion_1_aggregation_oracle():
     worst = 0.0
     for _ in range(1000):
         count = int(rng.integers(1, 7))
-        results = []
+        rows, n_k = [], []
         for _ in range(count):
-            values = rng.normal(scale=3.0, size=35)
-            results.append(
-                ClientUpdateResult(
-                    client_id=0,
-                    new_params=ModelParams(values, tag),
-                    n_k=int(rng.integers(1, 500)),
-                    weight_delta_norm=0.0,
-                )
-            )
-        out = aggregate(results).values
-        total = sum(r.n_k for r in results)
+            rows.append(rng.normal(scale=3.0, size=35))
+            n_k.append(int(rng.integers(1, 500)))
+        out = aggregate(ModelParams(np.stack(rows), tag), n_k).values
+        total = sum(n_k)
         for j in range(35):
-            expected = sum(r.n_k * float(r.new_params.values[j]) for r in results)
+            expected = sum(n * float(row[j]) for n, row in zip(n_k, rows))
             expected /= total
             worst = max(worst, abs(float(out[j]) - expected))
     elapsed = time.perf_counter() - started
@@ -395,13 +388,13 @@ def test_criterion_10_determinism(tmp_path, monkeypatch):
     )
     stacked = run_experiment(cfg)
 
-    def one_at_a_time(clients, params, cfgs, **kwargs):
-        """Reference dispatch: each client trains alone."""
-        return [
-            result
-            for client, train_cfg in zip(clients, cfgs)
-            for result in client_update([client], params, [train_cfg], **kwargs)
-        ]
+    def one_at_a_time(clients, params, cfgs):
+        """Reference dispatch: each client trains alone; rows are restacked."""
+        singles = [client_update([c], params, [t]) for c, t in zip(clients, cfgs)]
+        return (
+            ModelParams(np.concatenate([s[0].values for s in singles]), params.shape_tag),
+            np.concatenate([s[1] for s in singles]),
+        )
 
     monkeypatch.setattr(fedclf.server, "client_update", one_at_a_time)
     per_client = run_experiment(cfg)

@@ -208,7 +208,7 @@ def test_config_keys_and_flags_build_the_same_config(tmp_path, built_configs):
         "lr": "0.05", "batch": "16", "strategy": "random", "factor_mode": "acc",
         "feedback": "false", "S": "5", "split": "nonequal", "min_fraction": "0.5",
         "window": "4", "seed": "8", "synthetic": "3x4x240", "input": data,
-        "model": "mlp:7", "checkpoint_every": "2",
+        "model": "mlp:7",
     }
     config = tmp_path / "run.conf"
     config.write_text("".join(f"{key}={value}\n" for key, value in keys.items()))
@@ -237,7 +237,6 @@ def test_config_keys_and_flags_build_the_same_config(tmp_path, built_configs):
         seed=8,
         synthetic_shape=(3, 4, 240),
         dataset_path=data,
-        checkpoint_every=2,
     )
     assert built_configs == [expected, expected, ExperimentConfig()]
 
@@ -324,14 +323,15 @@ def test_diverged_run_fails_without_a_run_log(tmp_path, capsys):
     )
     assert code == 1
     assert "round 1: non-finite" in capsys.readouterr().err
-    assert not (out / "run.csv").exists()
+    assert not out.exists()
 
 
 def test_run_rejects_unknown_config_key(tmp_path, capsys):
     config = tmp_path / "run.conf"
-    config.write_text("bogus=1\n")
-    assert run_cli("run", "--config", str(config)) == 1
-    assert "unknown config key" in capsys.readouterr().err
+    for key, value in [("bogus", "1"), ("out", "elsewhere"), ("checkpoint_every", "2")]:
+        config.write_text(f"{key}={value}\n")
+        assert run_cli("run", "--config", str(config)) == 1
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
 
 
 def test_run_on_dataset_file(tmp_path):
@@ -389,6 +389,16 @@ def test_battery_rerun_identical(tmp_path):
         assert run_cli("battery", str(spec), "--out", str(out)) == 0
         outputs.append((out / "battery.csv").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_battery_rejects_out_key(tmp_path, capsys):
+    # The output directory is only ever --out; a spec key would be ignored.
+    spec = battery_spec(tmp_path)
+    spec.write_text(spec.read_text() + f"out={tmp_path / 'spec-out'}\n")
+    out = tmp_path / "battery"
+    assert run_cli("battery", str(spec), "--out", str(out)) == 1
+    assert "unknown config key 'out'" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "spec-out").exists()
 
 
 def test_battery_requires_lists(tmp_path, capsys):

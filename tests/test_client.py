@@ -26,9 +26,10 @@ def make_client(client_id=0, n=20, f=4, c=3, seed=0):
 
 
 def update_one(client, params, cfg):
-    """``client_update`` for a cohort of one."""
-    [result] = client_update([client], params, [cfg])
-    return result
+    """``client_update`` for a cohort of one: (trained params, delta norm)."""
+    trained, deltas = client_update([client], params, [cfg])
+    assert trained.values.shape == (1, params.values.size) and deltas.shape == (1,)
+    return trained.values[0], float(deltas[0])
 
 
 def measure_one(client, params, want_grad_norm=False):
@@ -41,10 +42,9 @@ def measure_one(client, params, want_grad_norm=False):
 def test_zero_lr_returns_received_params_and_pretrain_loss():
     client = make_client()
     params = init_params(softmax_tag(4, 3), seed=1)
-    result = update_one(client, params, TrainConfig(epochs=1, learning_rate=0.0))
-    assert np.array_equal(result.new_params.values, params.values)
-    assert result.weight_delta_norm == 0.0
-    assert result.n_k == client.n_k
+    trained, delta = update_one(client, params, TrainConfig(epochs=1, learning_rate=0.0))
+    assert np.array_equal(trained, params.values)
+    assert delta == 0.0
 
 
 def test_single_sample_utility_equals_its_loss():
@@ -117,33 +117,24 @@ def test_results_independent_of_execution_order():
     random.Random(3).shuffle(shuffled_order)
     shuffled = run_all(shuffled_order)
     for i in range(6):
-        assert np.array_equal(
-            forward[i].new_params.values, shuffled[i].new_params.values
-        )
-        assert forward[i].weight_delta_norm == shuffled[i].weight_delta_norm
+        assert np.array_equal(forward[i][0], shuffled[i][0])
+        assert forward[i][1] == shuffled[i][1]
 
 
 # ------------------------------------------- stacked cohort == per-client
 
 
-def result_bytes(result):
-    """Every field of a result, as exact bytes where it is a float."""
-    return (
-        result.client_id,
-        result.n_k,
-        result.new_params.shape_tag,
-        result.new_params.values.tobytes(),
-        np.float64(result.weight_delta_norm).tobytes(),
-    )
-
-
 def assert_cohort_matches_singles(clients, params, cfgs, want_grad_norm=False):
     """Training and measuring the cohort at once equals doing it per client,
-    bit for bit."""
-    cohort = client_update(clients, params, cfgs)
-    assert [r.client_id for r in cohort] == [c.client_id for c in clients]
-    for client, cfg, result in zip(clients, cfgs, cohort):
-        assert result_bytes(result) == result_bytes(update_one(client, params, cfg))
+    bit for bit, with row ``i`` for the ``i``-th client."""
+    trained, deltas = client_update(clients, params, cfgs)
+    assert trained.shape_tag == params.shape_tag
+    assert trained.values.shape == (len(clients), params.values.size)
+    assert deltas.shape == (len(clients),)
+    for i, (client, cfg) in enumerate(zip(clients, cfgs)):
+        row, delta = update_one(client, params, cfg)
+        assert trained.values[i].tobytes() == row.tobytes()
+        assert np.float64(deltas[i]).tobytes() == np.float64(delta).tobytes()
     loss, grad_norm = measure_utilities(clients, params, want_grad_norm)
     singles = [measure_one(client, params, want_grad_norm) for client in clients]
     assert loss.tobytes() == np.array([s[0] for s in singles]).tobytes()
@@ -154,7 +145,7 @@ def assert_cohort_matches_singles(clients, params, cfgs, want_grad_norm=False):
 
 
 def ragged_cohort(sizes, f=4, c=3):
-    # Ids deliberately out of order: results follow the cohort's order.
+    # Ids deliberately out of order: rows follow the cohort's order.
     return [
         ClientDataset(10 - i, make_synthetic(n, f, c, seed=100 + i))
         for i, n in enumerate(sizes)

@@ -1,4 +1,4 @@
-"""Classifier math: init, evaluation, SGD, gradient checks, serialization."""
+"""Classifier math: init, evaluation, SGD, gradient checks."""
 
 from __future__ import annotations
 
@@ -16,11 +16,9 @@ from fedclf.model import (
     grad_check,
     gradient,
     init_params,
-    load_params,
     mlp_tag,
     param_count,
     parse_shape_tag,
-    save_params,
     sgd_epochs,
     softmax_tag,
 )
@@ -276,23 +274,3 @@ def test_grad_check_mlp_small():
     params = init_params(mlp_tag(4, 6, 3), seed=6)
     assert grad_check(params, data, epsilon=1e-5) < 1e-4
 
-
-# ---------------------------------------------------------- serialization
-
-
-def test_params_roundtrip(tmp_path):
-    params = init_params(mlp_tag(3, 4, 2), seed=9)
-    path = tmp_path / "weights.fedw"
-    save_params(params, path)
-    loaded = load_params(path)
-    assert loaded.shape_tag == params.shape_tag
-    assert np.array_equal(loaded.values, params.values)
-
-
-def test_load_params_rejects_truncation(tmp_path):
-    params = init_params(softmax_tag(2, 2), seed=0)
-    path = tmp_path / "weights.fedw"
-    save_params(params, path)
-    path.write_bytes(path.read_bytes()[:-4])
-    with pytest.raises(ValueError, match="body bytes"):
-        load_params(path)

@@ -10,9 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedclf.client import ClientUpdateResult
 from fedclf.dataset import ClientDataset, PartitionSpec, SplitMode, make_synthetic
-from fedclf.model import init_params, softmax_tag
+from fedclf.model import evaluate
 from fedclf.seeds import split_seed
 from fedclf.selection import (
     FactorMode,
@@ -26,7 +25,7 @@ from fedclf.selection import (
     utilities,
     warmup_rounds,
 )
-from fedclf.server import ExperimentConfig, run_experiment
+from fedclf.server import ExperimentConfig, build_experiment
 
 # Selector columns where NaN means "not measured yet".
 MEASURED = (
@@ -54,13 +53,6 @@ def trained_selector(strategy, values, seed=0, last_round=(), **options):
     state.sampled_once[ids] = True
     state.last_round_selected[list(last_round)] = True
     return state
-
-
-def dummy_result(cid, n_k=6, delta=0.5):
-    params = init_params(softmax_tag(2, 2), seed=cid)
-    return ClientUpdateResult(
-        client_id=cid, new_params=params, n_k=n_k, weight_delta_norm=delta
-    )
 
 
 # ------------------------------------------------------------ calibration
@@ -117,21 +109,27 @@ def test_compound_undefined_anchor_keeps_raw_and_warns(caplog):
     assert message == "round 7: correction factor undefined, 2 clients kept raw utilities"
 
 
-def test_compound_run_warns_for_clients_trained_in_round_one(caplog):
-    # Round-1 clients have no previous global model to anchor against.
+def test_compound_run_anchors_clients_trained_in_round_one(caplog):
+    # Round 1's cohort is anchored at the initial model's test metrics, so no
+    # client keeps its raw utility (this run warned in rounds 6 to 12 while
+    # round-1 clients had no anchor).
     cfg = ExperimentConfig(
-        num_clients=10, select_k=2, rounds=7, synthetic_shape=(4, 4, 600),
+        num_clients=10, select_k=2, rounds=12, synthetic_shape=(4, 4, 600),
         partition=PartitionSpec(
             shard_size=10, split_mode=SplitMode.EQUAL, num_clients=10
         ),
         feedback_enabled=False, compound_factors=True,
     )
+    experiment = build_experiment(cfg)
+    initial = evaluate(experiment.params, experiment.test_data)
     with caplog.at_level(logging.WARNING, logger="fedclf.selection"):
-        history = run_experiment(cfg)
-    assert history[0].selected_ids == (0, 1)
-    assert caplog.messages[0] == (
-        "round 6: correction factor undefined, 2 clients kept raw utilities"
-    )
+        ids = list(experiment.run_round(1).selected_ids)
+        assert ids == [0, 1]
+        assert experiment.selector.loss_anchor[ids].tolist() == [initial.mean_loss] * 2
+        assert experiment.selector.acc_anchor[ids].tolist() == [initial.accuracy] * 2
+        for round_index in range(2, cfg.rounds + 1):
+            experiment.run_round(round_index)
+    assert caplog.messages == []
 
 
 def test_calibrate_requires_stored_utility():
@@ -420,9 +418,9 @@ def test_select_matches_per_client_reference(case):
 def test_update_after_round_refreshes_selected_records():
     clients = make_clients(50)
     state = make_selector(Strategy.FEDCLF, clients, rng_seed=8)
-    chosen = select(state, 1, k=5, num_clients=50, trend=GlobalTrend.empty())
-    results = [dummy_result(cid, delta=float(cid)) for cid in sorted(chosen)]
-    update_after_round(state, results, global_accuracy=0.25, global_loss=1.5)
+    chosen = sorted(select(state, 1, k=5, num_clients=50, trend=GlobalTrend.empty()))
+    deltas = np.array(chosen, dtype=float)
+    update_after_round(state, chosen, deltas, global_accuracy=0.25, global_loss=1.5)
     trained = np.flatnonzero(~np.isnan(state.weight_delta_norm)).tolist()
     assert trained == sorted(chosen)
     assert state.weight_delta_norm[trained].tolist() == [float(c) for c in trained]
@@ -441,24 +439,25 @@ def test_update_after_round_refreshes_selected_records():
 
 def test_update_after_round_rejects_empty_results():
     state = trained_selector(Strategy.FEDCLF, {0: 1.0}, last_round={0})
-    with pytest.raises(SelectionError, match="no results"):
-        update_after_round(state, [])
+    with pytest.raises(SelectionError, match="no clients"):
+        update_after_round(state, [], np.array([]))
 
 
 def test_update_after_round_rejects_unselected_client():
     state = trained_selector(Strategy.FEDCLF, {0: 1.0, 1: 1.0}, last_round={0})
-    with pytest.raises(SelectionError, match="not selected"):
-        update_after_round(state, [dummy_result(1)])
+    with pytest.raises(SelectionError, match="client 1, which was not selected"):
+        update_after_round(state, [0, 1], np.array([0.5, 0.5]))
     with pytest.raises(SelectionError, match="client 7, which was not selected"):
-        update_after_round(state, [dummy_result(7)])
+        update_after_round(state, [7], np.array([0.5]))
+    # A rejected update writes nothing.
+    assert np.isnan(state.loss_anchor).all()
 
 
 def test_update_after_round_is_idempotent():
     state = trained_selector(Strategy.FEDCLF, {0: 1.0, 1: 1.0}, last_round={0})
-    result = dummy_result(0, delta=2.5)
-    update_after_round(state, [result], global_accuracy=0.5, global_loss=0.9)
+    update_after_round(state, [0], np.array([2.5]), global_accuracy=0.5, global_loss=0.9)
     snapshot = {name: getattr(state, name).copy() for name in COLUMNS}
-    update_after_round(state, [result], global_accuracy=0.5, global_loss=0.9)
+    update_after_round(state, [0], np.array([2.5]), global_accuracy=0.5, global_loss=0.9)
     for name in COLUMNS:
         np.testing.assert_array_equal(getattr(state, name), snapshot[name])
 

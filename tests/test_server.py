@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fedclf.server
-from fedclf.client import ClientUpdateResult, NonFiniteUpdateError, measure_utilities
+from fedclf.client import NonFiniteUpdateError, client_update, measure_utilities
 from fedclf.dataset import (
     ClientDataset,
     LabeledDataset,
@@ -18,7 +18,7 @@ from fedclf.dataset import (
     SplitMode,
     make_synthetic,
 )
-from fedclf.model import ModelParams, load_params, softmax_tag
+from fedclf.model import ModelParams, TrainConfig, softmax_tag
 from fedclf.selection import FactorMode, Strategy, record_utilities
 from fedclf.server import (
     Experiment,
@@ -37,15 +37,9 @@ from fedclf.server import (
 )
 
 
-def result_with(values, n_k, tag=None):
-    tag = tag or softmax_tag(2, 2)
-    params = ModelParams(np.asarray(values, dtype=float), tag)
-    return ClientUpdateResult(
-        client_id=0,
-        new_params=params,
-        n_k=n_k,
-        weight_delta_norm=0.0,
-    )
+def stack_of(*rows, tag=None):
+    """A ``(g, P)`` parameter stack, one row per trained client."""
+    return ModelParams(np.array(rows, dtype=float), tag or softmax_tag(2, 2))
 
 
 def record(r, acc, selection_ran=True, ids=(0,)):
@@ -80,23 +74,22 @@ def small_config(**overrides):
 
 
 def test_aggregate_single_client_is_identity():
-    r = result_with([1.0, 2.0, 3.0, 4.0, 0.0, 0.5], n_k=7)
-    out = aggregate([r])
-    assert np.array_equal(out.values, r.new_params.values)
+    trained = stack_of([1.0, 2.0, 3.0, 4.0, 0.0, 0.5])
+    out = aggregate(trained, [7])
+    assert np.array_equal(out.values, trained.values[0])
 
 
 def test_aggregate_equal_weights_cancel_opposites():
-    v = np.array([1.0, -2.0, 3.0, 4.0, 5.0, -6.0])
-    out = aggregate([result_with(v, 3), result_with(-v, 3)])
+    v = [1.0, -2.0, 3.0, 4.0, 5.0, -6.0]
+    out = aggregate(stack_of(v, [-x for x in v]), [3, 3])
     assert out.values == pytest.approx(np.zeros(6), abs=1e-15)
 
 
 def test_aggregate_weighted_example():
-    tag = softmax_tag(1, 2)  # 4 parameters... use explicit 2-vector tag below
-    a = result_with([1.0, 1.0, 1.0, 1.0], n_k=1, tag=tag)
-    b = result_with([4.0, 4.0, 4.0, 4.0], n_k=3, tag=tag)
-    out = aggregate([a, b])
+    tag = softmax_tag(1, 2)  # 4 parameters
+    out = aggregate(stack_of([1.0] * 4, [4.0] * 4, tag=tag), [1, 3])
     assert out.values == pytest.approx([3.25, 3.25, 3.25, 3.25], abs=1e-12)
+    assert out.shape_tag == tag
 
 
 def test_aggregate_matches_elementwise_oracle():
@@ -104,24 +97,30 @@ def test_aggregate_matches_elementwise_oracle():
     tag = softmax_tag(3, 2)
     for _ in range(50):
         count = int(rng.integers(1, 6))
-        results = [
-            result_with(rng.normal(size=8), int(rng.integers(1, 50)), tag=tag)
-            for _ in range(count)
-        ]
-        out = aggregate(results)
-        total = sum(r.n_k for r in results)
+        rows = [rng.normal(size=8) for _ in range(count)]
+        n_k = [int(rng.integers(1, 50)) for _ in range(count)]
+        out = aggregate(stack_of(*rows, tag=tag), n_k)
+        total = sum(n_k)
         for j in range(8):
-            expected = sum(r.n_k * r.new_params.values[j] for r in results) / total
+            expected = sum(n * row[j] for n, row in zip(n_k, rows)) / total
             assert abs(out.values[j] - expected) < 1e-9
+        # Bitwise: weighted rows are summed one by one, in row order.
+        in_order = np.zeros(8)
+        for n, row in zip(n_k, rows):
+            in_order += (n / total) * row
+        assert out.values.tobytes() == in_order.tobytes()
 
 
-def test_aggregate_rejects_empty_and_mixed_tags():
+def test_aggregate_rejects_empty_and_miscounted_rows():
+    empty = ModelParams(np.zeros((0, 6)), softmax_tag(2, 2))
     with pytest.raises(ValueError, match="zero results"):
-        aggregate([])
-    a = result_with([0.0] * 6, 1, tag=softmax_tag(2, 2))
-    b = result_with([0.0] * 4, 1, tag=softmax_tag(1, 2))
-    with pytest.raises(ValueError, match="mixed shape tags"):
-        aggregate([a, b])
+        aggregate(empty, [])
+    with pytest.raises(ValueError, match=r"\(2, 6\) parameter stack for 3 sample counts"):
+        aggregate(stack_of([0.0] * 6, [1.0] * 6), [1, 2, 3])
+    with pytest.raises(ValueError, match="for 1 sample counts"):
+        aggregate(stack_of([0.0] * 6, [1.0] * 6), [4])
+    with pytest.raises(ValueError, match=r"\(6,\) parameter stack"):
+        aggregate(ModelParams(np.zeros(6), softmax_tag(2, 2)), [1] * 6)
 
 
 # ---------------------------------------------------------- feedback_gate
@@ -256,11 +255,9 @@ def test_identical_clients_aggregate_to_single_update():
     initial = experiment.params
     experiment.run_round(1)
 
-    from fedclf.client import client_update
-    from fedclf.model import TrainConfig
     from fedclf.seeds import split_seed
 
-    [single] = client_update(
+    single, _ = client_update(
         [clients[0]],
         initial,
         [
@@ -272,9 +269,7 @@ def test_identical_clients_aggregate_to_single_update():
             )
         ],
     )
-    assert experiment.params.values == pytest.approx(
-        single.new_params.values, abs=1e-9
-    )
+    assert experiment.params.values == pytest.approx(single.values[0], abs=1e-9)
 
 
 def test_round_records_have_ma_per_window():
@@ -392,7 +387,7 @@ def run_recorded(cfg, experiment_cls, monkeypatch):
     columns.append(selector_columns(experiment.selector))
     outputs = (
         deterministic_csv_payload(run_log_csv(history)),
-        selection_log_csv(experiment),
+        selection_log_csv(cfg, history),
         summary_text(cfg, history),
     )
     return outputs, columns, len(measured), history
@@ -471,15 +466,11 @@ def test_non_finite_utility_names_training_round_and_clients(
 
 
 def test_run_experiment_writes_outputs(tmp_path):
-    cfg = small_config(rounds=4, checkpoint_every=2)
+    cfg = small_config(rounds=4)
     run_experiment(cfg, out_dir=tmp_path)
-    assert (tmp_path / "run.csv").exists()
-    assert (tmp_path / "selection.csv").exists()
-    assert (tmp_path / "summary.txt").exists()
-    checkpoints = sorted(p.name for p in tmp_path.glob("checkpoint_*.fedw"))
-    assert checkpoints == ["checkpoint_r0002.fedw", "checkpoint_r0004.fedw"]
-    params = load_params(tmp_path / "checkpoint_r0004.fedw")
-    assert params.shape_tag == softmax_tag(3, 4)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "run.csv", "selection.csv", "summary.txt"
+    ]
 
     run_csv = (tmp_path / "run.csv").read_text()
     assert run_csv.splitlines()[0].startswith("# started ")
@@ -488,6 +479,47 @@ def test_run_experiment_writes_outputs(tmp_path):
     summary = (tmp_path / "summary.txt").read_text()
     assert "sampling_occasions=" in summary
     assert "config.strategy=fedclf" in summary
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, {"factor_mode": FactorMode.ACC_RATIO}, {"strategy": Strategy.NEWT_LIKE}],
+    ids=["fedclf", "fedclf-acc", "newt-feedback"],
+)
+def test_selection_log_of_a_round_by_round_history_is_the_written_log(
+    overrides, tmp_path
+):
+    # Driven like the benchmark: rounds one by one, no run-end measurement.
+    cfg = small_config(rounds=12, seed=3, **overrides)
+    experiment = build_experiment(cfg)
+    for round_index in range(1, cfg.rounds + 1):
+        experiment.run_round(round_index)
+    run_experiment(cfg, out_dir=tmp_path)
+    written = (tmp_path / "selection.csv").read_text()
+    assert selection_log_csv(cfg, experiment.history) == written
+    rows = [line.split(",") for line in written.splitlines()[1:]]
+    assert [int(row[0]) for row in rows] == list(range(1, cfg.rounds + 1))
+    assert [row[5] for row in rows[:2]] == ["", ""]  # no trend before round 3
+    assert all(row[5] for row in rows[2:])
+    assert any(row[2] == "0" for row in rows)  # a reused cohort is logged
+
+
+def test_only_compound_mode_evaluates_the_initial_model(monkeypatch):
+    calls = []
+    original = fedclf.server.evaluate
+
+    def counting(params, data):
+        calls.append(1)
+        return original(params, data)
+
+    monkeypatch.setattr(fedclf.server, "evaluate", counting)
+    for compound in (False, True):
+        calls.clear()
+        experiment = build_experiment(small_config(compound_factors=compound))
+        assert len(calls) == int(compound)
+        ids = list(experiment.run_round(1).selected_ids)
+        # Round 1's cohort is anchored only where anchors are read.
+        assert np.isnan(experiment.selector.loss_anchor[ids]).all() != compound
 
 
 def test_deterministic_csv_payload_strips_clock_readings():
