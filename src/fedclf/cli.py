@@ -117,12 +117,17 @@ def _add_flag(parser: argparse.ArgumentParser, k: ConfigKey, *aliases: str) -> N
     )
 
 
-def _config_from_sources(args: argparse.Namespace) -> ExperimentConfig:
-    """Merge defaults, config file and flags into an ExperimentConfig."""
+def _config_from_sources(
+    args: argparse.Namespace, own_keys: tuple[str, ...] = ()
+) -> ExperimentConfig:
+    """Merge defaults, config file and flags into an ExperimentConfig.
+
+    ``own_keys`` are config-file keys the caller reads itself; any other key
+    that is not a ``CONFIG_KEYS`` row fails."""
     values: dict[str, object] = {}
     if getattr(args, "config", None) is not None:
         for key, text in _read_kv_file(args.config).items():
-            if key in _BATTERY_KEYS:
+            if key in own_keys:
                 continue
             if key not in _KEYS:
                 raise ValueError(f"unknown config key {key!r}")
@@ -189,7 +194,7 @@ def cmd_battery(args: argparse.Namespace) -> int:
     strategies = [Strategy(s.strip()) for s in values["strategies"].split(",")]
     datasets = [_parse_dataset_entry(e) for e in values["datasets"].split(",")]
     seeds = [int(s.strip()) for s in values["seeds"].split(",")]
-    base_cfg = _config_from_sources(argparse.Namespace(config=args.spec))
+    base_cfg = _config_from_sources(argparse.Namespace(config=args.spec), _BATTERY_KEYS)
 
     rows: list[tuple[str, str, int, float, float, int]] = []
     for shard_size, split_mode in datasets:

@@ -9,14 +9,16 @@ received.  The server calls it only when a selection is about to read them
 would overwrite them unread.
 
 The cohort is trained and measured as one stacked parameter block: shards of
-equal size are evaluated together, and at each SGD step the clients whose
-batches have the same size take one stacked step.  Every client keeps its own
-seeded batch schedule, so each result is bitwise equal to training or
-measuring that client alone.
+equal size are evaluated together, and ``sgd_epochs`` gathers the cohort's
+batch schedules into one sample block before the first step, so at each SGD
+step the clients at the same position of their schedules take one stacked
+step on a slice of it.  Every client keeps its own seeded batch schedule, so
+each result is bitwise equal to training or measuring that client alone.
 """
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from typing import Sequence
 
@@ -114,6 +116,7 @@ def client_update(
     finite.
     """
     trained = sgd_epochs(global_params, [c.data for c in clients], cfgs)
-    deltas = np.array([np.linalg.norm(row - global_params.values) for row in trained.values])
+    # Per row, exactly np.linalg.norm of a 1-D vector (an axis=1 norm is not).
+    deltas = np.array([math.sqrt(d @ d) for d in trained.values - global_params.values])
     _raise_non_finite(clients, np.isfinite(trained.values).all(axis=1) & np.isfinite(deltas))
     return trained, deltas

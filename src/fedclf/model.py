@@ -15,7 +15,8 @@ single ``ModelParams`` vector with a ``LabeledDataset`` is the ``g = 1`` case,
 and a single vector broadcasts over a stack of blocks.  The kernel uses only
 stacked ``@``, elementwise operations and reductions that are computed
 separately per model, so each model's results are bitwise equal to running it
-alone.
+alone.  The blocks may be slices of a larger array: ``sgd_epochs`` gathers a
+cohort's whole schedule once and passes each step a window of it.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ def mlp_tag(num_features: int, hidden: int, num_classes: int) -> str:
     return f"mlp:{num_features}x{hidden}x{num_classes}"
 
 
+@cache
 def parse_shape_tag(tag: str) -> tuple[str, tuple[int, ...]]:
     """Split a shape tag into (kind, layer sizes); raises on unknown tags."""
     kind, _, dims_text = tag.partition(":")
@@ -255,13 +257,15 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _at_labels(y: np.ndarray) -> tuple:
-    """Index selecting each sample's true-label entry of a ``(g, b, C)`` array."""
-    return np.arange(y.shape[0])[:, None], np.arange(y.shape[1]), y
+    """Index of each sample's true-label entry in the ``(g * b, C)`` reshape
+    of a fresh ``(g, b, C)`` array.  A label of ``C`` or more raises
+    ``IndexError``; it is never read as the next sample's entry."""
+    return np.arange(y.size), y.reshape(-1)
 
 
 def _output_delta(log_probs: np.ndarray, y: np.ndarray) -> np.ndarray:
     delta = np.exp(log_probs)
-    delta[_at_labels(y)] -= 1.0
+    delta.reshape(-1, delta.shape[-1])[_at_labels(y)] -= 1.0
     return delta
 
 
@@ -290,7 +294,7 @@ def evaluate(
     layers = _layers(dims, values)
     logits, acts = _forward(layers, x)
     log_probs = _log_softmax(logits)
-    losses = -log_probs[_at_labels(y)]
+    losses = -log_probs.reshape(-1, log_probs.shape[-1])[_at_labels(y)].reshape(y.shape)
     accuracy = (np.argmax(logits, axis=-1) == y).sum(axis=-1) / y.shape[-1]
     grad_norms = None
     if want_grad_norms:
@@ -327,7 +331,8 @@ def gradient(params: ModelParams, data) -> np.ndarray:
     values, x, y, stacked = _stacked(params, data)
     layers = _layers(dims, values)
     logits, acts = _forward(layers, x)
-    delta = _output_delta(_log_softmax(logits), y) / x.shape[1]
+    delta = _output_delta(_log_softmax(logits), y)
+    delta /= x.shape[1]
     parts = []
     for a, d in _backward(layers, acts, delta):
         gw = a.transpose(0, 2, 1) @ d
@@ -336,27 +341,20 @@ def gradient(params: ModelParams, data) -> np.ndarray:
     return grad if stacked else grad[0]
 
 
-def _batches(data, cfg: TrainConfig) -> list[tuple[np.ndarray, np.ndarray]]:
-    """One shard's seeded mini-batch schedule over all epochs."""
-    rng = np.random.default_rng(cfg.rng_seed)
-    n = data.num_samples
-    batch = min(cfg.batch_size, n)
-    out = []
-    for _ in range(cfg.epochs):
-        perm = rng.permutation(n)
-        x, y = data.features[perm], data.labels[perm]
-        out.extend((x[s : s + batch], y[s : s + batch]) for s in range(0, n, batch))
-    return out
-
-
 def sgd_epochs(params: ModelParams, data, cfg: TrainConfig) -> ModelParams:
     """Run ``cfg.epochs`` epochs of seeded mini-batch SGD; returns new params.
 
     ``data`` and ``cfg`` may instead be equal-length sequences, one shard and
-    config per model (a cohort).  Every model then starts from ``params``,
-    keeps its own batch schedule, and at each step the models whose batches
-    have the same size take one stacked gradient step; the result is the
-    ``(g, P)`` stack of trained parameters.
+    config per model (a cohort); the result is then the ``(g, P)`` stack of
+    trained parameters, every model starting from ``params``.
+
+    Each shard's schedule is drawn as when trained alone (one
+    ``permutation(n)`` per epoch from ``default_rng(rng_seed)``) and gathered
+    once: row ``i`` of a ``(g, L, f)`` block holds shard ``i``'s epochs back
+    to back in that order (a shorter row's padding is never read).  Step
+    ``j`` of a model reads samples ``start:start + size`` of its row, and at
+    each step the models with the same ``(start, size)`` take one stacked
+    gradient step on a slice of the block.
     """
     if isinstance(cfg, TrainConfig):
         trained = sgd_epochs(params, [data], [cfg])
@@ -364,25 +362,36 @@ def sgd_epochs(params: ModelParams, data, cfg: TrainConfig) -> ModelParams:
     if len(data) != len(cfg):
         raise ValueError(f"{len(data)} shards but {len(cfg)} train configs")
     _check_data(params, *data)
-    schedules = [_batches(shard, c) for shard, c in zip(data, cfg)]
+    lengths = [c.epochs * shard.num_samples for shard, c in zip(data, cfg)]
+    x = np.empty((len(data), max(lengths), data[0].num_features))
+    y = np.empty(x.shape[:2], dtype=np.int64)
+    steps = []
+    for i, (shard, c) in enumerate(zip(data, cfg)):
+        rng = np.random.default_rng(c.rng_seed)
+        n = shard.num_samples
+        batch = min(c.batch_size, n)
+        schedule = []
+        for start in range(0, lengths[i], n):
+            order = rng.permutation(n)
+            x[i, start : start + n] = shard.features[order]
+            y[i, start : start + n] = shard.labels[order]
+            schedule += [(start + s, min(batch, n - s)) for s in range(0, n, batch)]
+        steps.append(schedule)
     rates = np.array([c.learning_rate for c in cfg])
     num_classes = max(shard.num_classes for shard in data)
-    values = np.tile(params.values, (len(data), 1))
-    for step in range(max(len(s) for s in schedules)):
-        by_size = defaultdict(list)
-        for i, schedule in enumerate(schedules):
+    values = np.repeat(params.values[None], len(data), axis=0)
+    for step in range(max(len(s) for s in steps)):
+        groups = defaultdict(list)
+        for i, schedule in enumerate(steps):
             if step < len(schedule):
-                by_size[len(schedule[step][1])].append(i)
-        for rows in by_size.values():
-            batch = SampleStack(
-                _stack([schedules[i][step][0] for i in rows]),
-                _stack([schedules[i][step][1] for i in rows]),
-                num_classes,
-            )
+                groups[schedule[step]].append(i)
+        for (start, size), rows in groups.items():
             if rows[-1] - rows[0] == len(rows) - 1:
-                rows = slice(rows[0], rows[-1] + 1)  # a view, not a copy
+                rows = slice(rows[0], rows[-1] + 1)  # views, not copies
+            window = slice(start, start + size)
+            batch = SampleStack(x[rows, window], y[rows, window], num_classes)
             grad = gradient(ModelParams(values[rows], params.shape_tag), batch)
-            values[rows] = values[rows] - rates[rows, None] * grad
+            values[rows] -= rates[rows, None] * grad
     return ModelParams(values, params.shape_tag)
 
 

@@ -328,7 +328,15 @@ def test_diverged_run_fails_without_a_run_log(tmp_path, capsys):
 
 def test_run_rejects_unknown_config_key(tmp_path, capsys):
     config = tmp_path / "run.conf"
-    for key, value in [("bogus", "1"), ("out", "elsewhere"), ("checkpoint_every", "2")]:
+    for key, value in [
+        ("bogus", "1"),
+        ("out", "elsewhere"),
+        ("checkpoint_every", "2"),
+        # Battery lists belong to battery specs only.
+        ("strategies", "random"),
+        ("datasets", "s5-equal"),
+        ("seeds", "5"),
+    ]:
         config.write_text(f"{key}={value}\n")
         assert run_cli("run", "--config", str(config)) == 1
         assert f"unknown config key {key!r}" in capsys.readouterr().err

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedclf.dataset import LabeledDataset, make_synthetic
 from fedclf.model import (
@@ -192,6 +194,23 @@ def test_stacked_kernel_rows_equal_single_model_calls(tag_maker):
         assert np.array_equal(shared.per_sample_losses[i], first.per_sample_losses)
 
 
+@pytest.mark.parametrize("tag_maker", [lambda: softmax_tag(4, 3), lambda: mlp_tag(4, 5, 3)])
+@pytest.mark.parametrize("bad_label", [3, 4])
+def test_label_outside_model_classes_raises(tag_maker, bad_label):
+    # The bad label sits on the first sample, so a lookup that ran past the
+    # class axis would read the next sample's entries instead of raising.
+    tag = tag_maker()
+    shards = [small_data(n=6, seed=s) for s in range(2)]
+    labels = np.stack([s.labels for s in shards])
+    labels[0, 0] = bad_label
+    stack = SampleStack(np.stack([s.features for s in shards]), labels, 3)
+    params = init_params(tag, seed=4)
+    with pytest.raises(IndexError):
+        gradient(params, stack)
+    with pytest.raises(IndexError):
+        evaluate(params, stack)
+
+
 def test_cohort_sgd_rows_equal_single_model_training():
     tag = mlp_tag(4, 3, 3)
     params = init_params(tag, seed=3)
@@ -204,6 +223,52 @@ def test_cohort_sgd_rows_equal_single_model_training():
 
 
 # ------------------------------------------------------------- sgd_epochs
+
+
+def reference_sgd(params: ModelParams, shard: LabeledDataset, cfg: TrainConfig) -> np.ndarray:
+    """Plain per-client mini-batch SGD, written without ``sgd_epochs``: a
+    seeded permutation per epoch, then one gradient step per batch."""
+    rng = np.random.default_rng(cfg.rng_seed)
+    values = params.values
+    n = shard.num_samples
+    b = min(cfg.batch_size, n)
+    for _ in range(cfg.epochs):
+        perm = rng.permutation(n)
+        for s in range(0, n, b):
+            batch = LabeledDataset(
+                shard.features[perm][s : s + b], shard.labels[perm][s : s + b], shard.num_classes
+            )
+            values = values - cfg.learning_rate * gradient(
+                ModelParams(values, params.shape_tag), batch
+            )
+    return values
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    clients=st.lists(
+        st.tuples(
+            st.integers(min_value=1, max_value=40),  # n_k
+            st.integers(min_value=1, max_value=48),  # batch_size, often >= n_k
+            st.integers(min_value=1, max_value=3),  # epochs
+            st.sampled_from([0.0, 0.05, 0.3, 1.0]),  # learning rate
+        ),
+        min_size=1,
+        max_size=7,
+    ),
+    mlp=st.booleans(),
+)
+def test_cohort_sgd_equals_plain_per_client_loop(clients, mlp):
+    tag = mlp_tag(4, 5, 3) if mlp else softmax_tag(4, 3)
+    params = init_params(tag, seed=21)
+    shards = [small_data(n=n, seed=200 + i) for i, (n, _, _, _) in enumerate(clients)]
+    cfgs = [
+        TrainConfig(epochs=e, learning_rate=lr, batch_size=b, rng_seed=70 + i)
+        for i, (_, b, e, lr) in enumerate(clients)
+    ]
+    trained = sgd_epochs(params, shards, cfgs)
+    for row, shard, cfg in zip(trained.values, shards, cfgs):
+        assert row.tobytes() == reference_sgd(params, shard, cfg).tobytes()
 
 
 def test_sgd_zero_learning_rate_is_identity():
