@@ -89,9 +89,7 @@ def measure_utilities(
     loss = np.empty(len(clients))
     grad_norm = np.empty(len(clients)) if want_grad_norm else None
     for rows, stack in _by_size(clients):
-        report = evaluate(
-            params, stack, want_per_sample=True, want_grad_norms=want_grad_norm
-        )
+        report = evaluate(params, stack, want_grad_norms=want_grad_norm)
         loss[rows] = rms_utility(report.per_sample_losses)
         if want_grad_norm:
             grad_norm[rows] = rms_utility(report.per_sample_grad_norms)

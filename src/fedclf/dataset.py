@@ -193,14 +193,11 @@ def mean_partition_emd(
     )
 
 
-def _shard_sequence(
-    dataset: LabeledDataset, spec: PartitionSpec, rng
-) -> tuple[np.ndarray, list[np.ndarray]]:
+def _shard_sequence(dataset: LabeledDataset, spec: PartitionSpec, rng) -> list[np.ndarray]:
     """Label-sort, cut into shards of ``shard_size``, shuffle shard order.
 
-    Returns the flat index sequence of the shuffled shards and the shuffled
-    shards themselves (index arrays); a trailing short shard (when shard_size
-    does not divide the total) is shuffled like any other.
+    Returns the shuffled shards (index arrays); a trailing short shard (when
+    shard_size does not divide the total) is shuffled like any other.
     """
     order = np.argsort(dataset.labels, kind="stable")
     total = dataset.num_samples
@@ -214,20 +211,7 @@ def _shard_sequence(
         order[i * spec.shard_size : (i + 1) * spec.shard_size]
         for i in range(num_shards)
     ]
-    perm = rng.permutation(num_shards)
-    return np.concatenate([shards[i] for i in perm]), [shards[i] for i in perm]
-
-
-def _equal_counts_deal(shuffled_shards: list[np.ndarray], k: int) -> list[list[int]]:
-    """Deal whole shards round-robin, then leftover samples round-robin."""
-    assignments: list[list[int]] = [[] for _ in range(k)]
-    whole = (len(shuffled_shards) // k) * k
-    for j in range(whole):
-        assignments[j % k].extend(shuffled_shards[j].tolist())
-    leftover = [idx for shard in shuffled_shards[whole:] for idx in shard.tolist()]
-    for j, idx in enumerate(leftover):
-        assignments[j % k].append(idx)
-    return assignments
+    return [shards[i] for i in rng.permutation(num_shards)]
 
 
 def _nonequal_counts(total: int, spec: PartitionSpec, rng) -> np.ndarray:
@@ -279,17 +263,20 @@ def partition(dataset: LabeledDataset, spec: PartitionSpec) -> list[ClientDatase
             f"K={spec.num_clients} clients"
         )
     rng = np.random.default_rng(spec.seed)
-    flat, shuffled_shards = _shard_sequence(dataset, spec, rng)
+    shards = _shard_sequence(dataset, spec, rng)
+    k = spec.num_clients
 
     if spec.split_mode is SplitMode.EQUAL:
-        assignments = _equal_counts_deal(shuffled_shards, spec.num_clients)
-        index_lists = [np.asarray(a, dtype=np.int64) for a in assignments]
+        # Client j: every k-th whole shard from j, then every k-th sample
+        # from j of the leftover shards.
+        whole = len(shards) // k * k
+        rest = np.concatenate([*shards[whole:], np.empty(0, dtype=np.int64)])
+        index_lists = [np.concatenate(shards[j:whole:k] + [rest[j::k]]) for j in range(k)]
     else:
+        flat = np.concatenate(shards)
         counts = _nonequal_counts(dataset.num_samples, spec, rng)
         bounds = np.concatenate([[0], np.cumsum(counts)])
-        index_lists = [
-            flat[bounds[i] : bounds[i + 1]] for i in range(spec.num_clients)
-        ]
+        index_lists = [flat[bounds[i] : bounds[i + 1]] for i in range(k)]
 
     return [
         ClientDataset(client_id=i, data=dataset.subset(idx))

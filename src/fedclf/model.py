@@ -125,12 +125,17 @@ class SampleStack:
     """``g`` same-size sample blocks, one per stacked model.
 
     ``features`` is ``(g, b, f)`` and ``labels`` is ``(g, b)``;
-    ``num_samples`` counts all ``g * b`` samples.
+    ``num_samples`` counts all ``g * b`` samples.  A negative label raises
+    ``ValueError`` (the label lookup would read it from the end of the row).
     """
 
     features: np.ndarray
     labels: np.ndarray
     num_classes: int
+
+    def __post_init__(self):
+        if self.labels.size and self.labels.min() < 0:
+            raise ValueError(f"negative label {self.labels.min()} in a sample stack")
 
     @classmethod
     def of(cls, shards: Sequence) -> "SampleStack":
@@ -179,7 +184,7 @@ class EvalReport:
 
     mean_loss: float | np.ndarray
     accuracy: float | np.ndarray
-    per_sample_losses: np.ndarray | None = None
+    per_sample_losses: np.ndarray
     per_sample_grad_norms: np.ndarray | None = None
 
 
@@ -219,12 +224,17 @@ def _check_data(params: ModelParams, *datasets) -> tuple[int, ...]:
 
 def _stacked(params: ModelParams, data):
     """``(V (g, P), X (g, b, f), Y (g, b), stacked)``; unstacked inputs gain a
-    leading axis of one, and ``stacked`` says whether either had one."""
+    leading axis of one, and ``stacked`` says whether either had one.  A stack
+    of several models needs stacked data, one block per model."""
     values, x, y = params.values, data.features, data.labels
     stacked = values.ndim == 2 or x.ndim == 3
     if values.ndim == 1:
         values = values[None]
     if x.ndim == 2:
+        if len(values) > 1:
+            raise ValueError(
+                f"{values.shape} parameter stack over unstacked {x.shape} data"
+            )
         x, y = x[None], y[None]
     return values, x, y, stacked
 
@@ -277,17 +287,11 @@ def _backward(layers, acts, delta):
             delta = (delta @ layers[i][0].transpose(0, 2, 1)) * (1.0 - acts[i] ** 2)
 
 
-def evaluate(
-    params: ModelParams,
-    data,
-    want_per_sample: bool = False,
-    want_grad_norms: bool = False,
-) -> EvalReport:
-    """Cross-entropy loss and argmax accuracy on ``data``.
+def evaluate(params: ModelParams, data, want_grad_norms: bool = False) -> EvalReport:
+    """Cross-entropy loss, per-sample losses and argmax accuracy on ``data``.
 
-    Per-sample losses and per-sample gradient L2 norms (over the full
-    parameter vector) are returned only when requested; gradient norms cost
-    an extra backward pass.
+    Per-sample gradient L2 norms (over the full parameter vector) are
+    returned only when requested; they cost an extra backward pass.
     """
     dims = _check_data(params, data)
     values, x, y, stacked = _stacked(params, data)
@@ -311,7 +315,7 @@ def evaluate(
         # Bitwise np.mean, without its Python wrapper.
         mean_loss=losses.sum(axis=-1) / losses.shape[-1],
         accuracy=accuracy,
-        per_sample_losses=losses if want_per_sample else None,
+        per_sample_losses=losses,
         per_sample_grad_norms=grad_norms,
     )
     if stacked:
@@ -319,7 +323,7 @@ def evaluate(
     return EvalReport(
         mean_loss=float(report.mean_loss[0]),
         accuracy=float(report.accuracy[0]),
-        per_sample_losses=losses[0] if want_per_sample else None,
+        per_sample_losses=losses[0],
         per_sample_grad_norms=None if grad_norms is None else grad_norms[0],
     )
 

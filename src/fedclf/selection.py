@@ -3,7 +3,8 @@
 The first ``ceil(K / k)`` selections draw disjoint client sets so every client
 trains once and acquires a loss measurement ("unique sampling").  After that,
 clients are ranked by a per-strategy utility and the top ``k`` are chosen,
-ties broken toward the lower client id.
+ties broken toward the lower client id.  ``k`` and the warmup length are
+fixed when the selector is built.
 
 The calibrated-loss strategy keeps the raw loss utility for clients that
 trained in the most recent round and multiplies everyone else's stale utility
@@ -12,7 +13,9 @@ the last two rounds (default), or the accuracy ratio in the alternate mode.
 
 The selector state is one numpy column per client field, indexed by client id
 (clients are numbered ``0..K-1``); each strategy's utility is one expression
-over those columns.
+over those columns.  ``select`` is the only reader of the measured columns,
+and ``update_after_round`` their only writer: the server calls it once per
+measured cohort, just before a selection reads the columns (and at run end).
 """
 
 from __future__ import annotations
@@ -34,12 +37,10 @@ __all__ = [
     "SelectorState",
     "SelectionError",
     "make_selector",
-    "warmup_rounds",
     "selection_factor",
     "utilities",
     "select",
     "update_after_round",
-    "record_utilities",
 ]
 
 logger = logging.getLogger(__name__)
@@ -84,13 +85,16 @@ class GlobalTrend:
 class SelectorState:
     """Selector settings plus one column per client field, indexed by id.
 
-    NaN in a utility or anchor column means "not measured yet".
+    ``k`` clients are selected per round; the first ``warmup`` selections
+    (0 with warmup disabled) are warmup draws.  NaN in a utility or anchor
+    column means "not measured yet".
     """
 
     strategy: Strategy
     rng_seed: int
     factor_mode: FactorMode
-    warmup_enabled: bool
+    k: int
+    warmup: int
     compound_factors: bool
     n_k: np.ndarray
     loss_utility: np.ndarray
@@ -109,12 +113,15 @@ class SelectorState:
 def make_selector(
     strategy: Strategy,
     clients: list[ClientDataset],
+    k: int,
     rng_seed: int,
     factor_mode: FactorMode = FactorMode.LOSS_RATIO,
     warmup_enabled: bool = True,
     compound_factors: bool = False,
 ) -> SelectorState:
-    """Build selector state covering ``clients``, whose ids must be ``0..K-1``.
+    """Build a selector that picks ``k`` of ``clients``, whose ids must be
+    ``0..K-1``.  With warmup enabled, the first ``ceil(K / k)`` rounds are
+    warmup rounds.
 
     For the Oort-style baseline, per-client round durations are simulated
     once from a seeded lognormal; clients slower than the median duration
@@ -123,6 +130,8 @@ def make_selector(
     ids = [c.client_id for c in clients]
     if sorted(ids) != list(range(len(ids))):
         raise SelectionError(f"client ids must be 0..{len(ids) - 1}, got {sorted(ids)}")
+    if not 1 <= k <= len(ids):
+        raise ValueError(f"need 1 <= k <= K, got k={k}, K={len(ids)}")
     n_k = np.zeros(len(ids), dtype=np.int64)
     n_k[ids] = [c.n_k for c in clients]
     penalty = np.ones(len(ids))
@@ -141,7 +150,8 @@ def make_selector(
         strategy=strategy,
         rng_seed=rng_seed,
         factor_mode=factor_mode,
-        warmup_enabled=warmup_enabled,
+        k=k,
+        warmup=math.ceil(len(ids) / k) if warmup_enabled else 0,
         compound_factors=compound_factors,
         n_k=n_k,
         oort_penalty=penalty,
@@ -149,10 +159,6 @@ def make_selector(
         last_round_selected=np.zeros(len(ids), dtype=bool),
         **{name: np.full(len(ids), np.nan) for name in nan_columns},
     )
-
-
-def warmup_rounds(num_clients: int, k: int) -> int:
-    return math.ceil(num_clients / k)
 
 
 def _ratio(num, den):
@@ -190,7 +196,7 @@ def utilities(state: SelectorState, trend: GlobalTrend, round_index: int) -> np.
         return np.where(np.isnan(delta), state.n_k, delta * state.n_k)
     loss = state.loss_utility
     unmeasured = np.isnan(loss)
-    if state.warmup_enabled:
+    if state.warmup:
         _require(
             unmeasured,
             round_index,
@@ -227,7 +233,8 @@ def utilities(state: SelectorState, trend: GlobalTrend, round_index: int) -> np.
     return np.where(unmeasured, np.inf, utility)
 
 
-def _warmup_pick(state: SelectorState, round_index: int, k: int) -> np.ndarray:
+def _warmup_pick(state: SelectorState, round_index: int) -> np.ndarray:
+    k = state.k
     available = np.flatnonzero(~state.sampled_once)
     rng = np.random.default_rng(split_seed(state.rng_seed, "warmup", round_index))
     if available.size >= k:
@@ -240,36 +247,23 @@ def _warmup_pick(state: SelectorState, round_index: int, k: int) -> np.ndarray:
     return np.concatenate([available, pad])
 
 
-def select(
-    state: SelectorState,
-    round_index: int,
-    k: int,
-    num_clients: int,
-    trend: GlobalTrend,
-) -> set[int]:
-    """Choose ``k`` of ``num_clients`` clients for this round.
+def select(state: SelectorState, round_index: int, trend: GlobalTrend) -> set[int]:
+    """Choose ``state.k`` clients for round ``round_index``.
 
-    Warmup rounds draw seeded-uniformly from clients never sampled; later
-    rounds rank by ``utilities`` and keep the top ``k`` (utility descending,
-    then client id ascending).  The returned set is recorded as the most
-    recent cohort.
+    The first ``state.warmup`` rounds draw seeded-uniformly from clients
+    never sampled; later rounds rank by ``utilities`` and keep the top ``k``
+    (utility descending, then client id ascending).  The returned set is
+    recorded as the most recent cohort.
     """
-    if not 1 <= k <= num_clients:
-        raise ValueError(f"need 1 <= k <= K, got k={k}, K={num_clients}")
-    if state.n_k.size != num_clients:
-        raise SelectionError(
-            f"selector covers {state.n_k.size} clients, expected {num_clients}"
-        )
-
-    if state.warmup_enabled and round_index <= warmup_rounds(num_clients, k):
-        chosen = _warmup_pick(state, round_index, k)
+    if round_index <= state.warmup:
+        chosen = _warmup_pick(state, round_index)
     elif state.strategy is Strategy.RANDOM:
         rng = np.random.default_rng(
             split_seed(state.rng_seed, "random-select", round_index)
         )
-        chosen = rng.choice(num_clients, size=k, replace=False)
+        chosen = rng.choice(state.n_k.size, size=state.k, replace=False)
     else:
-        chosen = np.argsort(-utilities(state, trend, round_index), kind="stable")[:k]
+        chosen = np.argsort(-utilities(state, trend, round_index), kind="stable")[: state.k]
 
     state.sampled_once[chosen] = True
     state.last_round_selected[:] = False
@@ -281,16 +275,18 @@ def update_after_round(
     state: SelectorState,
     client_ids: list[int],
     weight_delta_norms: np.ndarray,
+    loss_utility: np.ndarray,
+    grad_norm_utility: np.ndarray | None = None,
     global_accuracy: float | None = None,
     global_loss: float | None = None,
 ) -> SelectorState:
-    """Fold the round's training reports into the selector columns.
+    """Store what the most recent cohort reported, once it is measured.
 
-    ``weight_delta_norms`` is aligned with ``client_ids``.
-    ``global_accuracy`` / ``global_loss`` are the test metrics of the model
-    the clients trained from; they anchor the compounding calibration mode.
-    Clients that did not train keep their (now stale) entries untouched.
-    Utilities are stored by ``record_utilities`` when they are measured.
+    The arrays are aligned with ``client_ids``: each client's weight-change
+    norm from its last training round and its utilities measured at the
+    model it received.  ``global_accuracy`` / ``global_loss`` are that
+    model's test metrics; they anchor the compounding calibration mode.
+    Clients outside the cohort keep their (now stale) entries untouched.
     """
     if not client_ids:
         raise SelectionError("update_after_round called with no clients")
@@ -298,19 +294,9 @@ def update_after_round(
         if not (0 <= cid < state.n_k.size and state.last_round_selected[cid]):
             raise SelectionError(f"result for client {cid}, which was not selected")
     state.weight_delta_norm[client_ids] = weight_delta_norms
-    state.loss_anchor[client_ids] = math.nan if global_loss is None else global_loss
-    state.acc_anchor[client_ids] = math.nan if global_accuracy is None else global_accuracy
-    return state
-
-
-def record_utilities(
-    state: SelectorState,
-    client_ids: list[int],
-    loss_utility: np.ndarray,
-    grad_norm_utility: np.ndarray | None = None,
-) -> SelectorState:
-    """Store the utilities measured for ``client_ids`` (aligned arrays)."""
     state.loss_utility[client_ids] = loss_utility
     if grad_norm_utility is not None:
         state.grad_norm_utility[client_ids] = grad_norm_utility
+    state.loss_anchor[client_ids] = math.nan if global_loss is None else global_loss
+    state.acc_anchor[client_ids] = math.nan if global_accuracy is None else global_accuracy
     return state

@@ -7,11 +7,13 @@ the new global model on the held-out test set, and (6) appends a round
 record including the moving-average accuracy.  The round records are the
 run's whole log: ``run.csv`` and ``selection.csv`` are rendered from them.
 
-Client utilities are measured at the model each client received, but only
-when something reads them: the server keeps the last trained cohort with its
-received model and measures it when the gate opens (before ``select``) and
-once at the end of ``run``.  A round that reuses the cohort only replaces the
-pending cohort, whose utilities no selection would have read.
+The selector is touched only when it selects.  The server keeps the last
+trained cohort pending, with the model it received and its weight-change
+norms.  When the gate opens (before ``select``) and once at the end of
+``run``, it measures the cohort's utilities at the received model and writes
+them, the norms and the received model's test metrics to the selector in one
+``update_after_round`` call.  A round that reuses the cohort only replaces
+the pending cohort, whose values no selection would have read.
 
 The gate resamples only when test accuracy strictly declined between the last
 two rounds; rounds 1 and 2 and every warmup round always select.  Disabling
@@ -63,11 +65,9 @@ from .selection import (
     SelectorState,
     Strategy,
     make_selector,
-    record_utilities,
     select,
     selection_factor,
     update_after_round,
-    warmup_rounds,
 )
 
 __all__ = [
@@ -310,15 +310,16 @@ class Experiment:
         self.selector: SelectorState = make_selector(
             cfg.strategy,
             clients,
+            cfg.select_k,
             split_seed(cfg.seed, "selection"),
             factor_mode=cfg.factor_mode,
             warmup_enabled=cfg.warmup_enabled,
             compound_factors=cfg.compound_factors,
         )
         self.history: list[RoundRecord] = []
-        # The last trained cohort, not yet measured: (round, ids, received model).
-        self.pending: tuple[int, list[int], ModelParams] | None = None
-        self.warmup = warmup_rounds(cfg.num_clients, cfg.select_k) if cfg.warmup_enabled else 0
+        # The last trained cohort, not yet measured: (round, ids, received
+        # model, weight-change norms).
+        self.pending: tuple[int, list[int], ModelParams, np.ndarray] | None = None
         # Test (accuracy, loss) of the initial model: round 1's anchors.  Only
         # compound mode reads anchors, so only it evaluates the initial model.
         self.initial_metrics: tuple[float | None, float | None] = (None, None)
@@ -345,10 +346,11 @@ class Experiment:
 
     def measure_pending(self) -> None:
         """Measure the pending cohort at the model it received and store its
-        utilities in the selector; errors name the round it trained in."""
+        utilities, weight-change norms and anchors (the received model's test
+        metrics) in the selector; errors name the round it trained in."""
         if self.pending is None:
             return
-        round_index, ids, received = self.pending
+        round_index, ids, received, deltas = self.pending
         self.pending = None
         try:
             utilities = measure_utilities(
@@ -358,33 +360,32 @@ class Experiment:
             )
         except NonFiniteUpdateError as exc:
             raise NonFiniteUpdateError(exc.client_ids, round_index) from None
-        record_utilities(self.selector, ids, *utilities)
+        if round_index == 1:
+            anchor = self.initial_metrics
+        else:
+            received_from = self.history[round_index - 2]
+            anchor = received_from.test_accuracy, received_from.test_loss
+        update_after_round(self.selector, ids, deltas, *utilities, *anchor)
 
     def run_round(self, round_index: int) -> RoundRecord:
         started = time.perf_counter()
         cfg = self.cfg
-        trend = _trend(self.history)
         gate = feedback_gate(
-            self.history, round_index, enabled=cfg.feedback_enabled, warmup=self.warmup
+            self.history,
+            round_index,
+            enabled=cfg.feedback_enabled,
+            warmup=self.selector.warmup,
         )
         if gate:
             self.measure_pending()
-            selected = select(
-                self.selector, round_index, cfg.select_k, cfg.num_clients, trend
-            )
+            selected = select(self.selector, round_index, _trend(self.history))
         else:
             selected = self.history[-1].selected_ids
 
         ids = sorted(selected)
         trained, deltas = self._dispatch(ids, round_index)
-        self.pending = (round_index, ids, self.params)
-        # Metrics of the model that was dispatched; anchors stale-loss records.
-        if self.history:
-            anchor = self.history[-1].test_accuracy, self.history[-1].test_loss
-        else:
-            anchor = self.initial_metrics
+        self.pending = (round_index, ids, self.params, deltas)
         self.params = aggregate(trained, [self.clients[cid].n_k for cid in ids])
-        update_after_round(self.selector, ids, deltas, *anchor)
         report = evaluate(self.params, self.test_data)
         acc_history = [r.test_accuracy for r in self.history] + [report.accuracy]
         record = RoundRecord(

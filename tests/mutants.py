@@ -1,0 +1,245 @@
+"""Mutation checks: each mutant must be killed by the tests named for it.
+
+Usage (from the repository root)::
+
+    python tests/mutants.py            # run every mutant
+    python tests/mutants.py --list     # print the table
+    python tests/mutants.py warmup-floor den-at-zero   # run only these
+
+Each entry of ``MUTANTS`` names a source file, an exact text that must occur
+in it once, the text that replaces it, and the test ids that must fail on
+the mutated copy.  The runner copies ``src/`` and ``tests/`` into a temporary
+directory, first checks that every named test passes unmutated, then applies
+each mutant to a fresh copy and runs only its tests there.  It exits nonzero
+when a mutant's old text no longer matches exactly once, when a named test
+fails unmutated, or when a mutant survives (its tests pass, or pytest stops
+for another reason than failing tests, such as a collection error).  A
+refactor that moves mutated code must carry its entries forward.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+ORACLE = "tests/test_server.py::test_deferred_measurement_matches_eager_oracle"
+
+MUTANTS = (
+    Mutant(
+        "measure-at-aggregated-model",
+        "src/fedclf/server.py",
+        "                received,\n",
+        "                self.params,\n",
+        (f"{ORACLE}[fedclf-feedback]",),
+    ),
+    Mutant(
+        "no-run-end-measurement",
+        "src/fedclf/server.py",
+        "            self.run_round(round_index)\n        self.measure_pending()\n",
+        "            self.run_round(round_index)\n",
+        (
+            f"{ORACLE}[fedclf-feedback]",
+            "tests/test_server.py::test_non_finite_utility_names_training_round_and_clients[run-end]",
+        ),
+    ),
+    Mutant(
+        "no-measurement-when-gate-opens",
+        "src/fedclf/server.py",
+        "        if gate:\n            self.measure_pending()\n",
+        "        if gate:\n",
+        (f"{ORACLE}[fedclf-feedback]",),
+    ),
+    Mutant(
+        "reuse-keeps-older-pending-cohort",
+        "src/fedclf/server.py",
+        "self.pending = (round_index, ids, self.params, deltas)",
+        "self.pending = self.pending or (round_index, ids, self.params, deltas)",
+        (f"{ORACLE}[fedclf-feedback]",),
+    ),
+    Mutant(
+        "anchor-one-round-late",
+        "src/fedclf/server.py",
+        "self.history[round_index - 2]",
+        "self.history[round_index - 1]",
+        (f"{ORACLE}[fedclf-compound]",),
+    ),
+    Mutant(
+        "warmup-floor",
+        "src/fedclf/selection.py",
+        "math.ceil(len(ids) / k)",
+        "len(ids) // k",
+        ("tests/test_selection.py::test_warmup_rounds_ceil",),
+    ),
+    Mutant(
+        "unstable-ranking-sort",
+        "src/fedclf/selection.py",
+        'kind="stable"',
+        'kind="quicksort"',
+        ("tests/test_selection.py::test_ties_among_many_clients_break_toward_lower_id",),
+    ),
+    Mutant(
+        "calibrate-last-round-clients",
+        "src/fedclf/selection.py",
+        "np.where(stale & ~undefined, loss * factor, loss)",
+        "np.where(~undefined, loss * factor, loss)",
+        ("tests/test_selection.py::test_fedclf_last_round_clients_not_calibrated",),
+    ),
+    Mutant(
+        "den-at-zero",
+        "src/fedclf/selection.py",
+        "(den > 0.0)",
+        "(den >= 0.0)",
+        ("tests/test_selection.py::test_calibrate_guard_returns_raw_and_warns",),
+    ),
+    Mutant(
+        "compound-ignores-anchors",
+        "src/fedclf/selection.py",
+        "factor = _ratio(trend.loss_prev, state.loss_anchor)",
+        "factor = _ratio(trend.loss_prev, trend.loss_prev2)",
+        ("tests/test_selection.py::test_compound_mode_uses_loss_at_last_training",),
+    ),
+    Mutant(
+        "loss-anchor-in-acc-mode",
+        "src/fedclf/selection.py",
+        "factor = _ratio(trend.acc_prev, state.acc_anchor)",
+        "factor = _ratio(trend.acc_prev, state.loss_anchor)",
+        ("tests/test_selection.py::test_compound_acc_mode_uses_accuracy_at_last_training",),
+    ),
+    Mutant(
+        "unmeasured-ranked-at-zero",
+        "src/fedclf/selection.py",
+        "np.where(unmeasured, np.inf, utility)",
+        "np.where(unmeasured, 0.0, utility)",
+        ("tests/test_selection.py::test_untrained_clients_forced_when_warmup_disabled",),
+    ),
+    Mutant(
+        "one-learning-rate-per-cohort",
+        "src/fedclf/model.py",
+        "values[rows] -= rates[rows, None] * grad",
+        "values[rows] -= rates[0] * grad",
+        ("tests/test_model.py::test_cohort_sgd_equals_plain_per_client_loop",),
+    ),
+    Mutant(
+        "model-stack-over-unstacked-data",
+        "src/fedclf/model.py",
+        "        if len(values) > 1:\n",
+        "        if False:\n",
+        ("tests/test_model.py::test_parameter_stack_over_unstacked_data_raises",),
+    ),
+    Mutant(
+        "negative-label-accepted",
+        "src/fedclf/model.py",
+        "self.labels.min() < 0:",
+        "self.labels.min() < -1:",
+        ("tests/test_model.py::test_negative_label_in_a_sample_stack_raises",),
+    ),
+    Mutant(
+        "leftover-dealt-backwards",
+        "src/fedclf/dataset.py",
+        "[rest[j::k]]",
+        "[rest[::-1][j::k]]",
+        ("tests/test_dataset.py::test_partition_equal_deal_matches_round_robin_reference",),
+    ),
+)
+
+
+def _copy(dest: Path) -> None:
+    for part in ("src", "tests"):
+        shutil.copytree(
+            ROOT / part, dest / part, ignore=shutil.ignore_patterns("__pycache__")
+        )
+
+
+def _pytest(copy: Path, tests: tuple[str, ...]) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+        cwd=copy,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+
+
+def _mutate(copy: Path, mutant: Mutant) -> str | None:
+    """Apply ``mutant`` to the copy; an error message if its old text does
+    not occur exactly once."""
+    path = copy / mutant.path
+    text = path.read_text()
+    count = text.count(mutant.old)
+    if count != 1:
+        return f"old text found {count} times in {mutant.path}: {mutant.old!r}"
+    path.write_text(text.replace(mutant.old, mutant.new))
+    return None
+
+
+def run(mutants: tuple[Mutant, ...]) -> int:
+    failures = 0
+    with tempfile.TemporaryDirectory(prefix="fedclf-mutants-") as tmp:
+        clean = Path(tmp) / "clean"
+        _copy(clean)
+        imported = subprocess.run(
+            [sys.executable, "-c", "import fedclf; print(fedclf.__file__)"],
+            env={**os.environ, "PYTHONPATH": str(clean / "src")},
+            capture_output=True,
+            text=True,
+        ).stdout.strip()
+        if not imported.startswith(str(clean)):
+            print(f"FAIL: the copy imports fedclf from {imported or 'nowhere'}")
+            return 1
+        named = tuple(dict.fromkeys(t for m in mutants for t in m.tests))
+        result = _pytest(clean, named)
+        if result.returncode != 0:
+            print(result.stdout[-3000:])
+            print("FAIL: the named tests do not pass unmutated")
+            return 1
+        for mutant in mutants:
+            copy = Path(tmp) / mutant.name
+            _copy(copy)
+            error = _mutate(copy, mutant)
+            if error is None:
+                result = _pytest(copy, mutant.tests)
+                # pytest exits 1 when tests ran and some failed; any other
+                # code (collection error, no tests collected) is no kill.
+                if result.returncode != 1:
+                    error = f"not killed (pytest exit {result.returncode})"
+            shutil.rmtree(copy)
+            if error:
+                failures += 1
+                print(f"FAIL   {mutant.name}: {error}")
+            else:
+                print(f"killed {mutant.name}")
+    print(f"{len(mutants) - failures}/{len(mutants)} mutants killed")
+    return int(failures > 0)
+
+
+def main(argv: list[str]) -> int:
+    if argv == ["--list"]:
+        for m in MUTANTS:
+            print(f"{m.name}: {m.path}: {m.old.strip()!r} -> {m.new.strip()!r}")
+        return 0
+    unknown = set(argv) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutant(s): {', '.join(sorted(unknown))}")
+        return 2
+    return run(tuple(m for m in MUTANTS if not argv or m.name in argv))
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -44,7 +44,6 @@ from fedclf.selection import (
     make_selector,
     select,
     utilities,
-    warmup_rounds,
 )
 from fedclf.server import (
     ExperimentConfig,
@@ -168,7 +167,7 @@ def test_criterion_3_loss_utility_and_calibration():
         client = ClientDataset(0, make_synthetic(n, 4, 3, seed=trial))
         params = init_params(softmax_tag(4, 3), seed=trial)
         [utility], _ = measure_utilities([client], params)
-        losses = evaluate(params, client.data, want_per_sample=True).per_sample_losses
+        losses = evaluate(params, client.data).per_sample_losses
         expected = n * math.sqrt(sum(v * v for v in losses) / n)
         worst = max(worst, abs(float(utility) - expected))
     rms_ok = worst <= 1e-9
@@ -179,7 +178,7 @@ def test_criterion_3_loss_utility_and_calibration():
     clients = [ClientDataset(i, make_synthetic(2, 2, 2, seed=i)) for i in range(4)]
     identity_ok = True
     for mode in FactorMode:
-        state = make_selector(Strategy.FEDCLF, clients, rng_seed=0, factor_mode=mode)
+        state = make_selector(Strategy.FEDCLF, clients, 1, rng_seed=0, factor_mode=mode)
         state.loss_utility[:] = [*stale, 1.0]
         state.last_round_selected[3] = True
         identity_ok &= utilities(state, unit, 40)[:3].tolist() == stale
@@ -194,11 +193,11 @@ def test_criterion_3_loss_utility_and_calibration():
         last = {int(c) for c in rng.choice(size, size=k, replace=False)}
         pair = []
         for strategy in (Strategy.FEDCLF, Strategy.RAW_LOSS):
-            state = make_selector(strategy, clients, rng_seed=trial)
+            state = make_selector(strategy, clients, k, rng_seed=trial)
             state.loss_utility[:] = values
             state.sampled_once[:] = True
             state.last_round_selected[list(last)] = True
-            pair.append(select(state, 40, k, size, unit))
+            pair.append(select(state, 40, unit))
         set_matches += pair[0] == pair[1]
     selection_ok = set_matches == 100
 
@@ -219,10 +218,8 @@ def test_criterion_4_unique_sampling_coverage():
     failures = 0
     for seed in range(20):
         clients = [ClientDataset(i, make_synthetic(2, 2, 2, seed=i)) for i in range(50)]
-        state = make_selector(Strategy.FEDCLF, clients, rng_seed=seed)
-        rounds = [
-            select(state, r, 5, 50, GlobalTrend.empty()) for r in range(1, 11)
-        ]
+        state = make_selector(Strategy.FEDCLF, clients, 5, rng_seed=seed)
+        rounds = [select(state, r, GlobalTrend.empty()) for r in range(1, 11)]
         disjoint = all(
             not (rounds[i] & rounds[j])
             for i in range(10)
@@ -324,7 +321,7 @@ def test_criterion_8_gate_soundness_audit(directional_runs):
     violations = 0
     audited = 0
     for (name, _seed), (cfg, history) in directional_runs.items():
-        warmup = warmup_rounds(cfg.num_clients, cfg.select_k)
+        warmup = math.ceil(cfg.num_clients / cfg.select_k)
         for record in history:
             r = record.round_index
             if not record.selection_ran:

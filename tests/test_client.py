@@ -52,7 +52,7 @@ def test_single_sample_utility_equals_its_loss():
     client = ClientDataset(0, data)
     params = init_params(softmax_tag(2, 3), seed=2)
     utility, _ = measure_one(client, params)
-    loss = evaluate(params, data, want_per_sample=True).per_sample_losses[0]
+    loss = evaluate(params, data).per_sample_losses[0]
     assert utility == pytest.approx(float(loss), abs=1e-12)
 
 
@@ -63,7 +63,7 @@ def test_identical_per_sample_losses_collapse_to_count_times_loss():
     client = ClientDataset(0, data)
     params = init_params(softmax_tag(2, 2), seed=3)
     utility, _ = measure_one(client, params)
-    loss = evaluate(params, data, want_per_sample=True).per_sample_losses[0]
+    loss = evaluate(params, data).per_sample_losses[0]
     assert utility == pytest.approx(4.0 * float(loss), abs=1e-9)
 
 
@@ -71,7 +71,7 @@ def test_loss_utility_matches_independent_recomputation():
     client = make_client(n=33, seed=7)
     params = init_params(softmax_tag(4, 3), seed=4)
     utility, _ = measure_one(client, params)
-    report = evaluate(params, client.data, want_per_sample=True)
+    report = evaluate(params, client.data)
     losses = report.per_sample_losses
     expected = len(losses) * (sum(v * v for v in losses) / len(losses)) ** 0.5
     assert utility == pytest.approx(expected, abs=1e-9)

@@ -214,6 +214,37 @@ def test_partition_equal_spread_bounded_by_shard_size():
     assert max(sizes) - min(sizes) <= shard_size
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    num_samples=st.integers(min_value=30, max_value=400),
+    shard_size=st.integers(min_value=1, max_value=30),
+    num_clients=st.integers(min_value=1, max_value=12),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_partition_equal_deal_matches_round_robin_reference(
+    num_samples, shard_size, num_clients, seed
+):
+    # Plain reference: label-sort, cut, shuffle the shards with the spec's
+    # seed, deal whole shards round-robin, then leftover samples one by one.
+    ds = make_synthetic(num_samples, 2, 5, seed=seed % 1000)
+    spec = equal_spec(shard_size=shard_size, num_clients=num_clients, seed=seed)
+    order = np.argsort(ds.labels, kind="stable").tolist()
+    shards = [order[i : i + shard_size] for i in range(0, num_samples, shard_size)]
+    if len(shards) < num_clients:
+        return
+    shards = [shards[i] for i in np.random.default_rng(seed).permutation(len(shards))]
+    dealt = [[] for _ in range(num_clients)]
+    whole = len(shards) // num_clients * num_clients
+    for j, shard in enumerate(shards[:whole]):
+        dealt[j % num_clients] += shard
+    for j, idx in enumerate(sum(shards[whole:], [])):
+        dealt[j % num_clients].append(idx)
+    clients = partition(ds, spec)
+    for client, indices in zip(clients, dealt):
+        assert np.array_equal(client.data.labels, ds.labels[indices])
+        assert np.array_equal(client.data.features, ds.features[indices])
+
+
 def test_partition_too_few_shards_is_configuration_error():
     ds = make_synthetic(100, 2, 2, seed=0)
     with pytest.raises(ConfigurationError) as err:

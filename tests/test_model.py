@@ -87,7 +87,7 @@ def test_init_params_mlp_biases_zero():
 def test_evaluate_zero_params_gives_log_c_and_class0_accuracy():
     data = small_data(n=30, f=4, c=3, seed=5)
     params = ModelParams(np.zeros(param_count(softmax_tag(4, 3))), softmax_tag(4, 3))
-    report = evaluate(params, data, want_per_sample=True)
+    report = evaluate(params, data)
     assert report.per_sample_losses == pytest.approx(
         np.full(30, math.log(3)), abs=1e-12
     )
@@ -109,7 +109,7 @@ def test_evaluate_matches_scalar_recomputation():
     data = small_data(n=12, f=3, c=4, seed=8)
     tag = softmax_tag(3, 4)
     params = init_params(tag, seed=3)
-    report = evaluate(params, data, want_per_sample=True)
+    report = evaluate(params, data)
 
     w = params.values[: 3 * 4].reshape(3, 4)
     b = params.values[3 * 4 :]
@@ -129,7 +129,7 @@ def test_evaluate_matches_scalar_recomputation():
 def test_evaluate_mean_equals_mean_of_per_sample():
     data = small_data(n=25, f=4, c=3, seed=9)
     params = init_params(softmax_tag(4, 3), seed=4)
-    report = evaluate(params, data, want_per_sample=True)
+    report = evaluate(params, data)
     assert report.mean_loss == pytest.approx(
         float(report.per_sample_losses.mean()), abs=1e-12
     )
@@ -143,13 +143,13 @@ def test_evaluate_rejects_feature_mismatch():
         evaluate(params, data)
 
 
-def test_evaluate_per_sample_outputs_only_on_request():
+def test_evaluate_grad_norms_only_on_request():
     data = small_data()
     params = init_params(softmax_tag(4, 3), seed=0)
     report = evaluate(params, data)
-    assert report.per_sample_losses is None
+    assert report.per_sample_losses.shape == (10,)
     assert report.per_sample_grad_norms is None
-    report = evaluate(params, data, want_per_sample=True, want_grad_norms=True)
+    report = evaluate(params, data, want_grad_norms=True)
     assert report.per_sample_losses.shape == (10,)
     assert report.per_sample_grad_norms.shape == (10,)
 
@@ -178,19 +178,19 @@ def test_stacked_kernel_rows_equal_single_model_calls(tag_maker):
     values = np.stack([init_params(tag, seed=s).values for s in range(4)])
     stack = SampleStack.of(shards)
     assert stack.num_samples == 36
-    report = evaluate(ModelParams(values, tag), stack, True, True)
+    report = evaluate(ModelParams(values, tag), stack, want_grad_norms=True)
     grads = gradient(ModelParams(values, tag), stack)
-    shared = evaluate(ModelParams(values[0], tag), stack, want_per_sample=True)
+    shared = evaluate(ModelParams(values[0], tag), stack)
     for i, shard in enumerate(shards):
         single = ModelParams(values[i], tag)
-        alone = evaluate(single, shard, True, True)
+        alone = evaluate(single, shard, want_grad_norms=True)
         assert report.mean_loss[i] == alone.mean_loss
         assert report.accuracy[i] == alone.accuracy
         assert np.array_equal(report.per_sample_losses[i], alone.per_sample_losses)
         assert np.array_equal(report.per_sample_grad_norms[i], alone.per_sample_grad_norms)
         assert np.array_equal(grads[i], gradient(single, shard))
         # One parameter vector broadcasts over every block of the stack.
-        first = evaluate(ModelParams(values[0], tag), shard, want_per_sample=True)
+        first = evaluate(ModelParams(values[0], tag), shard)
         assert np.array_equal(shared.per_sample_losses[i], first.per_sample_losses)
 
 
@@ -209,6 +209,35 @@ def test_label_outside_model_classes_raises(tag_maker, bad_label):
         gradient(params, stack)
     with pytest.raises(IndexError):
         evaluate(params, stack)
+
+
+@pytest.mark.parametrize("tag_maker", [lambda: softmax_tag(4, 3), lambda: mlp_tag(4, 5, 3)])
+def test_negative_label_in_a_sample_stack_raises(tag_maker):
+    # Label -1 would be read as the last class of the same sample.
+    shards = [small_data(n=6, seed=s) for s in range(2)]
+    features = np.stack([s.features for s in shards])
+    labels = np.stack([s.labels for s in shards])
+    labels[1, 2] = -1
+    params = init_params(tag_maker(), seed=4)
+    for kernel in (evaluate, gradient):
+        with pytest.raises(ValueError, match="negative label -1"):
+            kernel(params, SampleStack(features, labels, 3))
+
+
+@pytest.mark.parametrize("tag_maker", [lambda: softmax_tag(4, 3), lambda: mlp_tag(4, 5, 3)])
+def test_parameter_stack_over_unstacked_data_raises(tag_maker):
+    # Three models over one 2-D dataset: the label lookup would cover only
+    # the first model's rows.
+    tag = tag_maker()
+    data = small_data(n=6, seed=1)
+    values = np.stack([init_params(tag, seed=s).values for s in range(3)])
+    for kernel in (evaluate, gradient):
+        with pytest.raises(ValueError, match=r"\(3, \d+\) parameter stack over unstacked \(6, 4\) data"):
+            kernel(ModelParams(values, tag), data)
+    # A stack of one model is still one model.
+    one = ModelParams(values[:1], tag)
+    assert np.array_equal(gradient(one, data)[0], gradient(ModelParams(values[0], tag), data))
+    assert evaluate(one, data).mean_loss[0] == evaluate(ModelParams(values[0], tag), data).mean_loss
 
 
 def test_cohort_sgd_rows_equal_single_model_training():

@@ -19,11 +19,9 @@ from fedclf.selection import (
     SelectionError,
     Strategy,
     make_selector,
-    record_utilities,
     select,
     update_after_round,
     utilities,
-    warmup_rounds,
 )
 from fedclf.server import ExperimentConfig, build_experiment
 
@@ -42,10 +40,10 @@ def unit_trend(acc=0.5, loss=1.0):
     return GlobalTrend(acc_prev=acc, acc_prev2=acc, loss_prev=loss, loss_prev2=loss)
 
 
-def trained_selector(strategy, values, seed=0, last_round=(), **options):
-    """A selector past warmup whose loss, gradient-norm and weight-change
-    utilities all equal ``values`` (client id -> value)."""
-    state = make_selector(strategy, make_clients(len(values)), rng_seed=seed, **options)
+def trained_selector(strategy, values, k=1, seed=0, last_round=(), **options):
+    """A selector of ``k`` clients past warmup whose loss, gradient-norm and
+    weight-change utilities all equal ``values`` (client id -> value)."""
+    state = make_selector(strategy, make_clients(len(values)), k, seed, **options)
     ids, column = list(values), list(values.values())
     state.loss_utility[ids] = column
     state.grad_norm_utility[ids] = column
@@ -89,9 +87,9 @@ def test_calibrate_guard_returns_raw_and_warns(caplog):
     # Ranking warns once per round, not once per client.
     caplog.clear()
     values = {i: float(i) for i in range(6)}
-    state = trained_selector(Strategy.FEDCLF, values, last_round={5})
+    state = trained_selector(Strategy.FEDCLF, values, k=2, last_round={5})
     with caplog.at_level(logging.WARNING, logger="fedclf.selection"):
-        assert select(state, 9, k=2, num_clients=6, trend=bad) == {4, 5}
+        assert select(state, 9, trend=bad) == {4, 5}
     [message] = caplog.messages
     assert message == "round 9: correction factor undefined, 5 clients kept raw utilities"
 
@@ -125,6 +123,7 @@ def test_compound_run_anchors_clients_trained_in_round_one(caplog):
     with caplog.at_level(logging.WARNING, logger="fedclf.selection"):
         ids = list(experiment.run_round(1).selected_ids)
         assert ids == [0, 1]
+        experiment.measure_pending()  # round 2's selection would write them here
         assert experiment.selector.loss_anchor[ids].tolist() == [initial.mean_loss] * 2
         assert experiment.selector.acc_anchor[ids].tolist() == [initial.accuracy] * 2
         for round_index in range(2, cfg.rounds + 1):
@@ -144,10 +143,10 @@ def test_calibrate_requires_stored_utility():
 
 def test_warmup_covers_every_client_once():
     clients = make_clients(50)
-    state = make_selector(Strategy.FEDCLF, clients, rng_seed=7)
+    state = make_selector(Strategy.FEDCLF, clients, 5, rng_seed=7)
     seen: list[set[int]] = []
     for r in range(1, 11):
-        chosen = select(state, r, k=5, num_clients=50, trend=GlobalTrend.empty())
+        chosen = select(state, r, trend=GlobalTrend.empty())
         assert len(chosen) == 5
         for earlier in seen:
             assert not (chosen & earlier)
@@ -157,17 +156,19 @@ def test_warmup_covers_every_client_once():
 
 
 def test_warmup_rounds_ceil():
-    assert warmup_rounds(50, 5) == 10
-    assert warmup_rounds(50, 7) == 8
-    assert warmup_rounds(3, 3) == 1
+    for size, k, warmup in ((50, 5, 10), (50, 7, 8), (3, 3, 1), (3, 1, 3)):
+        clients = make_clients(size)
+        assert make_selector(Strategy.FEDCLF, clients, k, rng_seed=0).warmup == warmup
+        state = make_selector(Strategy.FEDCLF, clients, k, rng_seed=0, warmup_enabled=False)
+        assert state.warmup == 0
 
 
 def test_warmup_pads_final_round_when_k_does_not_divide():
     clients = make_clients(10)
-    state = make_selector(Strategy.RAW_LOSS, clients, rng_seed=3)
+    state = make_selector(Strategy.RAW_LOSS, clients, 4, rng_seed=3)
     union: set[int] = set()
-    for r in range(1, warmup_rounds(10, 4) + 1):
-        chosen = select(state, r, k=4, num_clients=10, trend=GlobalTrend.empty())
+    for r in range(1, 4):
+        chosen = select(state, r, trend=GlobalTrend.empty())
         assert len(chosen) == 4
         union |= chosen
     assert union == set(range(10))
@@ -176,15 +177,21 @@ def test_warmup_pads_final_round_when_k_does_not_divide():
 def test_make_selector_requires_ids_zero_to_k_minus_one():
     clients = [ClientDataset(i, make_synthetic(4, 2, 2, seed=i)) for i in (0, 2)]
     with pytest.raises(SelectionError, match="client ids must be 0..1"):
-        make_selector(Strategy.FEDCLF, clients, rng_seed=0)
+        make_selector(Strategy.FEDCLF, clients, 1, rng_seed=0)
+
+
+def test_make_selector_validates_k():
+    for k in (0, 3):
+        with pytest.raises(ValueError, match="1 <= k <= K"):
+            make_selector(Strategy.RAW_LOSS, make_clients(2), k, rng_seed=0)
 
 
 # ---------------------------------------------------------------- ranking
 
 
 def test_top_k_tie_breaks_toward_lower_id():
-    state = trained_selector(Strategy.FEDCLF, {0: 5.0, 1: 5.0, 2: 1.0})
-    chosen = select(state, 99, k=2, num_clients=3, trend=unit_trend())
+    state = trained_selector(Strategy.FEDCLF, {0: 5.0, 1: 5.0, 2: 1.0}, k=2)
+    chosen = select(state, 99, trend=unit_trend())
     assert chosen == {0, 1}
 
 
@@ -194,14 +201,23 @@ def test_top_k_matches_brute_force_sort():
         size = int(rng.integers(2, 20))
         k = int(rng.integers(1, size + 1))
         values = {i: float(rng.choice([0.5, 1.0, 2.0, 3.0])) for i in range(size)}
-        state = trained_selector(Strategy.RAW_LOSS, values, seed=trial)
-        chosen = select(state, 50, k=k, num_clients=size, trend=unit_trend())
+        state = trained_selector(Strategy.RAW_LOSS, values, k=k, seed=trial)
+        chosen = select(state, 50, trend=unit_trend())
         ranked = sorted(values, key=lambda cid: (-values[cid], cid))
         assert chosen == set(ranked[:k])
         if len(chosen) < size:
             worst_in = min(values[c] for c in chosen)
             best_out = max(values[c] for c in set(values) - chosen)
             assert worst_in >= best_out
+
+
+def test_ties_among_many_clients_break_toward_lower_id():
+    # 200 clients in three tied groups: big enough that a sort that is not
+    # stable reorders ties on any numpy build.
+    values = {i: float(i % 3) for i in range(200)}
+    state = trained_selector(Strategy.RAW_LOSS, values, k=90)
+    chosen = select(state, 50, trend=unit_trend())
+    assert chosen == set(sorted(values, key=lambda cid: (-values[cid], cid))[:90])
 
 
 def test_fedclf_equals_rawloss_under_unit_factor():
@@ -213,10 +229,10 @@ def test_fedclf_equals_rawloss_under_unit_factor():
         last = set(
             int(c) for c in rng.choice(size, size=min(k, size), replace=False)
         )
-        a = trained_selector(Strategy.FEDCLF, values, seed=trial, last_round=last)
-        b = trained_selector(Strategy.RAW_LOSS, values, seed=trial, last_round=last)
+        a = trained_selector(Strategy.FEDCLF, values, k=k, seed=trial, last_round=last)
+        b = trained_selector(Strategy.RAW_LOSS, values, k=k, seed=trial, last_round=last)
         trend = unit_trend()
-        assert select(a, 60, k, size, trend) == select(b, 60, k, size, trend)
+        assert select(a, 60, trend) == select(b, 60, trend)
 
 
 def test_calibration_preserves_order_of_stale_clients():
@@ -225,8 +241,8 @@ def test_calibration_preserves_order_of_stale_clients():
         trend = GlobalTrend(
             acc_prev=0.5, acc_prev2=0.5, loss_prev=factor, loss_prev2=1.0
         )
-        state = trained_selector(Strategy.FEDCLF, values, last_round={4})
-        chosen = select(state, 70, k=3, num_clients=5, trend=trend)
+        state = trained_selector(Strategy.FEDCLF, values, k=3, last_round={4})
+        chosen = select(state, 70, trend=trend)
         stale_ranking = [cid for cid in (0, 1, 2, 3) if cid in chosen]
         # Stale clients keep their relative order under any positive factor.
         assert stale_ranking == sorted(
@@ -240,56 +256,56 @@ def test_fedclf_last_round_clients_not_calibrated():
     # raw 9.0 beats client 0's calibrated 5.0.
     trend = GlobalTrend(acc_prev=0.5, acc_prev2=0.5, loss_prev=0.5, loss_prev2=1.0)
     state = trained_selector(Strategy.FEDCLF, values, last_round={1})
-    chosen = select(state, 80, k=1, num_clients=3, trend=trend)
+    chosen = select(state, 80, trend=trend)
     assert chosen == {1}
 
 
 def test_random_strategy_is_repeatable():
     values = {i: 1.0 for i in range(12)}
-    state = trained_selector(Strategy.RANDOM, values, seed=21)
-    first = select(state, 30, k=4, num_clients=12, trend=unit_trend())
-    second = select(state, 30, k=4, num_clients=12, trend=unit_trend())
+    state = trained_selector(Strategy.RANDOM, values, k=4, seed=21)
+    first = select(state, 30, trend=unit_trend())
+    second = select(state, 30, trend=unit_trend())
     assert first == second
-    third = select(state, 31, k=4, num_clients=12, trend=unit_trend())
+    third = select(state, 31, trend=unit_trend())
     assert len(third) == 4
 
 
 def test_gradnorm_strategy_uses_gradient_utilities():
     state = trained_selector(Strategy.GRAD_NORM, {0: 1.0, 1: 2.0, 2: 3.0})
     state.grad_norm_utility[0] = 9.0  # overrides loss ordering
-    chosen = select(state, 40, k=1, num_clients=3, trend=unit_trend())
+    chosen = select(state, 40, trend=unit_trend())
     assert chosen == {0}
     state.grad_norm_utility[2] = np.nan
     with pytest.raises(SelectionError, match="client.s. 2 have no gradient-norm"):
-        select(state, 41, k=1, num_clients=3, trend=unit_trend())
+        select(state, 41, trend=unit_trend())
 
 
 def test_newt_strategy_ranks_by_delta_times_samples():
     state = trained_selector(Strategy.NEWT_LIKE, {0: 1.0, 1: 1.0, 2: 1.0})
     state.weight_delta_norm[:] = [0.1, 5.0, 1.0]
-    chosen = select(state, 40, k=1, num_clients=3, trend=unit_trend())
+    chosen = select(state, 40, trend=unit_trend())
     assert chosen == {1}
 
 
 def test_newt_untrained_clients_rank_by_sample_count():
     clients = make_clients(3)
-    state = make_selector(Strategy.NEWT_LIKE, clients, rng_seed=0, warmup_enabled=False)
+    state = make_selector(Strategy.NEWT_LIKE, clients, 1, rng_seed=0, warmup_enabled=False)
     state.n_k[2] = 50
-    chosen = select(state, 1, k=1, num_clients=3, trend=GlobalTrend.empty())
+    chosen = select(state, 1, trend=GlobalTrend.empty())
     assert chosen == {2}
 
 
 def test_untrained_clients_forced_when_warmup_disabled():
     clients = make_clients(4)
-    state = make_selector(Strategy.FEDCLF, clients, rng_seed=0, warmup_enabled=False)
+    state = make_selector(Strategy.FEDCLF, clients, 2, rng_seed=0, warmup_enabled=False)
     state.loss_utility[1] = 100.0
-    chosen = select(state, 2, k=2, num_clients=4, trend=unit_trend())
+    chosen = select(state, 2, trend=unit_trend())
     # Untrained clients get infinite utility; the trained one loses.
     assert 1 not in chosen
 
 
 def test_oort_penalizes_slow_clients():
-    state = trained_selector(Strategy.OORT_LIKE, {cid: 1.0 for cid in range(6)}, seed=4)
+    state = trained_selector(Strategy.OORT_LIKE, {cid: 1.0 for cid in range(6)}, k=3, seed=4)
     durations = np.random.default_rng(split_seed(4, "durations")).lognormal(
         mean=math.log(10.0), sigma=0.5, size=6
     )
@@ -297,17 +313,9 @@ def test_oort_penalizes_slow_clients():
     assert state.oort_penalty.tolist() == [
         1.0 if d <= preferred else (preferred / d) ** 2.0 for d in durations.tolist()
     ]
-    chosen = select(state, 30, k=3, num_clients=6, trend=unit_trend())
+    chosen = select(state, 30, trend=unit_trend())
     assert int(np.argmin(durations)) in chosen
     assert int(np.argmax(durations)) not in chosen
-
-
-def test_select_validates_k_and_coverage():
-    state = trained_selector(Strategy.RAW_LOSS, {0: 1.0, 1: 2.0})
-    with pytest.raises(ValueError, match="1 <= k <= K"):
-        select(state, 5, k=3, num_clients=2, trend=unit_trend())
-    with pytest.raises(SelectionError, match="covers"):
-        select(state, 5, k=1, num_clients=9, trend=unit_trend())
 
 
 # ---------------------------------------------------- reference property
@@ -372,7 +380,7 @@ def _selector_cases(draw):
         "mode": draw(st.sampled_from(FactorMode)),
         "compound": draw(st.booleans()),
         "warmup": warmup,
-        "round": warmup_rounds(size, k) + draw(st.integers(1, 5)),
+        "round": math.ceil(size / k) + draw(st.integers(1, 5)),
         "n_k": column(st.integers(1, 40)),
         "loss_utility": column(_values if warmup else st.none() | _values),
         "grad_norm_utility": column(_values),
@@ -389,7 +397,7 @@ def _selector_cases(draw):
 def test_select_matches_per_client_reference(case):
     size = case["size"]
     state = make_selector(
-        case["strategy"], _CASE_CLIENTS[:size], rng_seed=case["seed"],
+        case["strategy"], _CASE_CLIENTS[:size], case["k"], rng_seed=case["seed"],
         factor_mode=case["mode"], warmup_enabled=case["warmup"],
         compound_factors=case["compound"],
     )
@@ -407,7 +415,7 @@ def test_select_matches_per_client_reference(case):
         reference = _reference_utilities(case)
         assert utilities(state, case["trend"], round_index).tolist() == reference
         expected = set(sorted(range(size), key=lambda cid: (-reference[cid], cid))[:k])
-    chosen = select(state, round_index, k, size, case["trend"])
+    chosen = select(state, round_index, case["trend"])
     assert chosen == expected
     assert len(chosen) == k
 
@@ -417,47 +425,49 @@ def test_select_matches_per_client_reference(case):
 
 def test_update_after_round_refreshes_selected_records():
     clients = make_clients(50)
-    state = make_selector(Strategy.FEDCLF, clients, rng_seed=8)
-    chosen = sorted(select(state, 1, k=5, num_clients=50, trend=GlobalTrend.empty()))
-    deltas = np.array(chosen, dtype=float)
-    update_after_round(state, chosen, deltas, global_accuracy=0.25, global_loss=1.5)
+    state = make_selector(Strategy.FEDCLF, clients, 5, rng_seed=8)
+    chosen = sorted(select(state, 1, trend=GlobalTrend.empty()))
+    values = np.array(chosen, dtype=float)
+    update_after_round(
+        state, chosen, values, values + 0.5, global_accuracy=0.25, global_loss=1.5
+    )
     trained = np.flatnonzero(~np.isnan(state.weight_delta_norm)).tolist()
-    assert trained == sorted(chosen)
+    assert trained == chosen
     assert state.weight_delta_norm[trained].tolist() == [float(c) for c in trained]
-    # Utilities are written only when measured.
-    assert np.isnan(state.loss_utility).all()
-    record_utilities(state, trained, np.array(trained) + 0.5)
     assert state.loss_utility[trained].tolist() == [c + 0.5 for c in trained]
-    assert np.isnan(np.delete(state.loss_utility, trained)).all()
-    assert np.isnan(state.grad_norm_utility).all()
-    record_utilities(state, trained[:2], np.zeros(2), np.array([3.0, 4.0]))
-    assert state.grad_norm_utility[trained[:2]].tolist() == [3.0, 4.0]
     assert (state.loss_anchor[trained] == 1.5).all()
     assert (state.acc_anchor[trained] == 0.25).all()
-    assert np.isnan(np.delete(state.loss_anchor, trained)).all()
+    for name in MEASURED:
+        assert np.isnan(np.delete(getattr(state, name), trained)).all()
+    # Gradient-norm utilities are stored only when measured.
+    assert np.isnan(state.grad_norm_utility).all()
+    update_after_round(state, trained[:2], values[:2], np.zeros(2), np.array([3.0, 4.0]))
+    assert state.grad_norm_utility[trained[:2]].tolist() == [3.0, 4.0]
+    assert state.loss_utility[trained].tolist() == [0.0, 0.0, *(values[2:] + 0.5)]
+    assert np.isnan(state.loss_anchor[trained[:2]]).all()
 
 
 def test_update_after_round_rejects_empty_results():
     state = trained_selector(Strategy.FEDCLF, {0: 1.0}, last_round={0})
     with pytest.raises(SelectionError, match="no clients"):
-        update_after_round(state, [], np.array([]))
+        update_after_round(state, [], np.array([]), np.array([]))
 
 
 def test_update_after_round_rejects_unselected_client():
     state = trained_selector(Strategy.FEDCLF, {0: 1.0, 1: 1.0}, last_round={0})
     with pytest.raises(SelectionError, match="client 1, which was not selected"):
-        update_after_round(state, [0, 1], np.array([0.5, 0.5]))
+        update_after_round(state, [0, 1], np.array([0.5, 0.5]), np.ones(2))
     with pytest.raises(SelectionError, match="client 7, which was not selected"):
-        update_after_round(state, [7], np.array([0.5]))
+        update_after_round(state, [7], np.array([0.5]), np.ones(1))
     # A rejected update writes nothing.
     assert np.isnan(state.loss_anchor).all()
 
 
 def test_update_after_round_is_idempotent():
     state = trained_selector(Strategy.FEDCLF, {0: 1.0, 1: 1.0}, last_round={0})
-    update_after_round(state, [0], np.array([2.5]), global_accuracy=0.5, global_loss=0.9)
+    update_after_round(state, [0], [2.5], [4.0], [1.5], global_accuracy=0.5, global_loss=0.9)
     snapshot = {name: getattr(state, name).copy() for name in COLUMNS}
-    update_after_round(state, [0], np.array([2.5]), global_accuracy=0.5, global_loss=0.9)
+    update_after_round(state, [0], [2.5], [4.0], [1.5], global_accuracy=0.5, global_loss=0.9)
     for name in COLUMNS:
         np.testing.assert_array_equal(getattr(state, name), snapshot[name])
 
@@ -471,21 +481,32 @@ def test_compound_mode_uses_loss_at_last_training():
     # Current global loss 0.5 against anchored 2.0: stale utility scales by
     # 0.25 regardless of the one-round ratio.
     trend = GlobalTrend(acc_prev=0.5, acc_prev2=0.5, loss_prev=0.5, loss_prev2=0.5)
-    chosen = select(state, 60, k=1, num_clients=2, trend=trend)
+    chosen = select(state, 60, trend=trend)
     assert chosen == {0}  # 10 * 0.25 = 2.5 still beats raw 1.0
 
     state = trained_selector(
         Strategy.FEDCLF, values, last_round={1}, compound_factors=True
     )
     state.loss_anchor[0] = 20.0
-    chosen = select(state, 61, k=1, num_clients=2, trend=trend)
+    chosen = select(state, 61, trend=trend)
     assert chosen == {1}  # 10 * 0.025 = 0.25 now loses
+
+
+def test_compound_acc_mode_uses_accuracy_at_last_training():
+    state = trained_selector(
+        Strategy.FEDCLF, {0: 10.0, 1: 1.0}, last_round={1},
+        compound_factors=True, factor_mode=FactorMode.ACC_RATIO,
+    )
+    state.acc_anchor[0] = 0.8
+    state.loss_anchor[0] = 0.1  # read in acc mode, it would scale by 4
+    trend = GlobalTrend(acc_prev=0.4, acc_prev2=0.4, loss_prev=0.4, loss_prev2=0.4)
+    assert utilities(state, trend, 60).tolist() == [5.0, 1.0]
 
 
 def test_selection_determinism_for_identical_state():
     for strategy in Strategy:
         values = {i: float(i % 4) + 0.5 for i in range(9)}
-        a = trained_selector(strategy, values, seed=13, last_round={1, 2})
-        b = trained_selector(strategy, values, seed=13, last_round={1, 2})
+        a = trained_selector(strategy, values, k=3, seed=13, last_round={1, 2})
+        b = trained_selector(strategy, values, k=3, seed=13, last_round={1, 2})
         trend = unit_trend()
-        assert select(a, 44, 3, 9, trend) == select(b, 44, 3, 9, trend)
+        assert select(a, 44, trend) == select(b, 44, trend)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 from dataclasses import fields, replace
 
 import numpy as np
@@ -19,7 +21,7 @@ from fedclf.dataset import (
     make_synthetic,
 )
 from fedclf.model import ModelParams, TrainConfig, softmax_tag
-from fedclf.selection import FactorMode, Strategy, record_utilities
+from fedclf.selection import FactorMode, Strategy
 from fedclf.server import (
     Experiment,
     ExperimentConfig,
@@ -339,19 +341,31 @@ def test_non_finite_update_names_round_and_clients():
 
 
 class EagerExperiment(Experiment):
-    """Reference: measures each cohort at the model it received right after
-    it trains, so nothing is ever left pending."""
+    """Reference: right after each round, writes the cohort's utilities
+    (measured at the model it received), weight-change norms and anchors (the
+    received model's test metrics) to the selector columns itself, so nothing
+    is ever left pending."""
 
     def run_round(self, round_index):
         received = self.params
+        if self.history:
+            acc, loss = self.history[-1].test_accuracy, self.history[-1].test_loss
+        else:
+            acc, loss = self.initial_metrics
         record = super().run_round(round_index)
         ids = list(record.selected_ids)
-        utilities = measure_utilities(
+        loss_utility, grad_norm_utility = measure_utilities(
             [self.clients[cid] for cid in ids],
             received,
             want_grad_norm=self.cfg.strategy is Strategy.GRAD_NORM,
         )
-        record_utilities(self.selector, ids, *utilities)
+        state, deltas = self.selector, self.pending[3]
+        state.loss_utility[ids] = loss_utility
+        if grad_norm_utility is not None:
+            state.grad_norm_utility[ids] = grad_norm_utility
+        state.weight_delta_norm[ids] = deltas
+        state.loss_anchor[ids] = np.nan if loss is None else loss
+        state.acc_anchor[ids] = np.nan if acc is None else acc
         self.pending = None
         return record
 
@@ -366,9 +380,11 @@ def selector_columns(state):
 
 def run_recorded(cfg, experiment_cls, monkeypatch):
     """Deterministic outputs, the selector columns at every ``select`` and at
-    run end, and the number of deferred measurement calls of one run."""
-    columns, measured = [], []
+    run end, the number of deferred measurement calls of one run, and the
+    caller of each selector write."""
+    columns, measured, writers = [], [], []
     select, measure = fedclf.server.select, fedclf.server.measure_utilities
+    update = fedclf.server.update_after_round
 
     def recording_select(state, *args):
         columns.append(selector_columns(state))
@@ -378,11 +394,16 @@ def run_recorded(cfg, experiment_cls, monkeypatch):
         measured.append(1)
         return measure(*args, **kwargs)
 
+    def recording_update(*args, **kwargs):
+        writers.append(sys._getframe(1).f_code.co_name)
+        return update(*args, **kwargs)
+
     clients, _, test = build_partition(cfg)
     experiment = experiment_cls(cfg, clients, test)
     with monkeypatch.context() as patch:
         patch.setattr(fedclf.server, "select", recording_select)
         patch.setattr(fedclf.server, "measure_utilities", counting_measure)
+        patch.setattr(fedclf.server, "update_after_round", recording_update)
         history = experiment.run()
     columns.append(selector_columns(experiment.selector))
     outputs = (
@@ -390,7 +411,7 @@ def run_recorded(cfg, experiment_cls, monkeypatch):
         selection_log_csv(cfg, history),
         summary_text(cfg, history),
     )
-    return outputs, columns, len(measured), history
+    return outputs, columns, len(measured), writers, history
 
 
 ORACLE_CASES = {
@@ -415,11 +436,14 @@ def test_deferred_measurement_matches_eager_oracle(case, monkeypatch):
     cfg = small_config(rounds=20, seed=13, **ORACLE_CASES[case])
     deferred = run_recorded(cfg, Experiment, monkeypatch)
     eager = run_recorded(cfg, EagerExperiment, monkeypatch)
-    outputs, columns, calls, history = deferred
+    outputs, columns, calls, writers, history = deferred
     assert outputs == eager[0]
     assert columns == eager[1]
-    # One measurement per reopened gate after round 1 and one at run end.
+    assert eager[3] == []
+    # One measurement and one selector write per reopened gate after round 1
+    # and one at run end; only measure_pending writes the selector.
     assert calls == sum(r.selection_ran for r in history[1:]) + 1
+    assert writers == ["measure_pending"] * calls
     if cfg.feedback_enabled:
         assert calls < cfg.rounds  # some round reused its cohort unmeasured
 
@@ -518,6 +542,7 @@ def test_only_compound_mode_evaluates_the_initial_model(monkeypatch):
         experiment = build_experiment(small_config(compound_factors=compound))
         assert len(calls) == int(compound)
         ids = list(experiment.run_round(1).selected_ids)
+        experiment.measure_pending()
         # Round 1's cohort is anchored only where anchors are read.
         assert np.isnan(experiment.selector.loss_anchor[ids]).all() != compound
 
