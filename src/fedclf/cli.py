@@ -52,6 +52,7 @@ def _parse_synthetic(text: str) -> tuple[int, int, int]:
 
 def _read_kv_file(path: Path) -> dict[str, str]:
     values: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -59,7 +60,11 @@ def _read_kv_file(path: Path) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key in first_line:
+            raise ValueError(f"{path}:{lineno}: key {key!r} already set on line {first_line[key]}")
+        first_line[key] = lineno
+        values[key] = value.strip()
     return values
 
 

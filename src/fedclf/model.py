@@ -17,6 +17,12 @@ stacked ``@``, elementwise operations and reductions that are computed
 separately per model, so each model's results are bitwise equal to running it
 alone.  The blocks may be slices of a larger array: ``sgd_epochs`` gathers a
 cohort's whole schedule once and passes each step a window of it.
+
+``evaluate`` reduces along the short class axis only for the exp-sum.  The
+row maximum is an elementwise maximum of class columns (exact in any order),
+and accuracy reads ``shifted[label] == 0.0`` when every row maximum is finite
+and each row has one exact zero; otherwise it takes ``argmax`` (lowest-index
+ties).  Results are bitwise those of a row-wise log-softmax and argmax.
 """
 
 from __future__ import annotations
@@ -254,10 +260,12 @@ def _forward(layers, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Logits, and the input activation of every layer (``x``, then tanh)."""
     acts = [x]
     w, b = layers[0]
-    out = x @ w + b
+    out = x @ w
+    out += b
     for w, b in layers[1:]:
-        acts.append(np.tanh(out))
-        out = acts[-1] @ w + b
+        acts.append(np.tanh(out, out=out))
+        out = out @ w
+        out += b
     return out, acts
 
 
@@ -297,11 +305,19 @@ def evaluate(params: ModelParams, data, want_grad_norms: bool = False) -> EvalRe
     values, x, y, stacked = _stacked(params, data)
     layers = _layers(dims, values)
     logits, acts = _forward(layers, x)
-    log_probs = _log_softmax(logits)
-    losses = -log_probs.reshape(-1, log_probs.shape[-1])[_at_labels(y)].reshape(y.shape)
-    accuracy = (np.argmax(logits, axis=-1) == y).sum(axis=-1) / y.shape[-1]
+    row_max = np.maximum.reduce(np.ascontiguousarray(logits.transpose(2, 0, 1)))
+    shifted = logits - row_max[..., None]
+    lse = np.log(np.exp(shifted).sum(axis=-1))
+    at_label = shifted.reshape(-1, dims[-1])[_at_labels(y)].reshape(y.shape)
+    losses = -(at_label - lse)
+    if np.isfinite(row_max).all() and np.count_nonzero(shifted == 0.0) == y.size:
+        hits = at_label == 0.0  # each row has one maximum: its argmax
+    else:
+        hits = np.argmax(logits, axis=-1) == y
+    accuracy = hits.sum(axis=-1) / y.shape[-1]
     grad_norms = None
     if want_grad_norms:
+        log_probs = shifted - lse[..., None]
         # For a linear layer z = a @ W + b, sample i's gradient is the outer
         # product a_i (x) d_i plus d_i for the bias, so its squared norm is
         # ||d_i||^2 * (||a_i||^2 + 1); layers sum.

@@ -368,6 +368,9 @@ class Experiment:
         update_after_round(self.selector, ids, deltas, *utilities, *anchor)
 
     def run_round(self, round_index: int) -> RoundRecord:
+        expected = len(self.history) + 1
+        if round_index != expected:
+            raise ValueError(f"round {round_index} out of order, expected round {expected}")
         started = time.perf_counter()
         cfg = self.cfg
         gate = feedback_gate(

@@ -39,6 +39,7 @@ class Mutant(NamedTuple):
 
 
 ORACLE = "tests/test_server.py::test_deferred_measurement_matches_eager_oracle"
+EVAL_ORACLE = "tests/test_model.py::test_evaluate_equals_row_wise_reference_bitwise"
 
 MUTANTS = (
     Mutant(
@@ -148,6 +149,30 @@ MUTANTS = (
         "self.labels.min() < 0:",
         "self.labels.min() < -1:",
         ("tests/test_model.py::test_negative_label_in_a_sample_stack_raises",),
+    ),
+    Mutant(
+        "accuracy-guard-without-tie-count",
+        "src/fedclf/model.py",
+        "np.isfinite(row_max).all() and np.count_nonzero(shifted == 0.0) == y.size",
+        "np.isfinite(row_max).all()",
+        (
+            EVAL_ORACLE,
+            "tests/test_model.py::test_evaluate_zero_params_gives_log_c_and_class0_accuracy",
+        ),
+    ),
+    Mutant(
+        "accuracy-guard-without-finite-check",
+        "src/fedclf/model.py",
+        "np.isfinite(row_max).all() and ",
+        "",
+        (EVAL_ORACLE,),
+    ),
+    Mutant(
+        "label-entry-from-logits",
+        "src/fedclf/model.py",
+        "at_label = shifted.reshape(",
+        "at_label = logits.reshape(",
+        (EVAL_ORACLE,),
     ),
     Mutant(
         "leftover-dealt-backwards",

@@ -342,6 +342,15 @@ def test_run_rejects_unknown_config_key(tmp_path, capsys):
         assert f"unknown config key {key!r}" in capsys.readouterr().err
 
 
+def test_run_rejects_a_repeated_config_key(tmp_path, capsys):
+    config = tmp_path / "run.conf"
+    config.write_text("lr=0.1\nrounds=1\n# a later value must not win\nlr=0.5\n")
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", str(config), "--out", str(out)) == 1
+    assert f"{config}:4: key 'lr' already set on line 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_on_dataset_file(tmp_path):
     src = tmp_path / "data.fedds"
     from fedclf.dataset import make_synthetic, save_dataset
@@ -407,6 +416,15 @@ def test_battery_rejects_out_key(tmp_path, capsys):
     assert run_cli("battery", str(spec), "--out", str(out)) == 1
     assert "unknown config key 'out'" in capsys.readouterr().err
     assert not out.exists() and not (tmp_path / "spec-out").exists()
+
+
+def test_battery_rejects_a_repeated_key(tmp_path, capsys):
+    spec = battery_spec(tmp_path)
+    spec.write_text(spec.read_text() + "seeds=4\n")
+    out = tmp_path / "battery"
+    assert run_cli("battery", str(spec), "--out", str(out)) == 1
+    assert f"{spec}:11: key 'seeds' already set on line 10" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_battery_requires_lists(tmp_path, capsys):

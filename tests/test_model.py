@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedclf.dataset import LabeledDataset, make_synthetic
@@ -166,6 +166,96 @@ def test_per_sample_grad_norms_match_per_sample_gradients(tag_maker):
         assert report.per_sample_grad_norms[i] == pytest.approx(
             float(np.linalg.norm(g)), rel=1e-9
         )
+
+
+def reference_evaluate(values, x, y, dims):
+    """Plain row-wise evaluation of a ``(g, P)`` stack on ``(g, b, f)``
+    blocks, written without ``evaluate``: ``max`` and ``argmax`` along the
+    class axis, a label gather, and per-sample gradient norms by backprop.
+    Returns ``(per-sample losses, mean losses, accuracies, grad norms)``."""
+    acts, weights, pos = [x], [], 0
+    for fan_in, fan_out in zip(dims, dims[1:]):
+        w = values[:, pos : pos + fan_in * fan_out].reshape(-1, fan_in, fan_out)
+        pos += fan_in * fan_out
+        logits = acts[-1] @ w + values[:, None, pos : pos + fan_out]
+        pos += fan_out
+        weights.append(w)
+        acts.append(np.tanh(logits))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    losses = -np.take_along_axis(log_probs, y[..., None], axis=-1)[..., 0]
+    accuracy = (np.argmax(logits, axis=-1) == y).mean(axis=-1)
+    delta = np.exp(log_probs) - (np.arange(dims[-1]) == y[..., None])
+    squared = 0
+    for i in range(len(weights) - 1, -1, -1):
+        squared = squared + (delta**2).sum(axis=-1) * ((acts[i] ** 2).sum(axis=-1) + 1.0)
+        if i:
+            delta = (delta @ weights[i].transpose(0, 2, 1)) * (1.0 - acts[i] ** 2)
+    return losses, losses.mean(axis=-1), accuracy, np.sqrt(squared)
+
+
+def assert_same_bits(actual, expected):
+    """Bitwise equality, signed zeros included; NaNs match whatever their
+    sign bit."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert np.array_equal(actual, expected, equal_nan=True)
+    assert np.array_equal(
+        np.signbit(actual) & ~np.isnan(actual), np.signbit(expected) & ~np.isnan(expected)
+    )
+
+
+# Parameters and features are drawn from two small palettes of these values,
+# so rows often tie at their maximum, hold signed zeros or go non-finite.
+PALETTE = st.lists(
+    st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, 1e308, -1e308, np.nan]),
+        st.integers(-2, 2).map(float),
+        st.floats(-4.0, 4.0),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+@st.composite
+def evaluation_cases(draw):
+    """``(shape tag, (g, P) parameters, (g, b, f) features, (g, b) labels)``."""
+    g, b, c, f = (draw(st.integers(1, top)) for top in (4, 40, 25, 3))
+    tag = draw(st.sampled_from([softmax_tag(f, c), mlp_tag(f, 3, c)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def block(size):
+        # Up to 8 normal draws widen the palette, so many rows have one maximum.
+        palette = draw(PALETTE) + list(rng.normal(size=draw(st.integers(0, 8))))
+        return rng.choice(palette, size)
+
+    return tag, block((g, param_count(tag))), block((g, b, f)), rng.integers(0, c, (g, b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=evaluation_cases(), unstacked=st.booleans())
+# A NaN row beside a two-way tie: one exact zero per row on average, but
+# accuracy must still come from argmax.
+@example(
+    case=(softmax_tag(1, 2), np.ones((1, 4)), np.array([[[np.nan], [1.0]]]), np.array([[0, 0]])),
+    unstacked=False,
+)
+def test_evaluate_equals_row_wise_reference_bitwise(case, unstacked):
+    tag, values, x, y = case
+    dims = parse_shape_tag(tag)[1]
+    with np.errstate(all="ignore"):
+        expected = reference_evaluate(values, x, y, dims)
+        if unstacked and len(values) == 1:
+            data = LabeledDataset(x[0], y[0], dims[-1])
+            report = evaluate(ModelParams(values[0], tag), data, want_grad_norms=True)
+            expected = [e[0] for e in expected]
+        else:
+            data = SampleStack(x, y, dims[-1])
+            report = evaluate(ModelParams(values, tag), data, want_grad_norms=True)
+    assert_same_bits(report.per_sample_losses, expected[0])
+    assert_same_bits(report.mean_loss, expected[1])
+    assert_same_bits(report.accuracy, expected[2])
+    assert_same_bits(report.per_sample_grad_norms, expected[3])
 
 
 # ---------------------------------------------------------- stacked kernel

@@ -192,6 +192,21 @@ def test_first_round_always_selects():
     assert len(rec.selected_ids) == 2
 
 
+@pytest.mark.parametrize("done, bad", [([1], 1), ([1], 3), ([], 2), ([1, 2], 0)])
+def test_out_of_order_round_raises_and_changes_nothing(done, bad):
+    experiment = build_experiment(small_config(rounds=4))
+    for round_index in done:
+        experiment.run_round(round_index)
+    history, params = list(experiment.history), experiment.params
+    with pytest.raises(
+        ValueError, match=f"round {bad} out of order, expected round {len(done) + 1}"
+    ):
+        experiment.run_round(bad)
+    assert experiment.history == history and experiment.params is params
+    # The experiment goes on from where it was.
+    assert experiment.run_round(len(done) + 1).round_index == len(done) + 1
+
+
 def test_zero_lr_freezes_accuracy_and_cohort():
     cfg = small_config(learning_rate=0.0, rounds=10)
     history = run_experiment(cfg)
