@@ -50,9 +50,9 @@ def _parse_synthetic(text: str) -> tuple[int, int, int]:
     return c, f, n
 
 
-def _read_kv_file(path: Path) -> dict[str, str]:
-    values: dict[str, str] = {}
-    first_line: dict[str, int] = {}
+def _read_kv_file(path: Path) -> dict[str, tuple[int, str]]:
+    """``key -> (line number, value text)``; a key may appear once."""
+    values: dict[str, tuple[int, str]] = {}
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -61,11 +61,18 @@ def _read_kv_file(path: Path) -> dict[str, str]:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key in first_line:
-            raise ValueError(f"{path}:{lineno}: key {key!r} already set on line {first_line[key]}")
-        first_line[key] = lineno
-        values[key] = value.strip()
+        if key in values:
+            raise ValueError(f"{path}:{lineno}: key {key!r} already set on line {values[key][0]}")
+        values[key] = lineno, value.strip()
     return values
+
+
+def _parse_at(path: Path, lineno: int, key: str, parse, text: str):
+    """``parse(text)``; a failure names the file, line and key."""
+    try:
+        return parse(text)
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
 
 
 _BOOL_TRUE = {"1", "true", "yes", "on"}
@@ -82,6 +89,8 @@ def _parse_bool(text: str) -> bool:
 
 
 def _parse_path(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("empty path, want a FEDDS dataset file")
     return str(Path(text))
 
 
@@ -95,6 +104,8 @@ _PARSERS = {
 }
 _KEYS = {k.key: k for k in CONFIG_KEYS}
 _BATTERY_KEYS = ("strategies", "datasets", "seeds")
+# Run keys that every battery cell sets from a list key.
+_CELL_KEYS = {"strategy": "strategies", "seed": "seeds", "S": "datasets", "split": "datasets"}
 _type_hints = cache(get_type_hints)  # each call evaluates every annotation again
 
 
@@ -131,12 +142,13 @@ def _config_from_sources(
     that is not a ``CONFIG_KEYS`` row fails."""
     values: dict[str, object] = {}
     if getattr(args, "config", None) is not None:
-        for key, text in _read_kv_file(args.config).items():
+        for key, (lineno, text) in _read_kv_file(args.config).items():
             if key in own_keys:
                 continue
             if key not in _KEYS:
-                raise ValueError(f"unknown config key {key!r}")
-            values[_KEYS[key].field] = _parser(_KEYS[key])(text)
+                raise ValueError(f"{args.config}:{lineno}: unknown config key {key!r}")
+            parse = _parser(_KEYS[key])
+            values[_KEYS[key].field] = _parse_at(args.config, lineno, key, parse, text)
     for k in CONFIG_KEYS:
         if getattr(args, k.key, None) is not None:
             values[k.field] = getattr(args, k.key)
@@ -182,79 +194,69 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def _parse_dataset_entry(entry: str) -> tuple[int, SplitMode]:
     """Parse a battery dataset entry like ``s50-equal``."""
-    text = entry.strip().lower()
-    if not text.startswith("s") or "-" not in text:
+    size, _, mode = entry.lower().partition("-")
+    if size[:1] != "s" or not size[1:].isdecimal() or mode not in [m.value for m in SplitMode]:
         raise ValueError(f"bad dataset entry {entry!r}, want s<S>-<equal|nonequal>")
-    size_text, _, mode_text = text[1:].partition("-")
-    return int(size_text), SplitMode(mode_text)
+    return int(size[1:]), SplitMode(mode)
+
+
+def _parse_list(path: Path, values: dict, key: str, parse) -> list:
+    """The comma-separated entries of list key ``key``, each parsed; an
+    entry that fails to parse or repeats an earlier one fails."""
+    lineno, text = values.get(key, (0, ""))
+    if not text:
+        raise ValueError(f"battery spec must set a non-empty {key!r} list")
+    entries = []
+    for part in text.split(","):
+        entry = _parse_at(path, lineno, key, parse, part.strip())
+        if entry in entries:
+            raise ValueError(f"{path}:{lineno}: {key}: entry {part.strip()!r} repeated")
+        entries.append(entry)
+    return entries
 
 
 def cmd_battery(args: argparse.Namespace) -> int:
     if args.out is None:
         raise ValueError("battery requires --out DIR")
     values = _read_kv_file(args.spec)
-    for key in _BATTERY_KEYS:
-        if key not in values or not values[key].strip():
-            raise ValueError(f"battery spec must set a non-empty {key!r} list")
-    strategies = [Strategy(s.strip()) for s in values["strategies"].split(",")]
-    datasets = [_parse_dataset_entry(e) for e in values["datasets"].split(",")]
-    seeds = [int(s.strip()) for s in values["seeds"].split(",")]
+    for key, list_key in _CELL_KEYS.items():
+        if key in values:
+            raise ValueError(
+                f"{args.spec}:{values[key][0]}: key {key!r} is set per cell by {list_key!r}"
+            )
+    strategies = _parse_list(args.spec, values, "strategies", Strategy)
+    datasets = _parse_list(args.spec, values, "datasets", _parse_dataset_entry)
+    seeds = _parse_list(args.spec, values, "seeds", int)
     base_cfg = _config_from_sources(argparse.Namespace(config=args.spec), _BATTERY_KEYS)
 
-    rows: list[tuple[str, str, int, float, float, int]] = []
-    for shard_size, split_mode in datasets:
-        name = f"s{shard_size}-{split_mode.value}"
-        for strategy in strategies:
-            for seed in seeds:
-                cfg = replace(
-                    base_cfg,
-                    strategy=strategy,
-                    seed=seed,
-                    partition=replace(
-                        base_cfg.partition,
-                        shard_size=shard_size,
-                        split_mode=split_mode,
-                    ),
-                    # Baselines sample every round; only the calibrated-loss
-                    # strategy runs with the feedback gate.
-                    feedback_enabled=(
-                        base_cfg.feedback_enabled and strategy is Strategy.FEDCLF
-                    ),
-                )
-                history = run_experiment(cfg)
-                ma_tail = [r.ma_accuracy for r in history[-10:]]
-                rows.append(
-                    (
-                        name,
-                        strategy.value,
-                        seed,
-                        history[-1].ma_accuracy,
-                        float(np.mean(ma_tail)),
-                        sum(1 for r in history if r.selection_ran),
-                    )
-                )
-
-    out: Path = args.out
-    out.mkdir(parents=True, exist_ok=True)
-    lines = ["dataset,strategy,seed,final_ma,mean_ma_last10,sampling_occasions"]
-    for name, strategy, seed, final_ma, tail_ma, occasions in rows:
-        lines.append(
-            f"{name},{strategy},{seed},{final_ma:.10f},{tail_ma:.10f},{occasions}"
-        )
-    (out / "battery.csv").write_text("\n".join(lines) + "\n")
-
+    rows = ["dataset,strategy,seed,final_ma,mean_ma_last10,sampling_occasions"]
     pivot = ["dataset," + ",".join(s.value for s in strategies)]
     for shard_size, split_mode in datasets:
         name = f"s{shard_size}-{split_mode.value}"
+        shards = replace(base_cfg.partition, shard_size=shard_size, split_mode=split_mode)
         cells = []
         for strategy in strategies:
-            per_seed = [
-                row[3] for row in rows if row[0] == name and row[1] == strategy.value
-            ]
-            cells.append(f"{float(np.mean(per_seed)):.10f}")
+            # Baselines sample every round; only the calibrated-loss strategy
+            # runs with the feedback gate.
+            feedback = base_cfg.feedback_enabled and strategy is Strategy.FEDCLF
+            cfg = replace(base_cfg, strategy=strategy, partition=shards, feedback_enabled=feedback)
+            final_ma = []
+            for seed in seeds:
+                history = run_experiment(replace(cfg, seed=seed))
+                final_ma.append(history[-1].ma_accuracy)
+                tail_ma = float(np.mean([r.ma_accuracy for r in history[-10:]]))
+                rows.append(
+                    f"{name},{strategy.value},{seed},{final_ma[-1]:.10f},{tail_ma:.10f},"
+                    f"{sum(r.selection_ran for r in history)}"
+                )
+            cells.append(f"{float(np.mean(final_ma)):.10f}")
         pivot.append(f"{name}," + ",".join(cells))
+
+    out: Path = args.out
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "battery.csv").write_text("\n".join(rows) + "\n")
     (out / "battery_pivot.csv").write_text("\n".join(pivot) + "\n")
-    print(f"wrote {len(rows)} battery rows to {out}")
+    print(f"wrote {len(rows) - 1} battery rows to {out}")
     return 0
 
 

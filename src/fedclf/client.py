@@ -12,7 +12,8 @@ The cohort is trained and measured as one stacked parameter block: shards of
 equal size are evaluated together, and ``sgd_epochs`` gathers the cohort's
 batch schedules into one sample block before the first step, so at each SGD
 step the clients at the same position of their schedules take one stacked
-step on a slice of it.  Every client keeps its own seeded batch schedule, so
+step on a slice of it.  The cohort trains under its experiment's one
+``TrainConfig``, and every client keeps its own seeded batch schedule, so
 each result is bitwise equal to training or measuring that client alone.
 """
 
@@ -103,17 +104,18 @@ def measure_utilities(
 def client_update(
     clients: Sequence[ClientDataset],
     global_params: ModelParams,
-    cfgs: Sequence[TrainConfig],
+    cfg: TrainConfig,
+    seeds: Sequence[int],
 ) -> tuple[ModelParams, np.ndarray]:
-    """Train every client of the cohort from ``global_params``.
+    """Train every client of the cohort from ``global_params`` under ``cfg``,
+    client ``i`` with ``seeds[i]``.
 
-    ``cfgs`` holds one training config per client.  Returns the ``(g, P)``
-    stack of trained parameters and the weight-change norm of each row, both
-    in the order of ``clients``.  Raises ``NonFiniteUpdateError`` naming
-    every client whose trained parameters or weight-change norm is not
-    finite.
+    Returns the ``(g, P)`` stack of trained parameters and the weight-change
+    norm of each row, both in the order of ``clients``.  Raises
+    ``NonFiniteUpdateError`` naming every client whose trained parameters or
+    weight-change norm is not finite.
     """
-    trained = sgd_epochs(global_params, [c.data for c in clients], cfgs)
+    trained = sgd_epochs(global_params, [c.data for c in clients], cfg, seeds)
     # Per row, exactly np.linalg.norm of a 1-D vector (an axis=1 norm is not).
     deltas = np.array([math.sqrt(d @ d) for d in trained.values - global_params.values])
     _raise_non_finite(clients, np.isfinite(trained.values).all(axis=1) & np.isfinite(deltas))

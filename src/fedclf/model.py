@@ -18,15 +18,17 @@ separately per model, so each model's results are bitwise equal to running it
 alone.  The blocks may be slices of a larger array: ``sgd_epochs`` gathers a
 cohort's whole schedule once and passes each step a window of it.
 
-``evaluate`` reduces along the short class axis only for the exp-sum.  The
-row maximum is an elementwise maximum of class columns (exact in any order),
-and accuracy reads ``shifted[label] == 0.0`` when every row maximum is finite
+``evaluate`` and ``gradient`` share one forward pass and softmax head, which
+reduces along the short class axis only for the exp-sum: the row maximum is
+an elementwise maximum of class columns (exact in any order).  ``evaluate``
+reads accuracy as ``shifted[label] == 0.0`` when every row maximum is finite
 and each row has one exact zero; otherwise it takes ``argmax`` (lowest-index
 ties).  Results are bitwise those of a row-wise log-softmax and argmax.
 """
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache
@@ -163,7 +165,8 @@ class SampleStack:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Local-training knobs.
+    """An experiment's local SGD, the same for every client it trains; only
+    the data and the seed differ per client.
 
     ``batch_size`` is clamped to the local sample count, so any value at or
     above it requests full-batch gradient steps.
@@ -172,13 +175,12 @@ class TrainConfig:
     epochs: int
     learning_rate: float
     batch_size: int = 32
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.learning_rate < 0.0:
-            raise ValueError("learning_rate must be >= 0")
+        if not 0.0 <= self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
 
@@ -269,11 +271,6 @@ def _forward(layers, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     return out, acts
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
 def _at_labels(y: np.ndarray) -> tuple:
     """Index of each sample's true-label entry in the ``(g * b, C)`` reshape
     of a fresh ``(g, b, C)`` array.  A label of ``C`` or more raises
@@ -295,12 +292,10 @@ def _backward(layers, acts, delta):
             delta = (delta @ layers[i][0].transpose(0, 2, 1)) * (1.0 - acts[i] ** 2)
 
 
-def evaluate(params: ModelParams, data, want_grad_norms: bool = False) -> EvalReport:
-    """Cross-entropy loss, per-sample losses and argmax accuracy on ``data``.
-
-    Per-sample gradient L2 norms (over the full parameter vector) are
-    returned only when requested; they cost an extra backward pass.
-    """
+def _forward_head(params: ModelParams, data):
+    """Check ``data``; the forward pass and softmax head over stacked inputs,
+    ``(layers, acts, y, stacked, logits, row_max, shifted, lse)``.  The row
+    maximum is taken over a class-major copy, class by class."""
     dims = _check_data(params, data)
     values, x, y, stacked = _stacked(params, data)
     layers = _layers(dims, values)
@@ -308,7 +303,17 @@ def evaluate(params: ModelParams, data, want_grad_norms: bool = False) -> EvalRe
     row_max = np.maximum.reduce(np.ascontiguousarray(logits.transpose(2, 0, 1)))
     shifted = logits - row_max[..., None]
     lse = np.log(np.exp(shifted).sum(axis=-1))
-    at_label = shifted.reshape(-1, dims[-1])[_at_labels(y)].reshape(y.shape)
+    return layers, acts, y, stacked, logits, row_max, shifted, lse
+
+
+def evaluate(params: ModelParams, data, want_grad_norms: bool = False) -> EvalReport:
+    """Cross-entropy loss, per-sample losses and argmax accuracy on ``data``.
+
+    Per-sample gradient L2 norms (over the full parameter vector) are
+    returned only when requested; they cost an extra backward pass.
+    """
+    layers, acts, y, stacked, logits, row_max, shifted, lse = _forward_head(params, data)
+    at_label = shifted.reshape(-1, logits.shape[-1])[_at_labels(y)].reshape(y.shape)
     losses = -(at_label - lse)
     if np.isfinite(row_max).all() and np.count_nonzero(shifted == 0.0) == y.size:
         hits = at_label == 0.0  # each row has one maximum: its argmax
@@ -347,12 +352,9 @@ def evaluate(params: ModelParams, data, want_grad_norms: bool = False) -> EvalRe
 def gradient(params: ModelParams, data) -> np.ndarray:
     """Gradient of the mean cross-entropy loss, as a flat vector (one row per
     model on stacked inputs)."""
-    dims = _check_data(params, data)
-    values, x, y, stacked = _stacked(params, data)
-    layers = _layers(dims, values)
-    logits, acts = _forward(layers, x)
-    delta = _output_delta(_log_softmax(logits), y)
-    delta /= x.shape[1]
+    layers, acts, y, stacked, _, _, shifted, lse = _forward_head(params, data)
+    delta = _output_delta(shifted - lse[..., None], y)
+    delta /= y.shape[1]
     parts = []
     for a, d in _backward(layers, acts, delta):
         gw = a.transpose(0, 2, 1) @ d
@@ -361,35 +363,32 @@ def gradient(params: ModelParams, data) -> np.ndarray:
     return grad if stacked else grad[0]
 
 
-def sgd_epochs(params: ModelParams, data, cfg: TrainConfig) -> ModelParams:
-    """Run ``cfg.epochs`` epochs of seeded mini-batch SGD; returns new params.
-
-    ``data`` and ``cfg`` may instead be equal-length sequences, one shard and
-    config per model (a cohort); the result is then the ``(g, P)`` stack of
-    trained parameters, every model starting from ``params``.
+def sgd_epochs(
+    params: ModelParams, shards: Sequence, cfg: TrainConfig, seeds: Sequence[int]
+) -> ModelParams:
+    """Run ``cfg.epochs`` epochs of seeded mini-batch SGD on every shard, each
+    model starting from ``params``; returns the ``(g, P)`` stack of trained
+    parameters, row ``i`` for ``shards[i]`` trained under ``seeds[i]``.
 
     Each shard's schedule is drawn as when trained alone (one
-    ``permutation(n)`` per epoch from ``default_rng(rng_seed)``) and gathered
+    ``permutation(n)`` per epoch from ``default_rng(seed)``) and gathered
     once: row ``i`` of a ``(g, L, f)`` block holds shard ``i``'s epochs back
     to back in that order (a shorter row's padding is never read).  Step
     ``j`` of a model reads samples ``start:start + size`` of its row, and at
     each step the models with the same ``(start, size)`` take one stacked
     gradient step on a slice of the block.
     """
-    if isinstance(cfg, TrainConfig):
-        trained = sgd_epochs(params, [data], [cfg])
-        return ModelParams(trained.values[0], params.shape_tag)
-    if len(data) != len(cfg):
-        raise ValueError(f"{len(data)} shards but {len(cfg)} train configs")
-    _check_data(params, *data)
-    lengths = [c.epochs * shard.num_samples for shard, c in zip(data, cfg)]
-    x = np.empty((len(data), max(lengths), data[0].num_features))
+    if len(shards) != len(seeds):
+        raise ValueError(f"{len(shards)} shards but {len(seeds)} seeds")
+    _check_data(params, *shards)
+    lengths = [cfg.epochs * shard.num_samples for shard in shards]
+    x = np.empty((len(shards), max(lengths), shards[0].num_features))
     y = np.empty(x.shape[:2], dtype=np.int64)
     steps = []
-    for i, (shard, c) in enumerate(zip(data, cfg)):
-        rng = np.random.default_rng(c.rng_seed)
+    for i, (shard, seed) in enumerate(zip(shards, seeds)):
+        rng = np.random.default_rng(seed)
         n = shard.num_samples
-        batch = min(c.batch_size, n)
+        batch = min(cfg.batch_size, n)
         schedule = []
         for start in range(0, lengths[i], n):
             order = rng.permutation(n)
@@ -397,9 +396,8 @@ def sgd_epochs(params: ModelParams, data, cfg: TrainConfig) -> ModelParams:
             y[i, start : start + n] = shard.labels[order]
             schedule += [(start + s, min(batch, n - s)) for s in range(0, n, batch)]
         steps.append(schedule)
-    rates = np.array([c.learning_rate for c in cfg])
-    num_classes = max(shard.num_classes for shard in data)
-    values = np.repeat(params.values[None], len(data), axis=0)
+    num_classes = max(shard.num_classes for shard in shards)
+    values = np.repeat(params.values[None], len(shards), axis=0)
     for step in range(max(len(s) for s in steps)):
         groups = defaultdict(list)
         for i, schedule in enumerate(steps):
@@ -411,7 +409,7 @@ def sgd_epochs(params: ModelParams, data, cfg: TrainConfig) -> ModelParams:
             window = slice(start, start + size)
             batch = SampleStack(x[rows, window], y[rows, window], num_classes)
             grad = gradient(ModelParams(values[rows], params.shape_tag), batch)
-            values[rows] -= rates[rows, None] * grad
+            values[rows] -= cfg.learning_rate * grad
     return ModelParams(values, params.shape_tag)
 
 

@@ -21,10 +21,11 @@ feedback selects every round.
 
 Determinism: all randomness is derived from the experiment seed via
 ``seeds.split_seed``, and client results are aggregated in client-id order.
-The cohort trains as one stacked block whose results are bitwise equal to
-training each client alone.  In the emitted CSV, the timestamp header line
-and the ``elapsed_s`` column are wall-clock measurements and are excluded
-from the byte-determinism contract (see ``deterministic_csv_payload``).
+The cohort trains as one stacked block under the experiment's one
+``TrainConfig``, and its results are bitwise equal to training each client
+alone.  In the emitted CSV, the timestamp header line and the ``elapsed_s``
+column are wall-clock measurements and are excluded from the
+byte-determinism contract (see ``deterministic_csv_payload``).
 """
 
 from __future__ import annotations
@@ -141,26 +142,25 @@ class ExperimentConfig:
     warmup_enabled: bool = True
     compound_factors: bool = False
 
-    def validate(self) -> None:
+    def validate(self) -> TrainConfig:
+        """Raise ``ValueError`` on a bad setting; returns the local SGD
+        settings as the ``TrainConfig`` every cohort trains under."""
         if not 1 <= self.select_k <= self.num_clients:
             raise ValueError(
                 f"need 1 <= k <= K, got k={self.select_k}, K={self.num_clients}"
             )
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
         if self.moving_avg_window < 1:
             raise ValueError("moving_avg_window must be >= 1")
-        if self.learning_rate < 0.0:
-            raise ValueError("learning_rate must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        if not math.isfinite(self.cluster_spread):
+            raise ValueError(f"cluster_spread must be finite, got {self.cluster_spread}")
         resolve_shape_tag(self.shape_tag, 1, 1)  # any data dims: checks the grammar
         if self.dataset_path is None:
             c, f, n = self.synthetic_shape
             if c < 1 or f < 1 or n < 1:
                 raise ValueError(f"bad synthetic_shape {self.synthetic_shape}")
+        return TrainConfig(self.epochs, self.learning_rate, self.batch_size)
 
 
 class ConfigKey(NamedTuple):
@@ -295,7 +295,7 @@ class Experiment:
         clients: list[ClientDataset],
         test_data: LabeledDataset,
     ):
-        cfg.validate()
+        self.train_cfg = cfg.validate()
         if len(clients) != cfg.num_clients:
             raise ValueError(
                 f"{len(clients)} client shards for K={cfg.num_clients}"
@@ -329,18 +329,10 @@ class Experiment:
 
     def _dispatch(self, ids: list[int], round_index: int) -> tuple[ModelParams, np.ndarray]:
         """Train the cohort in one stacked call; rows in client-id order."""
-        cfg = self.cfg
-        train_cfgs = [
-            TrainConfig(
-                epochs=cfg.epochs,
-                learning_rate=cfg.learning_rate,
-                batch_size=cfg.batch_size,
-                rng_seed=split_seed(cfg.seed, f"train-r{round_index}", cid),
-            )
-            for cid in ids
-        ]
+        seeds = [split_seed(self.cfg.seed, f"train-r{round_index}", cid) for cid in ids]
+        cohort = [self.clients[cid] for cid in ids]
         try:
-            return client_update([self.clients[cid] for cid in ids], self.params, train_cfgs)
+            return client_update(cohort, self.params, self.train_cfg, seeds)
         except NonFiniteUpdateError as exc:
             raise NonFiniteUpdateError(exc.client_ids, round_index) from None
 

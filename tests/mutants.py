@@ -40,6 +40,7 @@ class Mutant(NamedTuple):
 
 ORACLE = "tests/test_server.py::test_deferred_measurement_matches_eager_oracle"
 EVAL_ORACLE = "tests/test_model.py::test_evaluate_equals_row_wise_reference_bitwise"
+GRAD_ORACLE = "tests/test_model.py::test_gradient_equals_row_wise_reference_bitwise"
 
 MUTANTS = (
     Mutant(
@@ -130,11 +131,18 @@ MUTANTS = (
         ("tests/test_selection.py::test_untrained_clients_forced_when_warmup_disabled",),
     ),
     Mutant(
-        "one-learning-rate-per-cohort",
+        "one-seed-for-the-cohort",
         "src/fedclf/model.py",
-        "values[rows] -= rates[rows, None] * grad",
-        "values[rows] -= rates[0] * grad",
+        "rng = np.random.default_rng(seed)\n        n = shard.num_samples\n",
+        "rng = np.random.default_rng(seeds[0])\n        n = shard.num_samples\n",
         ("tests/test_model.py::test_cohort_sgd_equals_plain_per_client_loop",),
+    ),
+    Mutant(
+        "gradient-without-lse",
+        "src/fedclf/model.py",
+        "_output_delta(shifted - lse[..., None], y)",
+        "_output_delta(shifted, y)",
+        (GRAD_ORACLE,),
     ),
     Mutant(
         "model-stack-over-unstacked-data",

@@ -385,9 +385,9 @@ def test_criterion_10_determinism(tmp_path, monkeypatch):
     )
     stacked = run_experiment(cfg)
 
-    def one_at_a_time(clients, params, cfgs):
+    def one_at_a_time(clients, params, cfg, seeds):
         """Reference dispatch: each client trains alone; rows are restacked."""
-        singles = [client_update([c], params, [t]) for c, t in zip(clients, cfgs)]
+        singles = [client_update([c], params, cfg, [s]) for c, s in zip(clients, seeds)]
         return (
             ModelParams(np.concatenate([s[0].values for s in singles]), params.shape_tag),
             np.concatenate([s[1] for s in singles]),

@@ -351,6 +351,41 @@ def test_run_rejects_a_repeated_config_key(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value, setting",
+    [
+        ("--lr", "nan", "learning_rate"),
+        ("--lr", "inf", "learning_rate"),
+        ("--cluster-spread", "nan", "cluster_spread"),
+        ("--cluster-spread", "inf", "cluster_spread"),
+    ],
+)
+def test_run_rejects_a_non_finite_setting_before_any_work(tmp_path, capsys, flag, value, setting):
+    out = tmp_path / "out"
+    assert run_cli("run", flag, value, "--rounds", "1", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert f"{setting} must be finite" in err and "non-finite" not in err
+    assert not out.exists()
+
+
+def test_config_value_error_names_file_line_and_key(tmp_path, capsys):
+    config = tmp_path / "run.conf"
+    config.write_text("rounds=1\nlr=\n")
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", str(config), "--out", str(out)) == 1
+    assert f"{config}:2: lr: could not convert string to float: ''" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_rejects_an_empty_input_path(tmp_path, capsys):
+    config = tmp_path / "run.conf"
+    config.write_text("input=\n")
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", str(config), "--out", str(out)) == 1
+    assert f"{config}:1: input: empty path" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_on_dataset_file(tmp_path):
     src = tmp_path / "data.fedds"
     from fedclf.dataset import make_synthetic, save_dataset
@@ -378,6 +413,12 @@ def battery_spec(tmp_path, seeds="1,2,3"):
         f"seeds={seeds}\n"
     )
     return spec
+
+
+def set_spec_line(spec, key, text):
+    """Replace the ``key=...`` line of a battery spec with ``text``."""
+    lines = spec.read_text().splitlines()
+    spec.write_text("\n".join(text if x.startswith(f"{key}=") else x for x in lines) + "\n")
 
 
 def test_battery_row_count_and_pivot(tmp_path):
@@ -424,6 +465,63 @@ def test_battery_rejects_a_repeated_key(tmp_path, capsys):
     out = tmp_path / "battery"
     assert run_cli("battery", str(spec), "--out", str(out)) == 1
     assert f"{spec}:11: key 'seeds' already set on line 10" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_battery_seed_entry_error_names_file_line_and_key(tmp_path, capsys):
+    spec = battery_spec(tmp_path, seeds="1,x")
+    out = tmp_path / "battery"
+    assert run_cli("battery", str(spec), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert f"{spec}:10: seeds: invalid literal for int() with base 10: 'x'" in err
+    assert not out.exists()
+
+
+def test_battery_dataset_entry_error_names_file_line_and_key(tmp_path, capsys):
+    spec = battery_spec(tmp_path)
+    set_spec_line(spec, "datasets", "datasets=s-equal")
+    out = tmp_path / "battery"
+    assert run_cli("battery", str(spec), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert f"{spec}:9: datasets: bad dataset entry 's-equal', want s<S>-<equal|nonequal>" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "line, list_key",
+    [
+        ("strategy=random", "strategies"),
+        ("seed=4", "seeds"),
+        ("S=5", "datasets"),
+        ("split=nonequal", "datasets"),
+    ],
+)
+def test_battery_rejects_a_key_every_cell_sets(tmp_path, capsys, line, list_key):
+    spec = battery_spec(tmp_path)
+    spec.write_text(spec.read_text() + line + "\n")
+    out = tmp_path / "battery"
+    assert run_cli("battery", str(spec), "--out", str(out)) == 1
+    key = line.partition("=")[0]
+    assert f"{spec}:11: key {key!r} is set per cell by {list_key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, entries, repeated",
+    [
+        ("datasets", "s10-equal,s10-equal", "s10-equal"),
+        ("datasets", "s10-equal,S10-Equal", "S10-Equal"),  # the same cells
+        ("seeds", "1,2,1", "1"),
+        ("strategies", "fedclf,random,fedclf", "fedclf"),
+    ],
+)
+def test_battery_rejects_a_repeated_list_entry(tmp_path, capsys, key, entries, repeated):
+    spec = battery_spec(tmp_path)
+    set_spec_line(spec, key, f"{key}={entries}")
+    out = tmp_path / "battery"
+    assert run_cli("battery", str(spec), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert f"{spec}:" in err and f": {key}: entry {repeated!r} repeated" in err
     assert not out.exists()
 
 

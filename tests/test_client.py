@@ -25,9 +25,9 @@ def make_client(client_id=0, n=20, f=4, c=3, seed=0):
     return ClientDataset(client_id, make_synthetic(n, f, c, seed=seed))
 
 
-def update_one(client, params, cfg):
+def update_one(client, params, cfg, seed=0):
     """``client_update`` for a cohort of one: (trained params, delta norm)."""
-    trained, deltas = client_update([client], params, [cfg])
+    trained, deltas = client_update([client], params, cfg, [seed])
     assert trained.values.shape == (1, params.values.size) and deltas.shape == (1,)
     return trained.values[0], float(deltas[0])
 
@@ -108,8 +108,8 @@ def test_results_independent_of_execution_order():
     def run_all(order):
         out = {}
         for i in order:
-            cfg = TrainConfig(epochs=1, learning_rate=0.1, rng_seed=1000 + i)
-            out[i] = update_one(clients[i], params, cfg)
+            cfg = TrainConfig(epochs=1, learning_rate=0.1)
+            out[i] = update_one(clients[i], params, cfg, seed=1000 + i)
         return out
 
     forward = run_all(range(6))
@@ -124,15 +124,15 @@ def test_results_independent_of_execution_order():
 # ------------------------------------------- stacked cohort == per-client
 
 
-def assert_cohort_matches_singles(clients, params, cfgs, want_grad_norm=False):
+def assert_cohort_matches_singles(clients, params, cfg, seeds, want_grad_norm=False):
     """Training and measuring the cohort at once equals doing it per client,
     bit for bit, with row ``i`` for the ``i``-th client."""
-    trained, deltas = client_update(clients, params, cfgs)
+    trained, deltas = client_update(clients, params, cfg, seeds)
     assert trained.shape_tag == params.shape_tag
     assert trained.values.shape == (len(clients), params.values.size)
     assert deltas.shape == (len(clients),)
-    for i, (client, cfg) in enumerate(zip(clients, cfgs)):
-        row, delta = update_one(client, params, cfg)
+    for i, (client, seed) in enumerate(zip(clients, seeds)):
+        row, delta = update_one(client, params, cfg, seed)
         assert trained.values[i].tobytes() == row.tobytes()
         assert np.float64(deltas[i]).tobytes() == np.float64(delta).tobytes()
     loss, grad_norm = measure_utilities(clients, params, want_grad_norm)
@@ -164,24 +164,10 @@ def ragged_cohort(sizes, f=4, c=3):
 def test_cohort_update_matches_per_client_updates(tag, sizes, batch, epochs):
     clients = ragged_cohort(sizes)
     params = init_params(tag, seed=11)
-    cfgs = [
-        TrainConfig(epochs=epochs, learning_rate=0.3, batch_size=batch, rng_seed=50 + i)
-        for i in range(len(clients))
-    ]
-    assert_cohort_matches_singles(clients, params, cfgs)
-    assert_cohort_matches_singles(clients, params, cfgs, want_grad_norm=True)
-
-
-def test_cohort_clients_may_use_different_configs():
-    clients = ragged_cohort([10, 10, 10, 17])
-    params = init_params(mlp_tag(4, 3, 3), seed=12)
-    cfgs = [
-        TrainConfig(epochs=1, learning_rate=0.1, batch_size=4, rng_seed=1),
-        TrainConfig(epochs=3, learning_rate=0.5, batch_size=4, rng_seed=2),
-        TrainConfig(epochs=2, learning_rate=0.0, batch_size=10, rng_seed=3),
-        TrainConfig(epochs=1, learning_rate=0.2, batch_size=6, rng_seed=4),
-    ]
-    assert_cohort_matches_singles(clients, params, cfgs)
+    cfg = TrainConfig(epochs=epochs, learning_rate=0.3, batch_size=batch)
+    seeds = [50 + i for i in range(len(clients))]
+    assert_cohort_matches_singles(clients, params, cfg, seeds)
+    assert_cohort_matches_singles(clients, params, cfg, seeds, want_grad_norm=True)
 
 
 @settings(max_examples=40, deadline=None)
@@ -194,18 +180,15 @@ def test_cohort_clients_may_use_different_configs():
 def test_cohort_matches_per_client_for_random_shard_sizes(sizes, batch, epochs, mlp):
     clients = ragged_cohort(sizes)
     params = init_params(mlp_tag(4, 5, 3) if mlp else softmax_tag(4, 3), seed=13)
-    cfgs = [
-        TrainConfig(epochs=epochs, learning_rate=0.2, batch_size=batch, rng_seed=i)
-        for i in range(len(clients))
-    ]
-    assert_cohort_matches_singles(clients, params, cfgs)
+    cfg = TrainConfig(epochs=epochs, learning_rate=0.2, batch_size=batch)
+    assert_cohort_matches_singles(clients, params, cfg, list(range(len(clients))))
 
 
-def test_cohort_needs_one_config_per_client():
+def test_cohort_needs_one_seed_per_client():
     clients = ragged_cohort([5, 6])
     params = init_params(softmax_tag(4, 3), seed=14)
-    with pytest.raises(ValueError, match="2 shards but 1 train configs"):
-        client_update(clients, params, [TrainConfig(epochs=1, learning_rate=0.1)])
+    with pytest.raises(ValueError, match="2 shards but 1 seeds"):
+        client_update(clients, params, TrainConfig(epochs=1, learning_rate=0.1), [0])
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -217,7 +200,7 @@ def test_non_finite_training_names_the_clients():
     params = init_params(softmax_tag(4, 3), seed=15)
     cfg = TrainConfig(epochs=1, learning_rate=0.1)
     with pytest.raises(NonFiniteUpdateError, match="client\\(s\\) 8$") as err:
-        client_update([good, bad], params, [cfg, cfg])
+        client_update([good, bad], params, cfg, [0, 0])
     assert err.value.client_ids == (8,)
 
 

@@ -168,11 +168,10 @@ def test_per_sample_grad_norms_match_per_sample_gradients(tag_maker):
         )
 
 
-def reference_evaluate(values, x, y, dims):
-    """Plain row-wise evaluation of a ``(g, P)`` stack on ``(g, b, f)``
-    blocks, written without ``evaluate``: ``max`` and ``argmax`` along the
-    class axis, a label gather, and per-sample gradient norms by backprop.
-    Returns ``(per-sample losses, mean losses, accuracies, grad norms)``."""
+def reference_forward(values, x, dims):
+    """Logits of a ``(g, P)`` stack on ``(g, b, f)`` blocks, each layer's
+    input activation and each layer's ``(g, in, out)`` weights, written
+    without the model's own forward pass."""
     acts, weights, pos = [x], [], 0
     for fan_in, fan_out in zip(dims, dims[1:]):
         w = values[:, pos : pos + fan_in * fan_out].reshape(-1, fan_in, fan_out)
@@ -181,8 +180,23 @@ def reference_evaluate(values, x, y, dims):
         pos += fan_out
         weights.append(w)
         acts.append(np.tanh(logits))
+    return logits, acts[:-1], weights
+
+
+def reference_log_softmax(logits):
+    """Row-wise log-softmax: ``max`` along the class axis, then the
+    log-sum-exp of the shifted row."""
     shifted = logits - logits.max(axis=-1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def reference_evaluate(values, x, y, dims):
+    """Plain row-wise evaluation of a ``(g, P)`` stack on ``(g, b, f)``
+    blocks, written without ``evaluate``: ``max`` and ``argmax`` along the
+    class axis, a label gather, and per-sample gradient norms by backprop.
+    Returns ``(per-sample losses, mean losses, accuracies, grad norms)``."""
+    logits, acts, weights = reference_forward(values, x, dims)
+    log_probs = reference_log_softmax(logits)
     losses = -np.take_along_axis(log_probs, y[..., None], axis=-1)[..., 0]
     accuracy = (np.argmax(logits, axis=-1) == y).mean(axis=-1)
     delta = np.exp(log_probs) - (np.arange(dims[-1]) == y[..., None])
@@ -192,6 +206,24 @@ def reference_evaluate(values, x, y, dims):
         if i:
             delta = (delta @ weights[i].transpose(0, 2, 1)) * (1.0 - acts[i] ** 2)
     return losses, losses.mean(axis=-1), accuracy, np.sqrt(squared)
+
+
+def reference_gradient(values, x, y, dims):
+    """Plain gradient of each model's mean loss, written without
+    ``gradient``: a row-wise log-softmax, the label delta, then per model
+    and layer (last first) ``a.T @ d`` and ``d.sum``.  Returns ``(g, P)``."""
+    logits, acts, weights = reference_forward(values, x, dims)
+    onehot = np.arange(dims[-1]) == y[..., None]
+    delta = (np.exp(reference_log_softmax(logits)) - onehot) / y.shape[-1]
+    rows = []
+    for m in range(len(values)):
+        parts, d = [], delta[m]
+        for i in range(len(weights) - 1, -1, -1):
+            parts[:0] = [(acts[i][m].T @ d).ravel(), d.sum(axis=0)]
+            if i:
+                d = (d @ weights[i][m].T) * (1.0 - acts[i][m] ** 2)
+        rows.append(np.concatenate(parts))
+    return np.array(rows)
 
 
 def assert_same_bits(actual, expected):
@@ -256,6 +288,28 @@ def test_evaluate_equals_row_wise_reference_bitwise(case, unstacked):
     assert_same_bits(report.mean_loss, expected[1])
     assert_same_bits(report.accuracy, expected[2])
     assert_same_bits(report.per_sample_grad_norms, expected[3])
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=evaluation_cases(), unstacked=st.booleans())
+# A NaN row beside a two-way tie, as in the evaluate oracle.
+@example(
+    case=(softmax_tag(1, 2), np.ones((1, 4)), np.array([[[np.nan], [1.0]]]), np.array([[0, 0]])),
+    unstacked=False,
+)
+def test_gradient_equals_row_wise_reference_bitwise(case, unstacked):
+    tag, values, x, y = case
+    dims = parse_shape_tag(tag)[1]
+    with np.errstate(all="ignore"):
+        expected = reference_gradient(values, x, y, dims)
+        if unstacked and len(values) == 1:
+            data = LabeledDataset(x[0], y[0], dims[-1])
+            grad = gradient(ModelParams(values[0], tag), data)
+            expected = expected[0]
+        else:
+            grad = gradient(ModelParams(values, tag), SampleStack(x, y, dims[-1]))
+    assert grad.shape == expected.shape
+    assert_same_bits(grad, expected)
 
 
 # ---------------------------------------------------------- stacked kernel
@@ -334,20 +388,29 @@ def test_cohort_sgd_rows_equal_single_model_training():
     tag = mlp_tag(4, 3, 3)
     params = init_params(tag, seed=3)
     shards = [small_data(n=n, seed=n) for n in (5, 11, 11, 2)]
-    cfgs = [TrainConfig(epochs=2, learning_rate=0.4, batch_size=4, rng_seed=i) for i in range(4)]
-    trained = sgd_epochs(params, shards, cfgs)
+    cfg = TrainConfig(epochs=2, learning_rate=0.4, batch_size=4)
+    trained = sgd_epochs(params, shards, cfg, range(4))
     assert trained.values.shape == (4, param_count(tag))
-    for row, shard, cfg in zip(trained.values, shards, cfgs):
-        assert np.array_equal(row, sgd_epochs(params, shard, cfg).values)
+    for seed, (row, shard) in enumerate(zip(trained.values, shards)):
+        assert np.array_equal(row, train_one(params, shard, cfg, seed))
 
 
 # ------------------------------------------------------------- sgd_epochs
 
 
-def reference_sgd(params: ModelParams, shard: LabeledDataset, cfg: TrainConfig) -> np.ndarray:
+def train_one(params: ModelParams, data, cfg: TrainConfig, seed: int = 0) -> np.ndarray:
+    """``sgd_epochs`` on a cohort of one: the trained parameter vector."""
+    trained = sgd_epochs(params, [data], cfg, [seed])
+    assert trained.values.shape == (1, params.values.size)
+    return trained.values[0]
+
+
+def reference_sgd(
+    params: ModelParams, shard: LabeledDataset, cfg: TrainConfig, seed: int
+) -> np.ndarray:
     """Plain per-client mini-batch SGD, written without ``sgd_epochs``: a
     seeded permutation per epoch, then one gradient step per batch."""
-    rng = np.random.default_rng(cfg.rng_seed)
+    rng = np.random.default_rng(seed)
     values = params.values
     n = shard.num_samples
     b = min(cfg.batch_size, n)
@@ -365,36 +428,30 @@ def reference_sgd(params: ModelParams, shard: LabeledDataset, cfg: TrainConfig) 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    clients=st.lists(
-        st.tuples(
-            st.integers(min_value=1, max_value=40),  # n_k
-            st.integers(min_value=1, max_value=48),  # batch_size, often >= n_k
-            st.integers(min_value=1, max_value=3),  # epochs
-            st.sampled_from([0.0, 0.05, 0.3, 1.0]),  # learning rate
-        ),
-        min_size=1,
-        max_size=7,
-    ),
+    sizes=st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=7),
+    batch=st.integers(min_value=1, max_value=48),  # often >= n_k
+    epochs=st.integers(min_value=1, max_value=3),
+    lr=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
     mlp=st.booleans(),
 )
-def test_cohort_sgd_equals_plain_per_client_loop(clients, mlp):
+# Two same-size shards: each must draw its schedule from its own seed.
+@example(sizes=[6, 6], batch=2, epochs=1, lr=0.3, mlp=False)
+def test_cohort_sgd_equals_plain_per_client_loop(sizes, batch, epochs, lr, mlp):
     tag = mlp_tag(4, 5, 3) if mlp else softmax_tag(4, 3)
     params = init_params(tag, seed=21)
-    shards = [small_data(n=n, seed=200 + i) for i, (n, _, _, _) in enumerate(clients)]
-    cfgs = [
-        TrainConfig(epochs=e, learning_rate=lr, batch_size=b, rng_seed=70 + i)
-        for i, (_, b, e, lr) in enumerate(clients)
-    ]
-    trained = sgd_epochs(params, shards, cfgs)
-    for row, shard, cfg in zip(trained.values, shards, cfgs):
-        assert row.tobytes() == reference_sgd(params, shard, cfg).tobytes()
+    shards = [small_data(n=n, seed=200 + i) for i, n in enumerate(sizes)]
+    cfg = TrainConfig(epochs=epochs, learning_rate=lr, batch_size=batch)
+    seeds = [70 + i for i in range(len(shards))]
+    trained = sgd_epochs(params, shards, cfg, seeds)
+    for row, shard, seed in zip(trained.values, shards, seeds):
+        assert row.tobytes() == reference_sgd(params, shard, cfg, seed).tobytes()
 
 
 def test_sgd_zero_learning_rate_is_identity():
     data = small_data()
     params = init_params(softmax_tag(4, 3), seed=1)
-    out = sgd_epochs(params, data, TrainConfig(epochs=3, learning_rate=0.0))
-    assert np.array_equal(out.values, params.values)
+    out = train_one(params, data, TrainConfig(epochs=3, learning_rate=0.0))
+    assert np.array_equal(out, params.values)
 
 
 def test_sgd_full_batch_single_epoch_matches_analytic_gradient():
@@ -406,9 +463,7 @@ def test_sgd_full_batch_single_epoch_matches_analytic_gradient():
     params = ModelParams(np.array([0.1, -0.2, 0.05, 0.3, 0.0, 0.0]), tag)
     lr = 0.25
 
-    out = sgd_epochs(
-        params, data, TrainConfig(epochs=1, learning_rate=lr, batch_size=10)
-    )
+    out = train_one(params, data, TrainConfig(epochs=1, learning_rate=lr, batch_size=10))
 
     w = params.values[:4].reshape(2, 2)
     b = params.values[4:]
@@ -422,26 +477,28 @@ def test_sgd_full_batch_single_epoch_matches_analytic_gradient():
         grad_w += np.outer(features[i], delta) / 2
         grad_b += delta / 2
     expected = params.values - lr * np.concatenate([grad_w.ravel(), grad_b])
-    assert out.values == pytest.approx(expected, abs=1e-9)
+    assert out == pytest.approx(expected, abs=1e-9)
 
 
 def test_sgd_is_deterministic_and_pure():
     data = small_data(n=40, seed=3)
     params = init_params(softmax_tag(4, 3), seed=2)
     before = params.values.copy()
-    cfg = TrainConfig(epochs=2, learning_rate=0.1, batch_size=8, rng_seed=99)
-    a = sgd_epochs(params, data, cfg)
-    b = sgd_epochs(params, data, cfg)
-    assert np.array_equal(a.values, b.values)
+    cfg = TrainConfig(epochs=2, learning_rate=0.1, batch_size=8)
+    a = train_one(params, data, cfg, seed=99)
+    b = train_one(params, data, cfg, seed=99)
+    assert np.array_equal(a, b)
     assert np.array_equal(params.values, before)
-    assert not np.array_equal(a.values, before)
+    assert not np.array_equal(a, before)
 
 
 def test_sgd_reduces_loss_on_separable_data():
     data = make_synthetic(200, 4, 3, seed=15, cluster_spread=0.5)
     params = init_params(softmax_tag(4, 3), seed=5)
-    trained = sgd_epochs(params, data, TrainConfig(epochs=20, learning_rate=0.5))
-    assert evaluate(trained, data).mean_loss < evaluate(params, data).mean_loss
+    trained = train_one(params, data, TrainConfig(epochs=20, learning_rate=0.5))
+    assert evaluate(ModelParams(trained, params.shape_tag), data).mean_loss < (
+        evaluate(params, data).mean_loss
+    )
 
 
 # ------------------------------------------------------------- grad_check

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import sys
 
 from dataclasses import fields, replace
@@ -277,14 +278,8 @@ def test_identical_clients_aggregate_to_single_update():
     single, _ = client_update(
         [clients[0]],
         initial,
-        [
-            TrainConfig(
-                epochs=1,
-                learning_rate=0.2,
-                batch_size=64,
-                rng_seed=split_seed(cfg.seed, "train-r1", 0),
-            )
-        ],
+        TrainConfig(epochs=1, learning_rate=0.2, batch_size=64),
+        [split_seed(cfg.seed, "train-r1", 0)],
     )
     assert experiment.params.values == pytest.approx(single.values[0], abs=1e-9)
 
@@ -321,9 +316,9 @@ def test_each_round_dispatches_the_cohort_in_one_call(monkeypatch):
     cohorts = []
     original = fedclf.server.client_update
 
-    def recording(clients, params, cfgs, **kwargs):
+    def recording(clients, params, cfg, seeds):
         cohorts.append([c.client_id for c in clients])
-        return original(clients, params, cfgs, **kwargs)
+        return original(clients, params, cfg, seeds)
 
     monkeypatch.setattr(fedclf.server, "client_update", recording)
     history = run_experiment(small_config(rounds=6, select_k=4, seed=31))
@@ -582,6 +577,17 @@ def test_config_validation_errors_before_any_work():
         run_experiment(small_config(rounds=0))
     with pytest.raises(ValueError, match="unknown shape_tag"):
         run_experiment(small_config(shape_tag="transformer"))
+    # The local SGD settings are checked by the TrainConfig validate builds.
+    with pytest.raises(ValueError, match="epochs must be >= 1"):
+        run_experiment(small_config(epochs=0))
+    with pytest.raises(ValueError, match="batch_size must be >= 1"):
+        run_experiment(small_config(batch_size=0))
+    for lr in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"learning_rate must be finite and >= 0, got {lr}"):
+            run_experiment(small_config(learning_rate=lr))
+    for spread in (math.nan, -math.inf):
+        with pytest.raises(ValueError, match=f"cluster_spread must be finite, got {spread}"):
+            run_experiment(small_config(cluster_spread=spread))
 
 
 def test_mlp_experiment_runs():
