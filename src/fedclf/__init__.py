@@ -20,7 +20,6 @@ from .model import (
     ModelParams,
     TrainConfig,
     evaluate,
-    grad_check,
     init_params,
     sgd_epochs,
 )

@@ -44,9 +44,9 @@ def _parse_synthetic(text: str) -> tuple[int, int, int]:
     try:
         c, f, n = (int(p) for p in text.split("x"))
     except ValueError:
-        raise bad(f"bad --synthetic spec {text!r}, want CxFxN") from None
+        raise bad(f"bad spec {text!r}, want CxFxN") from None
     if c < 1 or f < 1 or n < 1:
-        raise bad(f"bad --synthetic spec {text!r}, counts must be positive")
+        raise bad(f"bad spec {text!r}, counts must be positive")
     return c, f, n
 
 
@@ -205,7 +205,8 @@ def _parse_list(path: Path, values: dict, key: str, parse) -> list:
     entry that fails to parse or repeats an earlier one fails."""
     lineno, text = values.get(key, (0, ""))
     if not text:
-        raise ValueError(f"battery spec must set a non-empty {key!r} list")
+        where = f"{path}:{lineno}" if key in values else str(path)
+        raise ValueError(f"{where}: battery spec must set a non-empty {key!r} list")
     entries = []
     for part in text.split(","):
         entry = _parse_at(path, lineno, key, parse, part.strip())

@@ -8,19 +8,19 @@ received.  The server calls it only when a selection is about to read them
 (and once at run end), since a cohort that trains again in the next round
 would overwrite them unread.
 
-The cohort is trained and measured as one stacked parameter block: shards of
-equal size are evaluated together, and ``sgd_epochs`` gathers the cohort's
-batch schedules into one sample block before the first step, so at each SGD
-step the clients at the same position of their schedules take one stacked
-step on a slice of it.  The cohort trains under its experiment's one
-``TrainConfig``, and every client keeps its own seeded batch schedule, so
-each result is bitwise equal to training or measuring that client alone.
+The cohort is trained and measured as one stacked parameter block, whatever
+its shard sizes: ``measure_utilities`` stacks the cohort's shards, ordered by
+``n_k`` so equal sizes form one run, into one ragged ``SampleStack`` and
+makes one ``evaluate`` call, and ``sgd_epochs`` makes one ``gradient`` call
+per SGD step over the models still training.  The cohort trains under its
+experiment's one ``TrainConfig``, and every client keeps its own seeded batch
+schedule, so each result is bitwise equal to training or measuring that
+client alone.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from typing import Sequence
 
 import numpy as np
@@ -50,29 +50,16 @@ class NonFiniteUpdateError(ValueError):
         self.round_index = round_index
 
 
-def rms_utility(per_sample: np.ndarray) -> float | np.ndarray:
-    """Sample count times the root-mean-square of per-sample values (over
-    the last axis, so a stack of rows gives one utility per row)."""
-    per_sample = np.asarray(per_sample, dtype=np.float64)
-    n = per_sample.shape[-1]
-    return n * np.sqrt((per_sample**2).sum(axis=-1) / n)
+def rms_utility(stack: SampleStack, per_sample: np.ndarray) -> np.ndarray:
+    """Each block's sample count times the root-mean-square of its rows of
+    ``per_sample`` (one value per row of ``stack``)."""
+    return np.array(stack.sizes) * np.sqrt(stack.blocks.per_model_mean(per_sample**2))
 
 
 def _raise_non_finite(clients: Sequence[ClientDataset], finite: np.ndarray) -> None:
     """Raise ``NonFiniteUpdateError`` naming the clients where ``finite`` is false."""
     if not finite.all():
         raise NonFiniteUpdateError([clients[i].client_id for i in np.flatnonzero(~finite)])
-
-
-def _by_size(clients: Sequence[ClientDataset]) -> list[tuple[list[int], SampleStack]]:
-    """Cohort positions grouped by ``n_k``, with each group's stacked shards."""
-    groups = defaultdict(list)
-    for i, client in enumerate(clients):
-        groups[client.n_k].append(i)
-    return [
-        (rows, SampleStack.of([clients[i].data for i in rows]))
-        for rows in groups.values()
-    ]
 
 
 def measure_utilities(
@@ -87,13 +74,16 @@ def measure_utilities(
     per-sample gradient norms (else ``None``).  Raises
     ``NonFiniteUpdateError`` naming every client with a non-finite utility.
     """
+    # Stacked by size, so clients of equal n_k form one run.
+    order = sorted(range(len(clients)), key=lambda i: clients[i].n_k)
+    stack = SampleStack.of([clients[i].data for i in order])
+    report = evaluate(params, stack, want_grad_norms=want_grad_norm)
     loss = np.empty(len(clients))
-    grad_norm = np.empty(len(clients)) if want_grad_norm else None
-    for rows, stack in _by_size(clients):
-        report = evaluate(params, stack, want_grad_norms=want_grad_norm)
-        loss[rows] = rms_utility(report.per_sample_losses)
-        if want_grad_norm:
-            grad_norm[rows] = rms_utility(report.per_sample_grad_norms)
+    loss[order] = rms_utility(stack, report.per_sample_losses)
+    grad_norm = None
+    if want_grad_norm:
+        grad_norm = np.empty(len(clients))
+        grad_norm[order] = rms_utility(stack, report.per_sample_grad_norms)
     finite = np.isfinite(loss)
     if want_grad_norm:
         finite &= np.isfinite(grad_norm)

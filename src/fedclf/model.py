@@ -10,13 +10,20 @@ are cross-entropy with natural log; accuracy breaks argmax ties toward the
 lowest class index.
 
 Every model function runs one kernel over a *stack* of models: parameters
-``(g, P)`` and same-size sample blocks ``(g, b, f)`` (a ``SampleStack``).  A
-single ``ModelParams`` vector with a ``LabeledDataset`` is the ``g = 1`` case,
-and a single vector broadcasts over a stack of blocks.  The kernel uses only
-stacked ``@``, elementwise operations and reductions that are computed
-separately per model, so each model's results are bitwise equal to running it
-alone.  The blocks may be slices of a larger array: ``sgd_epochs`` gathers a
-cohort's whole schedule once and passes each step a window of it.
+``(g, P)`` and a ``SampleStack`` of ``g`` sample blocks of any sizes, held
+back to back as rows ``(N, f)``.  A single ``ModelParams`` vector with a
+``LabeledDataset`` is the ``g = 1`` case, and a single vector broadcasts over
+every block of a stack.  The kernel splits the stack into runs of
+consecutive equal block sizes.  Each layer's matmuls are one stacked ``@``
+per run on ``(g_run, b, .)`` views (BLAS results depend on the row count,
+so one matmul over all rows would not be bitwise); every row-wise operation
+(bias add, tanh, the softmax head, label gather, output delta, the per-row
+``1/b``) runs once over all ``N`` rows; per-model reductions are one
+reduction per run.  An equal-size stack is a single run, kept as
+``(g, b, .)`` blocks throughout, so it makes exactly the calls of a plain
+stacked kernel.  Each model's results are bitwise equal to running it alone.
+``sgd_epochs`` gathers a cohort's whole schedule once and passes each step a
+slice of it.
 
 ``evaluate`` and ``gradient`` share one forward pass and softmax head, which
 reduces along the short class axis only for the exp-sum: the row maximum is
@@ -29,10 +36,9 @@ ties).  Results are bitwise those of a row-wise log-softmax and argmax.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
-from dataclasses import dataclass
-from functools import cache
-from typing import Sequence
+from dataclasses import dataclass, field
+from functools import cache, lru_cache
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,7 +56,6 @@ __all__ = [
     "evaluate",
     "gradient",
     "sgd_epochs",
-    "grad_check",
 ]
 
 
@@ -123,34 +128,128 @@ class ModelParams:
         object.__setattr__(self, "values", values)
 
 
-def _stack(arrays: list[np.ndarray]) -> np.ndarray:
-    """``np.stack``, but a view for a single (C-contiguous) array."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+def _concat(arrays: list[np.ndarray]) -> np.ndarray:
+    """``np.concatenate``, but the array itself when there is one."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+class _Blocks(NamedTuple):
+    """Where each stacked model's samples lie among a stack's rows.
+
+    ``sizes`` holds each model's block size; ``runs`` splits the models into
+    runs of consecutive equal sizes, each as ``(models, rows, size)``: slices
+    of the model axis and of the row axis, and the run's block size.  The
+    kernel keeps per-row arrays as ``(g, b, k)`` blocks when there is a
+    single run and as ``(N, k)`` rows otherwise, so an equal-size stack makes
+    exactly the calls of a plain stacked kernel.
+    """
+
+    sizes: tuple[int, ...]
+    runs: tuple[tuple[slice, slice, int], ...]
+
+    @classmethod
+    @lru_cache(maxsize=256)  # an experiment repeats a few size tuples every round
+    def of(cls, sizes: tuple[int, ...]) -> "_Blocks":
+        runs, first, row = [], 0, 0
+        for end in range(1, len(sizes) + 1):
+            if end == len(sizes) or sizes[end] != sizes[first]:
+                size = sizes[first]
+                runs.append((slice(first, end), slice(row, row + (end - first) * size), size))
+                row += (end - first) * size
+                first = end
+        return cls(sizes, tuple(runs))
+
+    def per_model_mean(self, per_row: np.ndarray) -> np.ndarray:
+        """Each model's mean of its rows of ``per_row`` (one value per row,
+        ``(N,)`` or ``(g, b)``), bitwise ``np.mean`` of its block: one
+        reduction per run."""
+        if len(self.runs) == 1:
+            return np.add.reduce(per_row.reshape(len(self.sizes), -1), axis=1) / self.sizes[0]
+        sums = np.empty(len(self.sizes))
+        for models, rows, size in self.runs:
+            np.add.reduce(per_row[rows].reshape(-1, size), axis=1, out=sums[models])
+        return sums / np.array(self.sizes)
+
+    def views(self, a: np.ndarray, b: np.ndarray) -> list[tuple]:
+        """Per run: its model slice and ``(g_run, size, k)`` views of the
+        per-row arrays ``a`` and ``b``."""
+        if len(self.runs) == 1:
+            return [(slice(None), a, b)]
+        return [
+            (models, a[rows].reshape(-1, size, a.shape[1]), b[rows].reshape(-1, size, b.shape[1]))
+            for models, rows, size in self.runs
+        ]
+
+    def matmul(self, a: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Per-row ``a`` times each model's ``w`` ``(g, in, out)``: one
+        stacked ``@`` per run."""
+        if len(self.runs) == 1:
+            return a @ w
+        out = np.empty((len(a), w.shape[-1]))
+        for models, a_run, out_run in self.views(a, out):
+            np.matmul(a_run, w[models], out=out_run)
+        return out
+
+    def layer_gradient(self, a: np.ndarray, d: np.ndarray) -> list[np.ndarray]:
+        """A linear layer's weight and bias gradients, ``(g, in * out)`` and
+        ``(g, out)``, from its per-row input ``a`` and output delta ``d``:
+        each model's ``a.T @ d`` and sum of ``d``, one of each per run."""
+        if len(self.runs) == 1:
+            gw = a.transpose(0, 2, 1) @ d
+            return [gw.reshape(len(gw), -1), np.add.reduce(d, axis=1)]
+        gw = np.empty((len(self.sizes), a.shape[1], d.shape[1]))
+        gb = np.empty((len(self.sizes), d.shape[1]))
+        for models, a_run, d_run in self.views(a, d):
+            np.matmul(a_run.transpose(0, 2, 1), d_run, out=gw[models])
+            np.add.reduce(d_run, axis=1, out=gb[models])
+        return [gw.reshape(len(gw), -1), gb]
+
+    def per_row(self, per_model: np.ndarray) -> np.ndarray:
+        """``(g, k)`` per-model values, broadcastable over per-row arrays."""
+        if len(self.runs) == 1:
+            return per_model[:, None]
+        return np.repeat(per_model, self.sizes, axis=0)
+
+    def row_sizes(self) -> int | np.ndarray:
+        """Each row's block size, broadcastable over per-row arrays."""
+        if len(self.runs) == 1:
+            return self.sizes[0]
+        return np.repeat(self.sizes, self.sizes)[:, None]
 
 
 @dataclass(frozen=True)
 class SampleStack:
-    """``g`` same-size sample blocks, one per stacked model.
+    """Sample blocks of any sizes, one per stacked model, held back to back.
 
-    ``features`` is ``(g, b, f)`` and ``labels`` is ``(g, b)``;
-    ``num_samples`` counts all ``g * b`` samples.  A negative label raises
-    ``ValueError`` (the label lookup would read it from the end of the row).
+    ``features`` is ``(N, f)`` and ``labels`` is ``(N,)``; model ``i``'s
+    block is the ``sizes[i]`` rows after those of the models before it, and
+    ``num_samples`` is ``N = sum(sizes)``.  ``blocks`` holds the runs of
+    consecutive equal sizes and the kernel's per-run operations.  A negative
+    label raises ``ValueError`` (the label lookup would read it from the end
+    of the row).
     """
 
     features: np.ndarray
     labels: np.ndarray
+    sizes: tuple[int, ...]
     num_classes: int
+    blocks: _Blocks = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.labels.size and self.labels.min() < 0:
+        blocks = _Blocks.of(self.sizes)
+        if not self.sizes or min(self.sizes) < 1 or blocks.runs[-1][1].stop != len(self.labels):
+            raise ValueError(f"block sizes {self.sizes} for {len(self.labels)} samples")
+        if self.labels.min() < 0:
             raise ValueError(f"negative label {self.labels.min()} in a sample stack")
+        object.__setattr__(self, "blocks", blocks)
 
     @classmethod
     def of(cls, shards: Sequence) -> "SampleStack":
-        """Stack equal-size datasets (anything with features/labels/num_classes)."""
+        """Stack datasets (anything with features/labels/num_classes), in order."""
         return cls(
-            _stack([s.features for s in shards]),
-            _stack([s.labels for s in shards]),
+            _concat([s.features for s in shards]),
+            _concat([s.labels for s in shards]),
+            tuple(len(s.labels) for s in shards),
             max(s.num_classes for s in shards),
         )
 
@@ -187,8 +286,9 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Evaluation results; on stacked inputs every field gains a leading
-    ``g`` axis (``mean_loss`` and ``accuracy`` become ``(g,)`` arrays)."""
+    """Evaluation results.  On stacked inputs ``mean_loss`` and ``accuracy``
+    are ``(g,)`` arrays, one per model, and the per-sample arrays follow the
+    stack's ``(N,)`` rows."""
 
     mean_loss: float | np.ndarray
     accuracy: float | np.ndarray
@@ -231,49 +331,58 @@ def _check_data(params: ModelParams, *datasets) -> tuple[int, ...]:
 
 
 def _stacked(params: ModelParams, data):
-    """``(V (g, P), X (g, b, f), Y (g, b), stacked)``; unstacked inputs gain a
-    leading axis of one, and ``stacked`` says whether either had one.  A stack
-    of several models needs stacked data, one block per model."""
-    values, x, y = params.values, data.features, data.labels
-    stacked = values.ndim == 2 or x.ndim == 3
+    """``(V, blocks, X, Y, stacked)``: the parameters (one row per block, or
+    one row that broadcasts over every block), where each block's rows lie
+    (an unstacked dataset is one block), the features and labels in the
+    kernel's layout, and whether the parameters or the data were stacked.
+    Any parameter stack of more than one row needs one row per block."""
+    values = params.values
+    if isinstance(data, SampleStack):
+        blocks, stacked, over = data.blocks, True, "sample blocks"
+    else:
+        blocks, stacked, over = _Blocks.of((data.num_samples,)), values.ndim == 2, "unstacked"
+    g = len(blocks.sizes)
     if values.ndim == 1:
         values = values[None]
-    if x.ndim == 2:
+    if len(values) != g:
         if len(values) > 1:
-            raise ValueError(
-                f"{values.shape} parameter stack over unstacked {x.shape} data"
-            )
-        x, y = x[None], y[None]
-    return values, x, y, stacked
+            raise ValueError(f"{values.shape} parameter stack over {over} {data.features.shape} data")
+        if len(blocks.runs) > 1:
+            values = np.broadcast_to(values, (g, values.shape[1]))
+    if len(blocks.runs) == 1:
+        size = blocks.sizes[0]
+        return values, blocks, data.features.reshape(g, size, -1), data.labels.reshape(g, size), stacked
+    return values, blocks, data.features, data.labels, stacked
 
 
-def _layers(dims: tuple[int, ...], values: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Views of each layer's weights ``(g, in, out)`` and bias ``(g, 1, out)``."""
+def _layers(dims: tuple[int, ...], values: np.ndarray, blocks: _Blocks) -> list:
+    """Per layer, views of the weights ``(g, in, out)`` and the bias of
+    every row."""
     layers, pos = [], 0
     for fan_in, fan_out in _layer_sizes(dims):
         w = values[:, pos : pos + fan_in * fan_out].reshape(-1, fan_in, fan_out)
         pos += fan_in * fan_out
-        layers.append((w, values[:, None, pos : pos + fan_out]))
+        layers.append((w, blocks.per_row(values[:, pos : pos + fan_out])))
         pos += fan_out
     return layers
 
 
-def _forward(layers, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+def _forward(layers, blocks: _Blocks, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Logits, and the input activation of every layer (``x``, then tanh)."""
     acts = [x]
     w, b = layers[0]
-    out = x @ w
+    out = blocks.matmul(x, w)
     out += b
     for w, b in layers[1:]:
         acts.append(np.tanh(out, out=out))
-        out = out @ w
+        out = blocks.matmul(out, w)
         out += b
     return out, acts
 
 
 def _at_labels(y: np.ndarray) -> tuple:
-    """Index of each sample's true-label entry in the ``(g * b, C)`` reshape
-    of a fresh ``(g, b, C)`` array.  A label of ``C`` or more raises
+    """Index of each sample's true-label entry in the ``(N, C)`` reshape of
+    a fresh per-row ``(..., C)`` array.  A label of ``C`` or more raises
     ``IndexError``; it is never read as the next sample's entry."""
     return np.arange(y.size), y.reshape(-1)
 
@@ -284,26 +393,31 @@ def _output_delta(log_probs: np.ndarray, y: np.ndarray) -> np.ndarray:
     return delta
 
 
-def _backward(layers, acts, delta):
+def _backward(layers, blocks: _Blocks, acts, delta):
     """Yield (input activation, output delta) of each layer, last layer first."""
     for i in range(len(layers) - 1, -1, -1):
         yield acts[i], delta
         if i:
-            delta = (delta @ layers[i][0].transpose(0, 2, 1)) * (1.0 - acts[i] ** 2)
+            delta = blocks.matmul(delta, layers[i][0].transpose(0, 2, 1)) * (1.0 - acts[i] ** 2)
+
+
+# Axis order that puts the class axis first, by the ndim of the logits.
+_CLASS_MAJOR = {2: (1, 0), 3: (2, 0, 1)}
 
 
 def _forward_head(params: ModelParams, data):
     """Check ``data``; the forward pass and softmax head over stacked inputs,
-    ``(layers, acts, y, stacked, logits, row_max, shifted, lse)``.  The row
-    maximum is taken over a class-major copy, class by class."""
+    ``(blocks, layers, acts, y, stacked, logits, row_max, shifted, lse)``.
+    The row maximum is taken over a class-major copy, class by class."""
     dims = _check_data(params, data)
-    values, x, y, stacked = _stacked(params, data)
-    layers = _layers(dims, values)
-    logits, acts = _forward(layers, x)
-    row_max = np.maximum.reduce(np.ascontiguousarray(logits.transpose(2, 0, 1)))
+    values, blocks, x, y, stacked = _stacked(params, data)
+    layers = _layers(dims, values, blocks)
+    logits, acts = _forward(layers, blocks, x)
+    class_major = logits.transpose(_CLASS_MAJOR[logits.ndim])
+    row_max = np.maximum.reduce(np.ascontiguousarray(class_major))
     shifted = logits - row_max[..., None]
-    lse = np.log(np.exp(shifted).sum(axis=-1))
-    return layers, acts, y, stacked, logits, row_max, shifted, lse
+    lse = np.log(np.add.reduce(np.exp(shifted), axis=-1))
+    return blocks, layers, acts, y, stacked, logits, row_max, shifted, lse
 
 
 def evaluate(params: ModelParams, data, want_grad_norms: bool = False) -> EvalReport:
@@ -312,14 +426,13 @@ def evaluate(params: ModelParams, data, want_grad_norms: bool = False) -> EvalRe
     Per-sample gradient L2 norms (over the full parameter vector) are
     returned only when requested; they cost an extra backward pass.
     """
-    layers, acts, y, stacked, logits, row_max, shifted, lse = _forward_head(params, data)
+    blocks, layers, acts, y, stacked, logits, row_max, shifted, lse = _forward_head(params, data)
     at_label = shifted.reshape(-1, logits.shape[-1])[_at_labels(y)].reshape(y.shape)
     losses = -(at_label - lse)
     if np.isfinite(row_max).all() and np.count_nonzero(shifted == 0.0) == y.size:
         hits = at_label == 0.0  # each row has one maximum: its argmax
     else:
         hits = np.argmax(logits, axis=-1) == y
-    accuracy = hits.sum(axis=-1) / y.shape[-1]
     grad_norms = None
     if want_grad_norms:
         log_probs = shifted - lse[..., None]
@@ -329,14 +442,13 @@ def evaluate(params: ModelParams, data, want_grad_norms: bool = False) -> EvalRe
         grad_norms = np.sqrt(
             sum(
                 (d**2).sum(axis=-1) * ((a**2).sum(axis=-1) + 1.0)
-                for a, d in _backward(layers, acts, _output_delta(log_probs, y))
+                for a, d in _backward(layers, blocks, acts, _output_delta(log_probs, y))
             )
-        )
+        ).reshape(-1)
     report = EvalReport(
-        # Bitwise np.mean, without its Python wrapper.
-        mean_loss=losses.sum(axis=-1) / losses.shape[-1],
-        accuracy=accuracy,
-        per_sample_losses=losses,
+        mean_loss=blocks.per_model_mean(losses),
+        accuracy=blocks.per_model_mean(hits),
+        per_sample_losses=losses.reshape(-1),
         per_sample_grad_norms=grad_norms,
     )
     if stacked:
@@ -344,21 +456,20 @@ def evaluate(params: ModelParams, data, want_grad_norms: bool = False) -> EvalRe
     return EvalReport(
         mean_loss=float(report.mean_loss[0]),
         accuracy=float(report.accuracy[0]),
-        per_sample_losses=losses[0],
-        per_sample_grad_norms=None if grad_norms is None else grad_norms[0],
+        per_sample_losses=report.per_sample_losses,
+        per_sample_grad_norms=grad_norms,
     )
 
 
 def gradient(params: ModelParams, data) -> np.ndarray:
     """Gradient of the mean cross-entropy loss, as a flat vector (one row per
     model on stacked inputs)."""
-    layers, acts, y, stacked, _, _, shifted, lse = _forward_head(params, data)
+    blocks, layers, acts, y, stacked, _, _, shifted, lse = _forward_head(params, data)
     delta = _output_delta(shifted - lse[..., None], y)
-    delta /= y.shape[1]
+    delta /= blocks.row_sizes()
     parts = []
-    for a, d in _backward(layers, acts, delta):
-        gw = a.transpose(0, 2, 1) @ d
-        parts[:0] = [gw.reshape(gw.shape[0], -1), d.sum(axis=1)]
+    for a, d in _backward(layers, blocks, acts, delta):
+        parts[:0] = blocks.layer_gradient(a, d)
     grad = np.concatenate(parts, axis=1)
     return grad if stacked else grad[0]
 
@@ -372,60 +483,44 @@ def sgd_epochs(
 
     Each shard's schedule is drawn as when trained alone (one
     ``permutation(n)`` per epoch from ``default_rng(seed)``) and gathered
-    once: row ``i`` of a ``(g, L, f)`` block holds shard ``i``'s epochs back
-    to back in that order (a shorter row's padding is never read).  Step
-    ``j`` of a model reads samples ``start:start + size`` of its row, and at
-    each step the models with the same ``(start, size)`` take one stacked
-    gradient step on a slice of the block.
+    once, step-major: step ``j``'s batches of every model still training
+    lie back to back in one sample array.  The models train in order of
+    decreasing shard size, so those still training at any step are a prefix
+    of the stack, and at each step they take one stacked gradient step on
+    that step's ragged ``SampleStack`` (a slice of the array).
     """
     if len(shards) != len(seeds):
         raise ValueError(f"{len(shards)} shards but {len(seeds)} seeds")
     _check_data(params, *shards)
-    lengths = [cfg.epochs * shard.num_samples for shard in shards]
-    x = np.empty((len(shards), max(lengths), shards[0].num_features))
-    y = np.empty(x.shape[:2], dtype=np.int64)
-    steps = []
-    for i, (shard, seed) in enumerate(zip(shards, seeds)):
-        rng = np.random.default_rng(seed)
-        n = shard.num_samples
+    counts = [shard.num_samples for shard in shards]
+    order = sorted(range(len(shards)), key=counts.__getitem__, reverse=True)  # stable
+    offset = 0
+    steps: list[list[np.ndarray]] = []  # per step, each training model's batch
+    for i in order:
+        rng = np.random.default_rng(seeds[i])
+        n = counts[i]
         batch = min(cfg.batch_size, n)
-        schedule = []
-        for start in range(0, lengths[i], n):
-            order = rng.permutation(n)
-            x[i, start : start + n] = shard.features[order]
-            y[i, start : start + n] = shard.labels[order]
-            schedule += [(start + s, min(batch, n - s)) for s in range(0, n, batch)]
-        steps.append(schedule)
+        step = 0
+        for _ in range(cfg.epochs):
+            perm = rng.permutation(n) + offset
+            for start in range(0, n, batch):
+                if step == len(steps):
+                    steps.append([])
+                steps[step].append(perm[start : start + batch])
+                step += 1
+        offset += n
+    index = np.concatenate([rows for step in steps for rows in step])
+    x = np.concatenate([shards[i].features for i in order])[index]
+    y = np.concatenate([shards[i].labels for i in order])[index]
     num_classes = max(shard.num_classes for shard in shards)
     values = np.repeat(params.values[None], len(shards), axis=0)
-    for step in range(max(len(s) for s in steps)):
-        groups = defaultdict(list)
-        for i, schedule in enumerate(steps):
-            if step < len(schedule):
-                groups[schedule[step]].append(i)
-        for (start, size), rows in groups.items():
-            if rows[-1] - rows[0] == len(rows) - 1:
-                rows = slice(rows[0], rows[-1] + 1)  # views, not copies
-            window = slice(start, start + size)
-            batch = SampleStack(x[rows, window], y[rows, window], num_classes)
-            grad = gradient(ModelParams(values[rows], params.shape_tag), batch)
-            values[rows] -= cfg.learning_rate * grad
+    end = 0
+    for step in steps:
+        sizes = tuple(map(len, step))
+        start, end = end, end + sum(sizes)
+        batch = SampleStack(x[start:end], y[start:end], sizes, num_classes)
+        active = values[: len(sizes)]
+        active -= cfg.learning_rate * gradient(ModelParams(active, params.shape_tag), batch)
+    if order != sorted(order):
+        values[order] = values.copy()
     return ModelParams(values, params.shape_tag)
-
-
-def grad_check(params: ModelParams, data, epsilon: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients."""
-    analytic = gradient(params, data)
-    values = params.values
-    worst = 0.0
-    for i in range(values.size):
-        bumped = values.copy()
-        bumped[i] += epsilon
-        up = evaluate(ModelParams(bumped, params.shape_tag), data).mean_loss
-        bumped[i] -= 2.0 * epsilon
-        down = evaluate(ModelParams(bumped, params.shape_tag), data).mean_loss
-        numeric = (up - down) / (2.0 * epsilon)
-        err = abs(analytic[i] - numeric) / max(1.0, abs(analytic[i]))
-        worst = max(worst, err)
-    return worst
-

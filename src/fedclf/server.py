@@ -153,14 +153,21 @@ class ExperimentConfig:
             raise ValueError("rounds must be >= 1")
         if self.moving_avg_window < 1:
             raise ValueError("moving_avg_window must be >= 1")
-        if not math.isfinite(self.cluster_spread):
-            raise ValueError(f"cluster_spread must be finite, got {self.cluster_spread}")
         resolve_shape_tag(self.shape_tag, 1, 1)  # any data dims: checks the grammar
+        self.check_data_settings()
+        return TrainConfig(self.epochs, self.learning_rate, self.batch_size)
+
+    def check_data_settings(self) -> None:
+        """Raise ``ValueError`` on a bad setting of the data ``build_partition``
+        builds: the synthetic shape, cluster spread or test fraction."""
         if self.dataset_path is None:
             c, f, n = self.synthetic_shape
             if c < 1 or f < 1 or n < 1:
                 raise ValueError(f"bad synthetic_shape {self.synthetic_shape}")
-        return TrainConfig(self.epochs, self.learning_rate, self.batch_size)
+            if not math.isfinite(self.cluster_spread):
+                raise ValueError(f"cluster_spread must be finite, got {self.cluster_spread}")
+        if not 0.0 < self.test_fraction < 1.0:
+            raise ValueError(f"test_fraction must lie in (0, 1), got {self.test_fraction}")
 
 
 class ConfigKey(NamedTuple):
@@ -382,12 +389,14 @@ class Experiment:
         self.pending = (round_index, ids, self.params, deltas)
         self.params = aggregate(trained, [self.clients[cid].n_k for cid in ids])
         report = evaluate(self.params, self.test_data)
-        acc_history = [r.test_accuracy for r in self.history] + [report.accuracy]
+        window = cfg.moving_avg_window
+        recent = [r.test_accuracy for r in self.history[max(0, round_index - window) :]]
+        recent.append(report.accuracy)
         record = RoundRecord(
             round_index=round_index,
             test_accuracy=report.accuracy,
             test_loss=report.mean_loss,
-            ma_accuracy=moving_average(acc_history, round_index, cfg.moving_avg_window),
+            ma_accuracy=moving_average(recent, len(recent), window),
             selection_ran=gate,
             selected_ids=tuple(ids),
             wall_time=time.perf_counter() - started,
@@ -409,8 +418,9 @@ def build_partition(
 
     Reads only the data, seed, client-count and partition settings of
     ``cfg``: the shards are the partition of the training split that a run
-    with these settings trains on.
+    with these settings trains on.  Checks those settings before any work.
     """
+    cfg.check_data_settings()
     if cfg.dataset_path is not None:
         full = load_dataset(cfg.dataset_path)
     else:
@@ -434,8 +444,8 @@ def build_partition(
 
 
 def build_experiment(cfg: ExperimentConfig) -> Experiment:
-    """Materialize data, split, partition and wire up an Experiment."""
-    cfg.validate()
+    """Materialize data, split, partition and wire up an Experiment (which
+    checks the other settings)."""
     clients, _, test = build_partition(cfg)
     return Experiment(cfg, clients, test)
 

@@ -41,6 +41,8 @@ class Mutant(NamedTuple):
 ORACLE = "tests/test_server.py::test_deferred_measurement_matches_eager_oracle"
 EVAL_ORACLE = "tests/test_model.py::test_evaluate_equals_row_wise_reference_bitwise"
 GRAD_ORACLE = "tests/test_model.py::test_gradient_equals_row_wise_reference_bitwise"
+RAGGED_EVAL_ORACLE = "tests/test_model.py::test_evaluate_on_a_ragged_stack_equals_each_block_alone_bitwise"
+RAGGED_GRAD_ORACLE = "tests/test_model.py::test_gradient_on_a_ragged_stack_equals_each_block_alone_bitwise"
 
 MUTANTS = (
     Mutant(
@@ -133,8 +135,8 @@ MUTANTS = (
     Mutant(
         "one-seed-for-the-cohort",
         "src/fedclf/model.py",
-        "rng = np.random.default_rng(seed)\n        n = shard.num_samples\n",
-        "rng = np.random.default_rng(seeds[0])\n        n = shard.num_samples\n",
+        "rng = np.random.default_rng(seeds[i])",
+        "rng = np.random.default_rng(seeds[0])",
         ("tests/test_model.py::test_cohort_sgd_equals_plain_per_client_loop",),
     ),
     Mutant(
@@ -143,6 +145,23 @@ MUTANTS = (
         "_output_delta(shifted - lse[..., None], y)",
         "_output_delta(shifted, y)",
         (GRAD_ORACLE,),
+    ),
+    Mutant(
+        "every-row-divided-by-one-run-size",
+        "src/fedclf/model.py",
+        "return np.repeat(self.sizes, self.sizes)[:, None]",
+        "return self.sizes[0]",
+        (RAGGED_GRAD_ORACLE,),
+    ),
+    Mutant(
+        "mean-read-from-neighbouring-segment",
+        "src/fedclf/model.py",
+        "np.add.reduce(per_row[rows].reshape(",
+        "np.add.reduce(np.roll(per_row, -size)[rows].reshape(",
+        (
+            RAGGED_EVAL_ORACLE,
+            "tests/test_client.py::test_ragged_cohort_utilities_equal_plain_rms_of_each_client",
+        ),
     ),
     Mutant(
         "model-stack-over-unstacked-data",

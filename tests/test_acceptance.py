@@ -32,7 +32,6 @@ from fedclf.dataset import (
 from fedclf.model import (
     ModelParams,
     evaluate,
-    grad_check,
     init_params,
     mlp_tag,
     softmax_tag,
@@ -52,6 +51,7 @@ from fedclf.server import (
     moving_average,
     run_experiment,
 )
+from test_model import grad_check
 
 SEEDS = tuple(range(1, 11))
 

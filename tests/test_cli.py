@@ -80,6 +80,26 @@ def test_partition_shard_too_large_fails(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--cluster-spread", "nan", "cluster_spread must be finite, got nan"),
+        ("--cluster-spread", "-inf", "cluster_spread must be finite, got -inf"),
+        ("--test-fraction", "nan", "test_fraction must lie in (0, 1), got nan"),
+        ("--test-fraction", "1", "test_fraction must lie in (0, 1), got 1.0"),
+    ],
+)
+def test_partition_rejects_a_bad_data_setting_before_any_work(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "parts"
+    code = run_cli(
+        "partition", "--synthetic", "3x3x240", "--clients", "6", "--S", "5",
+        f"{flag}={value}", "--out", str(out),
+    )
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_partition_is_byte_reproducible(tmp_path):
     reports = []
     for name in ("a", "b"):
@@ -474,6 +494,34 @@ def test_battery_seed_entry_error_names_file_line_and_key(tmp_path, capsys):
     assert run_cli("battery", str(spec), "--out", str(out)) == 1
     err = capsys.readouterr().err
     assert f"{spec}:10: seeds: invalid literal for int() with base 10: 'x'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "battery"])
+def test_synthetic_spec_error_names_the_key_not_the_flag(tmp_path, capsys, command):
+    spec = battery_spec(tmp_path)
+    set_spec_line(spec, "synthetic", "synthetic=3x3")
+    out = tmp_path / "out"
+    if command == "run":
+        for key in ("strategies", "datasets", "seeds"):
+            set_spec_line(spec, key, "")
+        assert run_cli("run", "--config", str(spec), "--out", str(out)) == 1
+    else:
+        assert run_cli("battery", str(spec), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert f"{spec}:7: synthetic: bad spec '3x3', want CxFxN" in err
+    assert "--synthetic" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seeds_line, where", [(None, ""), ("seeds=", ":10")])
+def test_battery_without_seeds_names_the_spec_file(tmp_path, capsys, seeds_line, where):
+    spec = battery_spec(tmp_path)
+    set_spec_line(spec, "seeds", seeds_line or "# no seeds")
+    out = tmp_path / "battery"
+    assert run_cli("battery", str(spec), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert f"{spec}{where}: battery spec must set a non-empty 'seeds' list" in err
     assert not out.exists()
 
 

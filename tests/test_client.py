@@ -18,7 +18,7 @@ from fedclf.client import (
     rms_utility,
 )
 from fedclf.dataset import ClientDataset, LabeledDataset, make_synthetic
-from fedclf.model import TrainConfig, evaluate, init_params, mlp_tag, softmax_tag
+from fedclf.model import SampleStack, TrainConfig, evaluate, init_params, mlp_tag, softmax_tag
 
 
 def make_client(client_id=0, n=20, f=4, c=3, seed=0):
@@ -89,7 +89,9 @@ def test_loss_utility_matches_independent_recomputation():
 )
 def test_rms_utility_dominates_sum(values):
     arr = np.array(values)
-    assert rms_utility(arr) >= arr.sum() - 1e-9
+    stack = SampleStack(np.zeros((len(arr), 1)), np.zeros(len(arr), dtype=int), (len(arr),), 1)
+    [utility] = rms_utility(stack, arr)
+    assert utility >= arr.sum() - 1e-9
 
 
 def test_grad_norm_utility_present_only_on_request():
@@ -182,6 +184,29 @@ def test_cohort_matches_per_client_for_random_shard_sizes(sizes, batch, epochs, 
     params = init_params(mlp_tag(4, 5, 3) if mlp else softmax_tag(4, 3), seed=13)
     cfg = TrainConfig(epochs=epochs, learning_rate=0.2, batch_size=batch)
     assert_cohort_matches_singles(clients, params, cfg, list(range(len(clients))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    runs=st.lists(
+        st.tuples(st.integers(min_value=1, max_value=30), st.integers(min_value=1, max_value=3)),
+        min_size=1,
+        max_size=6,
+    ),
+    mlp=st.booleans(),
+)
+def test_ragged_cohort_utilities_equal_plain_rms_of_each_client(runs, mlp):
+    # Unsorted runs of equal n_k and singletons: every client's utilities
+    # are n_k * RMS of its own per-sample values, computed alone.
+    clients = ragged_cohort([n for n, count in runs for _ in range(count)])
+    params = init_params(mlp_tag(4, 5, 3) if mlp else softmax_tag(4, 3), seed=17)
+    loss, grad_norm = measure_utilities(clients, params, want_grad_norm=True)
+    for i, client in enumerate(clients):
+        alone = evaluate(params, client.data, want_grad_norms=True)
+        n = client.n_k
+        for utility, values in ((loss, alone.per_sample_losses), (grad_norm, alone.per_sample_grad_norms)):
+            expected = n * np.sqrt((values**2).sum() / n)
+            assert np.float64(utility[i]).tobytes() == np.float64(expected).tobytes()
 
 
 def test_cohort_needs_one_seed_per_client():

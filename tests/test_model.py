@@ -15,7 +15,6 @@ from fedclf.model import (
     SampleStack,
     TrainConfig,
     evaluate,
-    grad_check,
     gradient,
     init_params,
     mlp_tag,
@@ -226,6 +225,12 @@ def reference_gradient(values, x, y, dims):
     return np.array(rows)
 
 
+def equal_stack(x, y, num_classes):
+    """A ``SampleStack`` of ``(g, b, f)`` feature and ``(g, b)`` label blocks."""
+    g, b, f = x.shape
+    return SampleStack(x.reshape(-1, f), y.reshape(-1), (b,) * g, num_classes)
+
+
 def assert_same_bits(actual, expected):
     """Bitwise equality, signed zeros included; NaNs match whatever their
     sign bit."""
@@ -282,8 +287,9 @@ def test_evaluate_equals_row_wise_reference_bitwise(case, unstacked):
             report = evaluate(ModelParams(values[0], tag), data, want_grad_norms=True)
             expected = [e[0] for e in expected]
         else:
-            data = SampleStack(x, y, dims[-1])
+            data = equal_stack(x, y, dims[-1])
             report = evaluate(ModelParams(values, tag), data, want_grad_norms=True)
+            expected = [e.reshape(-1) if e.ndim == 2 else e for e in expected]
     assert_same_bits(report.per_sample_losses, expected[0])
     assert_same_bits(report.mean_loss, expected[1])
     assert_same_bits(report.accuracy, expected[2])
@@ -307,9 +313,67 @@ def test_gradient_equals_row_wise_reference_bitwise(case, unstacked):
             grad = gradient(ModelParams(values[0], tag), data)
             expected = expected[0]
         else:
-            grad = gradient(ModelParams(values, tag), SampleStack(x, y, dims[-1]))
+            grad = gradient(ModelParams(values, tag), equal_stack(x, y, dims[-1]))
     assert grad.shape == expected.shape
     assert_same_bits(grad, expected)
+
+
+@st.composite
+def ragged_cases(draw):
+    """``(shape tag, parameters, (N, f) features, (N,) labels, sizes)``: blocks
+    in runs of equal sizes and singletons, in no particular order, under a
+    ``(g, P)`` parameter stack or one vector broadcast over every block."""
+    c, f = draw(st.integers(1, 25)), draw(st.integers(1, 3))
+    runs = draw(st.lists(st.tuples(st.integers(1, 12), st.integers(1, 3)), min_size=1, max_size=6))
+    sizes = tuple(size for size, count in runs for _ in range(count))
+    tag = draw(st.sampled_from([softmax_tag(f, c), mlp_tag(f, 3, c)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def block(size):
+        palette = draw(PALETTE) + list(rng.normal(size=draw(st.integers(0, 8))))
+        return rng.choice(palette, size)
+
+    models = draw(st.sampled_from([1, len(sizes)]))
+    n = sum(sizes)
+    return tag, block((models, param_count(tag))), block((n, f)), rng.integers(0, c, n), sizes
+
+
+def blocks_of(sizes):
+    """Each block's row slice."""
+    ends = np.cumsum(sizes)
+    return [slice(end - size, end) for size, end in zip(sizes, ends)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=ragged_cases())
+def test_evaluate_on_a_ragged_stack_equals_each_block_alone_bitwise(case):
+    tag, values, x, y, sizes = case
+    dims = parse_shape_tag(tag)[1]
+    with np.errstate(all="ignore"):
+        report = evaluate(
+            ModelParams(values, tag), SampleStack(x, y, sizes, dims[-1]), want_grad_norms=True
+        )
+        for i, rows in enumerate(blocks_of(sizes)):
+            row = values[i : i + 1] if len(values) > 1 else values
+            losses, mean, accuracy, norms = reference_evaluate(row, x[None, rows], y[None, rows], dims)
+            assert_same_bits(report.per_sample_losses[rows], losses[0])
+            assert_same_bits(report.mean_loss[i], mean[0])
+            assert_same_bits(report.accuracy[i], accuracy[0])
+            assert_same_bits(report.per_sample_grad_norms[rows], norms[0])
+    assert report.mean_loss.shape == report.accuracy.shape == (len(sizes),)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=ragged_cases())
+def test_gradient_on_a_ragged_stack_equals_each_block_alone_bitwise(case):
+    tag, values, x, y, sizes = case
+    dims = parse_shape_tag(tag)[1]
+    with np.errstate(all="ignore"):
+        grad = gradient(ModelParams(values, tag), SampleStack(x, y, sizes, dims[-1]))
+        assert grad.shape == (len(sizes), param_count(tag))
+        for i, rows in enumerate(blocks_of(sizes)):
+            row = values[i : i + 1] if len(values) > 1 else values
+            assert_same_bits(grad[i], reference_gradient(row, x[None, rows], y[None, rows], dims)[0])
 
 
 # ---------------------------------------------------------- stacked kernel
@@ -321,21 +385,22 @@ def test_stacked_kernel_rows_equal_single_model_calls(tag_maker):
     shards = [small_data(n=9, seed=s) for s in range(4)]
     values = np.stack([init_params(tag, seed=s).values for s in range(4)])
     stack = SampleStack.of(shards)
-    assert stack.num_samples == 36
+    assert stack.num_samples == 36 and len(stack.blocks.runs) == 1
     report = evaluate(ModelParams(values, tag), stack, want_grad_norms=True)
     grads = gradient(ModelParams(values, tag), stack)
     shared = evaluate(ModelParams(values[0], tag), stack)
     for i, shard in enumerate(shards):
+        rows = slice(9 * i, 9 * i + 9)
         single = ModelParams(values[i], tag)
         alone = evaluate(single, shard, want_grad_norms=True)
         assert report.mean_loss[i] == alone.mean_loss
         assert report.accuracy[i] == alone.accuracy
-        assert np.array_equal(report.per_sample_losses[i], alone.per_sample_losses)
-        assert np.array_equal(report.per_sample_grad_norms[i], alone.per_sample_grad_norms)
+        assert np.array_equal(report.per_sample_losses[rows], alone.per_sample_losses)
+        assert np.array_equal(report.per_sample_grad_norms[rows], alone.per_sample_grad_norms)
         assert np.array_equal(grads[i], gradient(single, shard))
         # One parameter vector broadcasts over every block of the stack.
         first = evaluate(ModelParams(values[0], tag), shard)
-        assert np.array_equal(shared.per_sample_losses[i], first.per_sample_losses)
+        assert np.array_equal(shared.per_sample_losses[rows], first.per_sample_losses)
 
 
 @pytest.mark.parametrize("tag_maker", [lambda: softmax_tag(4, 3), lambda: mlp_tag(4, 5, 3)])
@@ -345,27 +410,36 @@ def test_label_outside_model_classes_raises(tag_maker, bad_label):
     # class axis would read the next sample's entries instead of raising.
     tag = tag_maker()
     shards = [small_data(n=6, seed=s) for s in range(2)]
-    labels = np.stack([s.labels for s in shards])
-    labels[0, 0] = bad_label
-    stack = SampleStack(np.stack([s.features for s in shards]), labels, 3)
+    labels = np.concatenate([s.labels for s in shards])
+    labels[0] = bad_label
     params = init_params(tag, seed=4)
-    with pytest.raises(IndexError):
-        gradient(params, stack)
-    with pytest.raises(IndexError):
-        evaluate(params, stack)
+    for sizes in ((6, 6), (4, 8)):  # one run, and a ragged stack of two
+        stack = SampleStack(np.concatenate([s.features for s in shards]), labels, sizes, 3)
+        with pytest.raises(IndexError):
+            gradient(params, stack)
+        with pytest.raises(IndexError):
+            evaluate(params, stack)
 
 
 @pytest.mark.parametrize("tag_maker", [lambda: softmax_tag(4, 3), lambda: mlp_tag(4, 5, 3)])
 def test_negative_label_in_a_sample_stack_raises(tag_maker):
     # Label -1 would be read as the last class of the same sample.
     shards = [small_data(n=6, seed=s) for s in range(2)]
-    features = np.stack([s.features for s in shards])
-    labels = np.stack([s.labels for s in shards])
-    labels[1, 2] = -1
+    features = np.concatenate([s.features for s in shards])
+    labels = np.concatenate([s.labels for s in shards])
+    labels[8] = -1
     params = init_params(tag_maker(), seed=4)
-    for kernel in (evaluate, gradient):
-        with pytest.raises(ValueError, match="negative label -1"):
-            kernel(params, SampleStack(features, labels, 3))
+    for sizes in ((6, 6), (4, 8)):
+        for kernel in (evaluate, gradient):
+            with pytest.raises(ValueError, match="negative label -1"):
+                kernel(params, SampleStack(features, labels, sizes, 3))
+
+
+@pytest.mark.parametrize("sizes", [(6, 5), (6, 7), (0, 12), ()])
+def test_sample_stack_block_sizes_must_cover_its_rows(sizes):
+    data = small_data(n=12, seed=3)
+    with pytest.raises(ValueError, match="block sizes"):
+        SampleStack(data.features, data.labels, sizes, 3)
 
 
 @pytest.mark.parametrize("tag_maker", [lambda: softmax_tag(4, 3), lambda: mlp_tag(4, 5, 3)])
@@ -502,6 +576,23 @@ def test_sgd_reduces_loss_on_separable_data():
 
 
 # ------------------------------------------------------------- grad_check
+
+
+def grad_check(params: ModelParams, data, epsilon: float = 1e-5) -> float:
+    """Max relative error between analytic and central-difference gradients."""
+    analytic = gradient(params, data)
+    values = params.values
+    worst = 0.0
+    for i in range(values.size):
+        bumped = values.copy()
+        bumped[i] += epsilon
+        up = evaluate(ModelParams(bumped, params.shape_tag), data).mean_loss
+        bumped[i] -= 2.0 * epsilon
+        down = evaluate(ModelParams(bumped, params.shape_tag), data).mean_loss
+        numeric = (up - down) / (2.0 * epsilon)
+        err = abs(analytic[i] - numeric) / max(1.0, abs(analytic[i]))
+        worst = max(worst, err)
+    return worst
 
 
 def test_grad_check_softmax_small():
