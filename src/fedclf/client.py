@@ -53,7 +53,7 @@ class NonFiniteUpdateError(ValueError):
 def rms_utility(stack: SampleStack, per_sample: np.ndarray) -> np.ndarray:
     """Each block's sample count times the root-mean-square of its rows of
     ``per_sample`` (one value per row of ``stack``)."""
-    return np.array(stack.sizes) * np.sqrt(stack.blocks.per_model_mean(per_sample**2))
+    return np.array(stack.sizes) * np.sqrt(stack.block_means(per_sample**2))
 
 
 def _raise_non_finite(clients: Sequence[ClientDataset], finite: np.ndarray) -> None:

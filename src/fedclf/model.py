@@ -14,14 +14,16 @@ Every model function runs one kernel over a *stack* of models: parameters
 back to back as rows ``(N, f)``.  A single ``ModelParams`` vector with a
 ``LabeledDataset`` is the ``g = 1`` case, and a single vector broadcasts over
 every block of a stack.  The kernel splits the stack into runs of
-consecutive equal block sizes.  Each layer's matmuls are one stacked ``@``
-per run on ``(g_run, b, .)`` views (BLAS results depend on the row count,
-so one matmul over all rows would not be bitwise); every row-wise operation
-(bias add, tanh, the softmax head, label gather, output delta, the per-row
-``1/b``) runs once over all ``N`` rows; per-model reductions are one
-reduction per run.  An equal-size stack is a single run, kept as
-``(g, b, .)`` blocks throughout, so it makes exactly the calls of a plain
-stacked kernel.  Each model's results are bitwise equal to running it alone.
+consecutive equal block sizes.  Each layer's matmul and bias add are one
+stacked ``@`` and one broadcast add per run, on ``(g_run, b, .)`` views of
+the rows (BLAS results depend on the row count, so one matmul over all rows
+would not be bitwise); every other row-wise operation (tanh, the softmax
+head, label gather, output delta) runs once over all ``N`` rows; the
+per-row ``1/b`` and per-model reductions are one operation per run.  An
+equal-size stack is a single run, kept as ``(g, b, .)`` blocks, so each
+layer is one plain stacked ``@`` without a per-run loop (paired benchmark
+runs measured that loop's overhead on equal-size cohorts).  Each model's
+results are bitwise equal to running it alone.
 ``sgd_epochs`` gathers a cohort's whole schedule once and passes each step a
 slice of it.
 
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -140,15 +142,14 @@ class _Blocks(NamedTuple):
     runs of consecutive equal sizes, each as ``(models, rows, size)``: slices
     of the model axis and of the row axis, and the run's block size.  The
     kernel keeps per-row arrays as ``(g, b, k)`` blocks when there is a
-    single run and as ``(N, k)`` rows otherwise, so an equal-size stack makes
-    exactly the calls of a plain stacked kernel.
+    single run (so an equal-size stack makes one plain stacked ``@`` per
+    layer, without a per-run loop) and as ``(N, k)`` rows otherwise.
     """
 
     sizes: tuple[int, ...]
     runs: tuple[tuple[slice, slice, int], ...]
 
     @classmethod
-    @lru_cache(maxsize=256)  # an experiment repeats a few size tuples every round
     def of(cls, sizes: tuple[int, ...]) -> "_Blocks":
         runs, first, row = [], 0, 0
         for end in range(1, len(sizes) + 1):
@@ -165,29 +166,32 @@ class _Blocks(NamedTuple):
         reduction per run."""
         if len(self.runs) == 1:
             return np.add.reduce(per_row.reshape(len(self.sizes), -1), axis=1) / self.sizes[0]
-        sums = np.empty(len(self.sizes))
+        means = np.empty(len(self.sizes))
         for models, rows, size in self.runs:
-            np.add.reduce(per_row[rows].reshape(-1, size), axis=1, out=sums[models])
-        return sums / np.array(self.sizes)
+            np.add.reduce(per_row[rows].reshape(-1, size), axis=1, out=means[models])
+            means[models] /= size
+        return means
 
-    def views(self, a: np.ndarray, b: np.ndarray) -> list[tuple]:
+    def views(self, a: np.ndarray, b: np.ndarray):
         """Per run: its model slice and ``(g_run, size, k)`` views of the
         per-row arrays ``a`` and ``b``."""
-        if len(self.runs) == 1:
-            return [(slice(None), a, b)]
-        return [
-            (models, a[rows].reshape(-1, size, a.shape[1]), b[rows].reshape(-1, size, b.shape[1]))
-            for models, rows, size in self.runs
-        ]
+        for models, rows, size in self.runs:
+            yield models, a[rows].reshape(-1, size, a.shape[1]), b[rows].reshape(-1, size, b.shape[1])
 
-    def matmul(self, a: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Per-row ``a`` times each model's ``w`` ``(g, in, out)``: one
-        stacked ``@`` per run."""
+    def matmul(self, a: np.ndarray, w: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
+        """Per-row ``a`` times each model's ``w`` ``(g, in, out)``, plus each
+        model's ``bias`` ``(g, out)`` if given: one stacked ``@`` (and one
+        broadcast add) per run."""
         if len(self.runs) == 1:
-            return a @ w
+            out = a @ w
+            if bias is not None:
+                out += bias[:, None]
+            return out
         out = np.empty((len(a), w.shape[-1]))
         for models, a_run, out_run in self.views(a, out):
             np.matmul(a_run, w[models], out=out_run)
+            if bias is not None:
+                out_run += bias[models, None]
         return out
 
     def layer_gradient(self, a: np.ndarray, d: np.ndarray) -> list[np.ndarray]:
@@ -203,18 +207,6 @@ class _Blocks(NamedTuple):
             np.matmul(a_run.transpose(0, 2, 1), d_run, out=gw[models])
             np.add.reduce(d_run, axis=1, out=gb[models])
         return [gw.reshape(len(gw), -1), gb]
-
-    def per_row(self, per_model: np.ndarray) -> np.ndarray:
-        """``(g, k)`` per-model values, broadcastable over per-row arrays."""
-        if len(self.runs) == 1:
-            return per_model[:, None]
-        return np.repeat(per_model, self.sizes, axis=0)
-
-    def row_sizes(self) -> int | np.ndarray:
-        """Each row's block size, broadcastable over per-row arrays."""
-        if len(self.runs) == 1:
-            return self.sizes[0]
-        return np.repeat(self.sizes, self.sizes)[:, None]
 
 
 @dataclass(frozen=True)
@@ -256,6 +248,11 @@ class SampleStack:
     @property
     def num_samples(self) -> int:
         return self.labels.size
+
+    def block_means(self, per_row: np.ndarray) -> np.ndarray:
+        """Each block's mean of its entries of ``per_row`` (one value per
+        row, ``(N,)``), bitwise ``np.mean`` of the block alone."""
+        return self.blocks.per_model_mean(per_row)
 
     @property
     def num_features(self) -> int:
@@ -347,7 +344,7 @@ def _stacked(params: ModelParams, data):
     if len(values) != g:
         if len(values) > 1:
             raise ValueError(f"{values.shape} parameter stack over {over} {data.features.shape} data")
-        if len(blocks.runs) > 1:
+        if len(blocks.runs) > 1:  # one run broadcasts a (1, in, out) weight itself
             values = np.broadcast_to(values, (g, values.shape[1]))
     if len(blocks.runs) == 1:
         size = blocks.sizes[0]
@@ -355,14 +352,13 @@ def _stacked(params: ModelParams, data):
     return values, blocks, data.features, data.labels, stacked
 
 
-def _layers(dims: tuple[int, ...], values: np.ndarray, blocks: _Blocks) -> list:
-    """Per layer, views of the weights ``(g, in, out)`` and the bias of
-    every row."""
+def _layers(dims: tuple[int, ...], values: np.ndarray) -> list:
+    """Per layer, views of the weights ``(g, in, out)`` and biases ``(g, out)``."""
     layers, pos = [], 0
     for fan_in, fan_out in _layer_sizes(dims):
         w = values[:, pos : pos + fan_in * fan_out].reshape(-1, fan_in, fan_out)
         pos += fan_in * fan_out
-        layers.append((w, blocks.per_row(values[:, pos : pos + fan_out])))
+        layers.append((w, values[:, pos : pos + fan_out]))
         pos += fan_out
     return layers
 
@@ -370,13 +366,10 @@ def _layers(dims: tuple[int, ...], values: np.ndarray, blocks: _Blocks) -> list:
 def _forward(layers, blocks: _Blocks, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Logits, and the input activation of every layer (``x``, then tanh)."""
     acts = [x]
-    w, b = layers[0]
-    out = blocks.matmul(x, w)
-    out += b
+    out = blocks.matmul(x, *layers[0])
     for w, b in layers[1:]:
         acts.append(np.tanh(out, out=out))
-        out = blocks.matmul(out, w)
-        out += b
+        out = blocks.matmul(out, w, b)
     return out, acts
 
 
@@ -401,19 +394,15 @@ def _backward(layers, blocks: _Blocks, acts, delta):
             delta = blocks.matmul(delta, layers[i][0].transpose(0, 2, 1)) * (1.0 - acts[i] ** 2)
 
 
-# Axis order that puts the class axis first, by the ndim of the logits.
-_CLASS_MAJOR = {2: (1, 0), 3: (2, 0, 1)}
-
-
 def _forward_head(params: ModelParams, data):
     """Check ``data``; the forward pass and softmax head over stacked inputs,
     ``(blocks, layers, acts, y, stacked, logits, row_max, shifted, lse)``.
     The row maximum is taken over a class-major copy, class by class."""
     dims = _check_data(params, data)
     values, blocks, x, y, stacked = _stacked(params, data)
-    layers = _layers(dims, values, blocks)
+    layers = _layers(dims, values)
     logits, acts = _forward(layers, blocks, x)
-    class_major = logits.transpose(_CLASS_MAJOR[logits.ndim])
+    class_major = logits.transpose(-1, *range(logits.ndim - 1))
     row_max = np.maximum.reduce(np.ascontiguousarray(class_major))
     shifted = logits - row_max[..., None]
     lse = np.log(np.add.reduce(np.exp(shifted), axis=-1))
@@ -466,7 +455,9 @@ def gradient(params: ModelParams, data) -> np.ndarray:
     model on stacked inputs)."""
     blocks, layers, acts, y, stacked, _, _, shifted, lse = _forward_head(params, data)
     delta = _output_delta(shifted - lse[..., None], y)
-    delta /= blocks.row_sizes()
+    delta_rows = delta.reshape(-1, delta.shape[-1])
+    for _, rows, size in blocks.runs:
+        delta_rows[rows] /= size  # each model's loss is the mean over its block
     parts = []
     for a, d in _backward(layers, blocks, acts, delta):
         parts[:0] = blocks.layer_gradient(a, d)

@@ -294,15 +294,20 @@ def moving_average(acc_history: Sequence[float], round_index: int, window: int) 
 
 
 class Experiment:
-    """One configured run over pre-built client shards and a test set."""
+    """One configured run over pre-built client shards and a test set.
+
+    ``train_cfg`` is ``cfg.validate()``, which runs here unless the caller
+    has run it and passes its result.
+    """
 
     def __init__(
         self,
         cfg: ExperimentConfig,
         clients: list[ClientDataset],
         test_data: LabeledDataset,
+        train_cfg: TrainConfig | None = None,
     ):
-        self.train_cfg = cfg.validate()
+        self.train_cfg = cfg.validate() if train_cfg is None else train_cfg
         if len(clients) != cfg.num_clients:
             raise ValueError(
                 f"{len(clients)} client shards for K={cfg.num_clients}"
@@ -444,10 +449,11 @@ def build_partition(
 
 
 def build_experiment(cfg: ExperimentConfig) -> Experiment:
-    """Materialize data, split, partition and wire up an Experiment (which
-    checks the other settings)."""
+    """Check every setting, then materialize data, split, partition and wire
+    up an Experiment."""
+    train_cfg = cfg.validate()
     clients, _, test = build_partition(cfg)
-    return Experiment(cfg, clients, test)
+    return Experiment(cfg, clients, test, train_cfg)
 
 
 def run_log_csv(history: Sequence[RoundRecord], timestamp: str | None = None) -> str:

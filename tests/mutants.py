@@ -149,8 +149,8 @@ MUTANTS = (
     Mutant(
         "every-row-divided-by-one-run-size",
         "src/fedclf/model.py",
-        "return np.repeat(self.sizes, self.sizes)[:, None]",
-        "return self.sizes[0]",
+        "delta_rows[rows] /= size",
+        "delta_rows[rows] /= blocks.runs[0][2]",
         (RAGGED_GRAD_ORACLE,),
     ),
     Mutant(

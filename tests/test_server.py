@@ -570,7 +570,11 @@ def test_deterministic_csv_payload_strips_clock_readings():
     assert "0;3" in payload
 
 
-def test_config_validation_errors_before_any_work():
+def test_config_validation_errors_before_any_work(monkeypatch):
+    def no_work(cfg):
+        raise AssertionError("built the data of a config that does not validate")
+
+    monkeypatch.setattr(fedclf.server, "build_partition", no_work)
     with pytest.raises(ValueError, match="1 <= k <= K"):
         run_experiment(small_config(select_k=50))
     with pytest.raises(ValueError, match="rounds"):
