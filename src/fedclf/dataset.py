@@ -303,8 +303,10 @@ def make_synthetic(
     rng = np.random.default_rng(seed)
     means = rng.normal(0.0, 1.0, size=(num_classes, num_features))
     labels = np.arange(num_samples, dtype=np.int64) % num_classes
-    noise = rng.normal(0.0, 1.0, size=(num_samples, num_features))
-    features = means[labels] + cluster_spread * noise
+    features = rng.normal(0.0, 1.0, size=(num_samples, num_features))
+    # In place: two dataset-sized arrays at once, the bits of means[labels] + spread * noise.
+    features *= cluster_spread
+    features += means[labels]
     return LabeledDataset(features, labels, num_classes)
 
 

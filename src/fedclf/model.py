@@ -14,16 +14,19 @@ Every model function runs one kernel over a *stack* of models: parameters
 back to back as rows ``(N, f)``.  A single ``ModelParams`` vector with a
 ``LabeledDataset`` is the ``g = 1`` case, and a single vector broadcasts over
 every block of a stack.  The kernel splits the stack into runs of
-consecutive equal block sizes.  Each layer's matmul and bias add are one
-stacked ``@`` and one broadcast add per run, on ``(g_run, b, .)`` views of
-the rows (BLAS results depend on the row count, so one matmul over all rows
-would not be bitwise); every other row-wise operation (tanh, the softmax
-head, label gather, output delta) runs once over all ``N`` rows; the
-per-row ``1/b`` and per-model reductions are one operation per run.  An
-equal-size stack is a single run, kept as ``(g, b, .)`` blocks, so each
-layer is one plain stacked ``@`` without a per-run loop (paired benchmark
-runs measured that loop's overhead on equal-size cohorts).  Each model's
-results are bitwise equal to running it alone.
+consecutive equal block sizes.  Two kinds of operation stay per run: each
+layer's matmul, one stacked ``@`` on ``(g_run, b, .)`` views of the rows
+(BLAS results depend on the row count, so one matmul over all rows would
+not be bitwise; a shared vector enters every run as one 2-D weight), and
+each per-model reduction (a sum over each block).  Everything else runs once
+per stack, over all ``N`` rows or all ``g`` models: the bias add (each
+model's bias repeated over its rows), tanh, the softmax head, the label
+gather, the output delta and its per-row ``1/b``, and the division of
+per-model sums into means.  An equal-size stack is a single run, kept as
+``(g, b, .)`` blocks, so each layer is one plain stacked ``@`` without a
+per-run loop (paired benchmark runs measured that loop's overhead on
+equal-size cohorts).  Each model's results are bitwise equal to running it
+alone.
 ``sgd_epochs`` gathers a cohort's whole schedule once and passes each step a
 slice of it.
 
@@ -32,7 +35,9 @@ reduces along the short class axis only for the exp-sum: the row maximum is
 an elementwise maximum of class columns (exact in any order).  ``evaluate``
 reads accuracy as ``shifted[label] == 0.0`` when every row maximum is finite
 and each row has one exact zero; otherwise it takes ``argmax`` (lowest-index
-ties).  Results are bitwise those of a row-wise log-softmax and argmax.
+ties).  Results are bitwise those of a row-wise log-softmax and argmax.  Its
+report reduces the per-model mean loss and accuracy only when they are read,
+so utility measurement, which reads the per-sample losses, skips them.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -163,13 +168,13 @@ class _Blocks(NamedTuple):
     def per_model_mean(self, per_row: np.ndarray) -> np.ndarray:
         """Each model's mean of its rows of ``per_row`` (one value per row,
         ``(N,)`` or ``(g, b)``), bitwise ``np.mean`` of its block: one
-        reduction per run."""
+        reduction per run, and one division for the whole stack."""
         if len(self.runs) == 1:
             return np.add.reduce(per_row.reshape(len(self.sizes), -1), axis=1) / self.sizes[0]
         means = np.empty(len(self.sizes))
         for models, rows, size in self.runs:
             np.add.reduce(per_row[rows].reshape(-1, size), axis=1, out=means[models])
-            means[models] /= size
+        means /= self.sizes
         return means
 
     def views(self, a: np.ndarray, b: np.ndarray):
@@ -178,20 +183,27 @@ class _Blocks(NamedTuple):
         for models, rows, size in self.runs:
             yield models, a[rows].reshape(-1, size, a.shape[1]), b[rows].reshape(-1, size, b.shape[1])
 
+    def per_row(self, per_model: np.ndarray) -> np.ndarray:
+        """``per_model`` (one entry per model along axis 0) repeated over
+        each model's rows."""
+        return np.repeat(per_model, self.sizes, axis=0)
+
     def matmul(self, a: np.ndarray, w: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
         """Per-row ``a`` times each model's ``w`` ``(g, in, out)``, plus each
-        model's ``bias`` ``(g, out)`` if given: one stacked ``@`` (and one
-        broadcast add) per run."""
+        model's ``bias`` ``(g, out)`` if given; a ``w`` and ``bias`` of one
+        row are shared by every model.  One stacked ``@`` per run, and one
+        bias add over all rows."""
         if len(self.runs) == 1:
             out = a @ w
             if bias is not None:
                 out += bias[:, None]
             return out
         out = np.empty((len(a), w.shape[-1]))
+        shared = len(w) == 1
         for models, a_run, out_run in self.views(a, out):
-            np.matmul(a_run, w[models], out=out_run)
-            if bias is not None:
-                out_run += bias[models, None]
+            np.matmul(a_run, w[0] if shared else w[models], out=out_run)
+        if bias is not None:
+            out += bias if shared else self.per_row(bias)
         return out
 
     def layer_gradient(self, a: np.ndarray, d: np.ndarray) -> list[np.ndarray]:
@@ -281,16 +293,39 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
 
 
-@dataclass(frozen=True)
 class EvalReport:
-    """Evaluation results.  On stacked inputs ``mean_loss`` and ``accuracy``
-    are ``(g,)`` arrays, one per model, and the per-sample arrays follow the
-    stack's ``(N,)`` rows."""
+    """Evaluation results.  ``per_sample_losses`` (and, when requested,
+    ``per_sample_grad_norms``) follow the data's ``(N,)`` rows.
+    ``mean_loss`` and ``accuracy`` are each model's mean loss and argmax
+    accuracy, ``(g,)`` arrays on stacked inputs and floats otherwise; each
+    is reduced when read, so a caller that reads only the per-sample arrays
+    pays for neither."""
 
-    mean_loss: float | np.ndarray
-    accuracy: float | np.ndarray
-    per_sample_losses: np.ndarray
-    per_sample_grad_norms: np.ndarray | None = None
+    def __init__(
+        self,
+        blocks: _Blocks,
+        stacked: bool,
+        losses: np.ndarray,
+        grad_norms: np.ndarray | None,
+        hits: Callable[[], np.ndarray],
+    ):
+        self.per_sample_losses = losses
+        self.per_sample_grad_norms = grad_norms
+        self._blocks, self._stacked, self._hits = blocks, stacked, hits
+
+    def _per_model(self, per_row: np.ndarray) -> float | np.ndarray:
+        means = self._blocks.per_model_mean(per_row)
+        return means if self._stacked else float(means[0])
+
+    @property
+    def mean_loss(self) -> float | np.ndarray:
+        return self._per_model(self.per_sample_losses)
+
+    @property
+    def accuracy(self) -> float | np.ndarray:
+        """Read as ``shifted[label] == 0.0`` when every row maximum is
+        finite and each row has one exact zero; otherwise from ``argmax``."""
+        return self._per_model(self._hits())
 
 
 def init_params(shape_tag: str, seed: int) -> ModelParams:
@@ -341,11 +376,8 @@ def _stacked(params: ModelParams, data):
     g = len(blocks.sizes)
     if values.ndim == 1:
         values = values[None]
-    if len(values) != g:
-        if len(values) > 1:
-            raise ValueError(f"{values.shape} parameter stack over {over} {data.features.shape} data")
-        if len(blocks.runs) > 1:  # one run broadcasts a (1, in, out) weight itself
-            values = np.broadcast_to(values, (g, values.shape[1]))
+    if len(values) not in (1, g):
+        raise ValueError(f"{values.shape} parameter stack over {over} {data.features.shape} data")
     if len(blocks.runs) == 1:
         size = blocks.sizes[0]
         return values, blocks, data.features.reshape(g, size, -1), data.labels.reshape(g, size), stacked
@@ -418,10 +450,12 @@ def evaluate(params: ModelParams, data, want_grad_norms: bool = False) -> EvalRe
     blocks, layers, acts, y, stacked, logits, row_max, shifted, lse = _forward_head(params, data)
     at_label = shifted.reshape(-1, logits.shape[-1])[_at_labels(y)].reshape(y.shape)
     losses = -(at_label - lse)
-    if np.isfinite(row_max).all() and np.count_nonzero(shifted == 0.0) == y.size:
-        hits = at_label == 0.0  # each row has one maximum: its argmax
-    else:
-        hits = np.argmax(logits, axis=-1) == y
+
+    def hits() -> np.ndarray:
+        if np.isfinite(row_max).all() and np.count_nonzero(shifted == 0.0) == y.size:
+            return at_label == 0.0  # each row has one maximum: its argmax
+        return np.argmax(logits, axis=-1) == y
+
     grad_norms = None
     if want_grad_norms:
         log_probs = shifted - lse[..., None]
@@ -434,20 +468,7 @@ def evaluate(params: ModelParams, data, want_grad_norms: bool = False) -> EvalRe
                 for a, d in _backward(layers, blocks, acts, _output_delta(log_probs, y))
             )
         ).reshape(-1)
-    report = EvalReport(
-        mean_loss=blocks.per_model_mean(losses),
-        accuracy=blocks.per_model_mean(hits),
-        per_sample_losses=losses.reshape(-1),
-        per_sample_grad_norms=grad_norms,
-    )
-    if stacked:
-        return report
-    return EvalReport(
-        mean_loss=float(report.mean_loss[0]),
-        accuracy=float(report.accuracy[0]),
-        per_sample_losses=report.per_sample_losses,
-        per_sample_grad_norms=grad_norms,
-    )
+    return EvalReport(blocks, stacked, losses.reshape(-1), grad_norms, hits)
 
 
 def gradient(params: ModelParams, data) -> np.ndarray:
@@ -455,9 +476,11 @@ def gradient(params: ModelParams, data) -> np.ndarray:
     model on stacked inputs)."""
     blocks, layers, acts, y, stacked, _, _, shifted, lse = _forward_head(params, data)
     delta = _output_delta(shifted - lse[..., None], y)
-    delta_rows = delta.reshape(-1, delta.shape[-1])
-    for _, rows, size in blocks.runs:
-        delta_rows[rows] /= size  # each model's loss is the mean over its block
+    # Each model's loss is the mean over its block.
+    if len(blocks.runs) == 1:
+        delta /= blocks.sizes[0]
+    else:
+        delta /= blocks.per_row(np.array(blocks.sizes, dtype=np.float64))[:, None]
     parts = []
     for a, d in _backward(layers, blocks, acts, delta):
         parts[:0] = blocks.layer_gradient(a, d)

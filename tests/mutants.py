@@ -147,11 +147,35 @@ MUTANTS = (
         (GRAD_ORACLE,),
     ),
     Mutant(
-        "every-row-divided-by-one-run-size",
+        "size-column-reversed",
         "src/fedclf/model.py",
-        "delta_rows[rows] /= size",
-        "delta_rows[rows] /= blocks.runs[0][2]",
+        "np.array(blocks.sizes, dtype=np.float64)",
+        "np.array(blocks.sizes[::-1], dtype=np.float64)",
         (RAGGED_GRAD_ORACLE,),
+    ),
+    Mutant(
+        "bias-repeated-by-sorted-sizes",
+        "src/fedclf/model.py",
+        "out += bias if shared else self.per_row(bias)",
+        "out += bias if shared else np.repeat(bias, sorted(self.sizes), axis=0)",
+        (RAGGED_EVAL_ORACLE,),
+    ),
+    Mutant(
+        "first-model-weights-for-every-run",
+        "src/fedclf/model.py",
+        "w[0] if shared else w[models]",
+        "w[0]",
+        (RAGGED_EVAL_ORACLE,),
+    ),
+    Mutant(
+        "measurement-reduces-means-anyway",
+        "src/fedclf/model.py",
+        "        self._blocks, self._stacked, self._hits = blocks, stacked, hits\n",
+        "        self._blocks, self._stacked, self._hits = blocks, stacked, hits\n"
+        "        self.mean_loss, self.accuracy\n",
+        (
+            "tests/test_client.py::test_measurement_makes_one_evaluate_call_and_reduces_only_the_rms",
+        ),
     ),
     Mutant(
         "mean-read-from-neighbouring-segment",
@@ -164,10 +188,17 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "means-divided-by-reversed-sizes",
+        "src/fedclf/model.py",
+        "means /= self.sizes",
+        "means /= self.sizes[::-1]",
+        (RAGGED_EVAL_ORACLE,),
+    ),
+    Mutant(
         "model-stack-over-unstacked-data",
         "src/fedclf/model.py",
-        "        if len(values) > 1:\n",
-        "        if False:\n",
+        "    if len(values) not in (1, g):\n",
+        "    if False:\n",
         ("tests/test_model.py::test_parameter_stack_over_unstacked_data_raises",),
     ),
     Mutant(

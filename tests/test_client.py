@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fedclf.client
 from fedclf.client import (
     NonFiniteUpdateError,
     client_update,
@@ -18,7 +19,15 @@ from fedclf.client import (
     rms_utility,
 )
 from fedclf.dataset import ClientDataset, LabeledDataset, make_synthetic
-from fedclf.model import SampleStack, TrainConfig, evaluate, init_params, mlp_tag, softmax_tag
+from fedclf.model import (
+    SampleStack,
+    TrainConfig,
+    _Blocks,
+    evaluate,
+    init_params,
+    mlp_tag,
+    softmax_tag,
+)
 
 
 def make_client(client_id=0, n=20, f=4, c=3, seed=0):
@@ -207,6 +216,29 @@ def test_ragged_cohort_utilities_equal_plain_rms_of_each_client(runs, mlp):
         for utility, values in ((loss, alone.per_sample_losses), (grad_norm, alone.per_sample_grad_norms)):
             expected = n * np.sqrt((values**2).sum() / n)
             assert np.float64(utility[i]).tobytes() == np.float64(expected).tobytes()
+
+
+@pytest.mark.parametrize("want_grad_norm", [False, True])
+def test_measurement_makes_one_evaluate_call_and_reduces_only_the_rms(monkeypatch, want_grad_norm):
+    # The RMS of each utility is the only per-model reduction measurement
+    # needs; the per-model mean loss and accuracy go unread.
+    calls = {"evaluate": 0, "per_model_mean": 0}
+    real_evaluate, real_mean = fedclf.client.evaluate, _Blocks.per_model_mean
+
+    def counted_evaluate(*args, **kwargs):
+        calls["evaluate"] += 1
+        return real_evaluate(*args, **kwargs)
+
+    def counted_mean(self, per_row):
+        calls["per_model_mean"] += 1
+        return real_mean(self, per_row)
+
+    monkeypatch.setattr(fedclf.client, "evaluate", counted_evaluate)
+    monkeypatch.setattr(_Blocks, "per_model_mean", counted_mean)
+    clients = ragged_cohort([7, 12, 12, 30, 5])
+    params = init_params(mlp_tag(4, 5, 3), seed=19)
+    measure_utilities(clients, params, want_grad_norm)
+    assert calls == {"evaluate": 1, "per_model_mean": 1 + want_grad_norm}
 
 
 def test_cohort_needs_one_seed_per_client():

@@ -326,6 +326,18 @@ def test_make_synthetic_balanced_classes():
     assert all(abs(int(c) - 100) <= 1 for c in counts)
 
 
+@pytest.mark.parametrize("spread", [0.0, 1.0, 2.5])
+def test_make_synthetic_features_are_means_plus_scaled_noise_bitwise(spread):
+    # The plain expression, from the same draws: signed zeros included.
+    rng = np.random.default_rng(17)
+    means = rng.normal(0.0, 1.0, size=(5, 6))
+    noise = rng.normal(0.0, 1.0, size=(301, 6))
+    expected = means[np.arange(301) % 5] + spread * noise
+    features = make_synthetic(301, 6, 5, seed=17, cluster_spread=spread).features
+    assert np.array_equal(features, expected)
+    assert np.array_equal(np.signbit(features), np.signbit(expected))
+
+
 def test_split_train_test_sizes_and_determinism():
     ds = make_synthetic(1200, 3, 4, seed=9)
     train_a, test_a = split_train_test(ds, 1 / 6, seed=4)
