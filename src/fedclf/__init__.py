@@ -16,7 +16,6 @@ from .dataset import (
     save_dataset,
 )
 from .model import (
-    EvalReport,
     ModelParams,
     TrainConfig,
     evaluate,

@@ -14,19 +14,19 @@ Every model function runs one kernel over a *stack* of models: parameters
 back to back as rows ``(N, f)``.  A single ``ModelParams`` vector with a
 ``LabeledDataset`` is the ``g = 1`` case, and a single vector broadcasts over
 every block of a stack.  The kernel splits the stack into runs of
-consecutive equal block sizes.  Two kinds of operation stay per run: each
-layer's matmul, one stacked ``@`` on ``(g_run, b, .)`` views of the rows
-(BLAS results depend on the row count, so one matmul over all rows would
-not be bitwise; a shared vector enters every run as one 2-D weight), and
-each per-model reduction (a sum over each block).  Everything else runs once
-per stack, over all ``N`` rows or all ``g`` models: the bias add (each
-model's bias repeated over its rows), tanh, the softmax head, the label
-gather, the output delta and its per-row ``1/b``, and the division of
-per-model sums into means.  An equal-size stack is a single run, kept as
-``(g, b, .)`` blocks, so each layer is one plain stacked ``@`` without a
-per-run loop (paired benchmark runs measured that loop's overhead on
-equal-size cohorts).  Each model's results are bitwise equal to running it
-alone.
+consecutive equal block sizes.  Three kinds of operation stay per run:
+each layer's matmul, one stacked ``@`` on ``(g_run, b, .)`` views of the
+rows (BLAS results depend on the row count, so one matmul over all rows
+would not be bitwise; a shared vector enters every run as one 2-D weight),
+each per-model reduction (a sum over each block), and the output delta's
+``1/b``.  Everything else runs once per stack, over all ``N`` rows or all
+``g`` models: the bias add (each model's bias repeated over its rows),
+tanh, the softmax head, the label gather, the output delta, and the
+division of per-model sums into means.  An equal-size stack is a single run,
+kept as ``(g, b, .)`` blocks, so each layer is one plain stacked ``@``
+without a per-run loop (paired benchmark runs measured that loop's overhead
+on equal-size cohorts).  Each model's results are bitwise equal to running
+it alone.
 ``sgd_epochs`` gathers a cohort's whole schedule once and passes each step a
 slice of it.
 
@@ -36,8 +36,8 @@ an elementwise maximum of class columns (exact in any order).  ``evaluate``
 reads accuracy as ``shifted[label] == 0.0`` when every row maximum is finite
 and each row has one exact zero; otherwise it takes ``argmax`` (lowest-index
 ties).  Results are bitwise those of a row-wise log-softmax and argmax.  Its
-report reduces the per-model mean loss and accuracy only when they are read,
-so utility measurement, which reads the per-sample losses, skips them.
+report reduces the per-model mean loss and accuracy once each, on first
+read, so utility measurement, which reads the per-sample losses, skips them.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ __all__ = [
     "ModelParams",
     "SampleStack",
     "TrainConfig",
-    "EvalReport",
     "softmax_tag",
     "mlp_tag",
     "parse_shape_tag",
@@ -183,11 +182,6 @@ class _Blocks(NamedTuple):
         for models, rows, size in self.runs:
             yield models, a[rows].reshape(-1, size, a.shape[1]), b[rows].reshape(-1, size, b.shape[1])
 
-    def per_row(self, per_model: np.ndarray) -> np.ndarray:
-        """``per_model`` (one entry per model along axis 0) repeated over
-        each model's rows."""
-        return np.repeat(per_model, self.sizes, axis=0)
-
     def matmul(self, a: np.ndarray, w: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
         """Per-row ``a`` times each model's ``w`` ``(g, in, out)``, plus each
         model's ``bias`` ``(g, out)`` if given; a ``w`` and ``bias`` of one
@@ -203,7 +197,7 @@ class _Blocks(NamedTuple):
         for models, a_run, out_run in self.views(a, out):
             np.matmul(a_run, w[0] if shared else w[models], out=out_run)
         if bias is not None:
-            out += bias if shared else self.per_row(bias)
+            out += bias if shared else np.repeat(bias, self.sizes, axis=0)
         return out
 
     def layer_gradient(self, a: np.ndarray, d: np.ndarray) -> list[np.ndarray]:
@@ -298,8 +292,9 @@ class EvalReport:
     ``per_sample_grad_norms``) follow the data's ``(N,)`` rows.
     ``mean_loss`` and ``accuracy`` are each model's mean loss and argmax
     accuracy, ``(g,)`` arrays on stacked inputs and floats otherwise; each
-    is reduced when read, so a caller that reads only the per-sample arrays
-    pays for neither."""
+    reduced once, on first read, so a caller that reads only the per-sample
+    arrays pays for neither.  ``evaluate`` builds it; it is not a public
+    constructor."""
 
     def __init__(
         self,
@@ -312,6 +307,7 @@ class EvalReport:
         self.per_sample_losses = losses
         self.per_sample_grad_norms = grad_norms
         self._blocks, self._stacked, self._hits = blocks, stacked, hits
+        self._mean_loss = self._accuracy = None
 
     def _per_model(self, per_row: np.ndarray) -> float | np.ndarray:
         means = self._blocks.per_model_mean(per_row)
@@ -319,13 +315,18 @@ class EvalReport:
 
     @property
     def mean_loss(self) -> float | np.ndarray:
-        return self._per_model(self.per_sample_losses)
+        if self._mean_loss is None:
+            self._mean_loss = self._per_model(self.per_sample_losses)
+        return self._mean_loss
 
     @property
     def accuracy(self) -> float | np.ndarray:
         """Read as ``shifted[label] == 0.0`` when every row maximum is
         finite and each row has one exact zero; otherwise from ``argmax``."""
-        return self._per_model(self._hits())
+        if self._accuracy is None:
+            hits, self._hits = self._hits(), None  # frees the forward arrays it holds
+            self._accuracy = self._per_model(hits)
+        return self._accuracy
 
 
 def init_params(shape_tag: str, seed: int) -> ModelParams:
@@ -476,11 +477,9 @@ def gradient(params: ModelParams, data) -> np.ndarray:
     model on stacked inputs)."""
     blocks, layers, acts, y, stacked, _, _, shifted, lse = _forward_head(params, data)
     delta = _output_delta(shifted - lse[..., None], y)
-    # Each model's loss is the mean over its block.
-    if len(blocks.runs) == 1:
-        delta /= blocks.sizes[0]
-    else:
-        delta /= blocks.per_row(np.array(blocks.sizes, dtype=np.float64))[:, None]
+    delta_rows = delta.reshape(-1, delta.shape[-1])
+    for _, rows, size in blocks.runs:
+        delta_rows[rows] /= size  # each model's loss is the mean over its block
     parts = []
     for a, d in _backward(layers, blocks, acts, delta):
         parts[:0] = blocks.layer_gradient(a, d)

@@ -147,16 +147,16 @@ MUTANTS = (
         (GRAD_ORACLE,),
     ),
     Mutant(
-        "size-column-reversed",
+        "every-row-divided-by-one-run-size",
         "src/fedclf/model.py",
-        "np.array(blocks.sizes, dtype=np.float64)",
-        "np.array(blocks.sizes[::-1], dtype=np.float64)",
+        "delta_rows[rows] /= size",
+        "delta_rows[rows] /= blocks.runs[0][2]",
         (RAGGED_GRAD_ORACLE,),
     ),
     Mutant(
         "bias-repeated-by-sorted-sizes",
         "src/fedclf/model.py",
-        "out += bias if shared else self.per_row(bias)",
+        "out += bias if shared else np.repeat(bias, self.sizes, axis=0)",
         "out += bias if shared else np.repeat(bias, sorted(self.sizes), axis=0)",
         (RAGGED_EVAL_ORACLE,),
     ),
@@ -170,12 +170,19 @@ MUTANTS = (
     Mutant(
         "measurement-reduces-means-anyway",
         "src/fedclf/model.py",
-        "        self._blocks, self._stacked, self._hits = blocks, stacked, hits\n",
-        "        self._blocks, self._stacked, self._hits = blocks, stacked, hits\n"
+        "        self._mean_loss = self._accuracy = None\n",
+        "        self._mean_loss = self._accuracy = None\n"
         "        self.mean_loss, self.accuracy\n",
         (
             "tests/test_client.py::test_measurement_makes_one_evaluate_call_and_reduces_only_the_rms",
         ),
+    ),
+    Mutant(
+        "accuracy-reduced-on-every-read",
+        "src/fedclf/model.py",
+        "        if self._accuracy is None:\n            hits, self._hits = self._hits(), None",
+        "        if True:\n            hits = self._hits()",
+        ("tests/test_server.py::test_each_round_reduces_the_test_accuracy_once",),
     ),
     Mutant(
         "mean-read-from-neighbouring-segment",

@@ -21,7 +21,7 @@ from fedclf.dataset import (
     SplitMode,
     make_synthetic,
 )
-from fedclf.model import ModelParams, TrainConfig, softmax_tag
+from fedclf.model import ModelParams, TrainConfig, _Blocks, softmax_tag
 from fedclf.selection import FactorMode, Strategy
 from fedclf.server import (
     Experiment,
@@ -191,6 +191,22 @@ def test_first_round_always_selects():
     rec = experiment.run_round(1)
     assert rec.selection_ran is True
     assert len(rec.selected_ids) == 2
+
+
+def test_each_round_reduces_the_test_accuracy_once(monkeypatch):
+    # run_round reads the test accuracy twice (moving window and record); the
+    # report reduces it, and the mean loss, on first read only.
+    experiment = build_experiment(small_config(rounds=1))
+    reduced = []
+    real_mean = _Blocks.per_model_mean
+
+    def counted_mean(self, per_row):
+        reduced.append(per_row.dtype.kind)
+        return real_mean(self, per_row)
+
+    monkeypatch.setattr(_Blocks, "per_model_mean", counted_mean)
+    experiment.run_round(1)
+    assert reduced == ["b", "f"]
 
 
 @pytest.mark.parametrize("done, bad", [([1], 1), ([1], 3), ([], 2), ([1, 2], 0)])
