@@ -31,6 +31,7 @@ from .server import (
     ConfigKey,
     ExperimentConfig,
     build_partition,
+    check_out_dir,
     run_experiment,
     summary_text,
 )
@@ -229,6 +230,7 @@ def cmd_battery(args: argparse.Namespace) -> int:
     datasets = _parse_list(args.spec, values, "datasets", _parse_dataset_entry)
     seeds = _parse_list(args.spec, values, "seeds", int)
     base_cfg = _config_from_sources(argparse.Namespace(config=args.spec), _BATTERY_KEYS)
+    check_out_dir(args.out)
 
     rows = ["dataset,strategy,seed,final_ma,mean_ma_last10,sampling_occasions"]
     pivot = ["dataset," + ",".join(s.value for s in strategies)]

@@ -12,9 +12,11 @@ lowest class index.
 Every model function runs one kernel over a *stack* of models: parameters
 ``(g, P)`` and a ``SampleStack`` of ``g`` sample blocks of any sizes, held
 back to back as rows ``(N, f)``.  A single ``ModelParams`` vector with a
-``LabeledDataset`` is the ``g = 1`` case, and a single vector broadcasts over
-every block of a stack.  The kernel splits the stack into runs of
-consecutive equal block sizes.  Three kinds of operation stay per run:
+``LabeledDataset`` is the ``g = 1`` case (the kernel takes the dataset as a
+one-block stack over its own arrays), and a single vector broadcasts over
+every block of a stack.  ``SampleStack`` owns the block sizes, their runs of
+consecutive equal sizes (found once, when it is built) and the kernel's
+per-run operations.  Three kinds of operation stay per run:
 each layer's matmul, one stacked ``@`` on ``(g_run, b, .)`` views of the
 rows (BLAS results depend on the row count, so one matmul over all rows
 would not be bitwise; a shared vector enters every run as one 2-D weight),
@@ -45,7 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -134,40 +136,71 @@ class ModelParams:
         object.__setattr__(self, "values", values)
 
 
-def _concat(arrays: list[np.ndarray]) -> np.ndarray:
-    """``np.concatenate``, but the array itself when there is one."""
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+@dataclass(frozen=True)
+class SampleStack:
+    """Sample blocks of any sizes, one per stacked model, held back to back,
+    and the kernel's operations over them.
 
-
-class _Blocks(NamedTuple):
-    """Where each stacked model's samples lie among a stack's rows.
-
-    ``sizes`` holds each model's block size; ``runs`` splits the models into
+    ``features`` is ``(N, f)`` and ``labels`` is ``(N,)``; model ``i``'s
+    block is the ``sizes[i]`` rows after those of the models before it, and
+    ``num_samples`` is ``N = sum(sizes)``.  ``runs`` splits the models into
     runs of consecutive equal sizes, each as ``(models, rows, size)``: slices
-    of the model axis and of the row axis, and the run's block size.  The
-    kernel keeps per-row arrays as ``(g, b, k)`` blocks when there is a
-    single run (so an equal-size stack makes one plain stacked ``@`` per
-    layer, without a per-run loop) and as ``(N, k)`` rows otherwise.
+    of the model axis and of the row axis, and the run's block size.  A
+    negative label raises ``ValueError`` (the label lookup would read it
+    from the end of the row).
     """
 
+    features: np.ndarray
+    labels: np.ndarray
     sizes: tuple[int, ...]
-    runs: tuple[tuple[slice, slice, int], ...]
+    num_classes: int
+    runs: tuple[tuple[slice, slice, int], ...] = field(init=False, repr=False, compare=False)
 
-    @classmethod
-    def of(cls, sizes: tuple[int, ...]) -> "_Blocks":
+    def __post_init__(self):
         runs, first, row = [], 0, 0
-        for end in range(1, len(sizes) + 1):
-            if end == len(sizes) or sizes[end] != sizes[first]:
-                size = sizes[first]
+        for end in range(1, len(self.sizes) + 1):
+            if end == len(self.sizes) or self.sizes[end] != self.sizes[first]:
+                size = self.sizes[first]
                 runs.append((slice(first, end), slice(row, row + (end - first) * size), size))
                 row += (end - first) * size
                 first = end
-        return cls(sizes, tuple(runs))
+        if not runs or min(self.sizes) < 1 or row != len(self.labels):
+            raise ValueError(f"block sizes {self.sizes} for {len(self.labels)} samples")
+        if self.labels.min() < 0:
+            raise ValueError(f"negative label {self.labels.min()} in a sample stack")
+        object.__setattr__(self, "runs", tuple(runs))
 
-    def per_model_mean(self, per_row: np.ndarray) -> np.ndarray:
-        """Each model's mean of its rows of ``per_row`` (one value per row,
-        ``(N,)`` or ``(g, b)``), bitwise ``np.mean`` of its block: one
-        reduction per run, and one division for the whole stack."""
+    @classmethod
+    def of(cls, shards: Sequence) -> "SampleStack":
+        """Stack datasets (anything with features/labels/num_classes), in order."""
+        return cls(
+            np.concatenate([s.features for s in shards]),
+            np.concatenate([s.labels for s in shards]),
+            tuple(len(s.labels) for s in shards),
+            max(s.num_classes for s in shards),
+        )
+
+    @property
+    def num_samples(self) -> int:
+        return self.labels.size
+
+    @property
+    def num_features(self) -> int:
+        return self.features.shape[-1]
+
+    def kernel_layout(self) -> tuple[np.ndarray, np.ndarray]:
+        """The features and labels as the kernel holds every per-row array:
+        ``(g, b, .)`` blocks for a single run (so an equal-size stack makes
+        one plain stacked ``@`` per layer), else the ``(N, .)`` rows."""
+        if len(self.runs) == 1:
+            g = len(self.sizes)
+            return self.features.reshape(g, self.sizes[0], -1), self.labels.reshape(g, -1)
+        return self.features, self.labels
+
+    def block_means(self, per_row: np.ndarray) -> np.ndarray:
+        """Each block's mean of its entries of ``per_row`` (one value per
+        row, ``(N,)`` or ``(g, b)``), bitwise ``np.mean`` of the block alone:
+        one reduction per run, and one division for the whole stack."""
         if len(self.runs) == 1:
             return np.add.reduce(per_row.reshape(len(self.sizes), -1), axis=1) / self.sizes[0]
         means = np.empty(len(self.sizes))
@@ -176,7 +209,7 @@ class _Blocks(NamedTuple):
         means /= self.sizes
         return means
 
-    def views(self, a: np.ndarray, b: np.ndarray):
+    def _views(self, a: np.ndarray, b: np.ndarray):
         """Per run: its model slice and ``(g_run, size, k)`` views of the
         per-row arrays ``a`` and ``b``."""
         for models, rows, size in self.runs:
@@ -194,7 +227,7 @@ class _Blocks(NamedTuple):
             return out
         out = np.empty((len(a), w.shape[-1]))
         shared = len(w) == 1
-        for models, a_run, out_run in self.views(a, out):
+        for models, a_run, out_run in self._views(a, out):
             np.matmul(a_run, w[0] if shared else w[models], out=out_run)
         if bias is not None:
             out += bias if shared else np.repeat(bias, self.sizes, axis=0)
@@ -209,60 +242,10 @@ class _Blocks(NamedTuple):
             return [gw.reshape(len(gw), -1), np.add.reduce(d, axis=1)]
         gw = np.empty((len(self.sizes), a.shape[1], d.shape[1]))
         gb = np.empty((len(self.sizes), d.shape[1]))
-        for models, a_run, d_run in self.views(a, d):
+        for models, a_run, d_run in self._views(a, d):
             np.matmul(a_run.transpose(0, 2, 1), d_run, out=gw[models])
             np.add.reduce(d_run, axis=1, out=gb[models])
         return [gw.reshape(len(gw), -1), gb]
-
-
-@dataclass(frozen=True)
-class SampleStack:
-    """Sample blocks of any sizes, one per stacked model, held back to back.
-
-    ``features`` is ``(N, f)`` and ``labels`` is ``(N,)``; model ``i``'s
-    block is the ``sizes[i]`` rows after those of the models before it, and
-    ``num_samples`` is ``N = sum(sizes)``.  ``blocks`` holds the runs of
-    consecutive equal sizes and the kernel's per-run operations.  A negative
-    label raises ``ValueError`` (the label lookup would read it from the end
-    of the row).
-    """
-
-    features: np.ndarray
-    labels: np.ndarray
-    sizes: tuple[int, ...]
-    num_classes: int
-    blocks: _Blocks = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        blocks = _Blocks.of(self.sizes)
-        if not self.sizes or min(self.sizes) < 1 or blocks.runs[-1][1].stop != len(self.labels):
-            raise ValueError(f"block sizes {self.sizes} for {len(self.labels)} samples")
-        if self.labels.min() < 0:
-            raise ValueError(f"negative label {self.labels.min()} in a sample stack")
-        object.__setattr__(self, "blocks", blocks)
-
-    @classmethod
-    def of(cls, shards: Sequence) -> "SampleStack":
-        """Stack datasets (anything with features/labels/num_classes), in order."""
-        return cls(
-            _concat([s.features for s in shards]),
-            _concat([s.labels for s in shards]),
-            tuple(len(s.labels) for s in shards),
-            max(s.num_classes for s in shards),
-        )
-
-    @property
-    def num_samples(self) -> int:
-        return self.labels.size
-
-    def block_means(self, per_row: np.ndarray) -> np.ndarray:
-        """Each block's mean of its entries of ``per_row`` (one value per
-        row, ``(N,)``), bitwise ``np.mean`` of the block alone."""
-        return self.blocks.per_model_mean(per_row)
-
-    @property
-    def num_features(self) -> int:
-        return self.features.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -298,7 +281,7 @@ class EvalReport:
 
     def __init__(
         self,
-        blocks: _Blocks,
+        stack: SampleStack,
         stacked: bool,
         losses: np.ndarray,
         grad_norms: np.ndarray | None,
@@ -306,11 +289,11 @@ class EvalReport:
     ):
         self.per_sample_losses = losses
         self.per_sample_grad_norms = grad_norms
-        self._blocks, self._stacked, self._hits = blocks, stacked, hits
+        self._stack, self._stacked, self._hits = stack, stacked, hits
         self._mean_loss = self._accuracy = None
 
     def _per_model(self, per_row: np.ndarray) -> float | np.ndarray:
-        means = self._blocks.per_model_mean(per_row)
+        means = self._stack.block_means(per_row)
         return means if self._stacked else float(means[0])
 
     @property
@@ -364,25 +347,21 @@ def _check_data(params: ModelParams, *datasets) -> tuple[int, ...]:
 
 
 def _stacked(params: ModelParams, data):
-    """``(V, blocks, X, Y, stacked)``: the parameters (one row per block, or
-    one row that broadcasts over every block), where each block's rows lie
-    (an unstacked dataset is one block), the features and labels in the
-    kernel's layout, and whether the parameters or the data were stacked.
-    Any parameter stack of more than one row needs one row per block."""
-    values = params.values
-    if isinstance(data, SampleStack):
-        blocks, stacked, over = data.blocks, True, "sample blocks"
-    else:
-        blocks, stacked, over = _Blocks.of((data.num_samples,)), values.ndim == 2, "unstacked"
-    g = len(blocks.sizes)
-    if values.ndim == 1:
-        values = values[None]
+    """``(V, stack, X, Y, stacked)``: the parameters (one row per block, or
+    one row that broadcasts over every block), the data as a sample stack
+    (an unstacked dataset is one block over its own arrays), the features
+    and labels in the stack's kernel layout, and whether the parameters or
+    the data were stacked.  Any parameter stack of more than one row needs
+    one row per block."""
+    values = params.values.reshape(-1, params.values.shape[-1])  # a vector is a stack of one
+    stack = data
+    if not isinstance(data, SampleStack):
+        stack = SampleStack(data.features, data.labels, (data.num_samples,), data.num_classes)
+    g = len(stack.sizes)
     if len(values) not in (1, g):
+        over = "sample blocks" if stack is data else "unstacked"
         raise ValueError(f"{values.shape} parameter stack over {over} {data.features.shape} data")
-    if len(blocks.runs) == 1:
-        size = blocks.sizes[0]
-        return values, blocks, data.features.reshape(g, size, -1), data.labels.reshape(g, size), stacked
-    return values, blocks, data.features, data.labels, stacked
+    return values, stack, *stack.kernel_layout(), stack is data or params.values.ndim == 2
 
 
 def _layers(dims: tuple[int, ...], values: np.ndarray) -> list:
@@ -396,13 +375,13 @@ def _layers(dims: tuple[int, ...], values: np.ndarray) -> list:
     return layers
 
 
-def _forward(layers, blocks: _Blocks, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+def _forward(layers, stack: SampleStack, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Logits, and the input activation of every layer (``x``, then tanh)."""
     acts = [x]
-    out = blocks.matmul(x, *layers[0])
+    out = stack.matmul(x, *layers[0])
     for w, b in layers[1:]:
         acts.append(np.tanh(out, out=out))
-        out = blocks.matmul(out, w, b)
+        out = stack.matmul(out, w, b)
     return out, acts
 
 
@@ -419,27 +398,27 @@ def _output_delta(log_probs: np.ndarray, y: np.ndarray) -> np.ndarray:
     return delta
 
 
-def _backward(layers, blocks: _Blocks, acts, delta):
+def _backward(layers, stack: SampleStack, acts, delta):
     """Yield (input activation, output delta) of each layer, last layer first."""
     for i in range(len(layers) - 1, -1, -1):
         yield acts[i], delta
         if i:
-            delta = blocks.matmul(delta, layers[i][0].transpose(0, 2, 1)) * (1.0 - acts[i] ** 2)
+            delta = stack.matmul(delta, layers[i][0].transpose(0, 2, 1)) * (1.0 - acts[i] ** 2)
 
 
 def _forward_head(params: ModelParams, data):
     """Check ``data``; the forward pass and softmax head over stacked inputs,
-    ``(blocks, layers, acts, y, stacked, logits, row_max, shifted, lse)``.
+    ``(stack, layers, acts, y, stacked, logits, row_max, shifted, lse)``.
     The row maximum is taken over a class-major copy, class by class."""
     dims = _check_data(params, data)
-    values, blocks, x, y, stacked = _stacked(params, data)
+    values, stack, x, y, stacked = _stacked(params, data)
     layers = _layers(dims, values)
-    logits, acts = _forward(layers, blocks, x)
+    logits, acts = _forward(layers, stack, x)
     class_major = logits.transpose(-1, *range(logits.ndim - 1))
     row_max = np.maximum.reduce(np.ascontiguousarray(class_major))
     shifted = logits - row_max[..., None]
     lse = np.log(np.add.reduce(np.exp(shifted), axis=-1))
-    return blocks, layers, acts, y, stacked, logits, row_max, shifted, lse
+    return stack, layers, acts, y, stacked, logits, row_max, shifted, lse
 
 
 def evaluate(params: ModelParams, data, want_grad_norms: bool = False) -> EvalReport:
@@ -448,7 +427,7 @@ def evaluate(params: ModelParams, data, want_grad_norms: bool = False) -> EvalRe
     Per-sample gradient L2 norms (over the full parameter vector) are
     returned only when requested; they cost an extra backward pass.
     """
-    blocks, layers, acts, y, stacked, logits, row_max, shifted, lse = _forward_head(params, data)
+    stack, layers, acts, y, stacked, logits, row_max, shifted, lse = _forward_head(params, data)
     at_label = shifted.reshape(-1, logits.shape[-1])[_at_labels(y)].reshape(y.shape)
     losses = -(at_label - lse)
 
@@ -466,23 +445,23 @@ def evaluate(params: ModelParams, data, want_grad_norms: bool = False) -> EvalRe
         grad_norms = np.sqrt(
             sum(
                 (d**2).sum(axis=-1) * ((a**2).sum(axis=-1) + 1.0)
-                for a, d in _backward(layers, blocks, acts, _output_delta(log_probs, y))
+                for a, d in _backward(layers, stack, acts, _output_delta(log_probs, y))
             )
         ).reshape(-1)
-    return EvalReport(blocks, stacked, losses.reshape(-1), grad_norms, hits)
+    return EvalReport(stack, stacked, losses.reshape(-1), grad_norms, hits)
 
 
 def gradient(params: ModelParams, data) -> np.ndarray:
     """Gradient of the mean cross-entropy loss, as a flat vector (one row per
     model on stacked inputs)."""
-    blocks, layers, acts, y, stacked, _, _, shifted, lse = _forward_head(params, data)
+    stack, layers, acts, y, stacked, _, _, shifted, lse = _forward_head(params, data)
     delta = _output_delta(shifted - lse[..., None], y)
     delta_rows = delta.reshape(-1, delta.shape[-1])
-    for _, rows, size in blocks.runs:
+    for _, rows, size in stack.runs:
         delta_rows[rows] /= size  # each model's loss is the mean over its block
     parts = []
-    for a, d in _backward(layers, blocks, acts, delta):
-        parts[:0] = blocks.layer_gradient(a, d)
+    for a, d in _backward(layers, stack, acts, delta):
+        parts[:0] = stack.layer_gradient(a, d)
     grad = np.concatenate(parts, axis=1)
     return grad if stacked else grad[0]
 

@@ -31,6 +31,7 @@ byte-determinism contract (see ``deterministic_csv_payload``).
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
@@ -79,6 +80,7 @@ __all__ = [
     "Experiment",
     "aggregate",
     "build_partition",
+    "check_out_dir",
     "feedback_gate",
     "moving_average",
     "run_experiment",
@@ -514,12 +516,25 @@ def deterministic_csv_payload(csv_text: str) -> str:
     return "\n".join(rows)
 
 
+def check_out_dir(out_dir: str | Path) -> None:
+    """Raise ``ValueError``, creating nothing, unless the first of ``out_dir``
+    and its ancestors that exists is a writable directory."""
+    path = Path(out_dir)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir() or not os.access(existing, os.W_OK):
+        raise ValueError(f"cannot write output to {path}: {existing} is not a writable directory")
+
+
 def run_experiment(
     cfg: ExperimentConfig, out_dir: str | Path | None = None
 ) -> list[RoundRecord]:
     """Run one experiment; once it completes, write its run and selection
-    logs and summary to ``out_dir`` when one is given."""
-    history = build_experiment(cfg).run()
+    logs and summary to ``out_dir`` when one is given.  A bad ``out_dir``
+    fails before the first round."""
+    experiment = build_experiment(cfg)
+    if out_dir is not None:
+        check_out_dir(out_dir)
+    history = experiment.run()
     if out_dir is not None:
         out_path = Path(out_dir)
         out_path.mkdir(parents=True, exist_ok=True)

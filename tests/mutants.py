@@ -150,8 +150,15 @@ MUTANTS = (
         "every-row-divided-by-one-run-size",
         "src/fedclf/model.py",
         "delta_rows[rows] /= size",
-        "delta_rows[rows] /= blocks.runs[0][2]",
+        "delta_rows[rows] /= stack.runs[0][2]",
         (RAGGED_GRAD_ORACLE,),
+    ),
+    Mutant(
+        "singleton-block-joins-the-run-before-it",
+        "src/fedclf/model.py",
+        "self.sizes[end] != self.sizes[first]:",
+        "self.sizes[end] not in (self.sizes[first], 1):",
+        (RAGGED_EVAL_ORACLE, "tests/test_model.py::test_sample_stack_runs"),
     ),
     Mutant(
         "bias-repeated-by-sorted-sizes",

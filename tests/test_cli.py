@@ -13,6 +13,7 @@ from fedclf.dataset import PartitionSpec, SplitMode, load_dataset, save_dataset
 from fedclf.selection import FactorMode, Strategy
 from fedclf.server import (
     CONFIG_KEYS,
+    Experiment,
     ExperimentConfig,
     RoundRecord,
     build_experiment,
@@ -346,6 +347,27 @@ def test_diverged_run_fails_without_a_run_log(tmp_path, capsys):
     assert not out.exists()
 
 
+def bad_out_paths(tmp_path):
+    """An existing file, and a path under that file."""
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    return [afile, afile / "out"]
+
+
+def test_run_with_a_bad_out_fails_before_any_round(tmp_path, capsys, monkeypatch):
+    rounds = []
+    monkeypatch.setattr(Experiment, "run_round", lambda self, i: rounds.append(i))
+    for out in bad_out_paths(tmp_path):
+        code = run_cli(
+            "run", "--synthetic", "3x3x240", "--clients", "6", "--select-k", "2",
+            "--S", "5", "--rounds", "100000", "--out", str(out),
+        )
+        assert code == 1
+        assert f"cannot write output to {out}: " in capsys.readouterr().err
+    assert rounds == []
+    assert (tmp_path / "afile").read_text() == "kept\n"
+
+
 def test_run_rejects_unknown_config_key(tmp_path, capsys):
     config = tmp_path / "run.conf"
     for key, value in [
@@ -467,6 +489,17 @@ def test_battery_rerun_identical(tmp_path):
         assert run_cli("battery", str(spec), "--out", str(out)) == 0
         outputs.append((out / "battery.csv").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_battery_with_a_bad_out_fails_before_any_cell(tmp_path, capsys, monkeypatch):
+    cells = []
+    monkeypatch.setattr("fedclf.cli.run_experiment", lambda *args, **kwargs: cells.append(args))
+    spec = battery_spec(tmp_path)
+    for out in bad_out_paths(tmp_path):
+        assert run_cli("battery", str(spec), "--out", str(out)) == 1
+        assert f"cannot write output to {out}: " in capsys.readouterr().err
+    assert cells == []
+    assert (tmp_path / "afile").read_text() == "kept\n"
 
 
 def test_battery_rejects_out_key(tmp_path, capsys):

@@ -22,7 +22,6 @@ from fedclf.dataset import ClientDataset, LabeledDataset, make_synthetic
 from fedclf.model import (
     SampleStack,
     TrainConfig,
-    _Blocks,
     evaluate,
     init_params,
     mlp_tag,
@@ -222,23 +221,23 @@ def test_ragged_cohort_utilities_equal_plain_rms_of_each_client(runs, mlp):
 def test_measurement_makes_one_evaluate_call_and_reduces_only_the_rms(monkeypatch, want_grad_norm):
     # The RMS of each utility is the only per-model reduction measurement
     # needs; the per-model mean loss and accuracy go unread.
-    calls = {"evaluate": 0, "per_model_mean": 0}
-    real_evaluate, real_mean = fedclf.client.evaluate, _Blocks.per_model_mean
+    calls = {"evaluate": 0, "block_means": 0}
+    real_evaluate, real_mean = fedclf.client.evaluate, SampleStack.block_means
 
     def counted_evaluate(*args, **kwargs):
         calls["evaluate"] += 1
         return real_evaluate(*args, **kwargs)
 
     def counted_mean(self, per_row):
-        calls["per_model_mean"] += 1
+        calls["block_means"] += 1
         return real_mean(self, per_row)
 
     monkeypatch.setattr(fedclf.client, "evaluate", counted_evaluate)
-    monkeypatch.setattr(_Blocks, "per_model_mean", counted_mean)
+    monkeypatch.setattr(SampleStack, "block_means", counted_mean)
     clients = ragged_cohort([7, 12, 12, 30, 5])
     params = init_params(mlp_tag(4, 5, 3), seed=19)
     measure_utilities(clients, params, want_grad_norm)
-    assert calls == {"evaluate": 1, "per_model_mean": 1 + want_grad_norm}
+    assert calls == {"evaluate": 1, "block_means": 1 + want_grad_norm}
 
 
 def test_cohort_needs_one_seed_per_client():

@@ -410,7 +410,7 @@ def test_stacked_kernel_rows_equal_single_model_calls(tag_maker):
     shards = [small_data(n=9, seed=s) for s in range(4)]
     values = np.stack([init_params(tag, seed=s).values for s in range(4)])
     stack = SampleStack.of(shards)
-    assert stack.num_samples == 36 and len(stack.blocks.runs) == 1
+    assert stack.num_samples == 36 and len(stack.runs) == 1
     report = evaluate(ModelParams(values, tag), stack, want_grad_norms=True)
     grads = gradient(ModelParams(values, tag), stack)
     shared = evaluate(ModelParams(values[0], tag), stack)
@@ -460,7 +460,26 @@ def test_negative_label_in_a_sample_stack_raises(tag_maker):
                 kernel(params, SampleStack(features, labels, sizes, 3))
 
 
-@pytest.mark.parametrize("sizes", [(6, 5), (6, 7), (0, 12), ()])
+@pytest.mark.parametrize(
+    "sizes, runs",
+    [
+        ((5,), [(0, 1, 0, 5, 5)]),
+        ((3, 3, 3), [(0, 3, 0, 9, 3)]),
+        ((4, 4, 1, 2, 2), [(0, 2, 0, 8, 4), (2, 3, 8, 9, 1), (3, 5, 9, 13, 2)]),
+        ((1, 2, 1, 2), [(0, 1, 0, 1, 1), (1, 2, 1, 3, 2), (2, 3, 3, 4, 1), (3, 4, 4, 6, 2)]),
+        ((2, 2, 1), [(0, 2, 0, 4, 2), (2, 3, 4, 5, 1)]),
+    ],
+)
+def test_sample_stack_runs(sizes, runs):
+    # Each run as (first model, end model, first row, end row, block size).
+    n = sum(sizes)
+    stack = SampleStack(np.zeros((n, 2)), np.zeros(n, dtype=np.int64), sizes, 1)
+    assert stack.runs == tuple(
+        (slice(m0, m1), slice(r0, r1), size) for m0, m1, r0, r1, size in runs
+    )
+
+
+@pytest.mark.parametrize("sizes", [(6, 5), (6, 7), (0, 12), (), (12, 0)])
 def test_sample_stack_block_sizes_must_cover_its_rows(sizes):
     data = small_data(n=12, seed=3)
     with pytest.raises(ValueError, match="block sizes"):

@@ -21,7 +21,7 @@ from fedclf.dataset import (
     SplitMode,
     make_synthetic,
 )
-from fedclf.model import ModelParams, TrainConfig, _Blocks, softmax_tag
+from fedclf.model import ModelParams, SampleStack, TrainConfig, softmax_tag
 from fedclf.selection import FactorMode, Strategy
 from fedclf.server import (
     Experiment,
@@ -198,13 +198,13 @@ def test_each_round_reduces_the_test_accuracy_once(monkeypatch):
     # report reduces it, and the mean loss, on first read only.
     experiment = build_experiment(small_config(rounds=1))
     reduced = []
-    real_mean = _Blocks.per_model_mean
+    real_mean = SampleStack.block_means
 
     def counted_mean(self, per_row):
         reduced.append(per_row.dtype.kind)
         return real_mean(self, per_row)
 
-    monkeypatch.setattr(_Blocks, "per_model_mean", counted_mean)
+    monkeypatch.setattr(SampleStack, "block_means", counted_mean)
     experiment.run_round(1)
     assert reduced == ["b", "f"]
 
