@@ -166,6 +166,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
         raise ValueError("partition requires --out DIR")
     if (args.input is None) == (args.synthetic is None):
         raise ValueError("give exactly one of --input FILE or --synthetic CxFxN")
+    check_out_dir(args.out)
     clients, train, _ = build_partition(_config_from_sources(args))
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)

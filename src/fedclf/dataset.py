@@ -3,7 +3,9 @@
 Client shards are produced by sorting the training set by label, cutting it
 into shards of a configurable size ``S``, shuffling the shards, and dealing
 them to clients.  Large shards concentrate few classes per client; ``S=1``
-degenerates to a uniform random split.  Skew is quantified per client as the
+degenerates to a uniform random split.  The deal is computed as one
+client-ordered index, the data is gathered through it once, and each client
+holds a read-only view of its consecutive block of the gathered arrays.  Skew is quantified per client as the
 L1 distance between its label distribution and a reference distribution
 (normally the label distribution of the full training set).
 
@@ -99,6 +101,29 @@ class LabeledDataset:
     def num_features(self) -> int:
         return self.features.shape[1]
 
+    def blocks(self, sizes) -> list["LabeledDataset"]:
+        """Views of consecutive row blocks of ``sizes[i]`` rows each.
+
+        Checks once that every size is at least one and that the sizes sum
+        to the rows; every other check a block's constructor would make
+        holds for each block of this checked dataset, so the views are
+        built without rerunning them.
+        """
+        sizes = np.asarray(sizes, dtype=np.int64)
+        if not sizes.size or sizes.min() < 1 or sizes.sum() != self.num_samples:
+            raise ValueError(f"block sizes {sizes.tolist()} for {self.num_samples} samples")
+        ends = np.cumsum(sizes).tolist()
+        views = []
+        for start, end in zip([0, *ends[:-1]], ends):
+            view = object.__new__(LabeledDataset)
+            view.__dict__.update(
+                features=self.features[start:end],
+                labels=self.labels[start:end],
+                num_classes=self.num_classes,
+            )
+            views.append(view)
+        return views
+
     def subset(self, indices: np.ndarray) -> "LabeledDataset":
         return LabeledDataset(
             self.features[indices], self.labels[indices], self.num_classes
@@ -193,27 +218,6 @@ def mean_partition_emd(
     )
 
 
-def _shard_sequence(dataset: LabeledDataset, spec: PartitionSpec, rng) -> list[np.ndarray]:
-    """Label-sort, cut into shards of ``shard_size``, shuffle shard order.
-
-    Returns the shuffled shards (index arrays); a trailing short shard (when
-    shard_size does not divide the total) is shuffled like any other.
-    """
-    order = np.argsort(dataset.labels, kind="stable")
-    total = dataset.num_samples
-    num_shards = math.ceil(total / spec.shard_size)
-    if num_shards < spec.num_clients:
-        raise ConfigurationError(
-            f"shard_size S={spec.shard_size} yields only {num_shards} shards "
-            f"for K={spec.num_clients} clients (total samples: {total})"
-        )
-    shards = [
-        order[i * spec.shard_size : (i + 1) * spec.shard_size]
-        for i in range(num_shards)
-    ]
-    return [shards[i] for i in rng.permutation(num_shards)]
-
-
 def _nonequal_counts(total: int, spec: PartitionSpec, rng) -> np.ndarray:
     """Per-client sample counts: random weights, floored, summing to total."""
     k = spec.num_clients
@@ -226,8 +230,7 @@ def _nonequal_counts(total: int, spec: PartitionSpec, rng) -> np.ndarray:
     if diff > 0:
         # Hand out the surplus to the largest fractional remainders.
         remainders = raw - np.floor(raw)
-        for idx in np.argsort(-remainders, kind="stable")[:diff]:
-            counts[idx] += 1
+        counts[np.argsort(-remainders, kind="stable")[:diff]] += 1
     while diff < 0:
         idx = int(np.argmax(counts))
         take = min(-diff, counts[idx] - floor)
@@ -244,44 +247,60 @@ def _nonequal_counts(total: int, spec: PartitionSpec, rng) -> np.ndarray:
 def partition(dataset: LabeledDataset, spec: PartitionSpec) -> list[ClientDataset]:
     """Deal ``dataset`` to ``spec.num_clients`` clients via sort-and-shard.
 
-    Equal mode deals whole shuffled shards round-robin and then any leftover
-    shards sample-by-sample, so client sizes differ by at most one shard and
-    are exactly ``total // num_clients`` whenever the number of clients
-    divides the number of shards.  Non-equal mode slices the shuffled shard
+    The label-sorted data is cut into shards of ``shard_size`` (a trailing
+    short shard when it does not divide the total), laid out as the rows of
+    one padded index grid, and the rows are shuffled.  Equal mode deals whole
+    shuffled shards round-robin (shard ``p`` to client ``p % num_clients``)
+    and then the samples of any leftover shards one by one (sample ``j`` to
+    client ``j % num_clients``), so client sizes differ by at most one shard
+    and are exactly ``total // num_clients`` whenever the number of clients
+    divides the number of shards.  Non-equal mode cuts the shuffled shard
     sequence into contiguous blocks whose sizes follow seeded random weights,
     floored at ``min_fraction * (total / num_clients)`` (at most
     ``total // num_clients``).
 
+    Either way the deal is one client-ordered index: features and labels are
+    gathered through it once into read-only arrays, and client ``i`` holds a
+    view of its consecutive block of them (see ``LabeledDataset.blocks``).
     The union of client samples is always exactly the input multiset, and the
     result is a pure function of ``(dataset, spec)`` including ``spec.seed``.
     """
-    if dataset.num_samples == 0:
+    total = dataset.num_samples
+    k, size = spec.num_clients, spec.shard_size
+    if total == 0:
         raise ValueError("cannot partition an empty dataset")
-    if dataset.num_samples < spec.num_clients:
+    if total < k:
+        raise ConfigurationError(f"{total} samples cannot cover K={k} clients")
+    num_shards = math.ceil(total / size)
+    if num_shards < k:
         raise ConfigurationError(
-            f"{dataset.num_samples} samples cannot cover "
-            f"K={spec.num_clients} clients"
+            f"shard_size S={size} yields only {num_shards} shards "
+            f"for K={k} clients (total samples: {total})"
         )
     rng = np.random.default_rng(spec.seed)
-    shards = _shard_sequence(dataset, spec, rng)
-    k = spec.num_clients
+    grid = np.full(num_shards * size, -1, dtype=np.int64)
+    grid[:total] = np.argsort(dataset.labels, kind="stable")
+    dealt = grid.reshape(num_shards, size)[rng.permutation(num_shards)].ravel()
+    present = dealt >= 0
+    index = dealt[present]
 
     if spec.split_mode is SplitMode.EQUAL:
-        # Client j: every k-th whole shard from j, then every k-th sample
-        # from j of the leftover shards.
-        whole = len(shards) // k * k
-        rest = np.concatenate([*shards[whole:], np.empty(0, dtype=np.int64)])
-        index_lists = [np.concatenate(shards[j:whole:k] + [rest[j::k]]) for j in range(k)]
+        # Shard p goes to client p % k, then leftover sample j to client j % k;
+        # one stable sort by client keeps each client's samples in deal order.
+        whole = num_shards // k * k * size
+        client = np.repeat(np.arange(num_shards) % k, size)
+        leftover = present[whole:]
+        client[whole:][leftover] = np.arange(np.count_nonzero(leftover)) % k
+        client = client[present]
+        index = index[np.argsort(client, kind="stable")]
+        counts = np.bincount(client, minlength=k)
     else:
-        flat = np.concatenate(shards)
-        counts = _nonequal_counts(dataset.num_samples, spec, rng)
-        bounds = np.concatenate([[0], np.cumsum(counts)])
-        index_lists = [flat[bounds[i] : bounds[i + 1]] for i in range(k)]
+        counts = _nonequal_counts(total, spec, rng)
 
-    return [
-        ClientDataset(client_id=i, data=dataset.subset(idx))
-        for i, idx in enumerate(index_lists)
-    ]
+    features, labels = dataset.features[index], dataset.labels[index]
+    features.flags.writeable = labels.flags.writeable = False
+    blocks = LabeledDataset(features, labels, dataset.num_classes).blocks(counts)
+    return [ClientDataset(client_id=i, data=block) for i, block in enumerate(blocks)]
 
 
 def make_synthetic(

@@ -249,9 +249,16 @@ MUTANTS = (
     Mutant(
         "leftover-dealt-backwards",
         "src/fedclf/dataset.py",
-        "[rest[j::k]]",
-        "[rest[::-1][j::k]]",
+        "np.arange(np.count_nonzero(leftover)) % k",
+        "np.arange(np.count_nonzero(leftover))[::-1] % k",
         ("tests/test_dataset.py::test_partition_equal_deal_matches_round_robin_reference",),
+    ),
+    Mutant(
+        "nonequal-cut-bounds-shifted",
+        "src/fedclf/dataset.py",
+        "counts = _nonequal_counts(total, spec, rng)",
+        "counts = np.roll(_nonequal_counts(total, spec, rng), 1)",
+        ("tests/test_dataset.py::test_partition_nonequal_cut_matches_plain_reference",),
     ),
 )
 

@@ -368,6 +368,21 @@ def test_run_with_a_bad_out_fails_before_any_round(tmp_path, capsys, monkeypatch
     assert (tmp_path / "afile").read_text() == "kept\n"
 
 
+def test_partition_with_a_bad_out_fails_before_building_it(tmp_path, capsys, monkeypatch):
+    def build_partition(cfg):
+        raise AssertionError("the partition was built")
+
+    monkeypatch.setattr("fedclf.cli.build_partition", build_partition)
+    for out in bad_out_paths(tmp_path):
+        code = run_cli(
+            "partition", "--synthetic", "3x3x240", "--clients", "6", "--S", "5",
+            "--out", str(out),
+        )
+        assert code == 1
+        assert "not a writable directory" in capsys.readouterr().err
+    assert (tmp_path / "afile").read_text() == "kept\n"
+
+
 def test_run_rejects_unknown_config_key(tmp_path, capsys):
     config = tmp_path / "run.conf"
     for key, value in [

@@ -7,16 +7,18 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedclf.dataset import (
+    ClientDataset,
     ConfigurationError,
     DatasetFormatError,
     LabelDistribution,
     LabeledDataset,
     PartitionSpec,
     SplitMode,
+    _nonequal_counts,
     emd,
     label_distribution,
     load_dataset,
@@ -174,8 +176,6 @@ def test_partition_conservation_and_determinism():
 
 def ds_clients(ds):
     """Wrap a dataset as a one-client list for multiset comparison."""
-    from fedclf.dataset import ClientDataset
-
     return [ClientDataset(0, ds)]
 
 
@@ -221,6 +221,8 @@ def test_partition_equal_spread_bounded_by_shard_size():
     num_clients=st.integers(min_value=1, max_value=12),
     seed=st.integers(min_value=0, max_value=2**32),
 )
+# Four shards for two clients: the one-sample trailing shard is dealt whole.
+@example(num_samples=31, shard_size=10, num_clients=2, seed=0)
 def test_partition_equal_deal_matches_round_robin_reference(
     num_samples, shard_size, num_clients, seed
 ):
@@ -243,6 +245,82 @@ def test_partition_equal_deal_matches_round_robin_reference(
     for client, indices in zip(clients, dealt):
         assert np.array_equal(client.data.labels, ds.labels[indices])
         assert np.array_equal(client.data.features, ds.features[indices])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    num_samples=st.integers(min_value=30, max_value=400),
+    shard_size=st.integers(min_value=1, max_value=30),
+    num_clients=st.integers(min_value=1, max_value=12),
+    min_fraction=st.floats(min_value=0.01, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_partition_nonequal_cut_matches_plain_reference(
+    num_samples, shard_size, num_clients, min_fraction, seed
+):
+    # Plain reference: label-sort, cut, shuffle the shards with the spec's
+    # seed, concatenate, then slice by the seeded counts drawn after the
+    # shuffle.
+    ds = make_synthetic(num_samples, 2, 5, seed=seed % 1000)
+    spec = PartitionSpec(
+        shard_size=shard_size,
+        split_mode=SplitMode.NONEQUAL,
+        num_clients=num_clients,
+        min_fraction=min_fraction,
+        seed=seed,
+    )
+    order = np.argsort(ds.labels, kind="stable").tolist()
+    shards = [order[i : i + shard_size] for i in range(0, num_samples, shard_size)]
+    if len(shards) < num_clients:
+        return
+    rng = np.random.default_rng(seed)
+    flat = sum((shards[i] for i in rng.permutation(len(shards))), [])
+    counts = _nonequal_counts(num_samples, spec, rng).tolist()
+    clients = partition(ds, spec)
+    assert [c.n_k for c in clients] == counts
+    start = 0
+    for client, count in zip(clients, counts):
+        indices = flat[start : start + count]
+        assert np.array_equal(client.data.labels, ds.labels[indices])
+        assert np.array_equal(client.data.features, ds.features[indices])
+        start += count
+
+
+@pytest.mark.parametrize("mode", list(SplitMode))
+def test_partition_shards_are_read_only_views_of_one_array(tmp_path, mode):
+    ds = make_synthetic(301, 3, 4, seed=2)
+    clients = partition(ds, PartitionSpec(7, mode, 6, seed=13))
+    features, labels = clients[0].data.features.base, clients[0].data.labels.base
+    assert features is not None and labels is not None
+    for client in clients:
+        assert client.data.features.base is features
+        assert client.data.labels.base is labels
+        with pytest.raises(ValueError, match="read-only"):
+            client.data.features[0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            client.data.labels[0] = 0
+    # The gather copied: the input stays writable and whole.
+    assert ds.features.flags.writeable and ds.labels.flags.writeable
+    path = tmp_path / "shard.fedds"
+    save_dataset(clients[3].data, path)
+    loaded = load_dataset(path)
+    assert loaded.num_classes == 4
+    assert np.array_equal(loaded.labels, clients[3].data.labels)
+    assert np.array_equal(loaded.features, clients[3].data.features.astype(np.float32))
+
+
+def test_blocks_are_consecutive_views_that_check_their_sizes():
+    ds = make_synthetic(10, 2, 3, seed=1)
+    blocks = ds.blocks([3, 1, 6])
+    assert [b.num_samples for b in blocks] == [3, 1, 6]
+    for block, (start, end) in zip(blocks, [(0, 3), (3, 4), (4, 10)]):
+        assert np.shares_memory(block.features, ds.features)
+        assert np.array_equal(block.features, ds.features[start:end])
+        assert np.array_equal(block.labels, ds.labels[start:end])
+        assert block.num_classes == 3
+    for sizes in ([3, 0, 7], [3, 8], [3, 6], [], [-1, 11]):
+        with pytest.raises(ValueError, match="block sizes"):
+            ds.blocks(sizes)
 
 
 def test_partition_too_few_shards_is_configuration_error():
