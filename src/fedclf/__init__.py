@@ -11,7 +11,6 @@ from .dataset import (
     label_distribution,
     load_dataset,
     make_synthetic,
-    mean_partition_emd,
     partition,
     save_dataset,
 )

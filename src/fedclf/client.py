@@ -10,9 +10,10 @@ would overwrite them unread.
 
 The cohort is trained and measured as one stacked parameter block, whatever
 its shard sizes: ``measure_utilities`` stacks the cohort's shards, ordered by
-``n_k`` so equal sizes form one run, into one ragged ``SampleStack`` and
-makes one ``evaluate`` call, and ``sgd_epochs`` makes one ``gradient`` call
-per SGD step over the models still training.  The cohort trains under its
+``n_k`` so equal sizes form one run, into one ragged ``SampleStack``, makes
+one ``evaluate`` call and reduces only each block's RMS of the per-row
+losses (and gradient norms) it returns; ``sgd_epochs`` makes one
+``gradient`` call per SGD step over the models still training.  The cohort trains under its
 experiment's one ``TrainConfig``, and every client keeps its own seeded batch
 schedule, so each result is bitwise equal to training or measuring that
 client alone.
@@ -77,13 +78,13 @@ def measure_utilities(
     # Stacked by size, so clients of equal n_k form one run.
     order = sorted(range(len(clients)), key=lambda i: clients[i].n_k)
     stack = SampleStack.of([clients[i].data for i in order])
-    report = evaluate(params, stack, want_grad_norms=want_grad_norm)
+    result = evaluate(params, stack, want_grad_norms=want_grad_norm)
     loss = np.empty(len(clients))
-    loss[order] = rms_utility(stack, report.per_sample_losses)
+    loss[order] = rms_utility(stack, result.per_sample_losses)
     grad_norm = None
     if want_grad_norm:
         grad_norm = np.empty(len(clients))
-        grad_norm[order] = rms_utility(stack, report.per_sample_grad_norms)
+        grad_norm[order] = rms_utility(stack, result.per_sample_grad_norms)
     finite = np.isfinite(loss)
     if want_grad_norm:
         finite &= np.isfinite(grad_norm)

@@ -35,7 +35,6 @@ __all__ = [
     "partition",
     "label_distribution",
     "emd",
-    "mean_partition_emd",
     "make_synthetic",
     "split_train_test",
     "load_dataset",
@@ -205,17 +204,6 @@ def emd(a: LabelDistribution, b: LabelDistribution) -> float:
     if len(a) != len(b):
         raise ValueError(f"distribution lengths differ: {len(a)} vs {len(b)}")
     return float(np.abs(a.probs - b.probs).sum())
-
-
-def mean_partition_emd(
-    clients: list[ClientDataset], reference: LabelDistribution
-) -> float:
-    """Mean over clients of the EMD between each client and ``reference``."""
-    if not clients:
-        raise ValueError("need at least one client")
-    return float(
-        np.mean([emd(label_distribution(c.data), reference) for c in clients])
-    )
 
 
 def _nonequal_counts(total: int, spec: PartitionSpec, rng) -> np.ndarray:

@@ -35,11 +35,12 @@ slice of it.
 ``evaluate`` and ``gradient`` share one forward pass and softmax head, which
 reduces along the short class axis only for the exp-sum: the row maximum is
 an elementwise maximum of class columns (exact in any order).  ``evaluate``
-reads accuracy as ``shifted[label] == 0.0`` when every row maximum is finite
-and each row has one exact zero; otherwise it takes ``argmax`` (lowest-index
-ties).  Results are bitwise those of a row-wise log-softmax and argmax.  Its
-report reduces the per-model mean loss and accuracy once each, on first
-read, so utility measurement, which reads the per-sample losses, skips them.
+reads a row's hit as ``shifted[label] == 0.0`` when every row maximum is
+finite and each row has one exact zero; otherwise it takes ``argmax``
+(lowest-index ties).  Results are bitwise those of a row-wise log-softmax
+and argmax.  It returns per-row arrays and reduces nothing per model; each
+caller reduces what it reads (the server the test split's means, utility
+measurement each block's RMS).
 """
 
 from __future__ import annotations
@@ -47,11 +48,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache
-from typing import Callable, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 __all__ = [
+    "Evaluation",
     "ModelParams",
     "SampleStack",
     "TrainConfig",
@@ -270,46 +272,14 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
 
 
-class EvalReport:
-    """Evaluation results.  ``per_sample_losses`` (and, when requested,
-    ``per_sample_grad_norms``) follow the data's ``(N,)`` rows.
-    ``mean_loss`` and ``accuracy`` are each model's mean loss and argmax
-    accuracy, ``(g,)`` arrays on stacked inputs and floats otherwise; each
-    reduced once, on first read, so a caller that reads only the per-sample
-    arrays pays for neither.  ``evaluate`` builds it; it is not a public
-    constructor."""
+class Evaluation(NamedTuple):
+    """What ``evaluate`` returns, each a flat ``(N,)`` array over the data's
+    rows: cross-entropy losses, argmax hits (the row's argmax is its label)
+    and, when requested, per-sample gradient L2 norms (else ``None``)."""
 
-    def __init__(
-        self,
-        stack: SampleStack,
-        stacked: bool,
-        losses: np.ndarray,
-        grad_norms: np.ndarray | None,
-        hits: Callable[[], np.ndarray],
-    ):
-        self.per_sample_losses = losses
-        self.per_sample_grad_norms = grad_norms
-        self._stack, self._stacked, self._hits = stack, stacked, hits
-        self._mean_loss = self._accuracy = None
-
-    def _per_model(self, per_row: np.ndarray) -> float | np.ndarray:
-        means = self._stack.block_means(per_row)
-        return means if self._stacked else float(means[0])
-
-    @property
-    def mean_loss(self) -> float | np.ndarray:
-        if self._mean_loss is None:
-            self._mean_loss = self._per_model(self.per_sample_losses)
-        return self._mean_loss
-
-    @property
-    def accuracy(self) -> float | np.ndarray:
-        """Read as ``shifted[label] == 0.0`` when every row maximum is
-        finite and each row has one exact zero; otherwise from ``argmax``."""
-        if self._accuracy is None:
-            hits, self._hits = self._hits(), None  # frees the forward arrays it holds
-            self._accuracy = self._per_model(hits)
-        return self._accuracy
+    per_sample_losses: np.ndarray
+    per_sample_hits: np.ndarray
+    per_sample_grad_norms: np.ndarray | None
 
 
 def init_params(shape_tag: str, seed: int) -> ModelParams:
@@ -347,12 +317,11 @@ def _check_data(params: ModelParams, *datasets) -> tuple[int, ...]:
 
 
 def _stacked(params: ModelParams, data):
-    """``(V, stack, X, Y, stacked)``: the parameters (one row per block, or
-    one row that broadcasts over every block), the data as a sample stack
-    (an unstacked dataset is one block over its own arrays), the features
-    and labels in the stack's kernel layout, and whether the parameters or
-    the data were stacked.  Any parameter stack of more than one row needs
-    one row per block."""
+    """``(V, stack, X, Y)``: the parameters (one row per block, or one row
+    that broadcasts over every block), the data as a sample stack (an
+    unstacked dataset is one block over its own arrays), and the features
+    and labels in the stack's kernel layout.  Any parameter stack of more
+    than one row needs one row per block."""
     values = params.values.reshape(-1, params.values.shape[-1])  # a vector is a stack of one
     stack = data
     if not isinstance(data, SampleStack):
@@ -361,7 +330,7 @@ def _stacked(params: ModelParams, data):
     if len(values) not in (1, g):
         over = "sample blocks" if stack is data else "unstacked"
         raise ValueError(f"{values.shape} parameter stack over {over} {data.features.shape} data")
-    return values, stack, *stack.kernel_layout(), stack is data or params.values.ndim == 2
+    return values, stack, *stack.kernel_layout()
 
 
 def _layers(dims: tuple[int, ...], values: np.ndarray) -> list:
@@ -408,34 +377,32 @@ def _backward(layers, stack: SampleStack, acts, delta):
 
 def _forward_head(params: ModelParams, data):
     """Check ``data``; the forward pass and softmax head over stacked inputs,
-    ``(stack, layers, acts, y, stacked, logits, row_max, shifted, lse)``.
-    The row maximum is taken over a class-major copy, class by class."""
+    ``(stack, layers, acts, y, logits, row_max, shifted, lse)``.  The row
+    maximum is taken over a class-major copy, class by class."""
     dims = _check_data(params, data)
-    values, stack, x, y, stacked = _stacked(params, data)
+    values, stack, x, y = _stacked(params, data)
     layers = _layers(dims, values)
     logits, acts = _forward(layers, stack, x)
     class_major = logits.transpose(-1, *range(logits.ndim - 1))
     row_max = np.maximum.reduce(np.ascontiguousarray(class_major))
     shifted = logits - row_max[..., None]
     lse = np.log(np.add.reduce(np.exp(shifted), axis=-1))
-    return stack, layers, acts, y, stacked, logits, row_max, shifted, lse
+    return stack, layers, acts, y, logits, row_max, shifted, lse
 
 
-def evaluate(params: ModelParams, data, want_grad_norms: bool = False) -> EvalReport:
-    """Cross-entropy loss, per-sample losses and argmax accuracy on ``data``.
+def evaluate(params: ModelParams, data, want_grad_norms: bool = False) -> Evaluation:
+    """Per-sample cross-entropy losses and argmax hits on ``data``.
 
     Per-sample gradient L2 norms (over the full parameter vector) are
     returned only when requested; they cost an extra backward pass.
     """
-    stack, layers, acts, y, stacked, logits, row_max, shifted, lse = _forward_head(params, data)
-    at_label = shifted.reshape(-1, logits.shape[-1])[_at_labels(y)].reshape(y.shape)
-    losses = -(at_label - lse)
-
-    def hits() -> np.ndarray:
-        if np.isfinite(row_max).all() and np.count_nonzero(shifted == 0.0) == y.size:
-            return at_label == 0.0  # each row has one maximum: its argmax
-        return np.argmax(logits, axis=-1) == y
-
+    stack, layers, acts, y, logits, row_max, shifted, lse = _forward_head(params, data)
+    at_label = shifted.reshape(-1, logits.shape[-1])[_at_labels(y)]
+    losses = -(at_label - lse.reshape(-1))
+    if np.isfinite(row_max).all() and np.count_nonzero(shifted == 0.0) == y.size:
+        hits = at_label == 0.0  # each row has one maximum: its argmax
+    else:
+        hits = (np.argmax(logits, axis=-1) == y).reshape(-1)
     grad_norms = None
     if want_grad_norms:
         log_probs = shifted - lse[..., None]
@@ -448,13 +415,13 @@ def evaluate(params: ModelParams, data, want_grad_norms: bool = False) -> EvalRe
                 for a, d in _backward(layers, stack, acts, _output_delta(log_probs, y))
             )
         ).reshape(-1)
-    return EvalReport(stack, stacked, losses.reshape(-1), grad_norms, hits)
+    return Evaluation(losses, hits, grad_norms)
 
 
 def gradient(params: ModelParams, data) -> np.ndarray:
-    """Gradient of the mean cross-entropy loss, as a flat vector (one row per
-    model on stacked inputs)."""
-    stack, layers, acts, y, stacked, _, _, shifted, lse = _forward_head(params, data)
+    """Gradient of each model's mean cross-entropy loss: a ``(g, P)`` stack,
+    one row per model (one row for a single parameter vector and dataset)."""
+    stack, layers, acts, y, _, _, shifted, lse = _forward_head(params, data)
     delta = _output_delta(shifted - lse[..., None], y)
     delta_rows = delta.reshape(-1, delta.shape[-1])
     for _, rows, size in stack.runs:
@@ -462,8 +429,7 @@ def gradient(params: ModelParams, data) -> np.ndarray:
     parts = []
     for a, d in _backward(layers, stack, acts, delta):
         parts[:0] = stack.layer_gradient(a, d)
-    grad = np.concatenate(parts, axis=1)
-    return grad if stacked else grad[0]
+    return np.concatenate(parts, axis=1)
 
 
 def sgd_epochs(

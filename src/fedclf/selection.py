@@ -279,7 +279,7 @@ def update_after_round(
     grad_norm_utility: np.ndarray | None = None,
     global_accuracy: float | None = None,
     global_loss: float | None = None,
-) -> SelectorState:
+) -> None:
     """Store what the most recent cohort reported, once it is measured.
 
     The arrays are aligned with ``client_ids``: each client's weight-change
@@ -299,4 +299,3 @@ def update_after_round(
         state.grad_norm_utility[client_ids] = grad_norm_utility
     state.loss_anchor[client_ids] = math.nan if global_loss is None else global_loss
     state.acc_anchor[client_ids] = math.nan if global_accuracy is None else global_accuracy
-    return state

@@ -338,8 +338,12 @@ class Experiment:
         # compound mode reads anchors, so only it evaluates the initial model.
         self.initial_metrics: tuple[float | None, float | None] = (None, None)
         if cfg.compound_factors:
-            report = evaluate(self.params, test_data)
-            self.initial_metrics = (report.accuracy, report.mean_loss)
+            self.initial_metrics = self._test_metrics()
+
+    def _test_metrics(self) -> tuple[float, float]:
+        """Test accuracy and mean loss of the current global model."""
+        result = evaluate(self.params, self.test_data)
+        return float(np.mean(result.per_sample_hits)), float(np.mean(result.per_sample_losses))
 
     def _dispatch(self, ids: list[int], round_index: int) -> tuple[ModelParams, np.ndarray]:
         """Train the cohort in one stacked call; rows in client-id order."""
@@ -395,14 +399,14 @@ class Experiment:
         trained, deltas = self._dispatch(ids, round_index)
         self.pending = (round_index, ids, self.params, deltas)
         self.params = aggregate(trained, [self.clients[cid].n_k for cid in ids])
-        report = evaluate(self.params, self.test_data)
+        accuracy, loss = self._test_metrics()
         window = cfg.moving_avg_window
         recent = [r.test_accuracy for r in self.history[max(0, round_index - window) :]]
-        recent.append(report.accuracy)
+        recent.append(accuracy)
         record = RoundRecord(
             round_index=round_index,
-            test_accuracy=report.accuracy,
-            test_loss=report.mean_loss,
+            test_accuracy=accuracy,
+            test_loss=loss,
             ma_accuracy=moving_average(recent, len(recent), window),
             selection_ran=gate,
             selected_ids=tuple(ids),

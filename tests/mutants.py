@@ -175,20 +175,17 @@ MUTANTS = (
         (RAGGED_EVAL_ORACLE,),
     ),
     Mutant(
-        "measurement-reduces-means-anyway",
+        "argmax-hits-flattened-column-major",
         "src/fedclf/model.py",
-        "        self._mean_loss = self._accuracy = None\n",
-        "        self._mean_loss = self._accuracy = None\n"
-        "        self.mean_loss, self.accuracy\n",
-        (
-            "tests/test_client.py::test_measurement_makes_one_evaluate_call_and_reduces_only_the_rms",
-        ),
+        "hits = (np.argmax(logits, axis=-1) == y).reshape(-1)",
+        'hits = (np.argmax(logits, axis=-1) == y).reshape(-1, order="F")',
+        (EVAL_ORACLE,),
     ),
     Mutant(
-        "accuracy-reduced-on-every-read",
-        "src/fedclf/model.py",
-        "        if self._accuracy is None:\n            hits, self._hits = self._hits(), None",
-        "        if True:\n            hits = self._hits()",
+        "test-loss-read-from-hits",
+        "src/fedclf/server.py",
+        "float(np.mean(result.per_sample_losses))",
+        "float(np.mean(result.per_sample_hits))",
         ("tests/test_server.py::test_each_round_reduces_the_test_accuracy_once",),
     ),
     Mutant(

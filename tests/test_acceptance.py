@@ -26,8 +26,8 @@ from fedclf.dataset import (
     SplitMode,
     label_distribution,
     make_synthetic,
-    mean_partition_emd,
     partition,
+    partition_report,
 )
 from fedclf.model import (
     ModelParams,
@@ -254,7 +254,8 @@ def test_criterion_5_emd_ladder():
                 num_clients=50,
                 seed=seed,
             )
-            values[shard_size] = mean_partition_emd(partition(ds, spec), reference)
+            report = partition_report(partition(ds, spec), reference)
+            values[shard_size] = float(report.splitlines()[-1].rpartition(",")[2])
             totals[shard_size].append(values[shard_size])
         if not values[200] > values[50] > values[5] > values[1]:
             seedwise_ok = False

@@ -23,7 +23,6 @@ from fedclf.dataset import (
     label_distribution,
     load_dataset,
     make_synthetic,
-    mean_partition_emd,
     partition,
     partition_report,
     save_dataset,
@@ -38,6 +37,11 @@ def equal_spec(shard_size, num_clients, seed=0):
         num_clients=num_clients,
         seed=seed,
     )
+
+
+def report_mean(clients, reference) -> float:
+    """The mean row of the partition report: the clients' mean EMD."""
+    return float(partition_report(clients, reference).splitlines()[-1].rpartition(",")[2])
 
 
 def sample_multiset(clients):
@@ -157,7 +161,7 @@ def test_partition_singleton_shards_approach_iid():
     ds = make_synthetic(4000, 2, 2, seed=11)
     clients = partition(ds, equal_spec(shard_size=1, num_clients=2, seed=5))
     reference = label_distribution(ds)
-    assert mean_partition_emd(clients, reference) < 0.1
+    assert report_mean(clients, reference) < 0.1
 
 
 def test_partition_conservation_and_determinism():
@@ -370,7 +374,7 @@ def test_partition_emd_ladder_ordering_on_cifar_like_data():
     values = {}
     for shard_size in (5, 50, 200):
         clients = partition(ds, equal_spec(shard_size, num_clients=50, seed=31))
-        values[shard_size] = mean_partition_emd(clients, reference)
+        values[shard_size] = report_mean(clients, reference)
     assert values[200] > values[50] > values[5]
 
 
@@ -378,9 +382,11 @@ def test_mean_partition_emd_trivial_cases():
     ds = LabeledDataset(np.zeros((8, 1)), np.array([0, 1] * 4), 2)
     reference = label_distribution(ds)
     clients = partition(ds, equal_spec(shard_size=4, num_clients=2, seed=0))
-    assert mean_partition_emd(clients, reference) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        mean_partition_emd([], reference)
+    # Two single-class clients over a balanced reference: each row and the
+    # mean row read 1.
+    rows = partition_report(clients, reference).splitlines()[1:]
+    assert [row.rpartition(",")[2] for row in rows] == ["1.0000000000"] * 3
+    assert report_mean(clients, reference) == 1.0
 
 
 # -------------------------------------------------------- make_synthetic

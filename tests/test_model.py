@@ -91,7 +91,7 @@ def test_evaluate_zero_params_gives_log_c_and_class0_accuracy():
         np.full(30, math.log(3)), abs=1e-12
     )
     # Uniform logits: argmax tie-break picks class 0 everywhere.
-    assert report.accuracy == pytest.approx(np.mean(data.labels == 0))
+    assert np.array_equal(report.per_sample_hits, data.labels == 0)
 
 
 def test_evaluate_perfect_logits_loss_tends_to_zero():
@@ -100,8 +100,8 @@ def test_evaluate_perfect_logits_loss_tends_to_zero():
     values = np.zeros(param_count(tag))
     values[1] = 50.0  # weight feature 0 onto class 1, pushed hard
     report = evaluate(ModelParams(values, tag), data)
-    assert report.mean_loss < 1e-20
-    assert report.accuracy == 1.0
+    assert report.per_sample_losses[0] < 1e-20
+    assert report.per_sample_hits.tolist() == [True]
 
 
 def test_evaluate_matches_scalar_recomputation():
@@ -122,16 +122,18 @@ def test_evaluate_matches_scalar_recomputation():
         loss = -math.log(math.exp(logits[data.labels[i]]) / denominator)
         assert report.per_sample_losses[i] == pytest.approx(loss, abs=1e-9)
         total += loss
-    assert report.mean_loss == pytest.approx(total / 12, abs=1e-9)
+    assert np.mean(report.per_sample_losses) == pytest.approx(total / 12, abs=1e-9)
 
 
 def test_evaluate_mean_equals_mean_of_per_sample():
+    # The server's np.mean of the test split's rows is bitwise the per-model
+    # mean of a one-block stack.
     data = small_data(n=25, f=4, c=3, seed=9)
     params = init_params(softmax_tag(4, 3), seed=4)
     report = evaluate(params, data)
-    assert report.mean_loss == pytest.approx(
-        float(report.per_sample_losses.mean()), abs=1e-12
-    )
+    stack = SampleStack(data.features, data.labels, (data.num_samples,), data.num_classes)
+    for per_row in (report.per_sample_losses, report.per_sample_hits):
+        assert_same_bits(stack.block_means(per_row), [np.mean(per_row)])
     assert np.all(report.per_sample_losses >= 0.0)
 
 
@@ -146,10 +148,10 @@ def test_evaluate_grad_norms_only_on_request():
     data = small_data()
     params = init_params(softmax_tag(4, 3), seed=0)
     report = evaluate(params, data)
-    assert report.per_sample_losses.shape == (10,)
+    assert report.per_sample_losses.shape == report.per_sample_hits.shape == (10,)
     assert report.per_sample_grad_norms is None
     report = evaluate(params, data, want_grad_norms=True)
-    assert report.per_sample_losses.shape == (10,)
+    assert report.per_sample_losses.shape == report.per_sample_hits.shape == (10,)
     assert report.per_sample_grad_norms.shape == (10,)
 
 
@@ -161,7 +163,7 @@ def test_per_sample_grad_norms_match_per_sample_gradients(tag_maker):
     report = evaluate(params, data, want_grad_norms=True)
     for i in range(data.num_samples):
         single = data.subset(np.array([i]))
-        g = gradient(params, single)
+        g = gradient(params, single)[0]
         assert report.per_sample_grad_norms[i] == pytest.approx(
             float(np.linalg.norm(g)), rel=1e-9
         )
@@ -193,18 +195,18 @@ def reference_evaluate(values, x, y, dims):
     """Plain row-wise evaluation of a ``(g, P)`` stack on ``(g, b, f)``
     blocks, written without ``evaluate``: ``max`` and ``argmax`` along the
     class axis, a label gather, and per-sample gradient norms by backprop.
-    Returns ``(per-sample losses, mean losses, accuracies, grad norms)``."""
+    Returns ``(g, b)`` per-sample losses, argmax hits and grad norms."""
     logits, acts, weights = reference_forward(values, x, dims)
     log_probs = reference_log_softmax(logits)
     losses = -np.take_along_axis(log_probs, y[..., None], axis=-1)[..., 0]
-    accuracy = (np.argmax(logits, axis=-1) == y).mean(axis=-1)
+    hits = np.argmax(logits, axis=-1) == y
     delta = np.exp(log_probs) - (np.arange(dims[-1]) == y[..., None])
     squared = 0
     for i in range(len(weights) - 1, -1, -1):
         squared = squared + (delta**2).sum(axis=-1) * ((acts[i] ** 2).sum(axis=-1) + 1.0)
         if i:
             delta = (delta @ weights[i].transpose(0, 2, 1)) * (1.0 - acts[i] ** 2)
-    return losses, losses.mean(axis=-1), accuracy, np.sqrt(squared)
+    return losses, hits, np.sqrt(squared)
 
 
 def reference_gradient(values, x, y, dims):
@@ -272,29 +274,38 @@ def evaluation_cases(draw):
 @settings(max_examples=300, deadline=None)
 @given(case=evaluation_cases(), unstacked=st.booleans())
 # A NaN row beside a two-way tie: one exact zero per row on average, but
-# accuracy must still come from argmax.
+# the hits must still come from argmax.
 @example(
     case=(softmax_tag(1, 2), np.ones((1, 4)), np.array([[[np.nan], [1.0]]]), np.array([[0, 0]])),
+    unstacked=False,
+)
+# Two models on the argmax path (model 0's rows tie), hits [[1, 1], [0, 1]]:
+# they follow the data's row order, model-major.
+@example(
+    case=(
+        softmax_tag(1, 2),
+        np.array([[0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]),
+        np.array([[[1.0], [1.0]], [[-1.0], [1.0]]]),
+        np.array([[0, 0], [0, 0]]),
+    ),
     unstacked=False,
 )
 def test_evaluate_equals_row_wise_reference_bitwise(case, unstacked):
     tag, values, x, y = case
     dims = parse_shape_tag(tag)[1]
+    stack = equal_stack(x, y, dims[-1])
     with np.errstate(all="ignore"):
-        expected = reference_evaluate(values, x, y, dims)
+        losses, hits, norms = reference_evaluate(values, x, y, dims)
         if unstacked and len(values) == 1:
             data = LabeledDataset(x[0], y[0], dims[-1])
             report = evaluate(ModelParams(values[0], tag), data, want_grad_norms=True)
-            expected = [e[0] for e in expected]
         else:
-            data = equal_stack(x, y, dims[-1])
-            report = evaluate(ModelParams(values, tag), data, want_grad_norms=True)
-            expected = [e.reshape(-1) if e.ndim == 2 else e for e in expected]
-        # Inside errstate: the means are reduced when read.
-        assert_same_bits(report.per_sample_losses, expected[0])
-        assert_same_bits(report.mean_loss, expected[1])
-        assert_same_bits(report.accuracy, expected[2])
-        assert_same_bits(report.per_sample_grad_norms, expected[3])
+            report = evaluate(ModelParams(values, tag), stack, want_grad_norms=True)
+        assert_same_bits(report.per_sample_losses, losses.reshape(-1))
+        assert_same_bits(report.per_sample_hits, hits.reshape(-1))
+        assert_same_bits(report.per_sample_grad_norms, norms.reshape(-1))
+        assert_same_bits(stack.block_means(report.per_sample_losses), losses.mean(axis=-1))
+        assert_same_bits(stack.block_means(report.per_sample_hits), hits.mean(axis=-1))
 
 
 @settings(max_examples=300, deadline=None)
@@ -312,7 +323,6 @@ def test_gradient_equals_row_wise_reference_bitwise(case, unstacked):
         if unstacked and len(values) == 1:
             data = LabeledDataset(x[0], y[0], dims[-1])
             grad = gradient(ModelParams(values[0], tag), data)
-            expected = expected[0]
         else:
             grad = gradient(ModelParams(values, tag), equal_stack(x, y, dims[-1]))
     assert grad.shape == expected.shape
@@ -350,18 +360,21 @@ def blocks_of(sizes):
 def test_evaluate_on_a_ragged_stack_equals_each_block_alone_bitwise(case):
     tag, values, x, y, sizes = case
     dims = parse_shape_tag(tag)[1]
+    stack = SampleStack(x, y, sizes, dims[-1])
     with np.errstate(all="ignore"):
-        report = evaluate(
-            ModelParams(values, tag), SampleStack(x, y, sizes, dims[-1]), want_grad_norms=True
-        )
+        report = evaluate(ModelParams(values, tag), stack, want_grad_norms=True)
+        means = stack.block_means(report.per_sample_losses)
+        accuracies = stack.block_means(report.per_sample_hits)
         for i, rows in enumerate(blocks_of(sizes)):
             row = values[i : i + 1] if len(values) > 1 else values
-            losses, mean, accuracy, norms = reference_evaluate(row, x[None, rows], y[None, rows], dims)
+            losses, hits, norms = reference_evaluate(row, x[None, rows], y[None, rows], dims)
             assert_same_bits(report.per_sample_losses[rows], losses[0])
-            assert_same_bits(report.mean_loss[i], mean[0])
-            assert_same_bits(report.accuracy[i], accuracy[0])
+            assert_same_bits(report.per_sample_hits[rows], hits[0])
+            assert_same_bits(means[i], losses[0].mean())
+            assert_same_bits(accuracies[i], hits[0].mean())
             assert_same_bits(report.per_sample_grad_norms[rows], norms[0])
-        assert report.mean_loss.shape == report.accuracy.shape == (len(sizes),)
+        assert report.per_sample_hits.shape == (len(y),)
+        assert means.shape == accuracies.shape == (len(sizes),)
 
 
 @pytest.mark.parametrize("tag", [mlp_tag(32, 64, 10), softmax_tag(8, 10)])
@@ -377,13 +390,16 @@ def test_ragged_stack_at_workload_widths_equals_each_block_alone_bitwise(tag, sh
     y = rng.integers(0, dims[-1], sum(sizes))
     stack = SampleStack(x, y, sizes, dims[-1])
     report = evaluate(ModelParams(values, tag), stack, want_grad_norms=True)
+    means = stack.block_means(report.per_sample_losses)
+    accuracies = stack.block_means(report.per_sample_hits)
     grad = gradient(ModelParams(values, tag), stack)
     for i, rows in enumerate(blocks_of(sizes)):
         row = values if shared else values[i : i + 1]
-        losses, mean, accuracy, norms = reference_evaluate(row, x[None, rows], y[None, rows], dims)
+        losses, hits, norms = reference_evaluate(row, x[None, rows], y[None, rows], dims)
         assert_same_bits(report.per_sample_losses[rows], losses[0])
-        assert_same_bits(report.mean_loss[i], mean[0])
-        assert_same_bits(report.accuracy[i], accuracy[0])
+        assert_same_bits(report.per_sample_hits[rows], hits[0])
+        assert_same_bits(means[i], losses[0].mean())
+        assert_same_bits(accuracies[i], hits[0].mean())
         assert_same_bits(report.per_sample_grad_norms[rows], norms[0])
         assert_same_bits(grad[i], reference_gradient(row, x[None, rows], y[None, rows], dims)[0])
 
@@ -412,17 +428,24 @@ def test_stacked_kernel_rows_equal_single_model_calls(tag_maker):
     stack = SampleStack.of(shards)
     assert stack.num_samples == 36 and len(stack.runs) == 1
     report = evaluate(ModelParams(values, tag), stack, want_grad_norms=True)
+    means = stack.block_means(report.per_sample_losses)
+    accuracies = stack.block_means(report.per_sample_hits)
+    _, hits, _ = reference_evaluate(
+        values, stack.features.reshape(4, 9, -1), stack.labels.reshape(4, 9), parse_shape_tag(tag)[1]
+    )
+    assert np.array_equal(report.per_sample_hits, hits.reshape(-1))
     grads = gradient(ModelParams(values, tag), stack)
     shared = evaluate(ModelParams(values[0], tag), stack)
     for i, shard in enumerate(shards):
         rows = slice(9 * i, 9 * i + 9)
         single = ModelParams(values[i], tag)
         alone = evaluate(single, shard, want_grad_norms=True)
-        assert report.mean_loss[i] == alone.mean_loss
-        assert report.accuracy[i] == alone.accuracy
+        assert means[i] == np.mean(alone.per_sample_losses)
+        assert accuracies[i] == np.mean(alone.per_sample_hits)
         assert np.array_equal(report.per_sample_losses[rows], alone.per_sample_losses)
+        assert np.array_equal(report.per_sample_hits[rows], alone.per_sample_hits)
         assert np.array_equal(report.per_sample_grad_norms[rows], alone.per_sample_grad_norms)
-        assert np.array_equal(grads[i], gradient(single, shard))
+        assert np.array_equal(grads[i], gradient(single, shard)[0])
         # One parameter vector broadcasts over every block of the stack.
         first = evaluate(ModelParams(values[0], tag), shard)
         assert np.array_equal(shared.per_sample_losses[rows], first.per_sample_losses)
@@ -498,8 +521,11 @@ def test_parameter_stack_over_unstacked_data_raises(tag_maker):
             kernel(ModelParams(values, tag), data)
     # A stack of one model is still one model.
     one = ModelParams(values[:1], tag)
-    assert np.array_equal(gradient(one, data)[0], gradient(ModelParams(values[0], tag), data))
-    assert evaluate(one, data).mean_loss[0] == evaluate(ModelParams(values[0], tag), data).mean_loss
+    assert np.array_equal(gradient(one, data), gradient(ModelParams(values[0], tag), data))
+    assert np.array_equal(
+        evaluate(one, data).per_sample_losses,
+        evaluate(ModelParams(values[0], tag), data).per_sample_losses,
+    )
 
 
 def test_cohort_sgd_rows_equal_single_model_training():
@@ -540,7 +566,7 @@ def reference_sgd(
             )
             values = values - cfg.learning_rate * gradient(
                 ModelParams(values, params.shape_tag), batch
-            )
+            )[0]
     return values
 
 
@@ -614,8 +640,8 @@ def test_sgd_reduces_loss_on_separable_data():
     data = make_synthetic(200, 4, 3, seed=15, cluster_spread=0.5)
     params = init_params(softmax_tag(4, 3), seed=5)
     trained = train_one(params, data, TrainConfig(epochs=20, learning_rate=0.5))
-    assert evaluate(ModelParams(trained, params.shape_tag), data).mean_loss < (
-        evaluate(params, data).mean_loss
+    assert np.mean(evaluate(ModelParams(trained, params.shape_tag), data).per_sample_losses) < (
+        np.mean(evaluate(params, data).per_sample_losses)
     )
 
 
@@ -624,15 +650,15 @@ def test_sgd_reduces_loss_on_separable_data():
 
 def grad_check(params: ModelParams, data, epsilon: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients."""
-    analytic = gradient(params, data)
+    analytic = gradient(params, data)[0]
     values = params.values
     worst = 0.0
     for i in range(values.size):
         bumped = values.copy()
         bumped[i] += epsilon
-        up = evaluate(ModelParams(bumped, params.shape_tag), data).mean_loss
+        up = np.mean(evaluate(ModelParams(bumped, params.shape_tag), data).per_sample_losses)
         bumped[i] -= 2.0 * epsilon
-        down = evaluate(ModelParams(bumped, params.shape_tag), data).mean_loss
+        down = np.mean(evaluate(ModelParams(bumped, params.shape_tag), data).per_sample_losses)
         numeric = (up - down) / (2.0 * epsilon)
         err = abs(analytic[i] - numeric) / max(1.0, abs(analytic[i]))
         worst = max(worst, err)

@@ -120,12 +120,13 @@ def test_compound_run_anchors_clients_trained_in_round_one(caplog):
     )
     experiment = build_experiment(cfg)
     initial = evaluate(experiment.params, experiment.test_data)
+    loss, accuracy = np.mean(initial.per_sample_losses), np.mean(initial.per_sample_hits)
     with caplog.at_level(logging.WARNING, logger="fedclf.selection"):
         ids = list(experiment.run_round(1).selected_ids)
         assert ids == [0, 1]
         experiment.measure_pending()  # round 2's selection would write them here
-        assert experiment.selector.loss_anchor[ids].tolist() == [initial.mean_loss] * 2
-        assert experiment.selector.acc_anchor[ids].tolist() == [initial.accuracy] * 2
+        assert experiment.selector.loss_anchor[ids].tolist() == [loss] * 2
+        assert experiment.selector.acc_anchor[ids].tolist() == [accuracy] * 2
         for round_index in range(2, cfg.rounds + 1):
             experiment.run_round(round_index)
     assert caplog.messages == []

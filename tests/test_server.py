@@ -21,7 +21,7 @@ from fedclf.dataset import (
     SplitMode,
     make_synthetic,
 )
-from fedclf.model import ModelParams, SampleStack, TrainConfig, softmax_tag
+from fedclf.model import ModelParams, TrainConfig, softmax_tag
 from fedclf.selection import FactorMode, Strategy
 from fedclf.server import (
     Experiment,
@@ -194,19 +194,28 @@ def test_first_round_always_selects():
 
 
 def test_each_round_reduces_the_test_accuracy_once(monkeypatch):
-    # run_round reads the test accuracy twice (moving window and record); the
-    # report reduces it, and the mean loss, on first read only.
+    # A round evaluates the test split once; its record holds the means of
+    # that call's per-row hits and losses.
     experiment = build_experiment(small_config(rounds=1))
-    reduced = []
-    real_mean = SampleStack.block_means
+    calls = []
+    real_evaluate = fedclf.server.evaluate
 
-    def counted_mean(self, per_row):
-        reduced.append(per_row.dtype.kind)
-        return real_mean(self, per_row)
+    def recorded_evaluate(params, data):
+        calls.append((data, real_evaluate(params, data)))
+        return calls[-1][1]
 
-    monkeypatch.setattr(SampleStack, "block_means", counted_mean)
-    experiment.run_round(1)
-    assert reduced == ["b", "f"]
+    monkeypatch.setattr(fedclf.server, "evaluate", recorded_evaluate)
+    record = experiment.run_round(1)
+    [(data, result)] = calls
+    assert data is experiment.test_data
+    assert result.per_sample_hits.shape == (data.num_samples,)
+    read = [
+        (record.test_accuracy, result.per_sample_hits),
+        (record.test_loss, result.per_sample_losses),
+    ]
+    for value, per_row in read:
+        assert type(value) is float
+        assert value.hex() == float(np.mean(per_row)).hex()
 
 
 @pytest.mark.parametrize("done, bad", [([1], 1), ([1], 3), ([], 2), ([1, 2], 0)])
