@@ -267,7 +267,10 @@ def partition(dataset: LabeledDataset, spec: PartitionSpec) -> list[ClientDatase
         )
     rng = np.random.default_rng(spec.seed)
     grid = np.full(num_shards * size, -1, dtype=np.int64)
-    grid[:total] = np.argsort(dataset.labels, kind="stable")
+    # numpy radix-sorts int16 keys (timsort for int64); the stable order of
+    # equal labels is the same either way.
+    keys = dataset.labels.astype(np.int16) if dataset.num_classes <= 2**15 else dataset.labels
+    grid[:total] = np.argsort(keys, kind="stable")
     dealt = grid.reshape(num_shards, size)[rng.permutation(num_shards)].ravel()
     present = dealt >= 0
     index = dealt[present]

@@ -32,22 +32,26 @@ it alone.
 ``sgd_epochs`` gathers a cohort's whole schedule once and passes each step a
 slice of it.
 
-``evaluate`` and ``gradient`` share one forward pass and softmax head, which
-reduces along the short class axis only for the exp-sum: the row maximum is
-an elementwise maximum of class columns (exact in any order).  ``evaluate``
-reads a row's hit as ``shifted[label] == 0.0`` when every row maximum is
-finite and each row has one exact zero; otherwise it takes ``argmax``
-(lowest-index ties).  Results are bitwise those of a row-wise log-softmax
-and argmax.  It returns per-row arrays and reduces nothing per model; each
-caller reduces what it reads (the server the test split's means, utility
-measurement each block's RMS).
+``evaluate`` and ``gradient`` share the forward pass up to the last matmul.
+``evaluate``'s softmax head is class-major: one ``(C, ...)`` copy of the
+logits (adding the bias as it copies), whose row maximum, shift, ``exp`` and
+class sum run over whole class rows.  ``_class_sum`` adds them in the order
+``np.add.reduce`` sums a contiguous class axis, which a test pins for every
+class count up to 300; the label gather reads ``SampleStack.label_index``.
+A row's hit is ``shifted[label] == 0.0`` when every row maximum is finite and
+each row has one exact zero, else ``argmax`` (lowest-index ties).
+``gradient`` keeps a row-major head: its backward reads a row-major delta,
+and the class-major head plus a transpose measured slower per SGD step.
+Both are bitwise a row-wise log-softmax and argmax.  ``evaluate`` returns
+per-row arrays; each caller reduces what it reads (the server the test
+split's means, utility measurement each block's RMS).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -217,23 +221,32 @@ class SampleStack:
         for models, rows, size in self.runs:
             yield models, a[rows].reshape(-1, size, a.shape[1]), b[rows].reshape(-1, size, b.shape[1])
 
-    def matmul(self, a: np.ndarray, w: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
-        """Per-row ``a`` times each model's ``w`` ``(g, in, out)``, plus each
-        model's ``bias`` ``(g, out)`` if given; a ``w`` and ``bias`` of one
-        row are shared by every model.  One stacked ``@`` per run, and one
-        bias add over all rows."""
+    def matmul(self, a: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Per-row ``a`` times each model's ``w`` ``(g, in, out)``; a ``w`` of
+        one row is shared by every model.  One stacked ``@`` per run."""
         if len(self.runs) == 1:
-            out = a @ w
-            if bias is not None:
-                out += bias[:, None]
-            return out
+            return a @ w
         out = np.empty((len(a), w.shape[-1]))
         shared = len(w) == 1
         for models, a_run, out_run in self._views(a, out):
             np.matmul(a_run, w[0] if shared else w[models], out=out_run)
-        if bias is not None:
-            out += bias if shared else np.repeat(bias, self.sizes, axis=0)
         return out
+
+    def row_bias(self, bias: np.ndarray) -> np.ndarray:
+        """Each model's ``bias`` ``(g, out)`` over its rows, broadcastable to
+        the kernel layout (at its rank); a ``bias`` of one row is shared."""
+        if len(self.runs) == 1:
+            return bias[:, None]
+        shared = len(bias) == 1
+        return bias if shared else np.repeat(bias, self.sizes, axis=0)
+
+    @cached_property
+    def label_index(self) -> np.ndarray:
+        """Each row's label entry in the flat class-major ``(C, N)`` layout
+        of ``evaluate``'s head, ``label * N + row``: a label of ``C`` or more
+        lies past the end and raises ``IndexError``.  Built on first read."""
+        n = self.num_samples
+        return self.labels * n + np.arange(n)
 
     def layer_gradient(self, a: np.ndarray, d: np.ndarray) -> list[np.ndarray]:
         """A linear layer's weight and bias gradients, ``(g, in * out)`` and
@@ -344,27 +357,45 @@ def _layers(dims: tuple[int, ...], values: np.ndarray) -> list:
     return layers
 
 
-def _forward(layers, stack: SampleStack, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Logits, and the input activation of every layer (``x``, then tanh)."""
+def _forward(params: ModelParams, data):
+    """Check ``data``; the forward pass over stacked inputs up to the last
+    layer's matmul, ``(stack, layers, acts, y, out)``: the input activation
+    of every layer (``x``, then tanh) and the last layer's output ``out``
+    without its bias, which each head adds in the layout it works in."""
+    dims = _check_data(params, data)
+    values, stack, x, y = _stacked(params, data)
+    layers = _layers(dims, values)
     acts = [x]
-    out = stack.matmul(x, *layers[0])
-    for w, b in layers[1:]:
+    out = stack.matmul(x, layers[0][0])
+    for (_, b), (w, _) in zip(layers, layers[1:]):
+        out += stack.row_bias(b)
         acts.append(np.tanh(out, out=out))
-        out = stack.matmul(out, w, b)
-    return out, acts
+        out = stack.matmul(out, w)
+    return stack, layers, acts, y, out
 
 
-def _at_labels(y: np.ndarray) -> tuple:
-    """Index of each sample's true-label entry in the ``(N, C)`` reshape of
-    a fresh per-row ``(..., C)`` array.  A label of ``C`` or more raises
-    ``IndexError``; it is never read as the next sample's entry."""
-    return np.arange(y.size), y.reshape(-1)
-
-
-def _output_delta(log_probs: np.ndarray, y: np.ndarray) -> np.ndarray:
-    delta = np.exp(log_probs)
-    delta.reshape(-1, delta.shape[-1])[_at_labels(y)] -= 1.0
-    return delta
+def _class_sum(rows: np.ndarray) -> np.ndarray:
+    """The sum over the class rows of a ``(C, ...)`` array, bitwise numpy's
+    pairwise sum along a contiguous class axis: below 8 terms in order, up
+    to 128 in 8 accumulators, their fixed tree, then the rest in order, and
+    more by halves.  Each block adds the identity ``0.0`` (numpy adds it
+    once; either way a sum of only ``-0.0`` is ``0.0``)."""
+    c = len(rows)
+    if c > 128:
+        half = c // 2 - c // 2 % 8
+        return _class_sum(rows[:half]) + _class_sum(rows[half:])
+    if c < 8:
+        total, rest = rows[0] + 0.0, rows[1:]
+    else:
+        acc = rows[:8]
+        for i in range(8, c - c % 8, 8):
+            acc = acc + rows[i : i + 8]
+        pairs = acc[::2] + acc[1::2]  # (r0 + r1), (r2 + r3), (r4 + r5), (r6 + r7)
+        quads = pairs[::2] + pairs[1::2]
+        total, rest = quads[0] + quads[1] + 0.0, rows[c - c % 8 :]
+    for row in rest:
+        total += row
+    return total
 
 
 def _backward(layers, stack: SampleStack, acts, delta):
@@ -375,44 +406,38 @@ def _backward(layers, stack: SampleStack, acts, delta):
             delta = stack.matmul(delta, layers[i][0].transpose(0, 2, 1)) * (1.0 - acts[i] ** 2)
 
 
-def _forward_head(params: ModelParams, data):
-    """Check ``data``; the forward pass and softmax head over stacked inputs,
-    ``(stack, layers, acts, y, logits, row_max, shifted, lse)``.  The row
-    maximum is taken over a class-major copy, class by class."""
-    dims = _check_data(params, data)
-    values, stack, x, y = _stacked(params, data)
-    layers = _layers(dims, values)
-    logits, acts = _forward(layers, stack, x)
-    class_major = logits.transpose(-1, *range(logits.ndim - 1))
-    row_max = np.maximum.reduce(np.ascontiguousarray(class_major))
-    shifted = logits - row_max[..., None]
-    lse = np.log(np.add.reduce(np.exp(shifted), axis=-1))
-    return stack, layers, acts, y, logits, row_max, shifted, lse
-
-
 def evaluate(params: ModelParams, data, want_grad_norms: bool = False) -> Evaluation:
     """Per-sample cross-entropy losses and argmax hits on ``data``.
 
     Per-sample gradient L2 norms (over the full parameter vector) are
     returned only when requested; they cost an extra backward pass.
     """
-    stack, layers, acts, y, logits, row_max, shifted, lse = _forward_head(params, data)
-    at_label = shifted.reshape(-1, logits.shape[-1])[_at_labels(y)]
+    stack, layers, acts, y, out = _forward(params, data)
+    # The class-major head: one (C, ...) copy of the logits, plus the bias.
+    classes_first = (-1, *range(out.ndim - 1))
+    bias = stack.row_bias(layers[-1][1])
+    shifted = np.add(out.transpose(classes_first), bias.transpose(classes_first), order="C")
+    row_max = np.maximum.reduce(shifted)
+    shifted -= row_max
+    lse = np.log(_class_sum(np.exp(shifted)))
+    at_label = shifted.reshape(-1)[stack.label_index]
     losses = -(at_label - lse.reshape(-1))
     if np.isfinite(row_max).all() and np.count_nonzero(shifted == 0.0) == y.size:
         hits = at_label == 0.0  # each row has one maximum: its argmax
     else:
-        hits = (np.argmax(logits, axis=-1) == y).reshape(-1)
+        hits = (np.argmax(out + bias, axis=-1) == y).reshape(-1)
     grad_norms = None
     if want_grad_norms:
-        log_probs = shifted - lse[..., None]
+        delta = np.exp(shifted - lse)
+        delta.reshape(-1)[stack.label_index] -= 1.0
+        delta = np.ascontiguousarray(delta.transpose(*range(1, out.ndim), 0))
         # For a linear layer z = a @ W + b, sample i's gradient is the outer
         # product a_i (x) d_i plus d_i for the bias, so its squared norm is
         # ||d_i||^2 * (||a_i||^2 + 1); layers sum.
         grad_norms = np.sqrt(
             sum(
                 (d**2).sum(axis=-1) * ((a**2).sum(axis=-1) + 1.0)
-                for a, d in _backward(layers, stack, acts, _output_delta(log_probs, y))
+                for a, d in _backward(layers, stack, acts, delta)
             )
         ).reshape(-1)
     return Evaluation(losses, hits, grad_norms)
@@ -420,10 +445,18 @@ def evaluate(params: ModelParams, data, want_grad_norms: bool = False) -> Evalua
 
 def gradient(params: ModelParams, data) -> np.ndarray:
     """Gradient of each model's mean cross-entropy loss: a ``(g, P)`` stack,
-    one row per model (one row for a single parameter vector and dataset)."""
-    stack, layers, acts, y, _, _, shifted, lse = _forward_head(params, data)
-    delta = _output_delta(shifted - lse[..., None], y)
+    one row per model (one row for a single parameter vector and dataset).
+    Its head works row-major, the layout the backward pass reads."""
+    stack, layers, acts, y, logits = _forward(params, data)
+    logits += stack.row_bias(layers[-1][1])
+    class_major = logits.transpose(-1, *range(logits.ndim - 1))
+    row_max = np.maximum.reduce(np.ascontiguousarray(class_major))
+    shifted = logits - row_max[..., None]
+    lse = np.log(np.add.reduce(np.exp(shifted), axis=-1))
+    delta = np.exp(shifted - lse[..., None])
     delta_rows = delta.reshape(-1, delta.shape[-1])
+    # A label of C or more raises IndexError, not reads the next sample's.
+    delta_rows[np.arange(y.size), y.reshape(-1)] -= 1.0
     for _, rows, size in stack.runs:
         delta_rows[rows] /= size  # each model's loss is the mean over its block
     parts = []

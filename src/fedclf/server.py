@@ -55,6 +55,7 @@ from .dataset import (
 )
 from .model import (
     ModelParams,
+    SampleStack,
     TrainConfig,
     evaluate,
     init_params,
@@ -299,7 +300,8 @@ class Experiment:
     """One configured run over pre-built client shards and a test set.
 
     ``train_cfg`` is ``cfg.validate()``, which runs here unless the caller
-    has run it and passes its result.
+    has run it and passes its result.  ``test_stack`` is the test split as
+    a one-block ``SampleStack`` over its own arrays, built once.
     """
 
     def __init__(
@@ -316,7 +318,9 @@ class Experiment:
             )
         self.cfg = cfg
         self.clients = {c.client_id: c for c in clients}
-        self.test_data = test_data
+        self.test_stack = SampleStack(
+            test_data.features, test_data.labels, (test_data.num_samples,), test_data.num_classes
+        )
         full_tag = resolve_shape_tag(
             cfg.shape_tag, test_data.num_features, test_data.num_classes
         )
@@ -342,7 +346,7 @@ class Experiment:
 
     def _test_metrics(self) -> tuple[float, float]:
         """Test accuracy and mean loss of the current global model."""
-        result = evaluate(self.params, self.test_data)
+        result = evaluate(self.params, self.test_stack)
         return float(np.mean(result.per_sample_hits)), float(np.mean(result.per_sample_losses))
 
     def _dispatch(self, ids: list[int], round_index: int) -> tuple[ModelParams, np.ndarray]:

@@ -43,6 +43,8 @@ EVAL_ORACLE = "tests/test_model.py::test_evaluate_equals_row_wise_reference_bitw
 GRAD_ORACLE = "tests/test_model.py::test_gradient_equals_row_wise_reference_bitwise"
 RAGGED_EVAL_ORACLE = "tests/test_model.py::test_evaluate_on_a_ragged_stack_equals_each_block_alone_bitwise"
 RAGGED_GRAD_ORACLE = "tests/test_model.py::test_gradient_on_a_ragged_stack_equals_each_block_alone_bitwise"
+CLASS_SUM_ORACLE = "tests/test_model.py::test_class_sum_is_numpy_row_sum_bitwise_at_every_class_count"
+WIDE_EVAL_ORACLE = "tests/test_model.py::test_evaluate_equals_row_wise_reference_at_wide_class_counts"
 
 MUTANTS = (
     Mutant(
@@ -142,8 +144,8 @@ MUTANTS = (
     Mutant(
         "gradient-without-lse",
         "src/fedclf/model.py",
-        "_output_delta(shifted - lse[..., None], y)",
-        "_output_delta(shifted, y)",
+        "np.exp(shifted - lse[..., None])",
+        "np.exp(shifted)",
         (GRAD_ORACLE,),
     ),
     Mutant(
@@ -163,8 +165,8 @@ MUTANTS = (
     Mutant(
         "bias-repeated-by-sorted-sizes",
         "src/fedclf/model.py",
-        "out += bias if shared else np.repeat(bias, self.sizes, axis=0)",
-        "out += bias if shared else np.repeat(bias, sorted(self.sizes), axis=0)",
+        "return bias if shared else np.repeat(bias, self.sizes, axis=0)",
+        "return bias if shared else np.repeat(bias, sorted(self.sizes), axis=0)",
         (RAGGED_EVAL_ORACLE,),
     ),
     Mutant(
@@ -177,8 +179,8 @@ MUTANTS = (
     Mutant(
         "argmax-hits-flattened-column-major",
         "src/fedclf/model.py",
-        "hits = (np.argmax(logits, axis=-1) == y).reshape(-1)",
-        'hits = (np.argmax(logits, axis=-1) == y).reshape(-1, order="F")',
+        "hits = (np.argmax(out + bias, axis=-1) == y).reshape(-1)",
+        'hits = (np.argmax(out + bias, axis=-1) == y).reshape(-1, order="F")',
         (EVAL_ORACLE,),
     ),
     Mutant(
@@ -186,6 +188,13 @@ MUTANTS = (
         "src/fedclf/server.py",
         "float(np.mean(result.per_sample_losses))",
         "float(np.mean(result.per_sample_hits))",
+        ("tests/test_server.py::test_each_round_reduces_the_test_accuracy_once",),
+    ),
+    Mutant(
+        "test-stack-rebuilt-each-round",
+        "src/fedclf/server.py",
+        "evaluate(self.params, self.test_stack)",
+        "evaluate(self.params, replace(self.test_stack))",
         ("tests/test_server.py::test_each_round_reduces_the_test_accuracy_once",),
     ),
     Mutant(
@@ -240,8 +249,36 @@ MUTANTS = (
         "label-entry-from-logits",
         "src/fedclf/model.py",
         "at_label = shifted.reshape(",
-        "at_label = logits.reshape(",
+        "at_label = (shifted + row_max).reshape(",
         (EVAL_ORACLE,),
+    ),
+    Mutant(
+        "sequential-class-sum",
+        "src/fedclf/model.py",
+        "    if c < 8:\n",
+        "    if True:\n",
+        (CLASS_SUM_ORACLE, WIDE_EVAL_ORACLE),
+    ),
+    Mutant(
+        "class-sum-tree-mispaired",
+        "src/fedclf/model.py",
+        "pairs = acc[::2] + acc[1::2]",
+        "pairs = acc[:4] + acc[4:]",
+        (CLASS_SUM_ORACLE, WIDE_EVAL_ORACLE),
+    ),
+    Mutant(
+        "class-sum-without-identity",
+        "src/fedclf/model.py",
+        "rows[0] + 0.0",
+        "rows[0].copy()",
+        (CLASS_SUM_ORACLE,),
+    ),
+    Mutant(
+        "label-index-with-class-stride",
+        "src/fedclf/model.py",
+        "return self.labels * n + np.arange(n)",
+        "return self.labels + np.arange(n) * self.num_classes",
+        (WIDE_EVAL_ORACLE,),
     ),
     Mutant(
         "leftover-dealt-backwards",
@@ -256,6 +293,13 @@ MUTANTS = (
         "counts = _nonequal_counts(total, spec, rng)",
         "counts = np.roll(_nonequal_counts(total, spec, rng), 1)",
         ("tests/test_dataset.py::test_partition_nonequal_cut_matches_plain_reference",),
+    ),
+    Mutant(
+        "int16-label-keys-past-32767",
+        "src/fedclf/dataset.py",
+        "dataset.num_classes <= 2**15",
+        "dataset.num_classes <= 2**16",
+        ("tests/test_dataset.py::test_partition_label_sort_matches_int64_argsort_at_any_class_count",),
     ),
 )
 

@@ -230,24 +230,48 @@ def test_partition_equal_spread_bounded_by_shard_size():
 def test_partition_equal_deal_matches_round_robin_reference(
     num_samples, shard_size, num_clients, seed
 ):
-    # Plain reference: label-sort, cut, shuffle the shards with the spec's
-    # seed, deal whole shards round-robin, then leftover samples one by one.
     ds = make_synthetic(num_samples, 2, 5, seed=seed % 1000)
     spec = equal_spec(shard_size=shard_size, num_clients=num_clients, seed=seed)
-    order = np.argsort(ds.labels, kind="stable").tolist()
-    shards = [order[i : i + shard_size] for i in range(0, num_samples, shard_size)]
-    if len(shards) < num_clients:
+    dealt = round_robin_reference(ds.labels, spec)
+    if dealt is None:
         return
-    shards = [shards[i] for i in np.random.default_rng(seed).permutation(len(shards))]
-    dealt = [[] for _ in range(num_clients)]
-    whole = len(shards) // num_clients * num_clients
-    for j, shard in enumerate(shards[:whole]):
-        dealt[j % num_clients] += shard
-    for j, idx in enumerate(sum(shards[whole:], [])):
-        dealt[j % num_clients].append(idx)
     clients = partition(ds, spec)
     for client, indices in zip(clients, dealt):
         assert np.array_equal(client.data.labels, ds.labels[indices])
+        assert np.array_equal(client.data.features, ds.features[indices])
+
+
+def round_robin_reference(labels, spec):
+    """Plain equal-mode reference, each client's sample indices: an int64
+    stable label sort, cut, shuffle the shards with the spec's seed, deal
+    whole shards round-robin, then leftover samples one by one.  ``None``
+    when there are fewer shards than clients."""
+    size, k = spec.shard_size, spec.num_clients
+    order = np.argsort(labels.astype(np.int64), kind="stable").tolist()
+    shards = [order[i : i + size] for i in range(0, len(order), size)]
+    if len(shards) < k:
+        return None
+    shards = [shards[i] for i in np.random.default_rng(spec.seed).permutation(len(shards))]
+    dealt = [[] for _ in range(k)]
+    whole = len(shards) // k * k
+    for j, shard in enumerate(shards[:whole]):
+        dealt[j % k] += shard
+    for j, idx in enumerate(sum(shards[whole:], [])):
+        dealt[j % k].append(idx)
+    return dealt
+
+
+@pytest.mark.parametrize("num_classes", [2**15, 40_000])
+def test_partition_label_sort_matches_int64_argsort_at_any_class_count(num_classes):
+    # Up to 2**15 classes the labels sort as int16 keys; above, labels past
+    # 32,767 must not wrap around to sort before the small ones.
+    rng = np.random.default_rng(4)
+    labels = rng.choice([0, 1, 32_766, 32_767, num_classes - 1], 503)
+    ds = LabeledDataset(rng.normal(size=(503, 2)), labels, num_classes)
+    spec = equal_spec(shard_size=7, num_clients=9, seed=11)
+    clients = partition(ds, spec)
+    for client, indices in zip(clients, round_robin_reference(labels, spec)):
+        assert np.array_equal(client.data.labels, labels[indices])
         assert np.array_equal(client.data.features, ds.features[indices])
 
 

@@ -14,6 +14,7 @@ from fedclf.model import (
     ModelParams,
     SampleStack,
     TrainConfig,
+    _class_sum,
     evaluate,
     gradient,
     init_params,
@@ -415,6 +416,44 @@ def test_gradient_on_a_ragged_stack_equals_each_block_alone_bitwise(case):
         for i, rows in enumerate(blocks_of(sizes)):
             row = values[i : i + 1] if len(values) > 1 else values
             assert_same_bits(grad[i], reference_gradient(row, x[None, rows], y[None, rows], dims)[0])
+
+
+@pytest.mark.parametrize("rows", [(1,), (5,), (2, 33)])
+def test_class_sum_is_numpy_row_sum_bitwise_at_every_class_count(rows):
+    # evaluate sums exp over the class rows of a class-major copy; numpy's
+    # row-wise sum is pairwise, with a different order below 8, up to 128
+    # and above 128 classes.  Magnitudes spread over 25 decades make any
+    # change of order show; rows of signed zeros pin the identity.
+    rng = np.random.default_rng(31)
+    for c in range(1, 301):
+        x = rng.normal(size=(*rows, c)) * 10.0 ** rng.integers(-12, 13, (*rows, c))
+        x.reshape(-1, c)[0] = -0.0
+        x.reshape(-1, c)[-1, ::3] = -0.0
+        class_major = np.ascontiguousarray(np.moveaxis(x, -1, 0))
+        assert_same_bits(_class_sum(class_major), np.add.reduce(x, axis=-1))
+
+
+@pytest.mark.parametrize("c", [8, 9, 16, 17, 64, 129, 200])
+@pytest.mark.parametrize("hidden", [None, 5])
+def test_evaluate_equals_row_wise_reference_at_wide_class_counts(c, hidden):
+    # The drawn oracle cases stop at 25 classes; the class sum changes its
+    # order at 8 and 128, and the label gather reads a (C, N) layout.
+    tag = softmax_tag(3, c) if hidden is None else mlp_tag(3, hidden, c)
+    dims = parse_shape_tag(tag)[1]
+    rng = np.random.default_rng(c)
+    sizes = (13, 7, 7, 7, 6, 20)
+    values = rng.normal(0.0, 3.0, (len(sizes), param_count(tag)))
+    x = rng.normal(0.0, 2.0, (60, 3))
+    y = rng.integers(0, c, 60)
+    xb, yb = x.reshape(3, 20, 3), y.reshape(3, 20)
+    equal = evaluate(ModelParams(values[:3], tag), equal_stack(xb, yb, c), want_grad_norms=True)
+    for got, want in zip(equal, reference_evaluate(values[:3], xb, yb, dims)):
+        assert_same_bits(got, want.reshape(-1))
+    ragged = evaluate(ModelParams(values, tag), SampleStack(x, y, sizes, c), want_grad_norms=True)
+    for i, rows in enumerate(blocks_of(sizes)):
+        expected = reference_evaluate(values[i : i + 1], x[None, rows], y[None, rows], dims)
+        for got, want in zip(ragged, expected):
+            assert_same_bits(got[rows], want[0])
 
 
 # ---------------------------------------------------------- stacked kernel

@@ -119,7 +119,7 @@ def test_compound_run_anchors_clients_trained_in_round_one(caplog):
         feedback_enabled=False, compound_factors=True,
     )
     experiment = build_experiment(cfg)
-    initial = evaluate(experiment.params, experiment.test_data)
+    initial = evaluate(experiment.params, experiment.test_stack)
     loss, accuracy = np.mean(initial.per_sample_losses), np.mean(initial.per_sample_hits)
     with caplog.at_level(logging.WARNING, logger="fedclf.selection"):
         ids = list(experiment.run_round(1).selected_ids)

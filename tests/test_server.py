@@ -194,9 +194,16 @@ def test_first_round_always_selects():
 
 
 def test_each_round_reduces_the_test_accuracy_once(monkeypatch):
-    # A round evaluates the test split once; its record holds the means of
-    # that call's per-row hits and losses.
-    experiment = build_experiment(small_config(rounds=1))
+    # A round evaluates the test split once, on the one-block stack the
+    # experiment built over the split's own arrays (the same object every
+    # round, so no round rebuilds it); its record holds the means of that
+    # call's per-row hits and losses.
+    cfg = small_config(rounds=2)
+    clients, _, test = build_partition(cfg)
+    experiment = Experiment(cfg, clients, test)
+    stack = experiment.test_stack
+    assert stack.features is test.features and stack.labels is test.labels
+    assert stack.sizes == (test.num_samples,)
     calls = []
     real_evaluate = fedclf.server.evaluate
 
@@ -205,17 +212,19 @@ def test_each_round_reduces_the_test_accuracy_once(monkeypatch):
         return calls[-1][1]
 
     monkeypatch.setattr(fedclf.server, "evaluate", recorded_evaluate)
-    record = experiment.run_round(1)
-    [(data, result)] = calls
-    assert data is experiment.test_data
-    assert result.per_sample_hits.shape == (data.num_samples,)
-    read = [
-        (record.test_accuracy, result.per_sample_hits),
-        (record.test_loss, result.per_sample_losses),
-    ]
-    for value, per_row in read:
-        assert type(value) is float
-        assert value.hex() == float(np.mean(per_row)).hex()
+    for round_index in (1, 2):
+        record = experiment.run_round(round_index)
+        [(data, result)] = calls
+        calls.clear()
+        assert data is stack
+        assert result.per_sample_hits.shape == (data.num_samples,)
+        read = [
+            (record.test_accuracy, result.per_sample_hits),
+            (record.test_loss, result.per_sample_losses),
+        ]
+        for value, per_row in read:
+            assert type(value) is float
+            assert value.hex() == float(np.mean(per_row)).hex()
 
 
 @pytest.mark.parametrize("done, bad", [([1], 1), ([1], 3), ([], 2), ([1, 2], 0)])
