@@ -4,9 +4,9 @@
 the trained parameters as one ``(g, P)`` stack, row ``i`` for the ``i``-th
 client, with each client's weight-change norm.  ``measure_utilities``
 measures the statistics selection ranks by, at the model the clients
-received.  The server calls it only when a selection is about to read them
-(and once at run end), since a cohort that trains again in the next round
-would overwrite them unread.
+received.  The server calls it at the end of a round only when the next
+round selects or the round is the last, since a cohort that trains again in
+the next round would overwrite them unread.
 
 The cohort is trained and measured as one stacked parameter block, whatever
 its shard sizes: ``measure_utilities`` stacks the cohort's shards, ordered by

@@ -14,8 +14,9 @@ the last two rounds (default), or the accuracy ratio in the alternate mode.
 The selector state is one numpy column per client field, indexed by client id
 (clients are numbered ``0..K-1``); each strategy's utility is one expression
 over those columns.  ``select`` is the only reader of the measured columns,
-and ``update_after_round`` their only writer: the server calls it once per
-measured cohort, just before a selection reads the columns (and at run end).
+and ``update_after_round`` their only writer: the server calls it at the
+end of a round whose next round selects, and of the last round, with the
+cohort that round trained.
 """
 
 from __future__ import annotations

@@ -7,13 +7,15 @@ the new global model on the held-out test set, and (6) appends a round
 record including the moving-average accuracy.  The round records are the
 run's whole log: ``run.csv`` and ``selection.csv`` are rendered from them.
 
-The selector is touched only when it selects.  The server keeps the last
-trained cohort pending, with the model it received and its weight-change
-norms.  When the gate opens (before ``select``) and once at the end of
-``run``, it measures the cohort's utilities at the received model and writes
-them, the norms and the received model's test metrics to the selector in one
-``update_after_round`` call.  A round that reuses the cohort only replaces
-the pending cohort, whose values no selection would have read.
+The selector is written only where a selection will read it.  A round
+measures its cohort when the next round's gate opens (that gate reads only
+this round's and the previous round's test accuracy) or when it is the last
+round.  It measures the cohort's utilities at the model the cohort received
+and writes them, the weight-change norms and the received model's test
+metrics to the selector in one ``update_after_round`` call.  In any other
+round the same clients train again before any selection, and would
+overwrite those values unread.  Nothing but the global model, the selector
+and the round records passes from one round to the next.
 
 The gate resamples only when test accuracy strictly declined between the last
 two rounds; rounds 1 and 2 and every warmup round always select.  Disabling
@@ -299,9 +301,8 @@ def moving_average(acc_history: Sequence[float], round_index: int, window: int) 
 class Experiment:
     """One configured run over pre-built client shards and a test set.
 
-    ``train_cfg`` is ``cfg.validate()``, which runs here unless the caller
-    has run it and passes its result.  ``test_stack`` is the test split as
-    a one-block ``SampleStack`` over its own arrays, built once.
+    ``train_cfg`` is ``cfg.validate()``.  ``test_stack`` is the test split
+    as a one-block ``SampleStack`` over its own arrays, built once.
     """
 
     def __init__(
@@ -309,9 +310,8 @@ class Experiment:
         cfg: ExperimentConfig,
         clients: list[ClientDataset],
         test_data: LabeledDataset,
-        train_cfg: TrainConfig | None = None,
     ):
-        self.train_cfg = cfg.validate() if train_cfg is None else train_cfg
+        self.train_cfg = cfg.validate()
         if len(clients) != cfg.num_clients:
             raise ValueError(
                 f"{len(clients)} client shards for K={cfg.num_clients}"
@@ -335,9 +335,6 @@ class Experiment:
             compound_factors=cfg.compound_factors,
         )
         self.history: list[RoundRecord] = []
-        # The last trained cohort, not yet measured: (round, ids, received
-        # model, weight-change norms).
-        self.pending: tuple[int, list[int], ModelParams, np.ndarray] | None = None
         # Test (accuracy, loss) of the initial model: round 1's anchors.  Only
         # compound mode reads anchors, so only it evaluates the initial model.
         self.initial_metrics: tuple[float | None, float | None] = (None, None)
@@ -349,80 +346,68 @@ class Experiment:
         result = evaluate(self.params, self.test_stack)
         return float(np.mean(result.per_sample_hits)), float(np.mean(result.per_sample_losses))
 
-    def _dispatch(self, ids: list[int], round_index: int) -> tuple[ModelParams, np.ndarray]:
-        """Train the cohort in one stacked call; rows in client-id order."""
-        seeds = [split_seed(self.cfg.seed, f"train-r{round_index}", cid) for cid in ids]
-        cohort = [self.clients[cid] for cid in ids]
-        try:
-            return client_update(cohort, self.params, self.train_cfg, seeds)
-        except NonFiniteUpdateError as exc:
-            raise NonFiniteUpdateError(exc.client_ids, round_index) from None
-
-    def measure_pending(self) -> None:
-        """Measure the pending cohort at the model it received and store its
-        utilities, weight-change norms and anchors (the received model's test
-        metrics) in the selector; errors name the round it trained in."""
-        if self.pending is None:
-            return
-        round_index, ids, received, deltas = self.pending
-        self.pending = None
-        try:
-            utilities = measure_utilities(
-                [self.clients[cid] for cid in ids],
-                received,
-                want_grad_norm=self.cfg.strategy is Strategy.GRAD_NORM,
-            )
-        except NonFiniteUpdateError as exc:
-            raise NonFiniteUpdateError(exc.client_ids, round_index) from None
-        if round_index == 1:
-            anchor = self.initial_metrics
-        else:
-            received_from = self.history[round_index - 2]
-            anchor = received_from.test_accuracy, received_from.test_loss
-        update_after_round(self.selector, ids, deltas, *utilities, *anchor)
-
     def run_round(self, round_index: int) -> RoundRecord:
+        """Run the next round and append its record.
+
+        The cohort trains in one stacked call, rows in client-id order.  When
+        the next round's gate opens, or this is the last round, the cohort is
+        then measured at the model it received, and the record's
+        ``wall_time`` includes that.  A non-finite update or utility raises
+        ``NonFiniteUpdateError`` naming this round; a non-finite utility is
+        found after this round's record is appended.
+        """
         expected = len(self.history) + 1
         if round_index != expected:
             raise ValueError(f"round {round_index} out of order, expected round {expected}")
         started = time.perf_counter()
         cfg = self.cfg
-        gate = feedback_gate(
-            self.history,
-            round_index,
-            enabled=cfg.feedback_enabled,
-            warmup=self.selector.warmup,
-        )
+        gate = feedback_gate(self.history, round_index, cfg.feedback_enabled, self.selector.warmup)
         if gate:
-            self.measure_pending()
             selected = select(self.selector, round_index, _trend(self.history))
         else:
             selected = self.history[-1].selected_ids
 
         ids = sorted(selected)
-        trained, deltas = self._dispatch(ids, round_index)
-        self.pending = (round_index, ids, self.params, deltas)
-        self.params = aggregate(trained, [self.clients[cid].n_k for cid in ids])
-        accuracy, loss = self._test_metrics()
-        window = cfg.moving_avg_window
-        recent = [r.test_accuracy for r in self.history[max(0, round_index - window) :]]
-        recent.append(accuracy)
-        record = RoundRecord(
-            round_index=round_index,
-            test_accuracy=accuracy,
-            test_loss=loss,
-            ma_accuracy=moving_average(recent, len(recent), window),
-            selection_ran=gate,
-            selected_ids=tuple(ids),
-            wall_time=time.perf_counter() - started,
-        )
-        self.history.append(record)
+        cohort = [self.clients[cid] for cid in ids]
+        seeds = [split_seed(cfg.seed, f"train-r{round_index}", cid) for cid in ids]
+        received = self.params
+        try:
+            trained, deltas = client_update(cohort, received, self.train_cfg, seeds)
+            self.params = aggregate(trained, [c.n_k for c in cohort])
+            accuracy, loss = self._test_metrics()
+            window = cfg.moving_avg_window
+            recent = [r.test_accuracy for r in self.history[max(0, round_index - window) :]]
+            recent.append(accuracy)
+            record = RoundRecord(
+                round_index=round_index,
+                test_accuracy=accuracy,
+                test_loss=loss,
+                ma_accuracy=moving_average(recent, len(recent), window),
+                selection_ran=gate,
+                selected_ids=tuple(ids),
+                wall_time=time.perf_counter() - started,
+            )
+            self.history.append(record)
+            if round_index == cfg.rounds or feedback_gate(
+                self.history, round_index + 1, cfg.feedback_enabled, self.selector.warmup
+            ):
+                want_grad_norm = cfg.strategy is Strategy.GRAD_NORM
+                utilities = measure_utilities(cohort, received, want_grad_norm)
+                if round_index == 1:
+                    anchor = self.initial_metrics
+                else:
+                    received_from = self.history[round_index - 2]
+                    anchor = received_from.test_accuracy, received_from.test_loss
+                update_after_round(self.selector, ids, deltas, *utilities, *anchor)
+                record = replace(record, wall_time=time.perf_counter() - started)
+                self.history[-1] = record
+        except NonFiniteUpdateError as exc:
+            raise NonFiniteUpdateError(exc.client_ids, round_index) from None
         return record
 
     def run(self) -> list[RoundRecord]:
         for round_index in range(1, self.cfg.rounds + 1):
             self.run_round(round_index)
-        self.measure_pending()
         return self.history
 
 
@@ -461,9 +446,9 @@ def build_partition(
 def build_experiment(cfg: ExperimentConfig) -> Experiment:
     """Check every setting, then materialize data, split, partition and wire
     up an Experiment."""
-    train_cfg = cfg.validate()
+    cfg.validate()
     clients, _, test = build_partition(cfg)
-    return Experiment(cfg, clients, test, train_cfg)
+    return Experiment(cfg, clients, test)
 
 
 def run_log_csv(history: Sequence[RoundRecord], timestamp: str | None = None) -> str:

@@ -39,6 +39,7 @@ class Mutant(NamedTuple):
 
 
 ORACLE = "tests/test_server.py::test_deferred_measurement_matches_eager_oracle"
+ELAPSED = "tests/test_server.py::test_a_rounds_elapsed_time_includes_its_measurement"
 EVAL_ORACLE = "tests/test_model.py::test_evaluate_equals_row_wise_reference_bitwise"
 GRAD_ORACLE = "tests/test_model.py::test_gradient_equals_row_wise_reference_bitwise"
 RAGGED_EVAL_ORACLE = "tests/test_model.py::test_evaluate_on_a_ragged_stack_equals_each_block_alone_bitwise"
@@ -50,33 +51,50 @@ MUTANTS = (
     Mutant(
         "measure-at-aggregated-model",
         "src/fedclf/server.py",
-        "                received,\n",
-        "                self.params,\n",
+        "measure_utilities(cohort, received,",
+        "measure_utilities(cohort, self.params,",
         (f"{ORACLE}[fedclf-feedback]",),
     ),
     Mutant(
         "no-run-end-measurement",
         "src/fedclf/server.py",
-        "            self.run_round(round_index)\n        self.measure_pending()\n",
-        "            self.run_round(round_index)\n",
+        "if round_index == cfg.rounds or feedback_gate(",
+        "if feedback_gate(",
         (
             f"{ORACLE}[fedclf-feedback]",
+            ELAPSED,
             "tests/test_server.py::test_non_finite_utility_names_training_round_and_clients[run-end]",
         ),
     ),
     Mutant(
         "no-measurement-when-gate-opens",
         "src/fedclf/server.py",
-        "        if gate:\n            self.measure_pending()\n",
-        "        if gate:\n",
+        "            if round_index == cfg.rounds or feedback_gate(\n"
+        "                self.history, round_index + 1, cfg.feedback_enabled, self.selector.warmup\n"
+        "            ):\n",
+        "            if round_index == cfg.rounds:\n",
         (f"{ORACLE}[fedclf-feedback]",),
     ),
     Mutant(
-        "reuse-keeps-older-pending-cohort",
+        "reuse-round-keeps-older-measurement",
         "src/fedclf/server.py",
-        "self.pending = (round_index, ids, self.params, deltas)",
-        "self.pending = self.pending or (round_index, ids, self.params, deltas)",
+        "if round_index == cfg.rounds or feedback_gate(",
+        "if round_index == cfg.rounds or gate and feedback_gate(",
         (f"{ORACLE}[fedclf-feedback]",),
+    ),
+    Mutant(
+        "gate-of-this-round",
+        "src/fedclf/server.py",
+        "self.history, round_index + 1,",
+        "self.history, round_index,",
+        (f"{ORACLE}[fedclf-feedback]", ELAPSED),
+    ),
+    Mutant(
+        "elapsed-without-measurement",
+        "src/fedclf/server.py",
+        "                self.history[-1] = record\n",
+        "",
+        (ELAPSED,),
     ),
     Mutant(
         "anchor-one-round-late",

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import math
 import sys
-
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,6 +22,7 @@ from fedclf.dataset import (
     make_synthetic,
 )
 from fedclf.model import ModelParams, TrainConfig, softmax_tag
+from fedclf.seeds import split_seed
 from fedclf.selection import FactorMode, Strategy
 from fedclf.server import (
     Experiment,
@@ -307,8 +308,6 @@ def test_identical_clients_aggregate_to_single_update():
     initial = experiment.params
     experiment.run_round(1)
 
-    from fedclf.seeds import split_seed
-
     single, _ = client_update(
         [clients[0]],
         initial,
@@ -385,32 +384,35 @@ def test_non_finite_update_names_round_and_clients():
 
 
 class EagerExperiment(Experiment):
-    """Reference: right after each round, writes the cohort's utilities
-    (measured at the model it received), weight-change norms and anchors (the
-    received model's test metrics) to the selector columns itself, so nothing
-    is ever left pending."""
+    """Reference: right after every round, writes the cohort's utilities
+    (measured at the model it received), weight-change norms (of training it
+    again from that model with the round's seeds) and anchors (the received
+    model's test metrics) to the selector columns itself.  It reads only the
+    round's record, the global model and the public selector columns, and it
+    overwrites whatever the round itself stored."""
 
     def run_round(self, round_index):
-        received = self.params
+        cfg, received = self.cfg, self.params
         if self.history:
             acc, loss = self.history[-1].test_accuracy, self.history[-1].test_loss
         else:
             acc, loss = self.initial_metrics
         record = super().run_round(round_index)
         ids = list(record.selected_ids)
+        cohort = [self.clients[cid] for cid in ids]
+        seeds = [split_seed(cfg.seed, f"train-r{round_index}", cid) for cid in ids]
+        train_cfg = TrainConfig(cfg.epochs, cfg.learning_rate, cfg.batch_size)
+        _, deltas = client_update(cohort, received, train_cfg, seeds)
         loss_utility, grad_norm_utility = measure_utilities(
-            [self.clients[cid] for cid in ids],
-            received,
-            want_grad_norm=self.cfg.strategy is Strategy.GRAD_NORM,
+            cohort, received, want_grad_norm=cfg.strategy is Strategy.GRAD_NORM
         )
-        state, deltas = self.selector, self.pending[3]
+        state = self.selector
         state.loss_utility[ids] = loss_utility
         if grad_norm_utility is not None:
             state.grad_norm_utility[ids] = grad_norm_utility
         state.weight_delta_norm[ids] = deltas
         state.loss_anchor[ids] = np.nan if loss is None else loss
         state.acc_anchor[ids] = np.nan if acc is None else acc
-        self.pending = None
         return record
 
 
@@ -483,48 +485,97 @@ def test_deferred_measurement_matches_eager_oracle(case, monkeypatch):
     outputs, columns, calls, writers, history = deferred
     assert outputs == eager[0]
     assert columns == eager[1]
-    assert eager[3] == []
     # One measurement and one selector write per reopened gate after round 1
-    # and one at run end; only measure_pending writes the selector.
+    # and one at run end; only run_round writes the selector.
     assert calls == sum(r.selection_ran for r in history[1:]) + 1
-    assert writers == ["measure_pending"] * calls
+    assert writers == ["run_round"] * calls
     if cfg.feedback_enabled:
         assert calls < cfg.rounds  # some round reused its cohort unmeasured
 
 
-def overflowing_clients():
-    """Four clients; client 2's features are so large that its losses (about
-    1e198) are finite but their squares in the loss utility overflow."""
-    clients = [ClientDataset(i, make_synthetic(12, 3, 2, seed=i)) for i in range(4)]
-    data = clients[2].data
-    clients[2] = ClientDataset(
-        2, LabeledDataset(data.features * 1e200, data.labels, data.num_classes)
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_round_by_round_drive_leaves_the_selector_of_run(case):
+    # The benchmark drives run_round(1..R) one by one; that must leave the
+    # same outputs and selector columns as run(), last cohort included.
+    cfg = small_config(rounds=20, seed=13, **ORACLE_CASES[case])
+    whole = build_experiment(cfg)
+    history = whole.run()
+    driven = build_experiment(cfg)
+    for round_index in range(1, cfg.rounds + 1):
+        driven.run_round(round_index)
+    assert selector_columns(driven.selector) == selector_columns(whole.selector)
+    assert deterministic_csv_payload(run_log_csv(driven.history)) == (
+        deterministic_csv_payload(run_log_csv(history))
+    )
+
+
+def test_a_rounds_elapsed_time_includes_its_measurement(monkeypatch):
+    # The clock moves only while utilities are measured, so a round's
+    # wall_time is the measurement time it carries: one unit in each round
+    # whose next round selects, and in the last round; zero in the others.
+    clock = [0.0]
+    real_measure = fedclf.server.measure_utilities
+
+    def slow_measure(*args, **kwargs):
+        clock[0] += 1.0
+        return real_measure(*args, **kwargs)
+
+    monkeypatch.setattr(fedclf.server, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+    monkeypatch.setattr(fedclf.server, "measure_utilities", slow_measure)
+    cfg = small_config(rounds=20, seed=13)
+    history = build_experiment(cfg).run()
+    measured = [r.selection_ran for r in history[1:]] + [True]
+    assert [r.wall_time for r in history] == [float(m) for m in measured]
+    assert clock[0] == sum(measured) < cfg.rounds
+
+
+def plain_clients():
+    return [ClientDataset(i, make_synthetic(12, 3, 2, seed=i)) for i in range(4)]
+
+
+def overflowing_clients(bad):
+    """Four clients; client ``bad``'s features are so large that its losses
+    (about 1e198) are finite but their squares in the loss utility overflow."""
+    clients = plain_clients()
+    data = clients[bad].data
+    clients[bad] = ClientDataset(
+        bad, LabeledDataset(data.features * 1e200, data.labels, data.num_classes)
     )
     return clients
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("rounds", [3, 1], ids=["next-selection", "run-end"])
+@pytest.mark.parametrize(
+    "rounds, trained_in", [(3, 1), (2, 2)], ids=["next-selection", "run-end"]
+)
 def test_non_finite_utility_names_training_round_and_clients(
-    rounds, tmp_path, monkeypatch
+    rounds, trained_in, tmp_path, monkeypatch
 ):
-    # Zero learning rate: training stays finite, and every round trains all
-    # four clients.  With 3 rounds, round 2's selection measures round 1's
-    # cohort; with 1 round, the run-end measurement of the last cohort does.
+    # Zero learning rate: training stays finite and the test accuracy never
+    # declines.  Warmup trains clients 0..3 two by two in rounds 1 and 2, and
+    # the overflowing client trains in round ``trained_in``, which measures
+    # its cohort after appending its record: round 1 because round 2
+    # selects, round 2 only because it is the last (round 3's gate is shut).
     cfg = small_config(
         num_clients=4,
-        select_k=4,
+        select_k=2,
         rounds=rounds,
         learning_rate=0.0,
         partition=PartitionSpec(shard_size=3, split_mode=SplitMode.EQUAL, num_clients=4),
     )
-    clients, test = overflowing_clients(), make_synthetic(20, 3, 2, seed=9)
+    test = make_synthetic(20, 3, 2, seed=9)
+    warmup = Experiment(cfg, plain_clients(), test)
+    cohorts = [set(warmup.run_round(r).selected_ids) for r in (1, 2)]
+    bad = min(cohorts[trained_in - 1])
+    clients = overflowing_clients(bad)
     experiment = Experiment(cfg, clients, test)
-    with pytest.raises(NonFiniteUpdateError, match="^round 1: .*client\\(s\\) 2$") as err:
+    with pytest.raises(
+        NonFiniteUpdateError, match=f"^round {trained_in}: .*client\\(s\\) {bad}$"
+    ) as err:
         experiment.run()
-    assert err.value.round_index == 1
-    assert err.value.client_ids == (2,)
-    assert len(experiment.history) == 1
+    assert err.value.round_index == trained_in
+    assert err.value.client_ids == (bad,)
+    assert len(experiment.history) == trained_in
     assert np.isfinite(experiment.params.values).all()
 
     monkeypatch.setattr(fedclf.server, "build_partition", lambda _: (clients, None, test))
@@ -557,7 +608,7 @@ def test_run_experiment_writes_outputs(tmp_path):
 def test_selection_log_of_a_round_by_round_history_is_the_written_log(
     overrides, tmp_path
 ):
-    # Driven like the benchmark: rounds one by one, no run-end measurement.
+    # Driven like the benchmark: rounds one by one, with no run() call.
     cfg = small_config(rounds=12, seed=3, **overrides)
     experiment = build_experiment(cfg)
     for round_index in range(1, cfg.rounds + 1):
@@ -586,7 +637,6 @@ def test_only_compound_mode_evaluates_the_initial_model(monkeypatch):
         experiment = build_experiment(small_config(compound_factors=compound))
         assert len(calls) == int(compound)
         ids = list(experiment.run_round(1).selected_ids)
-        experiment.measure_pending()
         # Round 1's cohort is anchored only where anchors are read.
         assert np.isnan(experiment.selector.loss_anchor[ids]).all() != compound
 
