@@ -29,8 +29,10 @@ kept as ``(g, b, .)`` blocks, so each layer is one plain stacked ``@``
 without a per-run loop (paired benchmark runs measured that loop's overhead
 on equal-size cohorts).  Each model's results are bitwise equal to running
 it alone.
-``sgd_epochs`` gathers a cohort's whole schedule once and passes each step a
-slice of it.
+``sgd_epochs`` builds every step's stack once per call, sliced from the
+cohort's gathered schedule (checked once) with its runs and its one-hot
+targets at the model's class count; ``gradient`` subtracts a stack's targets
+(bitwise ``delta[i, y_i] -= 1.0``) and divides a single-run stack at once.
 
 ``evaluate`` and ``gradient`` share the forward pass up to the last matmul.
 ``evaluate``'s softmax head is class-major: one ``(C, ...)`` copy of the
@@ -153,7 +155,9 @@ class SampleStack:
     runs of consecutive equal sizes, each as ``(models, rows, size)``: slices
     of the model axis and of the row axis, and the run's block size.  A
     negative label raises ``ValueError`` (the label lookup would read it
-    from the end of the row).
+    from the end of the row).  ``targets`` is ``None``, or the labels as
+    one-hot rows at the model's class count: ``sgd_epochs`` gives each
+    step's stack its slice of the targets it builds for the whole schedule.
     """
 
     features: np.ndarray
@@ -161,6 +165,7 @@ class SampleStack:
     sizes: tuple[int, ...]
     num_classes: int
     runs: tuple[tuple[slice, slice, int], ...] = field(init=False, repr=False, compare=False)
+    targets: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         runs, first, row = [], 0, 0
@@ -387,12 +392,16 @@ def _class_sum(rows: np.ndarray) -> np.ndarray:
     if c < 8:
         total, rest = rows[0] + 0.0, rows[1:]
     else:
-        acc = rows[:8]
-        for i in range(8, c - c % 8, 8):
-            acc = acc + rows[i : i + 8]
+        blocks = c - c % 8
+        acc = rows[:8] + rows[8:16] if blocks > 8 else rows[:8]  # a new array when looped
+        for i in range(16, blocks, 8):
+            acc += rows[i : i + 8]
         pairs = acc[::2] + acc[1::2]  # (r0 + r1), (r2 + r3), (r4 + r5), (r6 + r7)
-        quads = pairs[::2] + pairs[1::2]
-        total, rest = quads[0] + quads[1] + 0.0, rows[c - c % 8 :]
+        quads = pairs[::2]
+        quads += pairs[1::2]
+        total, rest = quads[0], rows[blocks:]
+        total += quads[1]
+        total += 0.0
     for row in rest:
         total += row
     return total
@@ -455,10 +464,15 @@ def gradient(params: ModelParams, data) -> np.ndarray:
     lse = np.log(np.add.reduce(np.exp(shifted), axis=-1))
     delta = np.exp(shifted - lse[..., None])
     delta_rows = delta.reshape(-1, delta.shape[-1])
-    # A label of C or more raises IndexError, not reads the next sample's.
-    delta_rows[np.arange(y.size), y.reshape(-1)] -= 1.0
-    for _, rows, size in stack.runs:
-        delta_rows[rows] /= size  # each model's loss is the mean over its block
+    # Bitwise delta[i, y_i] -= 1.0; a label of C or more raises IndexError.
+    targets = stack.targets
+    delta_rows -= np.eye(delta.shape[-1]).take(y.reshape(-1), axis=0) if targets is None else targets
+    # Each model's loss is the mean over its block.
+    if len(stack.runs) == 1:
+        delta /= stack.sizes[0]
+    else:
+        for _, rows, size in stack.runs:
+            delta_rows[rows] /= size
     parts = []
     for a, d in _backward(layers, stack, acts, delta):
         parts[:0] = stack.layer_gradient(a, d)
@@ -478,11 +492,13 @@ def sgd_epochs(
     lie back to back in one sample array.  The models train in order of
     decreasing shard size, so those still training at any step are a prefix
     of the stack, and at each step they take one stacked gradient step on
-    that step's ragged ``SampleStack`` (a slice of the array).
+    that step's ragged ``SampleStack`` (a slice of the array and of its
+    one-hot targets, all built before the first step).  A negative label
+    raises ``ValueError``, and a label of ``C`` or more ``IndexError``.
     """
     if len(shards) != len(seeds):
         raise ValueError(f"{len(shards)} shards but {len(seeds)} seeds")
-    _check_data(params, *shards)
+    dims = _check_data(params, *shards)
     counts = [shard.num_samples for shard in shards]
     order = sorted(range(len(shards)), key=counts.__getitem__, reverse=True)  # stable
     offset = 0
@@ -501,17 +517,29 @@ def sgd_epochs(
                 step += 1
         offset += n
     index = np.concatenate([rows for step in steps for rows in step])
-    x = np.concatenate([shards[i].features for i in order])[index]
+    x = np.concatenate([shards[i].features for i in order]).take(index, axis=0)
     y = np.concatenate([shards[i].labels for i in order])[index]
+    if y.min() < 0:
+        raise ValueError(f"negative label {y.min()} in a shard")
     num_classes = max(shard.num_classes for shard in shards)
+    targets = np.eye(dims[-1]).take(y, axis=0)  # a label of C or more raises IndexError
     values = np.repeat(params.values[None], len(shards), axis=0)
-    end = 0
+    models = {g: ModelParams(values[:g], params.shape_tag) for g in {len(step) for step in steps}}
+    runs, plan, end = {}, [], 0
     for step in steps:
         sizes = tuple(map(len, step))
         start, end = end, end + sum(sizes)
-        batch = SampleStack(x[start:end], y[start:end], sizes, num_classes)
-        active = values[: len(sizes)]
-        active -= cfg.learning_rate * gradient(ModelParams(active, params.shape_tag), batch)
+        if sizes not in runs:  # found by one checked stack per distinct step sizes
+            runs[sizes] = SampleStack(x[start:end], y[start:end], sizes, num_classes).runs
+        stack = object.__new__(SampleStack)  # the schedule's rows are checked above
+        stack.__dict__.update(
+            features=x[start:end], labels=y[start:end], sizes=sizes, num_classes=num_classes,
+            runs=runs[sizes], targets=targets[start:end],
+        )
+        plan.append((models[len(sizes)], stack))
+    for model, stack in plan:
+        active = model.values  # a view of the models still training
+        active -= cfg.learning_rate * gradient(model, stack)
     if order != sorted(order):
         values[order] = values.copy()
     return ModelParams(values, params.shape_tag)

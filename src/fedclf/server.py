@@ -233,7 +233,7 @@ def _echo(value: object) -> str:
 
 def aggregate(trained: ModelParams, n_k: Sequence[int]) -> ModelParams:
     """Sample-count-weighted mean of a ``(g, P)`` stack of trained parameters;
-    row ``i`` has weight ``n_k[i]``, and rows are summed in order."""
+    row ``i`` has weight ``n_k[i]``, and rows are summed in order from 0.0."""
     if trained.values.ndim != 2 or len(trained.values) != len(n_k):
         raise ValueError(
             f"{trained.values.shape} parameter stack for {len(n_k)} sample counts"
@@ -243,10 +243,8 @@ def aggregate(trained: ModelParams, n_k: Sequence[int]) -> ModelParams:
     total = sum(n_k)
     if total <= 0:
         raise ValueError("total sample count is zero")
-    out = np.zeros_like(trained.values[0])
-    for n, row in zip(n_k, trained.values):
-        out += (n / total) * row
-    return ModelParams(out, trained.shape_tag)
+    weighted = trained.values * np.divide(n_k, total)[:, None]
+    return ModelParams(np.add.reduce(weighted, axis=0, initial=0.0), trained.shape_tag)
 
 
 def feedback_gate(
@@ -302,7 +300,8 @@ class Experiment:
     """One configured run over pre-built client shards and a test set.
 
     ``train_cfg`` is ``cfg.validate()``.  ``test_stack`` is the test split
-    as a one-block ``SampleStack`` over its own arrays, built once.
+    as a one-block ``SampleStack`` over its own arrays, built once, and
+    ``accuracies`` holds each round's test accuracy for the moving average.
     """
 
     def __init__(
@@ -335,6 +334,7 @@ class Experiment:
             compound_factors=cfg.compound_factors,
         )
         self.history: list[RoundRecord] = []
+        self.accuracies = np.empty(cfg.rounds)
         # Test (accuracy, loss) of the initial model: round 1's anchors.  Only
         # compound mode reads anchors, so only it evaluates the initial model.
         self.initial_metrics: tuple[float | None, float | None] = (None, None)
@@ -344,7 +344,8 @@ class Experiment:
     def _test_metrics(self) -> tuple[float, float]:
         """Test accuracy and mean loss of the current global model."""
         result = evaluate(self.params, self.test_stack)
-        return float(np.mean(result.per_sample_hits)), float(np.mean(result.per_sample_losses))
+        hits = result.per_sample_hits  # a sum of 0.0/1.0 values is the count
+        return int(np.count_nonzero(hits)) / hits.size, float(np.mean(result.per_sample_losses))
 
     def run_round(self, round_index: int) -> RoundRecord:
         """Run the next round and append its record.
@@ -359,6 +360,8 @@ class Experiment:
         expected = len(self.history) + 1
         if round_index != expected:
             raise ValueError(f"round {round_index} out of order, expected round {expected}")
+        if round_index > self.cfg.rounds:
+            raise ValueError(f"round {round_index} past the last round, {self.cfg.rounds}")
         started = time.perf_counter()
         cfg = self.cfg
         gate = feedback_gate(self.history, round_index, cfg.feedback_enabled, self.selector.warmup)
@@ -375,14 +378,12 @@ class Experiment:
             trained, deltas = client_update(cohort, received, self.train_cfg, seeds)
             self.params = aggregate(trained, [c.n_k for c in cohort])
             accuracy, loss = self._test_metrics()
-            window = cfg.moving_avg_window
-            recent = [r.test_accuracy for r in self.history[max(0, round_index - window) :]]
-            recent.append(accuracy)
+            self.accuracies[round_index - 1] = accuracy
             record = RoundRecord(
                 round_index=round_index,
                 test_accuracy=accuracy,
                 test_loss=loss,
-                ma_accuracy=moving_average(recent, len(recent), window),
+                ma_accuracy=moving_average(self.accuracies, round_index, cfg.moving_avg_window),
                 selection_ran=gate,
                 selected_ids=tuple(ids),
                 wall_time=time.perf_counter() - started,

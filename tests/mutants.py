@@ -44,6 +44,7 @@ EVAL_ORACLE = "tests/test_model.py::test_evaluate_equals_row_wise_reference_bitw
 GRAD_ORACLE = "tests/test_model.py::test_gradient_equals_row_wise_reference_bitwise"
 RAGGED_EVAL_ORACLE = "tests/test_model.py::test_evaluate_on_a_ragged_stack_equals_each_block_alone_bitwise"
 RAGGED_GRAD_ORACLE = "tests/test_model.py::test_gradient_on_a_ragged_stack_equals_each_block_alone_bitwise"
+SGD_ORACLE = "tests/test_model.py::test_cohort_sgd_equals_plain_per_client_loop"
 CLASS_SUM_ORACLE = "tests/test_model.py::test_class_sum_is_numpy_row_sum_bitwise_at_every_class_count"
 WIDE_EVAL_ORACLE = "tests/test_model.py::test_evaluate_equals_row_wise_reference_at_wide_class_counts"
 
@@ -157,7 +158,35 @@ MUTANTS = (
         "src/fedclf/model.py",
         "rng = np.random.default_rng(seeds[i])",
         "rng = np.random.default_rng(seeds[0])",
-        ("tests/test_model.py::test_cohort_sgd_equals_plain_per_client_loop",),
+        (SGD_ORACLE,),
+    ),
+    Mutant(
+        "one-hot-as-wide-as-the-data-classes",
+        "src/fedclf/model.py",
+        "targets = np.eye(dims[-1])",
+        "targets = np.eye(num_classes)",
+        (SGD_ORACLE,),
+    ),
+    Mutant(
+        "step-reuses-the-previous-steps-runs",
+        "src/fedclf/model.py",
+        "runs=runs[sizes],",
+        "runs=plan[-1][1].runs if plan else runs[sizes],",
+        (SGD_ORACLE,),
+    ),
+    Mutant(
+        "ragged-step-divided-by-its-first-block-size",
+        "src/fedclf/model.py",
+        "    if len(stack.runs) == 1:\n        delta /= stack.sizes[0]\n",
+        "    if True:\n        delta /= stack.sizes[0]\n",
+        (SGD_ORACLE, RAGGED_GRAD_ORACLE),
+    ),
+    Mutant(
+        "negative-label-in-a-shard-accepted",
+        "src/fedclf/model.py",
+        "if y.min() < 0:",
+        "if y.min() < -1:",
+        ("tests/test_model.py::test_bad_label_in_a_shard_raises_before_any_sgd_step",),
     ),
     Mutant(
         "gradient-without-lse",

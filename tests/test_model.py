@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fedclf.model
 from fedclf.dataset import LabeledDataset, make_synthetic
 from fedclf.model import (
     ModelParams,
@@ -615,12 +616,21 @@ def reference_sgd(
     batch=st.integers(min_value=1, max_value=48),  # often >= n_k
     epochs=st.integers(min_value=1, max_value=3),
     lr=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
-    mlp=st.booleans(),
+    hidden=st.sampled_from([None, 5]),
+    spare_classes=st.integers(0, 2),  # model classes that no shard holds
 )
 # Two same-size shards: each must draw its schedule from its own seed.
-@example(sizes=[6, 6], batch=2, epochs=1, lr=0.3, mlp=False)
-def test_cohort_sgd_equals_plain_per_client_loop(sizes, batch, epochs, lr, mlp):
-    tag = mlp_tag(4, 5, 3) if mlp else softmax_tag(4, 3)
+@example(sizes=[6, 6], batch=2, epochs=1, lr=0.3, hidden=None, spare_classes=0)
+# The one-hot targets are as wide as the model's classes, not the data's.
+@example(sizes=[5, 3], batch=2, epochs=1, lr=0.3, hidden=None, spare_classes=2)
+# The workload cohorts: five equal shards (a last step of 24 rows after three
+# of 32), ragged many-client sizes, and a wider mlp over two epochs.
+@example(sizes=[120] * 5, batch=32, epochs=1, lr=0.01, hidden=None, spare_classes=0)
+@example(sizes=[36, 33, 31, 20, 20, 12, 7, 4], batch=32, epochs=1, lr=0.05, hidden=None, spare_classes=0)
+@example(sizes=[40, 40, 25], batch=32, epochs=2, lr=0.05, hidden=16, spare_classes=0)
+def test_cohort_sgd_equals_plain_per_client_loop(sizes, batch, epochs, lr, hidden, spare_classes):
+    c = 3 + spare_classes
+    tag = softmax_tag(4, c) if hidden is None else mlp_tag(4, hidden, c)
     params = init_params(tag, seed=21)
     shards = [small_data(n=n, seed=200 + i) for i, n in enumerate(sizes)]
     cfg = TrainConfig(epochs=epochs, learning_rate=lr, batch_size=batch)
@@ -628,6 +638,83 @@ def test_cohort_sgd_equals_plain_per_client_loop(sizes, batch, epochs, lr, mlp):
     trained = sgd_epochs(params, shards, cfg, seeds)
     for row, shard, seed in zip(trained.values, shards, seeds):
         assert row.tobytes() == reference_sgd(params, shard, cfg, seed).tobytes()
+
+
+def counted_gradient(monkeypatch):
+    """Patch ``fedclf.model.gradient`` to record the stack of every call."""
+    stacks, real = [], fedclf.model.gradient
+
+    def recording(params, data):
+        stacks.append(data)
+        return real(params, data)
+
+    monkeypatch.setattr(fedclf.model, "gradient", recording)
+    return stacks
+
+
+@pytest.mark.parametrize(
+    "sizes, batch, epochs",
+    [([120] * 5, 32, 1), ([36, 33, 31, 20, 20, 12, 7, 4], 32, 1), ([9, 2, 5], 4, 3), ([7], 50, 2)],
+)
+def test_sgd_makes_one_gradient_call_per_step(monkeypatch, sizes, batch, epochs):
+    stacks = counted_gradient(monkeypatch)
+    shards = [small_data(n=n, seed=300 + i) for i, n in enumerate(sizes)]
+    cfg = TrainConfig(epochs=epochs, learning_rate=0.1, batch_size=batch)
+    sgd_epochs(init_params(softmax_tag(4, 3), seed=1), shards, cfg, range(len(sizes)))
+    assert len(stacks) == max(epochs * math.ceil(n / min(batch, n)) for n in sizes)
+
+
+@pytest.mark.parametrize("hidden", [None, 5])
+def test_each_sgd_step_stack_equals_a_checked_sample_stack(monkeypatch, hidden):
+    # Each step's stack is built without SampleStack's checks, its runs looked
+    # up per size tuple; a fresh stack over the same rows must agree, and the
+    # targets are the one-hot rows of its labels at the model's 5 classes.
+    stacks = counted_gradient(monkeypatch)
+    sizes = [36, 33, 31, 20, 20, 12, 7, 4, 4]
+    shards = [small_data(n=n, seed=400 + i) for i, n in enumerate(sizes)]
+    tag = softmax_tag(4, 5) if hidden is None else mlp_tag(4, hidden, 5)
+    cfg = TrainConfig(epochs=2, learning_rate=0.1, batch_size=16)
+    sgd_epochs(init_params(tag, seed=2), shards, cfg, range(len(sizes)))
+    assert len({stack.sizes for stack in stacks}) > 2
+    for stack in stacks:
+        fresh = SampleStack(stack.features, stack.labels, stack.sizes, stack.num_classes)
+        assert np.array_equal(stack.features, fresh.features)
+        assert np.array_equal(stack.labels, fresh.labels)
+        assert (stack.sizes, stack.num_classes, stack.runs) == (fresh.sizes, 3, fresh.runs)
+        assert_same_bits(stack.targets, np.eye(5)[stack.labels])
+
+
+def unchecked_shard(labels, num_classes=3):
+    """A shard of ``len(labels)`` rows whose labels skip ``LabeledDataset``'s
+    range check, as a view built by ``LabeledDataset.blocks`` would."""
+    shard = object.__new__(LabeledDataset)
+    shard.__dict__.update(
+        features=small_data(n=len(labels), seed=5).features,
+        labels=np.asarray(labels, dtype=np.int64),
+        num_classes=num_classes,
+    )
+    return shard
+
+
+@pytest.mark.parametrize("tag", [softmax_tag(4, 3), mlp_tag(4, 5, 3)])
+@pytest.mark.parametrize(
+    "bad_label, error", [(3, IndexError), (7, IndexError), (-1, ValueError)]
+)
+def test_bad_label_in_a_shard_raises_before_any_sgd_step(monkeypatch, tag, bad_label, error):
+    # A label of C or more would be read as a later sample's class, and -1 as
+    # the last class of the same sample.  The bad label lies in the second
+    # shard's last batch (its seed 2 draws the order), so the second step,
+    # whose sizes repeat the first's, holds it: only the check of the whole
+    # schedule sees it.
+    stacks = counted_gradient(monkeypatch)
+    labels = [0, 1, 2, 0, 1, 2, 0, 1]
+    labels[np.random.default_rng(2).permutation(8)[-1]] = bad_label
+    shards = [small_data(n=8, seed=6), unchecked_shard(labels)]
+    cfg = TrainConfig(epochs=1, learning_rate=0.1, batch_size=4)
+    match = "negative label -1 in a shard" if bad_label < 0 else None
+    with pytest.raises(error, match=match):
+        sgd_epochs(init_params(tag, seed=3), shards, cfg, [1, 2])
+    assert stacks == []
 
 
 def test_sgd_zero_learning_rate_is_identity():
