@@ -29,10 +29,9 @@ kept as ``(g, b, .)`` blocks, so each layer is one plain stacked ``@``
 without a per-run loop (paired benchmark runs measured that loop's overhead
 on equal-size cohorts).  Each model's results are bitwise equal to running
 it alone.
-``sgd_epochs`` builds every step's stack once per call, sliced from the
-cohort's gathered schedule (checked once) with its runs and its one-hot
-targets at the model's class count; ``gradient`` subtracts a stack's targets
-(bitwise ``delta[i, y_i] -= 1.0``) and divides a single-run stack at once.
+``sgd_epochs`` builds every step's stack once per call: a slice of the
+cohort's gathered schedule (checked once), its runs and its one-hot targets;
+``gradient`` subtracts the targets, bitwise ``delta[i, y_i] -= 1.0``.
 
 ``evaluate`` and ``gradient`` share the forward pass up to the last matmul.
 ``evaluate``'s softmax head is class-major: one ``(C, ...)`` copy of the
@@ -155,9 +154,8 @@ class SampleStack:
     runs of consecutive equal sizes, each as ``(models, rows, size)``: slices
     of the model axis and of the row axis, and the run's block size.  A
     negative label raises ``ValueError`` (the label lookup would read it
-    from the end of the row).  ``targets`` is ``None``, or the labels as
-    one-hot rows at the model's class count: ``sgd_epochs`` gives each
-    step's stack its slice of the targets it builds for the whole schedule.
+    from the end of the row).  ``targets`` is ``None`` or, in the stacks of
+    ``sgd_epochs``' steps, the labels as one-hot rows at the model's classes.
     """
 
     features: np.ndarray
@@ -180,6 +178,17 @@ class SampleStack:
         if self.labels.min() < 0:
             raise ValueError(f"negative label {self.labels.min()} in a sample stack")
         object.__setattr__(self, "runs", tuple(runs))
+
+    @classmethod
+    def _checked(cls, features, labels, sizes, num_classes, runs, targets) -> "SampleStack":
+        """A stack over rows whose labels the caller has checked, with the
+        ``runs`` of a checked stack of the same ``sizes``: skips the checks."""
+        stack = object.__new__(cls)
+        vars(stack).update(
+            features=features, labels=labels, sizes=sizes, num_classes=num_classes,
+            runs=runs, targets=targets,
+        )
+        return stack
 
     @classmethod
     def of(cls, shards: Sequence) -> "SampleStack":
@@ -467,12 +476,8 @@ def gradient(params: ModelParams, data) -> np.ndarray:
     # Bitwise delta[i, y_i] -= 1.0; a label of C or more raises IndexError.
     targets = stack.targets
     delta_rows -= np.eye(delta.shape[-1]).take(y.reshape(-1), axis=0) if targets is None else targets
-    # Each model's loss is the mean over its block.
-    if len(stack.runs) == 1:
-        delta /= stack.sizes[0]
-    else:
-        for _, rows, size in stack.runs:
-            delta_rows[rows] /= size
+    for _, rows, size in stack.runs:  # each model's loss is the mean over its block
+        np.divide(delta_rows[rows], size, out=delta_rows[rows])
     parts = []
     for a, d in _backward(layers, stack, acts, delta):
         parts[:0] = stack.layer_gradient(a, d)
@@ -492,9 +497,8 @@ def sgd_epochs(
     lie back to back in one sample array.  The models train in order of
     decreasing shard size, so those still training at any step are a prefix
     of the stack, and at each step they take one stacked gradient step on
-    that step's ragged ``SampleStack`` (a slice of the array and of its
-    one-hot targets, all built before the first step).  A negative label
-    raises ``ValueError``, and a label of ``C`` or more ``IndexError``.
+    that step's ragged ``SampleStack``, sliced from the array and its one-hot
+    targets.  A negative label raises ``ValueError``, one of ``C`` or more ``IndexError``.
     """
     if len(shards) != len(seeds):
         raise ValueError(f"{len(shards)} shards but {len(seeds)} seeds")
@@ -525,21 +529,18 @@ def sgd_epochs(
     targets = np.eye(dims[-1]).take(y, axis=0)  # a label of C or more raises IndexError
     values = np.repeat(params.values[None], len(shards), axis=0)
     models = {g: ModelParams(values[:g], params.shape_tag) for g in {len(step) for step in steps}}
-    runs, plan, end = {}, [], 0
+    runs, end = {}, 0
     for step in steps:
         sizes = tuple(map(len, step))
         start, end = end, end + sum(sizes)
         if sizes not in runs:  # found by one checked stack per distinct step sizes
             runs[sizes] = SampleStack(x[start:end], y[start:end], sizes, num_classes).runs
-        stack = object.__new__(SampleStack)  # the schedule's rows are checked above
-        stack.__dict__.update(
-            features=x[start:end], labels=y[start:end], sizes=sizes, num_classes=num_classes,
-            runs=runs[sizes], targets=targets[start:end],
+        batch = SampleStack._checked(
+            x[start:end], y[start:end], sizes, num_classes, runs[sizes], targets[start:end]
         )
-        plan.append((models[len(sizes)], stack))
-    for model, stack in plan:
+        model = models[len(sizes)]
         active = model.values  # a view of the models still training
-        active -= cfg.learning_rate * gradient(model, stack)
+        active -= cfg.learning_rate * gradient(model, batch)
     if order != sorted(order):
         values[order] = values.copy()
     return ModelParams(values, params.shape_tag)

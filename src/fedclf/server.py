@@ -233,7 +233,7 @@ def _echo(value: object) -> str:
 
 def aggregate(trained: ModelParams, n_k: Sequence[int]) -> ModelParams:
     """Sample-count-weighted mean of a ``(g, P)`` stack of trained parameters;
-    row ``i`` has weight ``n_k[i]``, and rows are summed in order from 0.0."""
+    row ``i`` has weight ``n_k[i]``, and rows are summed in order."""
     if trained.values.ndim != 2 or len(trained.values) != len(n_k):
         raise ValueError(
             f"{trained.values.shape} parameter stack for {len(n_k)} sample counts"
@@ -243,8 +243,10 @@ def aggregate(trained: ModelParams, n_k: Sequence[int]) -> ModelParams:
     total = sum(n_k)
     if total <= 0:
         raise ValueError("total sample count is zero")
-    weighted = trained.values * np.divide(n_k, total)[:, None]
-    return ModelParams(np.add.reduce(weighted, axis=0, initial=0.0), trained.shape_tag)
+    out = np.zeros_like(trained.values[0])
+    for n, row in zip(n_k, trained.values):
+        out += (n / total) * row
+    return ModelParams(out, trained.shape_tag)
 
 
 def feedback_gate(
@@ -300,8 +302,7 @@ class Experiment:
     """One configured run over pre-built client shards and a test set.
 
     ``train_cfg`` is ``cfg.validate()``.  ``test_stack`` is the test split
-    as a one-block ``SampleStack`` over its own arrays, built once, and
-    ``accuracies`` holds each round's test accuracy for the moving average.
+    as a one-block ``SampleStack`` over its own arrays, built once.
     """
 
     def __init__(
@@ -334,7 +335,6 @@ class Experiment:
             compound_factors=cfg.compound_factors,
         )
         self.history: list[RoundRecord] = []
-        self.accuracies = np.empty(cfg.rounds)
         # Test (accuracy, loss) of the initial model: round 1's anchors.  Only
         # compound mode reads anchors, so only it evaluates the initial model.
         self.initial_metrics: tuple[float | None, float | None] = (None, None)
@@ -360,8 +360,6 @@ class Experiment:
         expected = len(self.history) + 1
         if round_index != expected:
             raise ValueError(f"round {round_index} out of order, expected round {expected}")
-        if round_index > self.cfg.rounds:
-            raise ValueError(f"round {round_index} past the last round, {self.cfg.rounds}")
         started = time.perf_counter()
         cfg = self.cfg
         gate = feedback_gate(self.history, round_index, cfg.feedback_enabled, self.selector.warmup)
@@ -378,12 +376,14 @@ class Experiment:
             trained, deltas = client_update(cohort, received, self.train_cfg, seeds)
             self.params = aggregate(trained, [c.n_k for c in cohort])
             accuracy, loss = self._test_metrics()
-            self.accuracies[round_index - 1] = accuracy
+            window = cfg.moving_avg_window
+            recent = [r.test_accuracy for r in self.history[max(0, round_index - window) :]]
+            recent.append(accuracy)
             record = RoundRecord(
                 round_index=round_index,
                 test_accuracy=accuracy,
                 test_loss=loss,
-                ma_accuracy=moving_average(self.accuracies, round_index, cfg.moving_avg_window),
+                ma_accuracy=moving_average(recent, len(recent), window),
                 selection_ran=gate,
                 selected_ids=tuple(ids),
                 wall_time=time.perf_counter() - started,

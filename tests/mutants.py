@@ -168,18 +168,13 @@ MUTANTS = (
         (SGD_ORACLE,),
     ),
     Mutant(
-        "step-reuses-the-previous-steps-runs",
+        # Runs looked up per model count: a step whose sizes differ from an
+        # earlier step's with as many models takes that step's runs.
+        "step-reuses-an-earlier-steps-runs",
         "src/fedclf/model.py",
-        "runs=runs[sizes],",
-        "runs=plan[-1][1].runs if plan else runs[sizes],",
+        "num_classes, runs[sizes], targets[start:end]",
+        "num_classes, runs.setdefault(len(sizes), runs[sizes]), targets[start:end]",
         (SGD_ORACLE,),
-    ),
-    Mutant(
-        "ragged-step-divided-by-its-first-block-size",
-        "src/fedclf/model.py",
-        "    if len(stack.runs) == 1:\n        delta /= stack.sizes[0]\n",
-        "    if True:\n        delta /= stack.sizes[0]\n",
-        (SGD_ORACLE, RAGGED_GRAD_ORACLE),
     ),
     Mutant(
         "negative-label-in-a-shard-accepted",
@@ -198,9 +193,9 @@ MUTANTS = (
     Mutant(
         "every-row-divided-by-one-run-size",
         "src/fedclf/model.py",
-        "delta_rows[rows] /= size",
-        "delta_rows[rows] /= stack.runs[0][2]",
-        (RAGGED_GRAD_ORACLE,),
+        "np.divide(delta_rows[rows], size, out=delta_rows[rows])",
+        "np.divide(delta_rows[rows], stack.runs[0][2], out=delta_rows[rows])",
+        (RAGGED_GRAD_ORACLE, SGD_ORACLE),
     ),
     Mutant(
         "singleton-block-joins-the-run-before-it",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -678,6 +679,7 @@ def test_each_sgd_step_stack_equals_a_checked_sample_stack(monkeypatch, hidden):
     assert len({stack.sizes for stack in stacks}) > 2
     for stack in stacks:
         fresh = SampleStack(stack.features, stack.labels, stack.sizes, stack.num_classes)
+        assert {f.name for f in dataclasses.fields(SampleStack)} <= vars(stack).keys()
         assert np.array_equal(stack.features, fresh.features)
         assert np.array_equal(stack.labels, fresh.labels)
         assert (stack.sizes, stack.num_classes, stack.runs) == (fresh.sizes, 3, fresh.runs)
