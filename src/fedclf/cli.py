@@ -167,12 +167,13 @@ def cmd_partition(args: argparse.Namespace) -> int:
     if (args.input is None) == (args.synthetic is None):
         raise ValueError("give exactly one of --input FILE or --synthetic CxFxN")
     check_out_dir(args.out)
-    clients, train, _ = build_partition(_config_from_sources(args))
+    clients, _ = build_partition(_config_from_sources(args))
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)
     for client in clients:
         save_dataset(client.data, out / f"client_{client.client_id:03d}.fedds")
-    report = partition_report(clients, label_distribution(train))
+    # The shards pool to the training split's labels: the EMD reference.
+    report = partition_report(clients, label_distribution(*(c.data for c in clients)))
     (out / "report.csv").write_text(report)
     print(f"wrote {len(clients)} shard files and report.csv to {out}")
     print(report.splitlines()[-1])

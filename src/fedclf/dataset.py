@@ -4,10 +4,11 @@ Client shards are produced by sorting the training set by label, cutting it
 into shards of a configurable size ``S``, shuffling the shards, and dealing
 them to clients.  Large shards concentrate few classes per client; ``S=1``
 degenerates to a uniform random split.  The deal is computed as one
-client-ordered index, the data is gathered through it once, and each client
-holds a read-only view of its consecutive block of the gathered arrays.  Skew is quantified per client as the
-L1 distance between its label distribution and a reference distribution
-(normally the label distribution of the full training set).
+client-ordered index into the dealt rows, the data is gathered through it
+once, and each client holds a read-only view of its consecutive block of the
+gathered arrays.  Skew is quantified per client as the L1 distance between
+its label distribution and a reference distribution (normally the label
+distribution of the full training set, which the dealt shards pool to).
 
 File format (``FEDDS v1``): one ASCII header line
 ``FEDDS v1 <num_samples> <num_features> <num_classes>\\n`` followed, per
@@ -191,12 +192,16 @@ class PartitionSpec:
             raise ValueError("min_fraction must lie in (0, 1]")
 
 
-def label_distribution(data: LabeledDataset) -> LabelDistribution:
-    """Empirical label distribution of ``data``."""
-    if data.num_samples == 0:
+def label_distribution(*datasets: LabeledDataset) -> LabelDistribution:
+    """Empirical label distribution of ``datasets`` pooled (at least one)."""
+    num_classes = {data.num_classes for data in datasets}
+    if len(num_classes) != 1:
+        raise ValueError(f"cannot pool datasets of class counts {sorted(num_classes)}")
+    labels = np.concatenate([data.labels for data in datasets])
+    if labels.size == 0:
         raise ValueError("cannot compute a label distribution of an empty dataset")
-    counts = np.bincount(data.labels, minlength=data.num_classes)
-    return LabelDistribution(counts / data.num_samples)
+    counts = np.bincount(labels, minlength=num_classes.pop())
+    return LabelDistribution(counts / labels.size)
 
 
 def emd(a: LabelDistribution, b: LabelDistribution) -> float:
@@ -232,8 +237,11 @@ def _nonequal_counts(total: int, spec: PartitionSpec, rng) -> np.ndarray:
     return counts
 
 
-def partition(dataset: LabeledDataset, spec: PartitionSpec) -> list[ClientDataset]:
-    """Deal ``dataset`` to ``spec.num_clients`` clients via sort-and-shard.
+def partition(
+    dataset: LabeledDataset, spec: PartitionSpec, rows: np.ndarray | None = None
+) -> list[ClientDataset]:
+    """Deal ``rows`` of ``dataset`` (all of it when ``None``) to
+    ``spec.num_clients`` clients via sort-and-shard.
 
     The label-sorted data is cut into shards of ``shard_size`` (a trailing
     short shard when it does not divide the total), laid out as the rows of
@@ -247,13 +255,17 @@ def partition(dataset: LabeledDataset, spec: PartitionSpec) -> list[ClientDatase
     floored at ``min_fraction * (total / num_clients)`` (at most
     ``total // num_clients``).
 
-    Either way the deal is one client-ordered index: features and labels are
-    gathered through it once into read-only arrays, and client ``i`` holds a
+    Either way the deal is one client-ordered index into the dealt rows.  It
+    is composed with ``rows``, so features and labels are gathered once,
+    straight from ``dataset``, into read-only arrays, and client ``i`` holds a
     view of its consecutive block of them (see ``LabeledDataset.blocks``).
-    The union of client samples is always exactly the input multiset, and the
-    result is a pure function of ``(dataset, spec)`` including ``spec.seed``.
+    Dealing ``rows`` gives the shards of ``partition(dataset.subset(rows),
+    spec)`` bit for bit, without the subset's copy.  The union of client
+    samples is always exactly the multiset of the dealt rows, and the result
+    is a pure function of ``(dataset, spec, rows)`` including ``spec.seed``.
     """
-    total = dataset.num_samples
+    labels = dataset.labels if rows is None else dataset.labels[rows]
+    total = labels.size
     k, size = spec.num_clients, spec.shard_size
     if total == 0:
         raise ValueError("cannot partition an empty dataset")
@@ -269,7 +281,7 @@ def partition(dataset: LabeledDataset, spec: PartitionSpec) -> list[ClientDatase
     grid = np.full(num_shards * size, -1, dtype=np.int64)
     # numpy radix-sorts int16 keys (timsort for int64); the stable order of
     # equal labels is the same either way.
-    keys = dataset.labels.astype(np.int16) if dataset.num_classes <= 2**15 else dataset.labels
+    keys = labels.astype(np.int16) if dataset.num_classes <= 2**15 else labels
     grid[:total] = np.argsort(keys, kind="stable")
     dealt = grid.reshape(num_shards, size)[rng.permutation(num_shards)].ravel()
     present = dealt >= 0
@@ -288,7 +300,11 @@ def partition(dataset: LabeledDataset, spec: PartitionSpec) -> list[ClientDatase
     else:
         counts = _nonequal_counts(total, spec, rng)
 
-    features, labels = dataset.features[index], dataset.labels[index]
+    if rows is not None:
+        index = rows[index]
+    # np.take copies whole rows faster than fancy indexing does.
+    features = np.take(dataset.features, index, axis=0)
+    labels = np.take(dataset.labels, index)
     features.flags.writeable = labels.flags.writeable = False
     blocks = LabeledDataset(features, labels, dataset.num_classes).blocks(counts)
     return [ClientDataset(client_id=i, data=block) for i, block in enumerate(blocks)]
@@ -313,17 +329,31 @@ def make_synthetic(
     rng = np.random.default_rng(seed)
     means = rng.normal(0.0, 1.0, size=(num_classes, num_features))
     labels = np.arange(num_samples, dtype=np.int64) % num_classes
-    features = rng.normal(0.0, 1.0, size=(num_samples, num_features))
-    # In place: two dataset-sized arrays at once, the bits of means[labels] + spread * noise.
+    # normal(0.0, 1.0) would give 0.0 + 1.0 * z for the same draws z, which only
+    # turns a -0.0 into +0.0; scaled and added to a mean, which is never -0.0,
+    # either zero gives the same bits.
+    features = rng.standard_normal((num_samples, num_features))
+    # In place, one dataset-sized array: the bits of means[labels] + spread * noise,
+    # adding the means one whole cycle of classes at a time, then the leftover rows.
     features *= cluster_spread
-    features += means[labels]
+    rest = num_samples % num_classes
+    whole = num_samples - rest
+    cycles = features[:whole].reshape(-1, num_classes, num_features)
+    cycles += means
+    features[whole:] += means[:rest]
     return LabeledDataset(features, labels, num_classes)
 
 
 def split_train_test(
     dataset: LabeledDataset, test_fraction: float, seed: int
-) -> tuple[LabeledDataset, LabeledDataset]:
-    """Seeded random split; the test side gets ``round(n * test_fraction)``."""
+) -> tuple[np.ndarray, LabeledDataset]:
+    """Seeded random split: the training rows as an int64 index, and the test
+    split gathered from ``dataset``.
+
+    One seeded permutation of the rows: its first ``round(n * test_fraction)``
+    rows are the test split, the rest are the training rows.  Those are not
+    copied here: ``partition(dataset, spec, rows)`` gathers them once.
+    """
     if not 0.0 < test_fraction < 1.0:
         raise ValueError("test_fraction must lie in (0, 1)")
     rng = np.random.default_rng(seed)
@@ -331,7 +361,7 @@ def split_train_test(
     n_test = int(round(dataset.num_samples * test_fraction))
     if n_test < 1 or n_test >= dataset.num_samples:
         raise ValueError("test_fraction leaves an empty split")
-    return dataset.subset(perm[n_test:]), dataset.subset(perm[:n_test])
+    return perm[n_test:], dataset.subset(perm[:n_test])
 
 
 def save_dataset(dataset: LabeledDataset, path: str | Path) -> None:

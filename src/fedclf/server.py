@@ -412,14 +412,14 @@ class Experiment:
         return self.history
 
 
-def build_partition(
-    cfg: ExperimentConfig,
-) -> tuple[list[ClientDataset], LabeledDataset, LabeledDataset]:
-    """The run's client shards, training split and test split.
+def build_partition(cfg: ExperimentConfig) -> tuple[list[ClientDataset], LabeledDataset]:
+    """The run's client shards and test split.
 
     Reads only the data, seed, client-count and partition settings of
     ``cfg``: the shards are the partition of the training split that a run
     with these settings trains on.  Checks those settings before any work.
+    The split yields only the training rows' index, so ``partition`` gathers
+    the training rows once, straight from the generated or loaded dataset.
     """
     cfg.check_data_settings()
     if cfg.dataset_path is not None:
@@ -433,7 +433,7 @@ def build_partition(
             split_seed(cfg.seed, "synthetic"),
             cluster_spread=cfg.cluster_spread,
         )
-    train, test = split_train_test(
+    train_rows, test = split_train_test(
         full, cfg.test_fraction, split_seed(cfg.seed, "test-split")
     )
     spec = replace(
@@ -441,14 +441,14 @@ def build_partition(
         num_clients=cfg.num_clients,
         seed=split_seed(cfg.seed, "partition"),
     )
-    return partition(train, spec), train, test
+    return partition(full, spec, train_rows), test
 
 
 def build_experiment(cfg: ExperimentConfig) -> Experiment:
     """Check every setting, then materialize data, split, partition and wire
     up an Experiment."""
     cfg.validate()
-    clients, _, test = build_partition(cfg)
+    clients, test = build_partition(cfg)
     return Experiment(cfg, clients, test)
 
 

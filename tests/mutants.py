@@ -343,6 +343,43 @@ MUTANTS = (
         "dataset.num_classes <= 2**16",
         ("tests/test_dataset.py::test_partition_label_sort_matches_int64_argsort_at_any_class_count",),
     ),
+    Mutant(
+        "dealt-rows-gathered-uncomposed",
+        "src/fedclf/dataset.py",
+        "        index = rows[index]\n",
+        "        pass\n",
+        ("tests/test_dataset.py::test_partition_of_given_rows_equals_partition_of_their_subset",),
+    ),
+    Mutant(
+        "synthetic-leftover-rows-get-last-means",
+        "src/fedclf/dataset.py",
+        "features[whole:] += means[:rest]",
+        "features[whole:] += means[-rest:]",
+        ("tests/test_dataset.py::test_make_synthetic_features_are_means_plus_scaled_noise_bitwise",),
+    ),
+    Mutant(
+        "synthetic-means-through-a-temporary",
+        "src/fedclf/dataset.py",
+        "    cycles = features[:whole].reshape(-1, num_classes, num_features)\n"
+        "    cycles += means\n"
+        "    features[whole:] += means[:rest]\n",
+        "    features += means[labels]\n",
+        ("tests/test_server.py::test_build_partition_peaks_near_two_copies_of_the_features",),
+    ),
+    Mutant(
+        "training-split-copied-before-the-deal",
+        "src/fedclf/server.py",
+        "partition(full, spec, train_rows)",
+        "partition(full.subset(train_rows), spec)",
+        ("tests/test_server.py::test_build_partition_peaks_near_two_copies_of_the_features",),
+    ),
+    Mutant(
+        "partition-report-against-test-split",
+        "src/fedclf/cli.py",
+        "label_distribution(*(c.data for c in clients))",
+        "label_distribution(build_partition(_config_from_sources(args))[1])",
+        ("tests/test_cli.py::test_partition_report_bytes_are_pinned",),
+    ),
 )
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import fields, is_dataclass
 from enum import Enum
 
@@ -111,6 +112,26 @@ def test_partition_is_byte_reproducible(tmp_path):
         )
         reports.append((out / "report.csv").read_bytes())
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize(
+    ("mode", "digest"),
+    [
+        ("equal", "51e3d3b98606003d6dee347117f5de00be2ddf5ed718f17cd18d9e0194b32c19"),
+        ("nonequal", "5cd67c8d537a822f4c8ca91832ed688eefeb32a554575283f929007f31b10673"),
+    ],
+    ids=["equal", "nonequal"],
+)
+def test_partition_report_bytes_are_pinned(tmp_path, mode, digest):
+    # Recorded while the split still copied the training split and the EMD
+    # reference was that copy's labels.  Partitioning and the report use no
+    # BLAS, so the digests hold on any machine.
+    out = tmp_path / mode
+    assert run_cli(
+        "partition", "--synthetic", "4x3x400", "--S", "10", "--clients", "8",
+        "--mode", mode, "--seed", "9", "--out", str(out),
+    ) == 0
+    assert hashlib.sha256((out / "report.csv").read_bytes()).hexdigest() == digest
 
 
 def test_partition_shards_are_the_runs_training_shards(tmp_path):

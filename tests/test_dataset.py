@@ -88,6 +88,18 @@ def test_label_distribution_with_absent_class():
     assert label_distribution(ds).probs == pytest.approx([1 / 3, 1 / 3, 1 / 3, 0.0])
 
 
+def test_label_distribution_pools_datasets():
+    # Shards pool to the distribution of the rows they were dealt, bitwise.
+    ds = make_synthetic(301, 2, 7, seed=3)
+    clients = partition(ds, PartitionSpec(9, SplitMode.NONEQUAL, 5, seed=2))
+    pooled = label_distribution(*(c.data for c in clients))
+    assert np.array_equal(pooled.probs, label_distribution(ds).probs)
+    other = LabeledDataset(np.zeros((1, 2)), np.array([0]), 3)
+    for datasets in ([ds, other], []):
+        with pytest.raises(ValueError, match="class counts"):
+            label_distribution(*datasets)
+
+
 def test_label_distribution_rejects_empty():
     ds = LabeledDataset(np.zeros((0, 1)), np.array([], dtype=int), 2)
     with pytest.raises(ValueError, match="empty"):
@@ -337,6 +349,48 @@ def test_partition_shards_are_read_only_views_of_one_array(tmp_path, mode):
     assert np.array_equal(loaded.features, clients[3].data.features.astype(np.float32))
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    num_samples=st.integers(min_value=30, max_value=300),
+    kept=st.floats(min_value=0.05, max_value=1.0),
+    shard_size=st.integers(min_value=1, max_value=30),
+    num_clients=st.integers(min_value=1, max_value=10),
+    seed=st.integers(min_value=0, max_value=2**32),
+    mode=st.sampled_from(list(SplitMode)),
+)
+def test_partition_of_given_rows_equals_partition_of_their_subset(
+    num_samples, kept, shard_size, num_clients, seed, mode
+):
+    full = make_synthetic(num_samples, 3, 5, seed=seed % 1000)
+    rows = np.random.default_rng(seed).permutation(num_samples)
+    rows = rows[: max(1, round(kept * num_samples))]
+    spec = PartitionSpec(shard_size, mode, num_clients, seed=seed)
+    if math.ceil(rows.size / shard_size) < num_clients:
+        with pytest.raises(ConfigurationError):
+            partition(full, spec, rows)
+        with pytest.raises(ConfigurationError):
+            partition(full.subset(rows), spec)
+        return
+    dealt = partition(full, spec, rows)
+    expected = partition(full.subset(rows), spec)
+    assert len(dealt) == len(expected)
+    # One read-only block, each shard a view of the rows after the last one's.
+    features, labels = dealt[0].data.features.base, dealt[0].data.labels.base
+    assert not features.flags.writeable and not labels.flags.writeable
+    assert features.shape == (rows.size, 3) and labels.shape == (rows.size,)
+    start = 0
+    for got, want in zip(dealt, expected):
+        assert got.client_id == want.client_id
+        assert np.array_equal(got.data.features, want.data.features)
+        assert np.array_equal(np.signbit(got.data.features), np.signbit(want.data.features))
+        assert np.array_equal(got.data.labels, want.data.labels)
+        assert got.data.features.base is features and got.data.labels.base is labels
+        assert got.data.features.ctypes.data == features[start:].ctypes.data
+        assert got.data.labels.ctypes.data == labels[start:].ctypes.data
+        start += got.n_k
+    assert start == rows.size
+
+
 def test_blocks_are_consecutive_views_that_check_their_sizes():
     ds = make_synthetic(10, 2, 3, seed=1)
     blocks = ds.blocks([3, 1, 6])
@@ -434,26 +488,47 @@ def test_make_synthetic_balanced_classes():
     assert all(abs(int(c) - 100) <= 1 for c in counts)
 
 
-@pytest.mark.parametrize("spread", [0.0, 1.0, 2.5])
-def test_make_synthetic_features_are_means_plus_scaled_noise_bitwise(spread):
+@pytest.mark.parametrize(
+    ("num_samples", "num_classes", "spread"),
+    [
+        pytest.param(301, 5, 0.0, id="0.0"),
+        pytest.param(301, 5, 1.0, id="1.0"),
+        pytest.param(301, 5, 2.5, id="2.5"),
+        pytest.param(3, 5, 1.0, id="no-whole-cycle-of-classes"),
+        pytest.param(300, 5, 1.0, id="no-leftover-rows"),
+        pytest.param(301, 1, 1.0, id="one-class"),
+        pytest.param(301, 5, -1.5, id="negative-spread"),
+    ],
+)
+def test_make_synthetic_features_are_means_plus_scaled_noise_bitwise(
+    num_samples, num_classes, spread
+):
     # The plain expression, from the same draws: signed zeros included.
     rng = np.random.default_rng(17)
-    means = rng.normal(0.0, 1.0, size=(5, 6))
-    noise = rng.normal(0.0, 1.0, size=(301, 6))
-    expected = means[np.arange(301) % 5] + spread * noise
-    features = make_synthetic(301, 6, 5, seed=17, cluster_spread=spread).features
+    means = rng.normal(0.0, 1.0, size=(num_classes, 6))
+    noise = rng.normal(0.0, 1.0, size=(num_samples, 6))
+    expected = means[np.arange(num_samples) % num_classes] + spread * noise
+    features = make_synthetic(
+        num_samples, 6, num_classes, seed=17, cluster_spread=spread
+    ).features
     assert np.array_equal(features, expected)
     assert np.array_equal(np.signbit(features), np.signbit(expected))
 
 
 def test_split_train_test_sizes_and_determinism():
-    ds = make_synthetic(1200, 3, 4, seed=9)
-    train_a, test_a = split_train_test(ds, 1 / 6, seed=4)
-    train_b, test_b = split_train_test(ds, 1 / 6, seed=4)
+    # Each row's one feature is its own row number.
+    ds = LabeledDataset(np.arange(1200.0)[:, None], np.arange(1200) % 4, 4)
+    rows_a, test_a = split_train_test(ds, 1 / 6, seed=4)
+    rows_b, test_b = split_train_test(ds, 1 / 6, seed=4)
     assert test_a.num_samples == 200
-    assert train_a.num_samples == 1000
-    assert np.array_equal(train_a.features, train_b.features)
+    assert rows_a.dtype == np.int64 and rows_a.shape == (1000,)
+    assert np.array_equal(rows_a, rows_b)
+    assert np.array_equal(test_a.features, test_b.features)
     assert np.array_equal(test_a.labels, test_b.labels)
+    # The training and test rows are disjoint and together cover every row.
+    test_rows = test_a.features[:, 0].astype(np.int64)
+    assert np.array_equal(test_a.labels, ds.labels[test_rows])
+    assert np.array_equal(np.sort(np.concatenate([rows_a, test_rows])), np.arange(1200))
 
 
 # -------------------------------------------------------------- file I/O

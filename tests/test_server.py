@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import sys
+import tracemalloc
 from dataclasses import fields, replace
 from types import SimpleNamespace
 
@@ -200,7 +201,7 @@ def test_each_round_reduces_the_test_accuracy_once(monkeypatch):
     # round, so no round rebuilds it); its record holds the means of that
     # call's per-row hits and losses.
     cfg = small_config(rounds=2)
-    clients, _, test = build_partition(cfg)
+    clients, test = build_partition(cfg)
     experiment = Experiment(cfg, clients, test)
     stack = experiment.test_stack
     assert stack.features is test.features and stack.labels is test.labels
@@ -380,6 +381,29 @@ def test_non_finite_update_names_round_and_clients():
     assert experiment.history == []
 
 
+def test_build_partition_peaks_near_two_copies_of_the_features():
+    # The synthetic features are made in place (a means[labels] temporary
+    # would double that peak), the split copies only the test rows, and the
+    # partition gathers the training rows once: about twice the features'
+    # bytes in all (a copy of the training split would take it near 2.8x).
+    num_samples, num_features = 6000, 64
+    feature_bytes = num_samples * num_features * 8
+    cfg = small_config(num_clients=10, synthetic_shape=(10, num_features, num_samples))
+    build_partition(small_config())  # modules that the first build imports are not counted
+    tracemalloc.start()
+    try:
+        make_synthetic(num_samples, num_features, 10, seed=1)
+        synthetic_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        clients, test = build_partition(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(c.n_k for c in clients) + test.num_samples == num_samples
+    assert synthetic_peak <= 1.1 * feature_bytes
+    assert peak <= 2.2 * feature_bytes
+
+
 # ---------------------------------------------------- deferred measurement
 
 
@@ -444,7 +468,7 @@ def run_recorded(cfg, experiment_cls, monkeypatch):
         writers.append(sys._getframe(1).f_code.co_name)
         return update(*args, **kwargs)
 
-    clients, _, test = build_partition(cfg)
+    clients, test = build_partition(cfg)
     experiment = experiment_cls(cfg, clients, test)
     with monkeypatch.context() as patch:
         patch.setattr(fedclf.server, "select", recording_select)
@@ -578,7 +602,7 @@ def test_non_finite_utility_names_training_round_and_clients(
     assert len(experiment.history) == trained_in
     assert np.isfinite(experiment.params.values).all()
 
-    monkeypatch.setattr(fedclf.server, "build_partition", lambda _: (clients, None, test))
+    monkeypatch.setattr(fedclf.server, "build_partition", lambda _: (clients, test))
     with pytest.raises(NonFiniteUpdateError):
         run_experiment(cfg, out_dir=tmp_path)
     assert not (tmp_path / "run.csv").exists()
