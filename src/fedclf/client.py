@@ -2,11 +2,12 @@
 
 ``client_update`` trains a cohort from the received global model and returns
 the trained parameters as one ``(g, P)`` stack, row ``i`` for the ``i``-th
-client, with each client's weight-change norm.  ``measure_utilities``
-measures the statistics selection ranks by, at the model the clients
-received.  The server calls it at the end of a round only when the next
-round selects or the round is the last, since a cohort that trains again in
-the next round would overwrite them unread.
+client, with each client's weight-change norm, all rows in one reduction.
+``measure_utilities`` measures the statistics selection ranks by, at the
+model the clients received.  The server calls it at the end of a round only
+when the next round selects or the round is the last, since a cohort that
+trains again in the next round would overwrite them unread, and only for a
+strategy that ranks by a measured utility (not ``random`` or ``newt``).
 
 The cohort is trained and measured as one stacked parameter block, whatever
 its shard sizes: ``measure_utilities`` stacks the cohort's shards, ordered by
@@ -21,7 +22,6 @@ client alone.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
@@ -61,6 +61,13 @@ def _raise_non_finite(clients: Sequence[ClientDataset], finite: np.ndarray) -> N
     """Raise ``NonFiniteUpdateError`` naming the clients where ``finite`` is false."""
     if not finite.all():
         raise NonFiniteUpdateError([clients[i].client_id for i in np.flatnonzero(~finite)])
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Each row's L2 norm, squaring ``rows`` in place: one reduction, whose
+    pairwise order does not depend on where a row lies in memory, so each
+    row's norm is bitwise that of the row alone."""
+    return np.sqrt(np.add.reduce(np.multiply(rows, rows, out=rows), axis=1))
 
 
 def measure_utilities(
@@ -107,7 +114,6 @@ def client_update(
     weight-change norm is not finite.
     """
     trained = sgd_epochs(global_params, [c.data for c in clients], cfg, seeds)
-    # Per row, exactly np.linalg.norm of a 1-D vector (an axis=1 norm is not).
-    deltas = np.array([math.sqrt(d @ d) for d in trained.values - global_params.values])
+    deltas = _row_norms(trained.values - global_params.values)
     _raise_non_finite(clients, np.isfinite(trained.values).all(axis=1) & np.isfinite(deltas))
     return trained, deltas

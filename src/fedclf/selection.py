@@ -16,7 +16,8 @@ The selector state is one numpy column per client field, indexed by client id
 over those columns.  ``select`` is the only reader of the measured columns,
 and ``update_after_round`` their only writer: the server calls it at the
 end of a round whose next round selects, and of the last round, with the
-cohort that round trained.
+cohort that round trained, measured for the columns ``MEASURED_UTILITIES``
+names for its strategy.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ __all__ = [
     "GlobalTrend",
     "SelectorState",
     "SelectionError",
+    "MEASURED_UTILITIES",
     "make_selector",
     "selection_factor",
     "utilities",
@@ -57,6 +59,18 @@ class Strategy(str, Enum):
     OORT_LIKE = "oort"
     NEWT_LIKE = "newt"
     GRAD_NORM = "gradnorm"
+
+
+# The measured utility columns each strategy ranks by.  ``random`` never
+# ranks, and ``newt`` ranks by the weight-change norm, which training gives.
+MEASURED_UTILITIES: dict[Strategy, tuple[str, ...]] = {
+    Strategy.FEDCLF: ("loss_utility",),
+    Strategy.RAW_LOSS: ("loss_utility",),
+    Strategy.RANDOM: (),
+    Strategy.OORT_LIKE: ("loss_utility",),
+    Strategy.NEWT_LIKE: (),
+    Strategy.GRAD_NORM: ("loss_utility", "grad_norm_utility"),
+}
 
 
 class FactorMode(str, Enum):
@@ -190,7 +204,7 @@ def utilities(state: SelectorState, trend: GlobalTrend, round_index: int) -> np.
     (per client, against its anchor, in compound mode); a stale client whose
     factor is undefined keeps its raw utility, and one warning per round
     counts them.  The random strategy does not rank; its column is the raw
-    loss utility.
+    loss utility, which the server never measures for it.
     """
     if state.strategy is Strategy.NEWT_LIKE:
         delta = state.weight_delta_norm
@@ -276,7 +290,7 @@ def update_after_round(
     state: SelectorState,
     client_ids: list[int],
     weight_delta_norms: np.ndarray,
-    loss_utility: np.ndarray,
+    loss_utility: np.ndarray | None = None,
     grad_norm_utility: np.ndarray | None = None,
     global_accuracy: float | None = None,
     global_loss: float | None = None,
@@ -285,8 +299,10 @@ def update_after_round(
 
     The arrays are aligned with ``client_ids``: each client's weight-change
     norm from its last training round and its utilities measured at the
-    model it received.  ``global_accuracy`` / ``global_loss`` are that
-    model's test metrics; they anchor the compounding calibration mode.
+    model it received (``None`` for a utility its strategy does not rank
+    by, whose column is left as it is).  ``global_accuracy`` /
+    ``global_loss`` are that model's test metrics; they anchor the
+    compounding calibration mode.
     Clients outside the cohort keep their (now stale) entries untouched.
     """
     if not client_ids:
@@ -295,7 +311,8 @@ def update_after_round(
         if not (0 <= cid < state.n_k.size and state.last_round_selected[cid]):
             raise SelectionError(f"result for client {cid}, which was not selected")
     state.weight_delta_norm[client_ids] = weight_delta_norms
-    state.loss_utility[client_ids] = loss_utility
+    if loss_utility is not None:
+        state.loss_utility[client_ids] = loss_utility
     if grad_norm_utility is not None:
         state.grad_norm_utility[client_ids] = grad_norm_utility
     state.loss_anchor[client_ids] = math.nan if global_loss is None else global_loss

@@ -10,12 +10,14 @@ run's whole log: ``run.csv`` and ``selection.csv`` are rendered from them.
 The selector is written only where a selection will read it.  A round
 measures its cohort when the next round's gate opens (that gate reads only
 this round's and the previous round's test accuracy) or when it is the last
-round.  It measures the cohort's utilities at the model the cohort received
-and writes them, the weight-change norms and the received model's test
-metrics to the selector in one ``update_after_round`` call.  In any other
-round the same clients train again before any selection, and would
-overwrite those values unread.  Nothing but the global model, the selector
-and the round records passes from one round to the next.
+round.  It measures the utilities its strategy ranks by
+(``selection.MEASURED_UTILITIES``: none for ``random`` and ``newt``) at the
+model the cohort received, and writes them, the weight-change norms and the
+received model's test metrics to the selector in one
+``update_after_round`` call.  In any other round the same clients train
+again before any selection, and would overwrite those values unread.
+Nothing but the global model, the selector and the round records passes
+from one round to the next.
 
 The gate resamples only when test accuracy strictly declined between the last
 two rounds; rounds 1 and 2 and every warmup round always select.  Disabling
@@ -65,6 +67,7 @@ from .model import (
 )
 from .seeds import split_seed
 from .selection import (
+    MEASURED_UTILITIES,
     FactorMode,
     GlobalTrend,
     SelectorState,
@@ -352,10 +355,11 @@ class Experiment:
 
         The cohort trains in one stacked call, rows in client-id order.  When
         the next round's gate opens, or this is the last round, the cohort is
-        then measured at the model it received, and the record's
-        ``wall_time`` includes that.  A non-finite update or utility raises
-        ``NonFiniteUpdateError`` naming this round; a non-finite utility is
-        found after this round's record is appended.
+        then measured at the model it received, for the utilities its
+        strategy ranks by, and the record's ``wall_time`` includes that.  A
+        non-finite update or utility raises ``NonFiniteUpdateError`` naming
+        this round; a non-finite utility is found after this round's record
+        is appended.
         """
         expected = len(self.history) + 1
         if round_index != expected:
@@ -392,8 +396,11 @@ class Experiment:
             if round_index == cfg.rounds or feedback_gate(
                 self.history, round_index + 1, cfg.feedback_enabled, self.selector.warmup
             ):
-                want_grad_norm = cfg.strategy is Strategy.GRAD_NORM
-                utilities = measure_utilities(cohort, received, want_grad_norm)
+                measured = MEASURED_UTILITIES[cfg.strategy]
+                want_grad_norm = "grad_norm_utility" in measured
+                utilities = None, None
+                if measured:
+                    utilities = measure_utilities(cohort, received, want_grad_norm)
                 if round_index == 1:
                     anchor = self.initial_metrics
                 else:

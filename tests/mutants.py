@@ -57,6 +57,20 @@ MUTANTS = (
         (f"{ORACLE}[fedclf-feedback]",),
     ),
     Mutant(
+        "random-and-newt-measured-again",
+        "src/fedclf/server.py",
+        "                if measured:\n",
+        "                if True:\n",
+        (f"{ORACLE}[random-no-feedback]", f"{ORACLE}[newt-no-feedback]"),
+    ),
+    Mutant(
+        "rawloss-unmeasured",
+        "src/fedclf/selection.py",
+        'Strategy.RAW_LOSS: ("loss_utility",),',
+        "Strategy.RAW_LOSS: (),",
+        (f"{ORACLE}[rawloss-feedback]",),
+    ),
+    Mutant(
         "no-run-end-measurement",
         "src/fedclf/server.py",
         "if round_index == cfg.rounds or feedback_gate(",

@@ -27,6 +27,7 @@ from fedclf.model import (
     mlp_tag,
     softmax_tag,
 )
+from test_model import at_odd_offset
 
 
 def make_client(client_id=0, n=20, f=4, c=3, seed=0):
@@ -152,6 +153,29 @@ def assert_cohort_matches_singles(clients, params, cfg, seeds, want_grad_norm=Fa
         assert grad_norm.tobytes() == np.array([s[1] for s in singles]).tobytes()
     else:
         assert grad_norm is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    g=st.integers(min_value=1, max_value=12),
+    p=st.integers(min_value=1, max_value=3000),
+    words=st.sampled_from([1, 3, 5, 7]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_weight_change_norms_at_odd_offsets_equal_each_row_alone_bitwise(g, p, words, seed):
+    # Row i of a cohort's (g, P) difference starts i * P * 8 bytes into its
+    # array, and the whole array at an odd 8-byte offset here; a client
+    # trained alone has its (1, P) difference at the allocator's alignment.
+    # A sum whose order follows the address (as a BLAS dot product may) would
+    # change the last bits; magnitudes over 13 decades make that show.
+    rng = np.random.default_rng(seed)
+    diff = rng.normal(size=(g, p)) * 10.0 ** rng.integers(-6, 7, (g, p))
+    norms = fedclf.client._row_norms(at_odd_offset(diff, words))
+    assert norms.shape == (g,)
+    for i in range(g):
+        [alone] = fedclf.client._row_norms(diff[i : i + 1].copy())
+        assert np.float64(norms[i]).tobytes() == np.float64(alone).tobytes()
+        assert alone == pytest.approx(np.linalg.norm(diff[i]), rel=1e-12)
 
 
 def ragged_cohort(sizes, f=4, c=3):

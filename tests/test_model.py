@@ -420,6 +420,59 @@ def test_gradient_on_a_ragged_stack_equals_each_block_alone_bitwise(case):
             assert_same_bits(grad[i], reference_gradient(row, x[None, rows], y[None, rows], dims)[0])
 
 
+def at_odd_offset(a, words):
+    """A copy of ``a`` that starts ``words`` (odd) float64s into a new
+    buffer, so it lies 8 bytes off any alignment the allocator gives."""
+    moved = np.empty(a.size + words)[words:].reshape(a.shape)
+    moved[...] = a
+    return moved
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 40), min_size=1, max_size=6),
+    fan_in=st.integers(2, 70),
+    fan_out=st.integers(2, 70),
+    shared=st.booleans(),
+    words=st.sampled_from([1, 3, 5, 7]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_per_run_blas_calls_at_odd_offsets_equal_each_block_alone_bitwise(
+    sizes, fan_in, fan_out, shared, words, seed
+):
+    # The stack's matmul (forward, and backward through a transposed weight)
+    # and layer gradient, on rows, weights and deltas placed at odd 8-byte
+    # offsets, against each block alone at the allocator's alignment: the
+    # one-block stack a single client's kernel runs on.  Widths start at 2:
+    # numpy computes a product with a 1 x 1 result as a BLAS dot, which some
+    # OpenBLAS kernels (Katmai) sum in an order that follows the address; in
+    # the model that takes a hidden width or class count of 1.
+    rng = np.random.default_rng(seed)
+    n, g = sum(sizes), len(sizes)
+    a = rng.normal(size=(n, fan_in)) * 10.0 ** rng.integers(-6, 7, (n, fan_in))
+    d = rng.normal(size=(n, fan_out))
+    w = rng.normal(size=(1 if shared else g, fan_in, fan_out))
+    stack = SampleStack(np.zeros((n, 1)), np.zeros(n, dtype=np.int64), tuple(sizes), 1)
+
+    def layout(rows):  # the kernel layout: (g, b, .) blocks for a single run
+        return rows.reshape(g, sizes[0], -1) if len(stack.runs) == 1 else rows
+
+    a_odd, d_odd, w_odd = (at_odd_offset(v, words) for v in (a, d, w))
+    out = stack.matmul(layout(a_odd), w_odd).reshape(n, -1)
+    back = stack.matmul(layout(d_odd), w_odd.transpose(0, 2, 1)).reshape(n, -1)
+    gw, gb = stack.layer_gradient(layout(a_odd), layout(d_odd))
+    for i, rows in enumerate(blocks_of(sizes)):
+        size = sizes[i]
+        alone = SampleStack(np.zeros((size, 1)), np.zeros(size, dtype=np.int64), (size,), 1)
+        w_i = w[:1] if shared else w[i : i + 1].copy()
+        a_i, d_i = a[None, rows].copy(), d[None, rows].copy()
+        assert_same_bits(out[rows], alone.matmul(a_i, w_i)[0])
+        assert_same_bits(back[rows], alone.matmul(d_i, w_i.transpose(0, 2, 1))[0])
+        gw_i, gb_i = alone.layer_gradient(a_i, d_i)
+        assert_same_bits(gw[i], gw_i[0])
+        assert_same_bits(gb[i], gb_i[0])
+
+
 @pytest.mark.parametrize("rows", [(1,), (5,), (2, 33)])
 def test_class_sum_is_numpy_row_sum_bitwise_at_every_class_count(rows):
     # evaluate sums exp over the class rows of a class-major copy; numpy's

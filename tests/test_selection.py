@@ -14,6 +14,7 @@ from fedclf.dataset import ClientDataset, PartitionSpec, SplitMode, make_synthet
 from fedclf.model import evaluate
 from fedclf.seeds import split_seed
 from fedclf.selection import (
+    MEASURED_UTILITIES,
     FactorMode,
     GlobalTrend,
     SelectionError,
@@ -445,6 +446,27 @@ def test_update_after_round_refreshes_selected_records():
     assert state.grad_norm_utility[trained[:2]].tolist() == [3.0, 4.0]
     assert state.loss_utility[trained].tolist() == [0.0, 0.0, *(values[2:] + 0.5)]
     assert np.isnan(state.loss_anchor[trained[:2]]).all()
+
+
+def test_update_after_round_without_utilities_stores_norms_and_anchors():
+    # A strategy that ranks by no measured utility stores only what training
+    # and the test split give; its utility columns stay unmeasured.
+    state = make_selector(Strategy.NEWT_LIKE, make_clients(2), 2, rng_seed=3)
+    assert select(state, 1, GlobalTrend.empty()) == {0, 1}
+    update_after_round(state, [0, 1], np.array([2.5, 3.5]), global_accuracy=0.5, global_loss=0.9)
+    assert state.weight_delta_norm.tolist() == [2.5, 3.5]
+    assert state.loss_anchor.tolist() == [0.9, 0.9]
+    assert state.acc_anchor.tolist() == [0.5, 0.5]
+    assert np.isnan(state.loss_utility).all() and np.isnan(state.grad_norm_utility).all()
+
+
+def test_measured_utilities_name_utility_columns_for_every_strategy():
+    assert set(MEASURED_UTILITIES) == set(Strategy)
+    for strategy, columns in MEASURED_UTILITIES.items():
+        assert set(columns) <= {"loss_utility", "grad_norm_utility"}, strategy
+        # Gradient norms are measured in the same pass as the losses.
+        assert "grad_norm_utility" not in columns or "loss_utility" in columns
+    assert MEASURED_UTILITIES[Strategy.RANDOM] == MEASURED_UTILITIES[Strategy.NEWT_LIKE] == ()
 
 
 def test_update_after_round_rejects_empty_results():

@@ -407,13 +407,19 @@ def test_build_partition_peaks_near_two_copies_of_the_features():
 # ---------------------------------------------------- deferred measurement
 
 
+# Strategies that rank by no measured utility: ``random`` never ranks and
+# ``newt`` ranks by weight-change norm, so their cohorts are never measured.
+UNMEASURED = (Strategy.RANDOM, Strategy.NEWT_LIKE)
+
+
 class EagerExperiment(Experiment):
     """Reference: right after every round, writes the cohort's utilities
-    (measured at the model it received), weight-change norms (of training it
-    again from that model with the round's seeds) and anchors (the received
-    model's test metrics) to the selector columns itself.  It reads only the
-    round's record, the global model and the public selector columns, and it
-    overwrites whatever the round itself stored."""
+    (measured at the model it received; NaN for the ``UNMEASURED``
+    strategies), weight-change norms (of training it again from that model
+    with the round's seeds) and anchors (the received model's test metrics)
+    to the selector columns itself.  It reads only the round's record, the
+    global model and the public selector columns, and it overwrites whatever
+    the round itself stored."""
 
     def run_round(self, round_index):
         cfg, received = self.cfg, self.params
@@ -427,9 +433,11 @@ class EagerExperiment(Experiment):
         seeds = [split_seed(cfg.seed, f"train-r{round_index}", cid) for cid in ids]
         train_cfg = TrainConfig(cfg.epochs, cfg.learning_rate, cfg.batch_size)
         _, deltas = client_update(cohort, received, train_cfg, seeds)
-        loss_utility, grad_norm_utility = measure_utilities(
-            cohort, received, want_grad_norm=cfg.strategy is Strategy.GRAD_NORM
-        )
+        loss_utility, grad_norm_utility = np.nan, np.nan
+        if cfg.strategy not in UNMEASURED:
+            loss_utility, grad_norm_utility = measure_utilities(
+                cohort, received, want_grad_norm=cfg.strategy is Strategy.GRAD_NORM
+            )
         state = self.selector
         state.loss_utility[ids] = loss_utility
         if grad_norm_utility is not None:
@@ -509,12 +517,14 @@ def test_deferred_measurement_matches_eager_oracle(case, monkeypatch):
     outputs, columns, calls, writers, history = deferred
     assert outputs == eager[0]
     assert columns == eager[1]
-    # One measurement and one selector write per reopened gate after round 1
-    # and one at run end; only run_round writes the selector.
-    assert calls == sum(r.selection_ran for r in history[1:]) + 1
-    assert writers == ["run_round"] * calls
+    # One selector write per reopened gate after round 1 and one at run end,
+    # each with a measurement unless the strategy ranks by none; only
+    # run_round writes the selector.
+    writes = sum(r.selection_ran for r in history[1:]) + 1
+    assert calls == (0 if cfg.strategy in UNMEASURED else writes)
+    assert writers == ["run_round"] * writes
     if cfg.feedback_enabled:
-        assert calls < cfg.rounds  # some round reused its cohort unmeasured
+        assert writes < cfg.rounds  # some round reused its cohort unmeasured
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
@@ -604,6 +614,45 @@ def test_non_finite_utility_names_training_round_and_clients(
 
     monkeypatch.setattr(fedclf.server, "build_partition", lambda _: (clients, test))
     with pytest.raises(NonFiniteUpdateError):
+        run_experiment(cfg, out_dir=tmp_path)
+    assert not (tmp_path / "run.csv").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("strategy", UNMEASURED, ids=lambda s: s.value)
+def test_unmeasured_strategy_divergence_names_round_and_clients(strategy, tmp_path, monkeypatch):
+    # These strategies measure no utility, so the check on trained parameters
+    # and weight-change norms is their only guard against divergence.  Client
+    # ``bad``'s features near 1e300 take a step of about 1e310 at lr 1e10: its
+    # trained parameters overflow in round 2, the round that trains it.
+    cfg = small_config(
+        strategy=strategy,
+        num_clients=4,
+        select_k=2,
+        rounds=4,
+        learning_rate=1e10,
+        partition=PartitionSpec(shard_size=3, split_mode=SplitMode.EQUAL, num_clients=4),
+    )
+    test = make_synthetic(20, 3, 2, seed=9)
+    warmup = Experiment(cfg, plain_clients(), test)
+    warmup.run_round(1)
+    bad = min(warmup.run_round(2).selected_ids)
+    clients = plain_clients()
+    data = clients[bad].data
+    clients[bad] = ClientDataset(
+        bad, LabeledDataset(data.features * 1e300, data.labels, data.num_classes)
+    )
+    measured = []
+    monkeypatch.setattr(fedclf.server, "measure_utilities", lambda *a: measured.append(a))
+    experiment = Experiment(cfg, clients, test)
+    with pytest.raises(NonFiniteUpdateError, match=f"^round 2: .*client\\(s\\) {bad}$") as err:
+        experiment.run()
+    assert err.value.round_index == 2
+    assert err.value.client_ids == (bad,)
+    assert len(experiment.history) == 1 and measured == []
+
+    monkeypatch.setattr(fedclf.server, "build_partition", lambda _: (clients, test))
+    with pytest.raises(NonFiniteUpdateError, match="^round 2: "):
         run_experiment(cfg, out_dir=tmp_path)
     assert not (tmp_path / "run.csv").exists()
 
