@@ -1,8 +1,10 @@
 """Golden-output lock: SHA-256 of every deterministic output over a fixed matrix.
 
 Each cell runs 20 rounds and hashes ``deterministic_csv_payload(run.csv)``,
-``selection.csv`` and ``summary.txt``.  A refactor or speed-up must leave every
-hash unchanged; a deliberate behaviour change re-records the fixture with
+``selection.csv`` and ``summary.txt``.  The ``battery`` entry hashes
+``battery.csv`` and ``battery_pivot.csv`` of one ``fedclf battery`` at the
+``BASE`` settings: every strategy on both ``DATASETS`` with seeds 1 and 2.  A
+refactor or speed-up must leave every hash unchanged; a deliberate behaviour change re-records the fixture with
 
     PYTHONPATH=src python tests/test_golden.py --record
 
@@ -19,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from fedclf.cli import main as cli_main
 from fedclf.dataset import PartitionSpec, SplitMode
 from fedclf.selection import FactorMode, Strategy
 from fedclf.server import ExperimentConfig, deterministic_csv_payload, run_experiment
@@ -89,13 +92,35 @@ def golden() -> dict[str, dict[str, str]]:
     return json.loads(FIXTURE.read_text())
 
 
+def battery_hashes(out_dir: Path) -> dict[str, str]:
+    c, f, n = BASE.synthetic_shape
+    spec = out_dir / "battery.conf"
+    out_dir.mkdir(parents=True, exist_ok=True)
+    spec.write_text(
+        f"clients={BASE.num_clients}\nselect_k={BASE.select_k}\nrounds={BASE.rounds}\n"
+        f"lr={BASE.learning_rate}\nbatch={BASE.batch_size}\nsynthetic={c}x{f}x{n}\n"
+        f"strategies={','.join(s.value for s in Strategy)}\n"
+        f"datasets={','.join(DATASETS)}\nseeds=1,2\n"
+    )
+    if cli_main(["battery", str(spec), "--out", str(out_dir / "out")]) != 0:
+        raise RuntimeError("battery failed")
+    return {
+        "battery": _sha((out_dir / "out" / "battery.csv").read_text()),
+        "pivot": _sha((out_dir / "out" / "battery_pivot.csv").read_text()),
+    }
+
+
 def test_fixture_covers_every_cell(golden):
-    assert sorted(golden) == sorted(CELLS)
+    assert sorted(golden) == sorted([*CELLS, "battery"])
 
 
 @pytest.mark.parametrize("name", sorted(CELLS))
 def test_golden_outputs_unchanged(name, golden, tmp_path):
     assert cell_hashes(CELLS[name], tmp_path) == golden[name]
+
+
+def test_golden_battery_unchanged(golden, tmp_path):
+    assert battery_hashes(tmp_path) == golden["battery"]
 
 
 def _record() -> None:
@@ -105,6 +130,7 @@ def _record() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         for name, cfg in sorted(CELLS.items()):
             hashes[name] = cell_hashes(cfg, Path(tmp) / name.replace("/", "_"))
+        hashes["battery"] = battery_hashes(Path(tmp) / "battery")
     FIXTURE.write_text(json.dumps(hashes, indent=1, sort_keys=True) + "\n")
     print(f"recorded {len(hashes)} cells to {FIXTURE}")
 
