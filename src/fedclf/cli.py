@@ -30,6 +30,7 @@ from .server import (
     CONFIG_KEYS,
     ConfigKey,
     ExperimentConfig,
+    battery_groups,
     build_partition,
     check_out_dir,
     run_experiment,
@@ -236,26 +237,36 @@ def cmd_battery(args: argparse.Namespace) -> int:
 
     rows = ["dataset,strategy,seed,final_ma,mean_ma_last10,sampling_occasions"]
     pivot = ["dataset," + ",".join(s.value for s in strategies)]
-    for shard_size, split_mode in datasets:
-        name = f"s{shard_size}-{split_mode.value}"
-        shards = replace(base_cfg.partition, shard_size=shard_size, split_mode=split_mode)
-        cells = []
-        for strategy in strategies:
-            # Baselines sample every round; only the calibrated-loss strategy
-            # runs with the feedback gate.
-            feedback = base_cfg.feedback_enabled and strategy is Strategy.FEDCLF
-            cfg = replace(base_cfg, strategy=strategy, partition=shards, feedback_enabled=feedback)
-            final_ma = []
+    with battery_groups():
+        for shard_size, split_mode in datasets:
+            name = f"s{shard_size}-{split_mode.value}"
+            shards = replace(base_cfg.partition, shard_size=shard_size, split_mode=split_mode)
+            # The cells of one seed share their data and warmup rounds, so
+            # they run together; rows keep the strategy-then-seed order.
+            histories = {}
             for seed in seeds:
-                history = run_experiment(replace(cfg, seed=seed))
-                final_ma.append(history[-1].ma_accuracy)
-                tail_ma = float(np.mean([r.ma_accuracy for r in history[-10:]]))
-                rows.append(
-                    f"{name},{strategy.value},{seed},{final_ma[-1]:.10f},{tail_ma:.10f},"
-                    f"{sum(r.selection_ran for r in history)}"
-                )
-            cells.append(f"{float(np.mean(final_ma)):.10f}")
-        pivot.append(f"{name}," + ",".join(cells))
+                for strategy in strategies:
+                    # Baselines sample every round; only the calibrated-loss
+                    # strategy runs with the feedback gate.
+                    feedback = base_cfg.feedback_enabled and strategy is Strategy.FEDCLF
+                    cfg = replace(
+                        base_cfg, strategy=strategy, partition=shards, seed=seed,
+                        feedback_enabled=feedback,
+                    )
+                    histories[strategy, seed] = run_experiment(cfg)
+            cells = []
+            for strategy in strategies:
+                final_ma = []
+                for seed in seeds:
+                    history = histories[strategy, seed]
+                    final_ma.append(history[-1].ma_accuracy)
+                    tail_ma = float(np.mean([r.ma_accuracy for r in history[-10:]]))
+                    rows.append(
+                        f"{name},{strategy.value},{seed},{final_ma[-1]:.10f},{tail_ma:.10f},"
+                        f"{sum(r.selection_ran for r in history)}"
+                    )
+                cells.append(f"{float(np.mean(final_ma)):.10f}")
+            pivot.append(f"{name}," + ",".join(cells))
 
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)

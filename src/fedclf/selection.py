@@ -204,8 +204,11 @@ def utilities(state: SelectorState, trend: GlobalTrend, round_index: int) -> np.
     (per client, against its anchor, in compound mode); a stale client whose
     factor is undefined keeps its raw utility, and one warning per round
     counts them.  The random strategy does not rank; its column is the raw
-    loss utility, which the server never measures for it.
+    loss utility, NaN where unmeasured, which the server never measures for
+    it.
     """
+    if state.strategy is Strategy.RANDOM:
+        return state.loss_utility.copy()
     if state.strategy is Strategy.NEWT_LIKE:
         delta = state.weight_delta_norm
         return np.where(np.isnan(delta), state.n_k, delta * state.n_k)

@@ -19,6 +19,15 @@ again before any selection, and would overwrite those values unread.
 Nothing but the global model, the selector and the round records passes
 from one round to the next.
 
+Inside ``battery_groups``, experiments whose configs differ only in
+``strategy`` and ``feedback_enabled`` (a battery's cells for one dataset and
+seed) share their data and their first ``min(W - 1, rounds - 1)`` rounds,
+where ``W`` is the warmup length.  Those rounds select by warmup draws, train
+and measure alike for every strategy, save that a strategy measures only the
+utilities it ranks by; the shared rounds measure all of them, and each cell
+keeps its own.  Round ``W`` is not shared: whether it measures depends on the
+feedback gate.
+
 The gate resamples only when test accuracy strictly declined between the last
 two rounds; rounds 1 and 2 and every warmup round always select.  Disabling
 feedback selects every round.
@@ -37,12 +46,13 @@ from __future__ import annotations
 import math
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from enum import Enum
 from functools import reduce
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -85,6 +95,7 @@ __all__ = [
     "CONFIG_KEYS",
     "Experiment",
     "aggregate",
+    "battery_groups",
     "build_partition",
     "check_out_dir",
     "feedback_gate",
@@ -338,6 +349,9 @@ class Experiment:
             compound_factors=cfg.compound_factors,
         )
         self.history: list[RoundRecord] = []
+        # The utility columns a measurement of a cohort writes.
+        self.measured = MEASURED_UTILITIES[cfg.strategy]
+        self._group: _Group | None = None
         # Test (accuracy, loss) of the initial model: round 1's anchors.  Only
         # compound mode reads anchors, so only it evaluates the initial model.
         self.initial_metrics: tuple[float | None, float | None] = (None, None)
@@ -396,7 +410,7 @@ class Experiment:
             if round_index == cfg.rounds or feedback_gate(
                 self.history, round_index + 1, cfg.feedback_enabled, self.selector.warmup
             ):
-                measured = MEASURED_UTILITIES[cfg.strategy]
+                measured = self.measured
                 want_grad_norm = "grad_norm_utility" in measured
                 utilities = None, None
                 if measured:
@@ -414,9 +428,86 @@ class Experiment:
         return record
 
     def run(self) -> list[RoundRecord]:
-        for round_index in range(1, self.cfg.rounds + 1):
+        """Run rounds ``len(history) + 1`` to ``cfg.rounds``; return the history.
+
+        An experiment built inside ``battery_groups`` first takes its group's
+        shared rounds: the group's first experiment to run runs them, and
+        each later one starts from a copy of the state they end in.  Their
+        records, ``elapsed_s`` included, are the same in every experiment of
+        the group.
+        """
+        if self._group is not None and not self.history:
+            self._group.start(self)
+        for round_index in range(len(self.history) + 1, self.cfg.rounds + 1):
             self.run_round(round_index)
         return self.history
+
+
+# Every utility column some strategy ranks by: the shared rounds measure them all.
+_UTILITY_COLUMNS = tuple(dict.fromkeys(c for cs in MEASURED_UTILITIES.values() for c in cs))
+# The selector columns a round writes whatever the strategy.
+_ROUND_COLUMNS = (
+    "weight_delta_norm", "loss_anchor", "acc_anchor", "sampled_once", "last_round_selected"
+)
+
+
+class _Group:
+    """The data of one config group built inside ``battery_groups``, and
+    the state its shared rounds end in once one of its experiments has run
+    them."""
+
+    def __init__(self, key: ExperimentConfig, data: tuple[list[ClientDataset], LabeledDataset]):
+        self.key = key
+        self.data = data
+        self.prefix: tuple[ModelParams, list[RoundRecord], dict[str, np.ndarray]] | None = None
+
+    def start(self, experiment: Experiment) -> None:
+        """Bring a fresh ``experiment`` of this group to the end of the shared
+        rounds, running them if no experiment of the group has."""
+        shared = min(experiment.selector.warmup - 1, experiment.cfg.rounds - 1)
+        if shared < 1:
+            return
+        state = experiment.selector
+        if self.prefix is None:
+            own, experiment.measured = experiment.measured, _UTILITY_COLUMNS
+            for round_index in range(1, shared + 1):
+                experiment.run_round(round_index)
+            experiment.measured = own
+            columns = {
+                name: getattr(state, name).copy() for name in _UTILITY_COLUMNS + _ROUND_COLUMNS
+            }
+            self.prefix = experiment.params, list(experiment.history), columns
+        # The global model is never written in place, so it is shared as is.
+        experiment.params, history, columns = self.prefix
+        experiment.history = list(history)
+        for name in _UTILITY_COLUMNS:
+            getattr(state, name)[:] = columns[name] if name in experiment.measured else np.nan
+        for name in _ROUND_COLUMNS:
+            getattr(state, name)[:] = columns[name]
+
+
+# Inside ``battery_groups``: the group built last, once there is one.
+_open: list[_Group] | None = None
+
+
+@contextmanager
+def battery_groups() -> Iterator[None]:
+    """Within the block, ``build_experiment`` shares work between configs
+    that differ only in ``strategy`` and ``feedback_enabled``.
+
+    Consecutive builds of such configs form a group: it builds its data
+    once, and its experiments share their first ``min(W - 1, rounds - 1)``
+    rounds (see the module docstring).  Each experiment still ends in the
+    state and outputs it would reach built outside the block.  Only the last
+    group's data is kept, so a caller that builds group by group holds one
+    group's data at a time.
+    """
+    global _open
+    outer, _open = _open, []
+    try:
+        yield
+    finally:
+        _open = outer
 
 
 def build_partition(cfg: ExperimentConfig) -> tuple[list[ClientDataset], LabeledDataset]:
@@ -453,10 +544,18 @@ def build_partition(cfg: ExperimentConfig) -> tuple[list[ClientDataset], Labeled
 
 def build_experiment(cfg: ExperimentConfig) -> Experiment:
     """Check every setting, then materialize data, split, partition and wire
-    up an Experiment."""
+    up an Experiment; inside ``battery_groups``, the data of a config's group
+    is built once."""
     cfg.validate()
-    clients, test = build_partition(cfg)
-    return Experiment(cfg, clients, test)
+    if _open is None:
+        return Experiment(cfg, *build_partition(cfg))
+    key = replace(cfg, strategy=Strategy.FEDCLF, feedback_enabled=True)
+    if not _open or _open[0].key != key:
+        _open.clear()  # the last group's data goes before the next is built
+        _open.append(_Group(key, build_partition(cfg)))
+    experiment = Experiment(cfg, *_open[0].data)
+    experiment._group = _open[0]
+    return experiment
 
 
 def run_log_csv(history: Sequence[RoundRecord], timestamp: str | None = None) -> str:

@@ -47,6 +47,7 @@ RAGGED_GRAD_ORACLE = "tests/test_model.py::test_gradient_on_a_ragged_stack_equal
 SGD_ORACLE = "tests/test_model.py::test_cohort_sgd_equals_plain_per_client_loop"
 CLASS_SUM_ORACLE = "tests/test_model.py::test_class_sum_is_numpy_row_sum_bitwise_at_every_class_count"
 WIDE_EVAL_ORACLE = "tests/test_model.py::test_evaluate_equals_row_wise_reference_at_wide_class_counts"
+GROUP_FORK = "tests/test_server.py::test_a_cell_built_in_a_battery_group_equals_the_cell_alone"
 
 MUTANTS = (
     Mutant(
@@ -117,6 +118,37 @@ MUTANTS = (
         "self.history[round_index - 2]",
         "self.history[round_index - 1]",
         (f"{ORACLE}[fedclf-compound]",),
+    ),
+    Mutant(
+        # Round W measures only if the next gate opens, which depends on
+        # the cell's feedback setting.
+        "group-shares-the-last-warmup-round",
+        "src/fedclf/server.py",
+        "min(experiment.selector.warmup - 1, experiment.cfg.rounds - 1)",
+        "min(experiment.selector.warmup, experiment.cfg.rounds - 1)",
+        (GROUP_FORK,),
+    ),
+    Mutant(
+        "fork-keeps-an-unmeasured-utility",
+        "src/fedclf/server.py",
+        "columns[name] if name in experiment.measured else np.nan",
+        "columns[name]",
+        (GROUP_FORK,),
+    ),
+    Mutant(
+        "fork-aliases-the-prefix-columns",
+        "src/fedclf/server.py",
+        "            getattr(state, name)[:] = columns[name]\n",
+        "            setattr(state, name, columns[name])\n",
+        (GROUP_FORK,),
+    ),
+    Mutant(
+        "next-group-built-while-the-last-is-kept",
+        "src/fedclf/server.py",
+        "        _open.clear()  # the last group's data goes before the next is built\n"
+        "        _open.append(_Group(key, build_partition(cfg)))\n",
+        "        _open[:] = [_Group(key, build_partition(cfg))]\n",
+        ("tests/test_server.py::test_a_battery_group_builds_its_data_once_and_keeps_one_group",),
     ),
     Mutant(
         "warmup-floor",

@@ -9,6 +9,7 @@ from enum import Enum
 import numpy as np
 import pytest
 
+import fedclf.server
 from fedclf.cli import _config_from_sources, build_parser, main
 from fedclf.dataset import PartitionSpec, SplitMode, load_dataset, save_dataset
 from fedclf.selection import FactorMode, Strategy
@@ -525,6 +526,41 @@ def test_battery_rerun_identical(tmp_path):
         assert run_cli("battery", str(spec), "--out", str(out)) == 0
         outputs.append((out / "battery.csv").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_battery_builds_each_groups_data_once_and_shares_its_warmup_rounds(
+    tmp_path, monkeypatch
+):
+    # K = 8 and k = 2 give W = 4 warmup rounds, so each (dataset, seed)
+    # group runs its first P = min(W - 1, R - 1) = 3 of R = 6 rounds once.
+    built, rounds = [], []
+    real_build = fedclf.server.build_partition
+    real_round = Experiment.run_round
+
+    def build_partition(cfg):
+        built.append((cfg.partition.split_mode, cfg.seed))
+        return real_build(cfg)
+
+    def run_round(self, round_index):
+        rounds.append(round_index)
+        return real_round(self, round_index)
+
+    monkeypatch.setattr(fedclf.server, "build_partition", build_partition)
+    monkeypatch.setattr(Experiment, "run_round", run_round)
+    spec = battery_spec(tmp_path, seeds="1,2")
+    set_spec_line(spec, "strategies", "strategies=" + ",".join(s.value for s in Strategy))
+    set_spec_line(spec, "datasets", "datasets=s10-equal,s10-nonequal")
+    out = tmp_path / "battery"
+    assert run_cli("battery", str(spec), "--out", str(out)) == 0
+    groups = [(mode, seed) for mode in SplitMode for seed in (1, 2)]
+    assert built == groups
+    shared, total = 3, 6
+    assert len(rounds) == 4 * shared + 24 * (total - shared)
+    rows = (out / "battery.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[1:3] for r in rows[:4]] == [
+        ["fedclf", "1"], ["fedclf", "2"], ["rawloss", "1"], ["rawloss", "2"]
+    ]
+    assert len(rows) == 24
 
 
 def test_battery_with_a_bad_out_fails_before_any_cell(tmp_path, capsys, monkeypatch):

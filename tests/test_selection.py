@@ -271,6 +271,25 @@ def test_random_strategy_is_repeatable():
     assert len(third) == 4
 
 
+def test_random_utilities_are_the_raw_loss_column_of_a_finished_run():
+    # A random run never measures its cohorts, so its loss column stays NaN;
+    # reading it must not fail the ranking's warmup check.
+    cfg = ExperimentConfig(
+        num_clients=8, select_k=2, rounds=8, synthetic_shape=(4, 3, 480),
+        partition=PartitionSpec(shard_size=10, split_mode=SplitMode.EQUAL, num_clients=8),
+        strategy=Strategy.RANDOM, feedback_enabled=False,
+    )
+    experiment = build_experiment(cfg)
+    experiment.run()
+    column = utilities(experiment.selector, GlobalTrend.empty(), 9)
+    assert np.isnan(column).all() and column.shape == (8,)
+    state = trained_selector(Strategy.RANDOM, {0: 3.0, 1: 1.0, 2: 2.0}, seed=4)
+    state.loss_utility[1] = np.nan
+    column = utilities(state, unit_trend(), 40)
+    np.testing.assert_array_equal(column, [3.0, np.nan, 2.0])
+    assert column is not state.loss_utility
+
+
 def test_gradnorm_strategy_uses_gradient_utilities():
     state = trained_selector(Strategy.GRAD_NORM, {0: 1.0, 1: 2.0, 2: 3.0})
     state.grad_norm_utility[0] = 9.0  # overrides loss ordering

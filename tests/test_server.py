@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import math
 import sys
 import tracemalloc
+import weakref
 from dataclasses import fields, replace
 from types import SimpleNamespace
 
@@ -561,6 +563,84 @@ def test_a_rounds_elapsed_time_includes_its_measurement(monkeypatch):
     measured = [r.selection_ran for r in history[1:]] + [True]
     assert [r.wall_time for r in history] == [float(m) for m in measured]
     assert clock[0] == sum(measured) < cfg.rounds
+
+
+# ------------------------------------------------------- battery groups
+
+
+def cell_outputs(cfg, experiment):
+    history = experiment.run()
+    return (
+        deterministic_csv_payload(run_log_csv(history)),
+        selection_log_csv(cfg, history),
+        summary_text(cfg, history),
+    )
+
+
+def group_cells(strategies, **overrides):
+    """One battery group's configs: K = 10 and k = 3 (four warmup rounds,
+    the last one padded); only ``fedclf`` runs with the feedback gate."""
+    base = small_config(
+        **{"num_clients": 10, "select_k": 3, "synthetic_shape": (4, 3, 1200), **overrides}
+    )
+    return [
+        replace(base, strategy=s, feedback_enabled=s is Strategy.FEDCLF) for s in strategies
+    ]
+
+
+GROUP_DATASETS = {
+    "s1-equal": PartitionSpec(1, SplitMode.EQUAL, 10),
+    "s60-nonequal": PartitionSpec(60, SplitMode.NONEQUAL, 10),
+}
+GROUP_CASES = {
+    "fedclf-first": (list(Strategy), {}),
+    "random-first": (list(reversed(Strategy)), {}),
+    "no-warmup": (list(Strategy), dict(warmup_enabled=False)),
+    "compound": (list(Strategy), dict(compound_factors=True)),
+    "rounds-below-warmup": (list(Strategy), dict(rounds=3)),
+    "k-equals-K": (list(Strategy), dict(select_k=10)),
+}
+
+
+@pytest.mark.parametrize("dataset", sorted(GROUP_DATASETS))
+@pytest.mark.parametrize("case", sorted(GROUP_CASES))
+def test_a_cell_built_in_a_battery_group_equals_the_cell_alone(case, dataset):
+    strategies, overrides = GROUP_CASES[case]
+    cfgs = group_cells(strategies, partition=GROUP_DATASETS[dataset], **overrides)
+    with fedclf.server.battery_groups():
+        grouped = [build_experiment(cfg) for cfg in cfgs[:2]]
+        grouped[0].run()  # the group's shared rounds run before a later build
+        grouped += [build_experiment(cfg) for cfg in cfgs[2:]]
+        outputs = [cell_outputs(cfg, e) for cfg, e in zip(cfgs, grouped)]
+    for cfg, experiment, output in zip(cfgs, grouped, outputs):
+        alone = build_experiment(cfg)
+        assert output == cell_outputs(cfg, alone), cfg.strategy
+        for name, column in vars(alone.selector).items():
+            if isinstance(column, np.ndarray):
+                np.testing.assert_array_equal(
+                    getattr(experiment.selector, name), column, err_msg=name
+                )
+
+
+def test_a_battery_group_builds_its_data_once_and_keeps_one_group(monkeypatch):
+    built = []
+    real_build = fedclf.server.build_partition
+
+    def build_partition(cfg):
+        gc.collect()  # the previous group's data must be gone by now
+        assert [ref() for ref in built] == [None] * len(built)
+        clients, test = real_build(cfg)
+        built.extend((weakref.ref(clients[0]), weakref.ref(test)))
+        return clients, test
+
+    monkeypatch.setattr(fedclf.server, "build_partition", build_partition)
+    cfgs = group_cells(list(Strategy))
+    with fedclf.server.battery_groups():
+        for seed in (1, 2):
+            for cfg in cfgs:
+                build_experiment(replace(cfg, seed=seed)).run()
+    assert len(built) == 2 * 2
+    assert fedclf.server._open is None
 
 
 def plain_clients():
