@@ -456,8 +456,7 @@ class _Group:
     the state its shared rounds end in once one of its experiments has run
     them."""
 
-    def __init__(self, key: ExperimentConfig, data: tuple[list[ClientDataset], LabeledDataset]):
-        self.key = key
+    def __init__(self, data: tuple[list[ClientDataset], LabeledDataset]):
         self.data = data
         self.prefix: tuple[ModelParams, list[RoundRecord], dict[str, np.ndarray]] | None = None
 
@@ -486,8 +485,11 @@ class _Group:
             getattr(state, name)[:] = columns[name]
 
 
-# Inside ``battery_groups``: the group built last, once there is one.
-_open: list[_Group] | None = None
+# Inside ``battery_groups``: the group built last, keyed by its configs with
+# ``strategy`` and ``feedback_enabled`` set to fixed values.  It is module
+# state because a battery's cells reach ``build_experiment`` only through
+# ``run_experiment``.
+_open: dict[ExperimentConfig, _Group] | None = None
 
 
 @contextmanager
@@ -503,7 +505,7 @@ def battery_groups() -> Iterator[None]:
     group's data at a time.
     """
     global _open
-    outer, _open = _open, []
+    outer, _open = _open, {}
     try:
         yield
     finally:
@@ -550,11 +552,12 @@ def build_experiment(cfg: ExperimentConfig) -> Experiment:
     if _open is None:
         return Experiment(cfg, *build_partition(cfg))
     key = replace(cfg, strategy=Strategy.FEDCLF, feedback_enabled=True)
-    if not _open or _open[0].key != key:
+    group = _open.get(key)
+    if group is None:
         _open.clear()  # the last group's data goes before the next is built
-        _open.append(_Group(key, build_partition(cfg)))
-    experiment = Experiment(cfg, *_open[0].data)
-    experiment._group = _open[0]
+        group = _open[key] = _Group(build_partition(cfg))
+    experiment = Experiment(cfg, *group.data)
+    experiment._group = group
     return experiment
 
 
