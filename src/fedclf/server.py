@@ -369,8 +369,9 @@ class Experiment:
 
         The cohort trains in one stacked call, rows in client-id order.  When
         the next round's gate opens, or this is the last round, the cohort is
-        then measured at the model it received, for the utilities its
-        strategy ranks by, and the record's ``wall_time`` includes that.  A
+        then measured at the model it received, for the utilities
+        ``measured`` names (its strategy's, or every strategy's in a group's
+        shared rounds), and the record's ``wall_time`` includes that.  A
         non-finite update or utility raises ``NonFiniteUpdateError`` naming
         this round; a non-finite utility is found after this round's record
         is appended.
