@@ -135,6 +135,32 @@ def test_partition_report_bytes_are_pinned(tmp_path, mode, digest):
     assert hashlib.sha256((out / "report.csv").read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    ("mode", "digest"),
+    [
+        ("equal", "780f6fb0ed97fc5c537682c5efe749b4ab2ec4c0ff1c074378f8df3f14ba2bd5"),
+        ("nonequal", "96c5375a08d6991e2a50012303161da0db434709cbbf8ed7237d1ef4da7725c7"),
+    ],
+    ids=["equal", "nonequal"],
+)
+def test_partition_shard_bytes_are_pinned(tmp_path, mode, digest):
+    # One digest over every shard file, name then bytes, in name order.
+    # Recorded while each client was a view object of its own; the shard
+    # files use no BLAS, so the digests hold on any machine.
+    out = tmp_path / mode
+    assert run_cli(
+        "partition", "--synthetic", "4x3x400", "--S", "10", "--clients", "8",
+        "--mode", mode, "--seed", "9", "--out", str(out),
+    ) == 0
+    sha = hashlib.sha256()
+    shards = sorted(out.glob("client_*.fedds"))
+    for path in shards:
+        sha.update(path.name.encode())
+        sha.update(path.read_bytes())
+    assert len(shards) == 8
+    assert sha.hexdigest() == digest
+
+
 def test_partition_shards_are_the_runs_training_shards(tmp_path):
     # Three clients: the default select_k of 5 would not validate, and the
     # partition command must not need it.  The second case sets the two data
