@@ -2,10 +2,10 @@
 
 from .client import NonFiniteUpdateError, client_update
 from .dataset import (
-    ClientDataset,
     LabelDistribution,
     LabeledDataset,
     PartitionSpec,
+    Shards,
     SplitMode,
     emd,
     label_distribution,

@@ -168,15 +168,15 @@ def cmd_partition(args: argparse.Namespace) -> int:
     if (args.input is None) == (args.synthetic is None):
         raise ValueError("give exactly one of --input FILE or --synthetic CxFxN")
     check_out_dir(args.out)
-    clients, _ = build_partition(_config_from_sources(args))
+    shards, _ = build_partition(_config_from_sources(args))
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)
-    for client in clients:
-        save_dataset(client.data, out / f"client_{client.client_id:03d}.fedds")
+    for client_id, shard in enumerate(shards):
+        save_dataset(shard, out / f"client_{client_id:03d}.fedds")
     # The shards pool to the training split's labels: the EMD reference.
-    report = partition_report(clients, label_distribution(*(c.data for c in clients)))
+    report = partition_report(shards, label_distribution(shards.data))
     (out / "report.csv").write_text(report)
-    print(f"wrote {len(clients)} shard files and report.csv to {out}")
+    print(f"wrote {len(shards)} shard files and report.csv to {out}")
     print(report.splitlines()[-1])
     return 0
 

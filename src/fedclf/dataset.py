@@ -4,9 +4,11 @@ Client shards are produced by sorting the training set by label, cutting it
 into shards of a configurable size ``S``, shuffling the shards, and dealing
 them to clients.  Large shards concentrate few classes per client; ``S=1``
 degenerates to a uniform random split.  The deal is computed as one
-client-ordered index into the dealt rows, the data is gathered through it
-once, and each client holds a read-only view of its consecutive block of the
-gathered arrays.  Skew is quantified per client as the L1 distance between
+client-ordered index into the dealt rows, and the data is gathered through it
+once into one read-only dataset.  The result is a ``Shards``: that dataset
+and the ``K + 1`` offsets of its clients' consecutive row ranges, client
+``i``'s id being ``i``.  No per-client object is kept; a client's view is
+built when it is read.  Skew is quantified per client as the L1 distance between
 its label distribution and a reference distribution (normally the label
 distribution of the full training set, which the dealt shards pool to).
 
@@ -19,7 +21,7 @@ little-endian uint32 label.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -29,7 +31,7 @@ __all__ = [
     "ConfigurationError",
     "DatasetFormatError",
     "LabeledDataset",
-    "ClientDataset",
+    "Shards",
     "LabelDistribution",
     "PartitionSpec",
     "SplitMode",
@@ -101,49 +103,57 @@ class LabeledDataset:
     def num_features(self) -> int:
         return self.features.shape[1]
 
-    def blocks(self, sizes) -> list["LabeledDataset"]:
-        """Views of consecutive row blocks of ``sizes[i]`` rows each.
-
-        Checks once that every size is at least one and that the sizes sum
-        to the rows; every other check a block's constructor would make
-        holds for each block of this checked dataset, so the views are
-        built without rerunning them.
-        """
-        sizes = np.asarray(sizes, dtype=np.int64)
-        if not sizes.size or sizes.min() < 1 or sizes.sum() != self.num_samples:
-            raise ValueError(f"block sizes {sizes.tolist()} for {self.num_samples} samples")
-        ends = np.cumsum(sizes).tolist()
-        views = []
-        for start, end in zip([0, *ends[:-1]], ends):
-            view = object.__new__(LabeledDataset)
-            view.__dict__.update(
-                features=self.features[start:end],
-                labels=self.labels[start:end],
-                num_classes=self.num_classes,
-            )
-            views.append(view)
-        return views
-
     def subset(self, indices: np.ndarray) -> "LabeledDataset":
+        """The rows at integer ``indices``, gathered in their order.  Any
+        other index (a boolean mask, a float) raises ``TypeError``."""
+        indices = np.asarray(indices)
+        if indices.dtype.kind not in "iu":
+            raise TypeError(f"row indices must be integers, got dtype {indices.dtype}")
+        # np.take copies whole rows faster than fancy indexing does.
         return LabeledDataset(
-            self.features[indices], self.labels[indices], self.num_classes
+            np.take(self.features, indices, axis=0), np.take(self.labels, indices), self.num_classes
         )
 
 
 @dataclass(frozen=True)
-class ClientDataset:
-    """One client's local shard; ``n_k`` is its sample count."""
+class Shards:
+    """Every client's shard as a row range of one dataset: client ``i``
+    holds rows ``offsets[i]`` to ``offsets[i + 1]`` of ``data``.
 
-    client_id: int
+    ``offsets`` has ``K + 1`` entries, from 0 to the rows of ``data``.  It
+    is checked once, when built, that every count is at least one and that
+    the counts cover the rows; ``n_k`` holds the counts.  Both are
+    read-only int64 arrays.  ``shards[i]`` is client ``i``'s read-only view
+    of ``data``, built on each read; iterating yields every client's.
+    """
+
     data: LabeledDataset
+    offsets: np.ndarray
+    n_k: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.data.num_samples < 1:
-            raise ValueError(f"client {self.client_id} received an empty shard")
+        offsets = np.array(self.offsets, dtype=np.int64).reshape(-1)
+        n_k = np.diff(offsets)
+        total = self.data.num_samples
+        if not n_k.size or offsets[0] != 0 or n_k.min() < 1 or offsets[-1] != total:
+            start = f" from row {offsets[0]}" if offsets.size and offsets[0] else ""
+            raise ValueError(f"shard sizes {n_k.tolist()}{start} for {total} samples")
+        offsets.flags.writeable = n_k.flags.writeable = False
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "n_k", n_k)
 
-    @property
-    def n_k(self) -> int:
-        return self.data.num_samples
+    def __len__(self) -> int:
+        return self.n_k.size
+
+    def __getitem__(self, i: int) -> LabeledDataset:
+        i = range(len(self))[i]  # an IndexError past either end
+        start, end = self.offsets[i], self.offsets[i + 1]
+        features, labels = self.data.features[start:end], self.data.labels[start:end]
+        features.flags.writeable = labels.flags.writeable = False
+        # A range of a checked dataset passes every check, so none is rerun.
+        view = object.__new__(LabeledDataset)
+        view.__dict__.update(features=features, labels=labels, num_classes=self.data.num_classes)
+        return view
 
 
 @dataclass(frozen=True)
@@ -239,7 +249,7 @@ def _nonequal_counts(total: int, spec: PartitionSpec, rng) -> np.ndarray:
 
 def partition(
     dataset: LabeledDataset, spec: PartitionSpec, rows: np.ndarray | None = None
-) -> list[ClientDataset]:
+) -> Shards:
     """Deal ``rows`` of ``dataset`` (all of it when ``None``) to
     ``spec.num_clients`` clients via sort-and-shard.
 
@@ -257,8 +267,8 @@ def partition(
 
     Either way the deal is one client-ordered index into the dealt rows.  It
     is composed with ``rows``, so features and labels are gathered once,
-    straight from ``dataset``, into read-only arrays, and client ``i`` holds a
-    view of its consecutive block of them (see ``LabeledDataset.blocks``).
+    straight from ``dataset``, into read-only arrays, and client ``i`` holds
+    its consecutive row range of them (see ``Shards``).
     Dealing ``rows`` gives the shards of ``partition(dataset.subset(rows),
     spec)`` bit for bit, without the subset's copy.  The union of client
     samples is always exactly the multiset of the dealt rows, and the result
@@ -306,8 +316,8 @@ def partition(
     features = np.take(dataset.features, index, axis=0)
     labels = np.take(dataset.labels, index)
     features.flags.writeable = labels.flags.writeable = False
-    blocks = LabeledDataset(features, labels, dataset.num_classes).blocks(counts)
-    return [ClientDataset(client_id=i, data=block) for i, block in enumerate(blocks)]
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    return Shards(LabeledDataset(features, labels, dataset.num_classes), offsets)
 
 
 def make_synthetic(
@@ -440,15 +450,13 @@ def load_dataset(path: str | Path) -> LabeledDataset:
     return LabeledDataset(features, labels, num_classes)
 
 
-def partition_report(
-    clients: list[ClientDataset], reference: LabelDistribution
-) -> str:
+def partition_report(shards: Shards, reference: LabelDistribution) -> str:
     """CSV report: one ``client_id,n_k,emd`` row per client plus a mean row."""
     lines = ["client_id,n_k,emd"]
     values = []
-    for client in clients:
-        value = emd(label_distribution(client.data), reference)
+    for client_id, (shard, n_k) in enumerate(zip(shards, shards.n_k.tolist())):
+        value = emd(label_distribution(shard), reference)
         values.append(value)
-        lines.append(f"{client.client_id},{client.n_k},{value:.10f}")
+        lines.append(f"{client_id},{n_k},{value:.10f}")
     lines.append(f"mean,,{float(np.mean(values)):.10f}")
     return "\n".join(lines) + "\n"

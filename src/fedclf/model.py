@@ -29,8 +29,10 @@ kept as ``(g, b, .)`` blocks, so each layer is one plain stacked ``@``
 without a per-run loop (paired benchmark runs measured that loop's overhead
 on equal-size cohorts).  Each model's results are bitwise equal to running
 it alone.
-``sgd_epochs`` builds every step's stack once per call: a slice of the
-cohort's gathered schedule (checked once), its runs and its one-hot targets;
+``sgd_epochs`` takes the cohort as row ranges of one dataset and builds
+every step's stack once per call: a slice of the cohort's schedule, gathered
+from that dataset by global row index (checked once), its runs and its
+one-hot targets;
 ``gradient`` subtracts the targets, bitwise ``delta[i, y_i] -= 1.0``.
 
 ``evaluate`` and ``gradient`` share the forward pass up to the last matmul.
@@ -189,16 +191,6 @@ class SampleStack:
             runs=runs, targets=targets,
         )
         return stack
-
-    @classmethod
-    def of(cls, shards: Sequence) -> "SampleStack":
-        """Stack datasets (anything with features/labels/num_classes), in order."""
-        return cls(
-            np.concatenate([s.features for s in shards]),
-            np.concatenate([s.labels for s in shards]),
-            tuple(len(s.labels) for s in shards),
-            max(s.num_classes for s in shards),
-        )
 
     @property
     def num_samples(self) -> int:
@@ -485,27 +477,36 @@ def gradient(params: ModelParams, data) -> np.ndarray:
 
 
 def sgd_epochs(
-    params: ModelParams, shards: Sequence, cfg: TrainConfig, seeds: Sequence[int]
+    params: ModelParams,
+    data,
+    starts: Sequence[int],
+    counts: Sequence[int],
+    cfg: TrainConfig,
+    seeds: Sequence[int],
 ) -> ModelParams:
     """Run ``cfg.epochs`` epochs of seeded mini-batch SGD on every shard, each
     model starting from ``params``; returns the ``(g, P)`` stack of trained
-    parameters, row ``i`` for ``shards[i]`` trained under ``seeds[i]``.
+    parameters, row ``i`` for the shard of ``counts[i]`` rows of ``data``
+    from row ``starts[i]``, trained under ``seeds[i]``.
 
     Each shard's schedule is drawn as when trained alone (one
-    ``permutation(n)`` per epoch from ``default_rng(seed)``) and gathered
-    once, step-major: step ``j``'s batches of every model still training
-    lie back to back in one sample array.  The models train in order of
-    decreasing shard size, so those still training at any step are a prefix
-    of the stack, and at each step they take one stacked gradient step on
-    that step's ragged ``SampleStack``, sliced from the array and its one-hot
-    targets.  A negative label raises ``ValueError``, one of ``C`` or more ``IndexError``.
+    ``permutation(n)`` per epoch from ``default_rng(seed)``), shifted to the
+    shard's rows of ``data`` and gathered once, straight from ``data``,
+    step-major: step ``j``'s batches of every model still training lie back
+    to back in one sample array.  The models train in order of decreasing
+    shard size, so those still training at any step are a prefix of the
+    stack, and at each step they take one stacked gradient step on that
+    step's ragged ``SampleStack``, sliced from the array and its one-hot
+    targets.  A row range outside ``data`` raises ``ValueError``, as does a
+    negative label; one of ``C`` or more raises ``IndexError``.
     """
-    if len(shards) != len(seeds):
-        raise ValueError(f"{len(shards)} shards but {len(seeds)} seeds")
-    dims = _check_data(params, *shards)
-    counts = [shard.num_samples for shard in shards]
-    order = sorted(range(len(shards)), key=counts.__getitem__, reverse=True)  # stable
-    offset = 0
+    if not len(starts) == len(counts) == len(seeds):
+        raise ValueError(f"{len(starts)} starts, {len(counts)} counts but {len(seeds)} seeds")
+    dims = _check_data(params, data)
+    ends = [start + n for start, n in zip(starts, counts)]
+    if len(counts) == 0 or min(counts) < 1 or min(starts) < 0 or max(ends) > data.num_samples:
+        raise ValueError(f"row ranges {list(zip(starts, ends))} of {data.num_samples} samples")
+    order = sorted(range(len(counts)), key=counts.__getitem__, reverse=True)  # stable
     steps: list[list[np.ndarray]] = []  # per step, each training model's batch
     for i in order:
         rng = np.random.default_rng(seeds[i])
@@ -513,21 +514,20 @@ def sgd_epochs(
         batch = min(cfg.batch_size, n)
         step = 0
         for _ in range(cfg.epochs):
-            perm = rng.permutation(n) + offset
+            perm = rng.permutation(n) + starts[i]
             for start in range(0, n, batch):
                 if step == len(steps):
                     steps.append([])
                 steps[step].append(perm[start : start + batch])
                 step += 1
-        offset += n
     index = np.concatenate([rows for step in steps for rows in step])
-    x = np.concatenate([shards[i].features for i in order]).take(index, axis=0)
-    y = np.concatenate([shards[i].labels for i in order])[index]
+    x = data.features.take(index, axis=0)
+    y = data.labels.take(index)
     if y.min() < 0:
         raise ValueError(f"negative label {y.min()} in a shard")
-    num_classes = max(shard.num_classes for shard in shards)
+    num_classes = data.num_classes
     targets = np.eye(dims[-1]).take(y, axis=0)  # a label of C or more raises IndexError
-    values = np.repeat(params.values[None], len(shards), axis=0)
+    values = np.repeat(params.values[None], len(counts), axis=0)
     models = {g: ModelParams(values[:g], params.shape_tag) for g in {len(step) for step in steps}}
     runs, end = {}, 0
     for step in steps:

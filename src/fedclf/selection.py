@@ -29,7 +29,6 @@ from enum import Enum
 
 import numpy as np
 
-from .dataset import ClientDataset
 from .seeds import split_seed
 
 __all__ = [
@@ -127,32 +126,29 @@ class SelectorState:
 
 def make_selector(
     strategy: Strategy,
-    clients: list[ClientDataset],
+    n_k: np.ndarray,
     k: int,
     rng_seed: int,
     factor_mode: FactorMode = FactorMode.LOSS_RATIO,
     warmup_enabled: bool = True,
     compound_factors: bool = False,
 ) -> SelectorState:
-    """Build a selector that picks ``k`` of ``clients``, whose ids must be
-    ``0..K-1``.  With warmup enabled, the first ``ceil(K / k)`` rounds are
-    warmup rounds.
+    """Build a selector that picks ``k`` of the ``K`` clients whose sample
+    counts are ``n_k``, client ``i``'s at position ``i``.  With warmup
+    enabled, the first ``ceil(K / k)`` rounds are warmup rounds.
 
     For the Oort-style baseline, per-client round durations are simulated
     once from a seeded lognormal; clients slower than the median duration
     are penalized by ``(median / duration) ** OORT_PENALTY_ALPHA``.
     """
-    ids = [c.client_id for c in clients]
-    if sorted(ids) != list(range(len(ids))):
-        raise SelectionError(f"client ids must be 0..{len(ids) - 1}, got {sorted(ids)}")
-    if not 1 <= k <= len(ids):
-        raise ValueError(f"need 1 <= k <= K, got k={k}, K={len(ids)}")
-    n_k = np.zeros(len(ids), dtype=np.int64)
-    n_k[ids] = [c.n_k for c in clients]
-    penalty = np.ones(len(ids))
+    n_k = np.array(n_k, dtype=np.int64)  # the selector's own column
+    num_clients = n_k.size
+    if not 1 <= k <= num_clients:
+        raise ValueError(f"need 1 <= k <= K, got k={k}, K={num_clients}")
+    penalty = np.ones(num_clients)
     if strategy is Strategy.OORT_LIKE:
         rng = np.random.default_rng(split_seed(rng_seed, "durations"))
-        durations = rng.lognormal(mean=math.log(10.0), sigma=0.5, size=len(ids))
+        durations = rng.lognormal(mean=math.log(10.0), sigma=0.5, size=num_clients)
         preferred = float(np.median(durations))
         # Python's ``**`` (libm pow): numpy squares, which can differ in the
         # last bit.
@@ -166,13 +162,13 @@ def make_selector(
         rng_seed=rng_seed,
         factor_mode=factor_mode,
         k=k,
-        warmup=math.ceil(len(ids) / k) if warmup_enabled else 0,
+        warmup=math.ceil(num_clients / k) if warmup_enabled else 0,
         compound_factors=compound_factors,
         n_k=n_k,
         oort_penalty=penalty,
-        sampled_once=np.zeros(len(ids), dtype=bool),
-        last_round_selected=np.zeros(len(ids), dtype=bool),
-        **{name: np.full(len(ids), np.nan) for name in nan_columns},
+        sampled_once=np.zeros(num_clients, dtype=bool),
+        last_round_selected=np.zeros(num_clients, dtype=bool),
+        **{name: np.full(num_clients, np.nan) for name in nan_columns},
     )
 
 

@@ -32,6 +32,11 @@ The gate resamples only when test accuracy strictly declined between the last
 two rounds; rounds 1 and 2 and every warmup round always select.  Disabling
 feedback selects every round.
 
+The clients are the row ranges of one ``Shards``, client ``i`` the ``i``-th:
+a round passes its cohort to ``client_update`` and ``measure_utilities`` as
+ids, and weights aggregation by ``n_k[ids]``.  No per-client object is built
+when an experiment is set up or in a round.
+
 Determinism: all randomness is derived from the experiment seed via
 ``seeds.split_seed``, and client results are aggregated in client-id order.
 The cohort trains as one stacked block under the experiment's one
@@ -58,9 +63,9 @@ import numpy as np
 
 from .client import NonFiniteUpdateError, client_update, measure_utilities
 from .dataset import (
-    ClientDataset,
     LabeledDataset,
     PartitionSpec,
+    Shards,
     SplitMode,
     load_dataset,
     make_synthetic,
@@ -315,23 +320,17 @@ def moving_average(acc_history: Sequence[float], round_index: int, window: int) 
 class Experiment:
     """One configured run over pre-built client shards and a test set.
 
-    ``train_cfg`` is ``cfg.validate()``.  ``test_stack`` is the test split
-    as a one-block ``SampleStack`` over its own arrays, built once.
+    ``train_cfg`` is ``cfg.validate()``.  ``shards`` holds every client's
+    rows.  ``test_stack`` is the test split as a one-block ``SampleStack``
+    over its own arrays, built once.
     """
 
-    def __init__(
-        self,
-        cfg: ExperimentConfig,
-        clients: list[ClientDataset],
-        test_data: LabeledDataset,
-    ):
+    def __init__(self, cfg: ExperimentConfig, shards: Shards, test_data: LabeledDataset):
         self.train_cfg = cfg.validate()
-        if len(clients) != cfg.num_clients:
-            raise ValueError(
-                f"{len(clients)} client shards for K={cfg.num_clients}"
-            )
+        if len(shards) != cfg.num_clients:
+            raise ValueError(f"{len(shards)} client shards for K={cfg.num_clients}")
         self.cfg = cfg
-        self.clients = {c.client_id: c for c in clients}
+        self.shards = shards
         self.test_stack = SampleStack(
             test_data.features, test_data.labels, (test_data.num_samples,), test_data.num_classes
         )
@@ -341,7 +340,7 @@ class Experiment:
         self.params = init_params(full_tag, split_seed(cfg.seed, "init"))
         self.selector: SelectorState = make_selector(
             cfg.strategy,
-            clients,
+            shards.n_k,
             cfg.select_k,
             split_seed(cfg.seed, "selection"),
             factor_mode=cfg.factor_mode,
@@ -388,12 +387,11 @@ class Experiment:
             selected = self.history[-1].selected_ids
 
         ids = sorted(selected)
-        cohort = [self.clients[cid] for cid in ids]
         seeds = [split_seed(cfg.seed, f"train-r{round_index}", cid) for cid in ids]
         received = self.params
         try:
-            trained, deltas = client_update(cohort, received, self.train_cfg, seeds)
-            self.params = aggregate(trained, [c.n_k for c in cohort])
+            trained, deltas = client_update(self.shards, ids, received, self.train_cfg, seeds)
+            self.params = aggregate(trained, self.shards.n_k[ids].tolist())
             accuracy, loss = self._test_metrics()
             window = cfg.moving_avg_window
             recent = [r.test_accuracy for r in self.history[max(0, round_index - window) :]]
@@ -415,7 +413,7 @@ class Experiment:
                 want_grad_norm = "grad_norm_utility" in measured
                 utilities = None, None
                 if measured:
-                    utilities = measure_utilities(cohort, received, want_grad_norm)
+                    utilities = measure_utilities(self.shards, ids, received, want_grad_norm)
                 if round_index == 1:
                     anchor = self.initial_metrics
                 else:
@@ -457,7 +455,7 @@ class _Group:
     the state its shared rounds end in once one of its experiments has run
     them."""
 
-    def __init__(self, data: tuple[list[ClientDataset], LabeledDataset]):
+    def __init__(self, data: tuple[Shards, LabeledDataset]):
         self.data = data
         self.prefix: tuple[ModelParams, list[RoundRecord], dict[str, np.ndarray]] | None = None
 
@@ -513,7 +511,7 @@ def battery_groups() -> Iterator[None]:
         _open = outer
 
 
-def build_partition(cfg: ExperimentConfig) -> tuple[list[ClientDataset], LabeledDataset]:
+def build_partition(cfg: ExperimentConfig) -> tuple[Shards, LabeledDataset]:
     """The run's client shards and test split.
 
     Reads only the data, seed, client-count and partition settings of

@@ -45,6 +45,8 @@ GRAD_ORACLE = "tests/test_model.py::test_gradient_equals_row_wise_reference_bitw
 RAGGED_EVAL_ORACLE = "tests/test_model.py::test_evaluate_on_a_ragged_stack_equals_each_block_alone_bitwise"
 RAGGED_GRAD_ORACLE = "tests/test_model.py::test_gradient_on_a_ragged_stack_equals_each_block_alone_bitwise"
 SGD_ORACLE = "tests/test_model.py::test_cohort_sgd_equals_plain_per_client_loop"
+SHARD_BYTES = "tests/test_cli.py::test_partition_shard_bytes_are_pinned"
+NONEQUAL_GOLDEN = "tests/test_golden.py::test_golden_outputs_unchanged[softmax/s60-nonequal/fedclf]"
 CLASS_SUM_ORACLE = "tests/test_model.py::test_class_sum_is_numpy_row_sum_bitwise_at_every_class_count"
 WIDE_EVAL_ORACLE = "tests/test_model.py::test_evaluate_equals_row_wise_reference_at_wide_class_counts"
 GROUP_FORK = "tests/test_server.py::test_a_cell_built_in_a_battery_group_equals_the_cell_alone"
@@ -53,8 +55,8 @@ MUTANTS = (
     Mutant(
         "measure-at-aggregated-model",
         "src/fedclf/server.py",
-        "measure_utilities(cohort, received,",
-        "measure_utilities(cohort, self.params,",
+        "measure_utilities(self.shards, ids, received,",
+        "measure_utilities(self.shards, ids, self.params,",
         (f"{ORACLE}[fedclf-feedback]",),
     ),
     Mutant(
@@ -152,8 +154,8 @@ MUTANTS = (
     Mutant(
         "warmup-floor",
         "src/fedclf/selection.py",
-        "math.ceil(len(ids) / k)",
-        "len(ids) // k",
+        "math.ceil(num_clients / k)",
+        "num_clients // k",
         ("tests/test_selection.py::test_warmup_rounds_ceil",),
     ),
     Mutant(
@@ -220,6 +222,15 @@ MUTANTS = (
         "num_classes, runs[sizes], targets[start:end]",
         "num_classes, runs.setdefault(len(sizes), runs[sizes]), targets[start:end]",
         (SGD_ORACLE,),
+    ),
+    Mutant(
+        # Each schedule shifted by the rows of the shards trained before it,
+        # as if the cohort had been gathered first, not by its global start.
+        "sgd-at-cohort-local-offsets",
+        "src/fedclf/model.py",
+        "perm = rng.permutation(n) + starts[i]",
+        "perm = rng.permutation(n) + sum(counts[j] for j in order[: order.index(i)])",
+        (SGD_ORACLE, NONEQUAL_GOLDEN),
     ),
     Mutant(
         "negative-label-in-a-shard-accepted",
@@ -396,6 +407,21 @@ MUTANTS = (
         ("tests/test_dataset.py::test_partition_of_given_rows_equals_partition_of_their_subset",),
     ),
     Mutant(
+        "views-start-one-client-late",
+        "src/fedclf/dataset.py",
+        "i = range(len(self))[i]",
+        "i = range(len(self))[i - len(self) + 1]",
+        (SHARD_BYTES,),
+    ),
+    Mutant(
+        "shards-materialise-every-view",
+        "src/fedclf/dataset.py",
+        '        object.__setattr__(self, "n_k", n_k)\n',
+        '        object.__setattr__(self, "n_k", n_k)\n'
+        '        object.__setattr__(self, "views", [self[i] for i in range(len(self))])\n',
+        ("tests/test_server.py::test_no_per_client_object_is_built_at_setup_or_in_a_round",),
+    ),
+    Mutant(
         "synthetic-leftover-rows-get-last-means",
         "src/fedclf/dataset.py",
         "features[whole:] += means[:rest]",
@@ -421,7 +447,7 @@ MUTANTS = (
     Mutant(
         "partition-report-against-test-split",
         "src/fedclf/cli.py",
-        "label_distribution(*(c.data for c in clients))",
+        "label_distribution(shards.data)",
         "label_distribution(build_partition(_config_from_sources(args))[1])",
         ("tests/test_cli.py::test_partition_report_bytes_are_pinned",),
     ),

@@ -21,7 +21,6 @@ import fedclf.server
 from fedclf.cli import main as cli_main
 from fedclf.client import client_update, measure_utilities
 from fedclf.dataset import (
-    ClientDataset,
     PartitionSpec,
     SplitMode,
     label_distribution,
@@ -51,6 +50,7 @@ from fedclf.server import (
     moving_average,
     run_experiment,
 )
+from test_dataset import shards_of
 from test_model import grad_check
 
 SEEDS = tuple(range(1, 11))
@@ -164,10 +164,10 @@ def test_criterion_3_loss_utility_and_calibration():
     worst = 0.0
     for trial in range(50):
         n = int(rng.integers(1, 40))
-        client = ClientDataset(0, make_synthetic(n, 4, 3, seed=trial))
+        client = make_synthetic(n, 4, 3, seed=trial)
         params = init_params(softmax_tag(4, 3), seed=trial)
-        [utility], _ = measure_utilities([client], params)
-        losses = evaluate(params, client.data).per_sample_losses
+        [utility], _ = measure_utilities(shards_of([client]), [0], params)
+        losses = evaluate(params, client).per_sample_losses
         expected = n * math.sqrt(sum(v * v for v in losses) / n)
         worst = max(worst, abs(float(utility) - expected))
     rms_ok = worst <= 1e-9
@@ -175,7 +175,7 @@ def test_criterion_3_loss_utility_and_calibration():
     # Unit correction factor is the identity.
     unit = GlobalTrend(acc_prev=0.5, acc_prev2=0.5, loss_prev=1.3, loss_prev2=1.3)
     stale = [0.0, 0.37, 12.5]
-    clients = [ClientDataset(i, make_synthetic(2, 2, 2, seed=i)) for i in range(4)]
+    clients = np.full(4, 2)  # four clients' sample counts
     identity_ok = True
     for mode in FactorMode:
         state = make_selector(Strategy.FEDCLF, clients, 1, rng_seed=0, factor_mode=mode)
@@ -188,7 +188,7 @@ def test_criterion_3_loss_utility_and_calibration():
     for trial in range(100):
         size = int(rng.integers(3, 30))
         k = int(rng.integers(1, size + 1))
-        clients = [ClientDataset(i, make_synthetic(2, 2, 2, seed=i)) for i in range(size)]
+        clients = np.full(size, 2)
         values = [float(rng.uniform(0.05, 20.0)) for _ in range(size)]
         last = {int(c) for c in rng.choice(size, size=k, replace=False)}
         pair = []
@@ -217,8 +217,7 @@ def test_criterion_3_loss_utility_and_calibration():
 def test_criterion_4_unique_sampling_coverage():
     failures = 0
     for seed in range(20):
-        clients = [ClientDataset(i, make_synthetic(2, 2, 2, seed=i)) for i in range(50)]
-        state = make_selector(Strategy.FEDCLF, clients, 5, rng_seed=seed)
+        state = make_selector(Strategy.FEDCLF, np.full(50, 2), 5, rng_seed=seed)
         rounds = [select(state, r, GlobalTrend.empty()) for r in range(1, 11)]
         disjoint = all(
             not (rounds[i] & rounds[j])
@@ -386,9 +385,11 @@ def test_criterion_10_determinism(tmp_path, monkeypatch):
     )
     stacked = run_experiment(cfg)
 
-    def one_at_a_time(clients, params, cfg, seeds):
+    def one_at_a_time(shards, ids, params, cfg, seeds):
         """Reference dispatch: each client trains alone; rows are restacked."""
-        singles = [client_update([c], params, cfg, [s]) for c, s in zip(clients, seeds)]
+        singles = [
+            client_update(shards_of([shards[c]]), [0], params, cfg, [s]) for c, s in zip(ids, seeds)
+        ]
         return (
             ModelParams(np.concatenate([s[0].values for s in singles]), params.shape_tag),
             np.concatenate([s[1] for s in singles]),

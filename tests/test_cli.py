@@ -178,10 +178,10 @@ def test_partition_shards_are_the_runs_training_shards(tmp_path):
         assert run_cli("partition", *flags, "--out", str(out)) == 0
         args = build_parser().parse_args(["run", *flags, "--select-k", "2"])
         experiment = build_experiment(_config_from_sources(args))
-        assert len(list(out.glob("client_*.fedds"))) == len(experiment.clients) == 3
-        for cid, client in experiment.clients.items():
+        assert len(list(out.glob("client_*.fedds"))) == len(experiment.shards) == 3
+        for cid, shard in enumerate(experiment.shards):
             expected = out / f"run_{cid:03d}.fedds"
-            save_dataset(client.data, expected)
+            save_dataset(shard, expected)
             written = (out / f"client_{cid:03d}.fedds").read_bytes()
             assert written == expected.read_bytes()
 

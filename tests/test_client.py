@@ -18,7 +18,7 @@ from fedclf.client import (
     measure_utilities,
     rms_utility,
 )
-from fedclf.dataset import ClientDataset, LabeledDataset, make_synthetic
+from fedclf.dataset import LabeledDataset, Shards, make_synthetic
 from fedclf.model import (
     SampleStack,
     TrainConfig,
@@ -27,23 +27,32 @@ from fedclf.model import (
     mlp_tag,
     softmax_tag,
 )
+from test_dataset import shards_of
 from test_model import at_odd_offset
 
 
-def make_client(client_id=0, n=20, f=4, c=3, seed=0):
-    return ClientDataset(client_id, make_synthetic(n, f, c, seed=seed))
+def make_client(n=20, f=4, c=3, seed=0):
+    return make_synthetic(n, f, c, seed=seed)
 
 
-def update_one(client, params, cfg, seed=0):
+def shards_with(placed: dict[int, LabeledDataset]) -> tuple[Shards, list[int]]:
+    """Shards in which client ``cid`` holds ``placed[cid]`` and every other
+    client up to the largest id one zero row; and the ids of ``placed``."""
+    some = next(iter(placed.values()))
+    filler = LabeledDataset(np.zeros((1, some.num_features)), np.zeros(1, int), some.num_classes)
+    return shards_of([placed.get(i, filler) for i in range(max(placed) + 1)]), list(placed)
+
+
+def update_one(data, params, cfg, seed=0):
     """``client_update`` for a cohort of one: (trained params, delta norm)."""
-    trained, deltas = client_update([client], params, cfg, [seed])
+    trained, deltas = client_update(shards_of([data]), [0], params, cfg, [seed])
     assert trained.values.shape == (1, params.values.size) and deltas.shape == (1,)
     return trained.values[0], float(deltas[0])
 
 
-def measure_one(client, params, want_grad_norm=False):
+def measure_one(data, params, want_grad_norm=False):
     """``measure_utilities`` for a cohort of one: (loss, grad-norm or None)."""
-    loss, grad_norm = measure_utilities([client], params, want_grad_norm)
+    loss, grad_norm = measure_utilities(shards_of([data]), [0], params, want_grad_norm)
     assert loss.shape == (1,)
     return float(loss[0]), None if grad_norm is None else float(grad_norm[0])
 
@@ -58,9 +67,8 @@ def test_zero_lr_returns_received_params_and_pretrain_loss():
 
 def test_single_sample_utility_equals_its_loss():
     data = LabeledDataset(np.array([[0.3, -1.0]]), np.array([1]), 3)
-    client = ClientDataset(0, data)
     params = init_params(softmax_tag(2, 3), seed=2)
-    utility, _ = measure_one(client, params)
+    utility, _ = measure_one(data, params)
     loss = evaluate(params, data).per_sample_losses[0]
     assert utility == pytest.approx(float(loss), abs=1e-12)
 
@@ -69,9 +77,8 @@ def test_identical_per_sample_losses_collapse_to_count_times_loss():
     # Four copies of the same sample: RMS equals the common loss.
     row = np.array([[0.5, 0.25]])
     data = LabeledDataset(np.repeat(row, 4, axis=0), np.array([1, 1, 1, 1]), 2)
-    client = ClientDataset(0, data)
     params = init_params(softmax_tag(2, 2), seed=3)
-    utility, _ = measure_one(client, params)
+    utility, _ = measure_one(data, params)
     loss = evaluate(params, data).per_sample_losses[0]
     assert utility == pytest.approx(4.0 * float(loss), abs=1e-9)
 
@@ -80,12 +87,12 @@ def test_loss_utility_matches_independent_recomputation():
     client = make_client(n=33, seed=7)
     params = init_params(softmax_tag(4, 3), seed=4)
     utility, _ = measure_one(client, params)
-    report = evaluate(params, client.data)
+    report = evaluate(params, client)
     losses = report.per_sample_losses
     expected = len(losses) * (sum(v * v for v in losses) / len(losses)) ** 0.5
     assert utility == pytest.approx(expected, abs=1e-9)
     # RMS dominates the mean: the utility is at least n_k times the mean loss.
-    assert utility >= client.n_k * np.mean(losses) - 1e-9
+    assert utility >= client.num_samples * np.mean(losses) - 1e-9
 
 
 @settings(max_examples=60, deadline=None)
@@ -113,7 +120,7 @@ def test_grad_norm_utility_present_only_on_request():
 
 
 def test_results_independent_of_execution_order():
-    clients = [make_client(client_id=i, seed=i) for i in range(6)]
+    clients = [make_client(seed=i) for i in range(6)]
     params = init_params(softmax_tag(4, 3), seed=6)
 
     def run_all(order):
@@ -135,19 +142,20 @@ def test_results_independent_of_execution_order():
 # ------------------------------------------- stacked cohort == per-client
 
 
-def assert_cohort_matches_singles(clients, params, cfg, seeds, want_grad_norm=False):
-    """Training and measuring the cohort at once equals doing it per client,
-    bit for bit, with row ``i`` for the ``i``-th client."""
-    trained, deltas = client_update(clients, params, cfg, seeds)
+def assert_cohort_matches_singles(cohort, params, cfg, seeds, want_grad_norm=False):
+    """Training and measuring the cohort ``(shards, ids)`` at once equals
+    doing it per client, bit for bit, with row ``i`` for client ``ids[i]``."""
+    shards, ids = cohort
+    trained, deltas = client_update(shards, ids, params, cfg, seeds)
     assert trained.shape_tag == params.shape_tag
-    assert trained.values.shape == (len(clients), params.values.size)
-    assert deltas.shape == (len(clients),)
-    for i, (client, seed) in enumerate(zip(clients, seeds)):
-        row, delta = update_one(client, params, cfg, seed)
+    assert trained.values.shape == (len(ids), params.values.size)
+    assert deltas.shape == (len(ids),)
+    for i, (cid, seed) in enumerate(zip(ids, seeds)):
+        row, delta = update_one(shards[cid], params, cfg, seed)
         assert trained.values[i].tobytes() == row.tobytes()
         assert np.float64(deltas[i]).tobytes() == np.float64(delta).tobytes()
-    loss, grad_norm = measure_utilities(clients, params, want_grad_norm)
-    singles = [measure_one(client, params, want_grad_norm) for client in clients]
+    loss, grad_norm = measure_utilities(shards, ids, params, want_grad_norm)
+    singles = [measure_one(shards[cid], params, want_grad_norm) for cid in ids]
     assert loss.tobytes() == np.array([s[0] for s in singles]).tobytes()
     if want_grad_norm:
         assert grad_norm.tobytes() == np.array([s[1] for s in singles]).tobytes()
@@ -179,11 +187,11 @@ def test_weight_change_norms_at_odd_offsets_equal_each_row_alone_bitwise(g, p, w
 
 
 def ragged_cohort(sizes, f=4, c=3):
-    # Ids deliberately out of order: rows follow the cohort's order.
-    return [
-        ClientDataset(10 - i, make_synthetic(n, f, c, seed=100 + i))
-        for i, n in enumerate(sizes)
-    ]
+    """``(shards, ids)``: ids in decreasing order, so each client's rows lie
+    after those of the clients that follow it in the cohort; results follow
+    the cohort's order."""
+    top = len(sizes) + 2  # clients 0 to 2 are never in the cohort
+    return shards_with({top - i: make_synthetic(n, f, c, seed=100 + i) for i, n in enumerate(sizes)})
 
 
 @pytest.mark.parametrize(
@@ -196,12 +204,12 @@ def ragged_cohort(sizes, f=4, c=3):
     ],
 )
 def test_cohort_update_matches_per_client_updates(tag, sizes, batch, epochs):
-    clients = ragged_cohort(sizes)
+    cohort = ragged_cohort(sizes)
     params = init_params(tag, seed=11)
     cfg = TrainConfig(epochs=epochs, learning_rate=0.3, batch_size=batch)
-    seeds = [50 + i for i in range(len(clients))]
-    assert_cohort_matches_singles(clients, params, cfg, seeds)
-    assert_cohort_matches_singles(clients, params, cfg, seeds, want_grad_norm=True)
+    seeds = [50 + i for i in range(len(sizes))]
+    assert_cohort_matches_singles(cohort, params, cfg, seeds)
+    assert_cohort_matches_singles(cohort, params, cfg, seeds, want_grad_norm=True)
 
 
 @settings(max_examples=40, deadline=None)
@@ -212,10 +220,10 @@ def test_cohort_update_matches_per_client_updates(tag, sizes, batch, epochs):
     mlp=st.booleans(),
 )
 def test_cohort_matches_per_client_for_random_shard_sizes(sizes, batch, epochs, mlp):
-    clients = ragged_cohort(sizes)
+    cohort = ragged_cohort(sizes)
     params = init_params(mlp_tag(4, 5, 3) if mlp else softmax_tag(4, 3), seed=13)
     cfg = TrainConfig(epochs=epochs, learning_rate=0.2, batch_size=batch)
-    assert_cohort_matches_singles(clients, params, cfg, list(range(len(clients))))
+    assert_cohort_matches_singles(cohort, params, cfg, list(range(len(sizes))))
 
 
 @settings(max_examples=60, deadline=None)
@@ -230,12 +238,12 @@ def test_cohort_matches_per_client_for_random_shard_sizes(sizes, batch, epochs, 
 def test_ragged_cohort_utilities_equal_plain_rms_of_each_client(runs, mlp):
     # Unsorted runs of equal n_k and singletons: every client's utilities
     # are n_k * RMS of its own per-sample values, computed alone.
-    clients = ragged_cohort([n for n, count in runs for _ in range(count)])
+    shards, ids = ragged_cohort([n for n, count in runs for _ in range(count)])
     params = init_params(mlp_tag(4, 5, 3) if mlp else softmax_tag(4, 3), seed=17)
-    loss, grad_norm = measure_utilities(clients, params, want_grad_norm=True)
-    for i, client in enumerate(clients):
-        alone = evaluate(params, client.data, want_grad_norms=True)
-        n = client.n_k
+    loss, grad_norm = measure_utilities(shards, ids, params, want_grad_norm=True)
+    for i, cid in enumerate(ids):
+        alone = evaluate(params, shards[cid], want_grad_norms=True)
+        n = shards.n_k[cid]
         for utility, values in ((loss, alone.per_sample_losses), (grad_norm, alone.per_sample_grad_norms)):
             expected = n * np.sqrt((values**2).sum() / n)
             assert np.float64(utility[i]).tobytes() == np.float64(expected).tobytes()
@@ -258,41 +266,43 @@ def test_measurement_makes_one_evaluate_call_and_reduces_only_the_rms(monkeypatc
 
     monkeypatch.setattr(fedclf.client, "evaluate", counted_evaluate)
     monkeypatch.setattr(SampleStack, "block_means", counted_mean)
-    clients = ragged_cohort([7, 12, 12, 30, 5])
+    shards, ids = ragged_cohort([7, 12, 12, 30, 5])
     params = init_params(mlp_tag(4, 5, 3), seed=19)
-    measure_utilities(clients, params, want_grad_norm)
+    measure_utilities(shards, ids, params, want_grad_norm)
     assert calls == {"evaluate": 1, "block_means": 1 + want_grad_norm}
 
 
 def test_cohort_needs_one_seed_per_client():
-    clients = ragged_cohort([5, 6])
+    shards, ids = ragged_cohort([5, 6])
     params = init_params(softmax_tag(4, 3), seed=14)
-    with pytest.raises(ValueError, match="2 shards but 1 seeds"):
-        client_update(clients, params, TrainConfig(epochs=1, learning_rate=0.1), [0])
+    with pytest.raises(ValueError, match="2 counts but 1 seeds"):
+        client_update(shards, ids, params, TrainConfig(epochs=1, learning_rate=0.1), [0])
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_training_names_the_clients():
-    good = make_client(client_id=3, seed=1)
-    features = make_client(seed=2).data.features.copy()
+    good = make_client(seed=1)
+    features = make_client(seed=2).features.copy()
     features[4, 1] = np.inf
-    bad = ClientDataset(8, LabeledDataset(features, make_client(seed=2).data.labels, 3))
+    bad = LabeledDataset(features, make_client(seed=2).labels, 3)
+    shards, ids = shards_with({3: good, 8: bad})
     params = init_params(softmax_tag(4, 3), seed=15)
     cfg = TrainConfig(epochs=1, learning_rate=0.1)
     with pytest.raises(NonFiniteUpdateError, match="client\\(s\\) 8$") as err:
-        client_update([good, bad], params, cfg, [0, 0])
+        client_update(shards, ids, params, cfg, [0, 0])
     assert err.value.client_ids == (8,)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_utility_names_the_clients():
     # Finite losses near 1e198 square to inf inside the RMS.
-    good = make_client(client_id=3, seed=1)
-    features = make_client(seed=2).data.features * 1e200
-    bad = ClientDataset(8, LabeledDataset(features, make_client(seed=2).data.labels, 3))
+    good = make_client(seed=1)
+    features = make_client(seed=2).features * 1e200
+    bad = LabeledDataset(features, make_client(seed=2).labels, 3)
+    shards, ids = shards_with({3: good, 8: bad})
     params = init_params(softmax_tag(4, 3), seed=15)
-    assert np.isfinite(np.mean(evaluate(params, bad.data).per_sample_losses))
+    assert np.isfinite(np.mean(evaluate(params, bad).per_sample_losses))
     for want_grad_norm in (False, True):
         with pytest.raises(NonFiniteUpdateError, match="client\\(s\\) 8$") as err:
-            measure_utilities([good, bad], params, want_grad_norm)
+            measure_utilities(shards, ids, params, want_grad_norm)
         assert err.value.client_ids == (8,)

@@ -11,12 +11,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedclf.dataset import (
-    ClientDataset,
     ConfigurationError,
     DatasetFormatError,
     LabelDistribution,
     LabeledDataset,
     PartitionSpec,
+    Shards,
     SplitMode,
     _nonequal_counts,
     emd,
@@ -39,15 +39,25 @@ def equal_spec(shard_size, num_clients, seed=0):
     )
 
 
+def shards_of(datasets) -> Shards:
+    """One shard per dataset, in order, over one copy of their rows."""
+    data = LabeledDataset(
+        np.concatenate([d.features for d in datasets]),
+        np.concatenate([d.labels for d in datasets]),
+        max(d.num_classes for d in datasets),
+    )
+    return Shards(data, np.cumsum([0, *(d.num_samples for d in datasets)]))
+
+
 def report_mean(clients, reference) -> float:
     """The mean row of the partition report: the clients' mean EMD."""
     return float(partition_report(clients, reference).splitlines()[-1].rpartition(",")[2])
 
 
-def sample_multiset(clients):
+def sample_multiset(datasets):
     out = Counter()
-    for c in clients:
-        for row, label in zip(c.data.features, c.data.labels):
+    for c in datasets:
+        for row, label in zip(c.features, c.labels):
             out[(tuple(row.tolist()), int(label))] += 1
     return out
 
@@ -92,7 +102,7 @@ def test_label_distribution_pools_datasets():
     # Shards pool to the distribution of the rows they were dealt, bitwise.
     ds = make_synthetic(301, 2, 7, seed=3)
     clients = partition(ds, PartitionSpec(9, SplitMode.NONEQUAL, 5, seed=2))
-    pooled = label_distribution(*(c.data for c in clients))
+    pooled = label_distribution(*clients)
     assert np.array_equal(pooled.probs, label_distribution(ds).probs)
     other = LabeledDataset(np.zeros((1, 2)), np.array([0]), 3)
     for datasets in ([ds, other], []):
@@ -165,8 +175,8 @@ def test_partition_two_sorted_classes_single_class_clients():
     for seed in range(4):
         clients = partition(ds, equal_spec(shard_size=5, num_clients=2, seed=seed))
         for c in clients:
-            assert len(set(c.data.labels.tolist())) == 1
-            assert emd(label_distribution(c.data), reference) == pytest.approx(1.0)
+            assert len(set(c.labels.tolist())) == 1
+            assert emd(label_distribution(c), reference) == pytest.approx(1.0)
 
 
 def test_partition_singleton_shards_approach_iid():
@@ -184,15 +194,10 @@ def test_partition_conservation_and_determinism():
         )
         a = partition(ds, spec)
         b = partition(ds, spec)
-        assert sample_multiset(a) == sample_multiset(ds_clients(ds))
-        for ca, cb in zip(a, b):
-            assert np.array_equal(ca.data.features, cb.data.features)
-            assert np.array_equal(ca.data.labels, cb.data.labels)
-
-
-def ds_clients(ds):
-    """Wrap a dataset as a one-client list for multiset comparison."""
-    return [ClientDataset(0, ds)]
+        assert sample_multiset(a) == sample_multiset([ds])
+        assert np.array_equal(a.offsets, b.offsets)
+        assert np.array_equal(a.data.features, b.data.features)
+        assert np.array_equal(a.data.labels, b.data.labels)
 
 
 @settings(max_examples=25, deadline=None)
@@ -212,21 +217,21 @@ def test_partition_conserves_samples(shard_size, num_clients, seed, mode):
             partition(ds, spec)
         return
     clients = partition(ds, spec)
-    assert sample_multiset(clients) == sample_multiset(ds_clients(ds))
-    assert all(c.n_k >= 1 for c in clients)
+    assert sample_multiset(clients) == sample_multiset([ds])
+    assert clients.n_k.min() >= 1 and len(clients) == num_clients
 
 
 def test_partition_equal_sizes_when_clients_divide_shards():
     ds = make_synthetic(6000, 4, 10, seed=1)
     clients = partition(ds, equal_spec(shard_size=50, num_clients=50, seed=3))
-    assert sorted(c.n_k for c in clients) == [120] * 50
+    assert sorted(clients.n_k.tolist()) == [120] * 50
 
 
 def test_partition_equal_spread_bounded_by_shard_size():
     ds = make_synthetic(233, 2, 3, seed=4)
     shard_size = 10
     clients = partition(ds, equal_spec(shard_size=shard_size, num_clients=7, seed=8))
-    sizes = [c.n_k for c in clients]
+    sizes = clients.n_k.tolist()
     assert max(sizes) - min(sizes) <= shard_size
 
 
@@ -249,8 +254,8 @@ def test_partition_equal_deal_matches_round_robin_reference(
         return
     clients = partition(ds, spec)
     for client, indices in zip(clients, dealt):
-        assert np.array_equal(client.data.labels, ds.labels[indices])
-        assert np.array_equal(client.data.features, ds.features[indices])
+        assert np.array_equal(client.labels, ds.labels[indices])
+        assert np.array_equal(client.features, ds.features[indices])
 
 
 def round_robin_reference(labels, spec):
@@ -283,8 +288,8 @@ def test_partition_label_sort_matches_int64_argsort_at_any_class_count(num_class
     spec = equal_spec(shard_size=7, num_clients=9, seed=11)
     clients = partition(ds, spec)
     for client, indices in zip(clients, round_robin_reference(labels, spec)):
-        assert np.array_equal(client.data.labels, labels[indices])
-        assert np.array_equal(client.data.features, ds.features[indices])
+        assert np.array_equal(client.labels, labels[indices])
+        assert np.array_equal(client.features, ds.features[indices])
 
 
 @settings(max_examples=60, deadline=None)
@@ -317,12 +322,12 @@ def test_partition_nonequal_cut_matches_plain_reference(
     flat = sum((shards[i] for i in rng.permutation(len(shards))), [])
     counts = _nonequal_counts(num_samples, spec, rng).tolist()
     clients = partition(ds, spec)
-    assert [c.n_k for c in clients] == counts
+    assert clients.n_k.tolist() == counts
     start = 0
     for client, count in zip(clients, counts):
         indices = flat[start : start + count]
-        assert np.array_equal(client.data.labels, ds.labels[indices])
-        assert np.array_equal(client.data.features, ds.features[indices])
+        assert np.array_equal(client.labels, ds.labels[indices])
+        assert np.array_equal(client.features, ds.features[indices])
         start += count
 
 
@@ -330,23 +335,23 @@ def test_partition_nonequal_cut_matches_plain_reference(
 def test_partition_shards_are_read_only_views_of_one_array(tmp_path, mode):
     ds = make_synthetic(301, 3, 4, seed=2)
     clients = partition(ds, PartitionSpec(7, mode, 6, seed=13))
-    features, labels = clients[0].data.features.base, clients[0].data.labels.base
-    assert features is not None and labels is not None
+    features, labels = clients.data.features, clients.data.labels
+    assert not features.flags.writeable and not labels.flags.writeable
     for client in clients:
-        assert client.data.features.base is features
-        assert client.data.labels.base is labels
+        assert client.features.base is features
+        assert client.labels.base is labels
         with pytest.raises(ValueError, match="read-only"):
-            client.data.features[0, 0] = 0.0
+            client.features[0, 0] = 0.0
         with pytest.raises(ValueError, match="read-only"):
-            client.data.labels[0] = 0
+            client.labels[0] = 0
     # The gather copied: the input stays writable and whole.
     assert ds.features.flags.writeable and ds.labels.flags.writeable
     path = tmp_path / "shard.fedds"
-    save_dataset(clients[3].data, path)
+    save_dataset(clients[3], path)
     loaded = load_dataset(path)
     assert loaded.num_classes == 4
-    assert np.array_equal(loaded.labels, clients[3].data.labels)
-    assert np.array_equal(loaded.features, clients[3].data.features.astype(np.float32))
+    assert np.array_equal(loaded.labels, clients[3].labels)
+    assert np.array_equal(loaded.features, clients[3].features.astype(np.float32))
 
 
 @settings(max_examples=40, deadline=None)
@@ -375,34 +380,69 @@ def test_partition_of_given_rows_equals_partition_of_their_subset(
     expected = partition(full.subset(rows), spec)
     assert len(dealt) == len(expected)
     # One read-only block, each shard a view of the rows after the last one's.
-    features, labels = dealt[0].data.features.base, dealt[0].data.labels.base
+    features, labels = dealt.data.features, dealt.data.labels
     assert not features.flags.writeable and not labels.flags.writeable
     assert features.shape == (rows.size, 3) and labels.shape == (rows.size,)
+    assert np.array_equal(dealt.n_k, expected.n_k)
     start = 0
     for got, want in zip(dealt, expected):
-        assert got.client_id == want.client_id
-        assert np.array_equal(got.data.features, want.data.features)
-        assert np.array_equal(np.signbit(got.data.features), np.signbit(want.data.features))
-        assert np.array_equal(got.data.labels, want.data.labels)
-        assert got.data.features.base is features and got.data.labels.base is labels
-        assert got.data.features.ctypes.data == features[start:].ctypes.data
-        assert got.data.labels.ctypes.data == labels[start:].ctypes.data
-        start += got.n_k
+        assert np.array_equal(got.features, want.features)
+        assert np.array_equal(np.signbit(got.features), np.signbit(want.features))
+        assert np.array_equal(got.labels, want.labels)
+        assert got.features.base is features and got.labels.base is labels
+        assert got.features.ctypes.data == features[start:].ctypes.data
+        assert got.labels.ctypes.data == labels[start:].ctypes.data
+        start += got.num_samples
     assert start == rows.size
 
 
-def test_blocks_are_consecutive_views_that_check_their_sizes():
+def test_shards_are_consecutive_views_that_check_their_sizes():
     ds = make_synthetic(10, 2, 3, seed=1)
-    blocks = ds.blocks([3, 1, 6])
-    assert [b.num_samples for b in blocks] == [3, 1, 6]
-    for block, (start, end) in zip(blocks, [(0, 3), (3, 4), (4, 10)]):
+    shards = Shards(ds, [0, 3, 4, 10])
+    assert len(shards) == 3 and shards.n_k.tolist() == [3, 1, 6]
+    assert [b.num_samples for b in shards] == [3, 1, 6]
+    for i, (start, end) in enumerate([(0, 3), (3, 4), (4, 10)]):
+        block = shards[i]
         assert np.shares_memory(block.features, ds.features)
         assert np.array_equal(block.features, ds.features[start:end])
         assert np.array_equal(block.labels, ds.labels[start:end])
         assert block.num_classes == 3
-    for sizes in ([3, 0, 7], [3, 8], [3, 6], [], [-1, 11]):
-        with pytest.raises(ValueError, match="block sizes"):
-            ds.blocks(sizes)
+        # Each view is read-only, though the dataset it reads is writable.
+        for array in (block.features, block.labels):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+    assert ds.features.flags.writeable and ds.labels.flags.writeable
+    assert np.array_equal(shards[-1].labels, ds.labels[4:])
+    with pytest.raises(IndexError):
+        shards[3]
+    for array in (shards.offsets, shards.n_k):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+    # A zero count, a negative one, sums short of or past the rows, no
+    # shard at all, and offsets that do not start at row 0.
+    for offsets, sizes in (
+        ([0, 3, 3, 10], r"\[3, 0, 7\] for 10 samples"),
+        ([0, 3, 11], r"\[3, 8\] for 10 samples"),
+        ([0, 3, 9], r"\[3, 6\] for 10 samples"),
+        ([0], r"\[\] for 10 samples"),
+        ([0, -1, 10], r"\[-1, 11\] for 10 samples"),
+        ([1, 4, 10], r"\[3, 6\] from row 1 for 10 samples"),
+    ):
+        with pytest.raises(ValueError, match=f"shard sizes {sizes}"):
+            Shards(ds, offsets)
+
+
+def test_subset_gathers_integer_rows_and_rejects_other_indices():
+    ds = make_synthetic(6, 2, 3, seed=4)
+    for rows in ([4, 0, 4], np.array([5, 1], dtype=np.uint8), np.array([-1])):
+        sub = ds.subset(rows)
+        assert np.array_equal(sub.features, ds.features[rows])
+        assert np.array_equal(sub.labels, ds.labels[rows])
+    # A mask would be read by a gather as rows 0 and 1, not as the rows it
+    # marks; a float index would be truncated.
+    for rows in (np.array([False, True, True, False, False, True]), np.array([1.0, 2.0])):
+        with pytest.raises(TypeError, match="row indices must be integers"):
+            ds.subset(rows)
 
 
 def test_partition_too_few_shards_is_configuration_error():
@@ -432,14 +472,14 @@ def test_partition_nonequal_respects_floor_and_varies(
         seed=seed,
     )
     clients = partition(ds, spec)
-    sizes = [c.n_k for c in clients]
+    sizes = clients.n_k.tolist()
     # The floor is min_fraction of an equal share, capped at the largest
     # share every client can have at once (total // K).
     total = ds.num_samples
     floor = min(min_fraction * total / num_clients, total // num_clients)
     assert all(size >= floor for size in sizes)
     assert sum(sizes) == total
-    assert sample_multiset(clients) == sample_multiset(ds_clients(ds))
+    assert sample_multiset(clients) == sample_multiset([ds])
     if min_fraction <= 0.5 and num_clients >= 5:
         assert len(set(sizes)) > 1
 

@@ -519,7 +519,12 @@ def test_stacked_kernel_rows_equal_single_model_calls(tag_maker):
     tag = tag_maker()
     shards = [small_data(n=9, seed=s) for s in range(4)]
     values = np.stack([init_params(tag, seed=s).values for s in range(4)])
-    stack = SampleStack.of(shards)
+    stack = SampleStack(
+        np.concatenate([s.features for s in shards]),
+        np.concatenate([s.labels for s in shards]),
+        (9,) * 4,
+        3,
+    )
     assert stack.num_samples == 36 and len(stack.runs) == 1
     report = evaluate(ModelParams(values, tag), stack, want_grad_norms=True)
     means = stack.block_means(report.per_sample_losses)
@@ -627,7 +632,7 @@ def test_cohort_sgd_rows_equal_single_model_training():
     params = init_params(tag, seed=3)
     shards = [small_data(n=n, seed=n) for n in (5, 11, 11, 2)]
     cfg = TrainConfig(epochs=2, learning_rate=0.4, batch_size=4)
-    trained = sgd_epochs(params, shards, cfg, range(4))
+    trained = cohort_sgd(params, shards, cfg, range(4))
     assert trained.values.shape == (4, param_count(tag))
     for seed, (row, shard) in enumerate(zip(trained.values, shards)):
         assert np.array_equal(row, train_one(params, shard, cfg, seed))
@@ -636,9 +641,33 @@ def test_cohort_sgd_rows_equal_single_model_training():
 # ------------------------------------------------------------- sgd_epochs
 
 
+def unchecked(features, labels, num_classes=3) -> LabeledDataset:
+    """A dataset whose labels skip ``LabeledDataset``'s range check."""
+    data = object.__new__(LabeledDataset)
+    data.__dict__.update(features=features, labels=labels, num_classes=num_classes)
+    return data
+
+
+def cohort_sgd(params: ModelParams, shards, cfg: TrainConfig, seeds) -> ModelParams:
+    """``sgd_epochs`` on ``shards`` as row ranges of one dataset: laid out
+    in reverse order, each after a filler row, so no shard starts where a
+    count of the shards before it in the cohort would put it."""
+    features, labels, starts, row = [], [], [0] * len(shards), 0
+    for i in reversed(range(len(shards))):
+        features += [np.zeros((1, shards[i].num_features)), shards[i].features]
+        labels += [np.zeros(1, dtype=np.int64), shards[i].labels]
+        starts[i] = row + 1
+        row += 1 + shards[i].num_samples
+    data = unchecked(
+        np.concatenate(features), np.concatenate(labels), max(s.num_classes for s in shards)
+    )
+    counts = [shard.num_samples for shard in shards]
+    return sgd_epochs(params, data, starts, counts, cfg, seeds)
+
+
 def train_one(params: ModelParams, data, cfg: TrainConfig, seed: int = 0) -> np.ndarray:
     """``sgd_epochs`` on a cohort of one: the trained parameter vector."""
-    trained = sgd_epochs(params, [data], cfg, [seed])
+    trained = sgd_epochs(params, data, [0], [data.num_samples], cfg, [seed])
     assert trained.values.shape == (1, params.values.size)
     return trained.values[0]
 
@@ -689,7 +718,7 @@ def test_cohort_sgd_equals_plain_per_client_loop(sizes, batch, epochs, lr, hidde
     shards = [small_data(n=n, seed=200 + i) for i, n in enumerate(sizes)]
     cfg = TrainConfig(epochs=epochs, learning_rate=lr, batch_size=batch)
     seeds = [70 + i for i in range(len(shards))]
-    trained = sgd_epochs(params, shards, cfg, seeds)
+    trained = cohort_sgd(params, shards, cfg, seeds)
     for row, shard, seed in zip(trained.values, shards, seeds):
         assert row.tobytes() == reference_sgd(params, shard, cfg, seed).tobytes()
 
@@ -714,7 +743,7 @@ def test_sgd_makes_one_gradient_call_per_step(monkeypatch, sizes, batch, epochs)
     stacks = counted_gradient(monkeypatch)
     shards = [small_data(n=n, seed=300 + i) for i, n in enumerate(sizes)]
     cfg = TrainConfig(epochs=epochs, learning_rate=0.1, batch_size=batch)
-    sgd_epochs(init_params(softmax_tag(4, 3), seed=1), shards, cfg, range(len(sizes)))
+    cohort_sgd(init_params(softmax_tag(4, 3), seed=1), shards, cfg, range(len(sizes)))
     assert len(stacks) == max(epochs * math.ceil(n / min(batch, n)) for n in sizes)
 
 
@@ -728,7 +757,7 @@ def test_each_sgd_step_stack_equals_a_checked_sample_stack(monkeypatch, hidden):
     shards = [small_data(n=n, seed=400 + i) for i, n in enumerate(sizes)]
     tag = softmax_tag(4, 5) if hidden is None else mlp_tag(4, hidden, 5)
     cfg = TrainConfig(epochs=2, learning_rate=0.1, batch_size=16)
-    sgd_epochs(init_params(tag, seed=2), shards, cfg, range(len(sizes)))
+    cohort_sgd(init_params(tag, seed=2), shards, cfg, range(len(sizes)))
     assert len({stack.sizes for stack in stacks}) > 2
     for stack in stacks:
         fresh = SampleStack(stack.features, stack.labels, stack.sizes, stack.num_classes)
@@ -737,18 +766,6 @@ def test_each_sgd_step_stack_equals_a_checked_sample_stack(monkeypatch, hidden):
         assert np.array_equal(stack.labels, fresh.labels)
         assert (stack.sizes, stack.num_classes, stack.runs) == (fresh.sizes, 3, fresh.runs)
         assert_same_bits(stack.targets, np.eye(5)[stack.labels])
-
-
-def unchecked_shard(labels, num_classes=3):
-    """A shard of ``len(labels)`` rows whose labels skip ``LabeledDataset``'s
-    range check, as a view built by ``LabeledDataset.blocks`` would."""
-    shard = object.__new__(LabeledDataset)
-    shard.__dict__.update(
-        features=small_data(n=len(labels), seed=5).features,
-        labels=np.asarray(labels, dtype=np.int64),
-        num_classes=num_classes,
-    )
-    return shard
 
 
 @pytest.mark.parametrize("tag", [softmax_tag(4, 3), mlp_tag(4, 5, 3)])
@@ -764,12 +781,27 @@ def test_bad_label_in_a_shard_raises_before_any_sgd_step(monkeypatch, tag, bad_l
     stacks = counted_gradient(monkeypatch)
     labels = [0, 1, 2, 0, 1, 2, 0, 1]
     labels[np.random.default_rng(2).permutation(8)[-1]] = bad_label
-    shards = [small_data(n=8, seed=6), unchecked_shard(labels)]
+    shards = [
+        small_data(n=8, seed=6),
+        unchecked(small_data(n=8, seed=5).features, np.array(labels, dtype=np.int64)),
+    ]
     cfg = TrainConfig(epochs=1, learning_rate=0.1, batch_size=4)
     match = "negative label -1 in a shard" if bad_label < 0 else None
     with pytest.raises(error, match=match):
-        sgd_epochs(init_params(tag, seed=3), shards, cfg, [1, 2])
+        cohort_sgd(init_params(tag, seed=3), shards, cfg, [1, 2])
     assert stacks == []
+
+
+@pytest.mark.parametrize(
+    "starts, counts", [([0, 10], [10, 1]), ([-1, 3], [2, 2]), ([0, 4], [4, 0]), ([], [])]
+)
+def test_sgd_row_ranges_outside_the_data_raise(starts, counts):
+    # The gather would read past the end, wrap a negative start to the last
+    # rows, or train a model on no rows.
+    data = small_data(n=10, seed=7)
+    cfg = TrainConfig(epochs=1, learning_rate=0.1)
+    with pytest.raises(ValueError, match="row ranges"):
+        sgd_epochs(init_params(softmax_tag(4, 3), seed=1), data, starts, counts, cfg, counts)
 
 
 def test_sgd_zero_learning_rate_is_identity():

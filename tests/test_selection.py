@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedclf.dataset import ClientDataset, PartitionSpec, SplitMode, make_synthetic
+from fedclf.dataset import PartitionSpec, SplitMode
 from fedclf.model import evaluate
 from fedclf.seeds import split_seed
 from fedclf.selection import (
@@ -34,7 +34,8 @@ COLUMNS = (*MEASURED, "n_k", "oort_penalty", "sampled_once", "last_round_selecte
 
 
 def make_clients(k=10, n=6):
-    return [ClientDataset(i, make_synthetic(n, 2, 2, seed=i)) for i in range(k)]
+    """The sample counts of ``k`` clients of ``n`` samples each."""
+    return np.full(k, n)
 
 
 def unit_trend(acc=0.5, loss=1.0):
@@ -175,10 +176,13 @@ def test_warmup_pads_final_round_when_k_does_not_divide():
     assert union == set(range(10))
 
 
-def test_make_selector_requires_ids_zero_to_k_minus_one():
-    clients = [ClientDataset(i, make_synthetic(4, 2, 2, seed=i)) for i in (0, 2)]
-    with pytest.raises(SelectionError, match="client ids must be 0..1"):
-        make_selector(Strategy.FEDCLF, clients, 1, rng_seed=0)
+def test_make_selector_keeps_its_own_sample_counts():
+    # The selector's column is a copy: writing it leaves the caller's array.
+    n_k = np.array([4, 9, 2])
+    state = make_selector(Strategy.NEWT_LIKE, n_k, 1, rng_seed=0)
+    state.n_k[0] = 50
+    assert n_k.tolist() == [4, 9, 2] and state.n_k.tolist() == [50, 9, 2]
+    assert state.n_k.dtype == np.int64
 
 
 def test_make_selector_validates_k():

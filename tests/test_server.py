@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 import fedclf.server
 from fedclf.client import NonFiniteUpdateError, client_update, measure_utilities
 from fedclf.dataset import (
-    ClientDataset,
     LabeledDataset,
     PartitionSpec,
+    Shards,
     SplitMode,
     make_synthetic,
 )
@@ -42,6 +42,7 @@ from fedclf.server import (
     selection_log_csv,
     summary_text,
 )
+from test_dataset import shards_of
 
 
 def stack_of(*rows, tag=None):
@@ -203,8 +204,8 @@ def test_each_round_reduces_the_test_accuracy_once(monkeypatch):
     # round, so no round rebuilds it); its record holds the means of that
     # call's per-row hits and losses.
     cfg = small_config(rounds=2)
-    clients, test = build_partition(cfg)
-    experiment = Experiment(cfg, clients, test)
+    shards, test = build_partition(cfg)
+    experiment = Experiment(cfg, shards, test)
     stack = experiment.test_stack
     assert stack.features is test.features and stack.labels is test.labels
     assert stack.sizes == (test.num_samples,)
@@ -296,7 +297,7 @@ def test_identical_clients_aggregate_to_single_update():
     # Full-batch training on identical shards: every client computes the same
     # update, so the weighted average must equal any single client's result.
     data = make_synthetic(30, 3, 2, seed=2)
-    clients = [ClientDataset(i, data) for i in range(4)]
+    shards = shards_of([data] * 4)
     test_data = make_synthetic(40, 3, 2, seed=3)
     cfg = ExperimentConfig(
         num_clients=4,
@@ -307,12 +308,13 @@ def test_identical_clients_aggregate_to_single_update():
         seed=1,
         partition=PartitionSpec(shard_size=5, split_mode=SplitMode.EQUAL, num_clients=4),
     )
-    experiment = Experiment(cfg, clients, test_data)
+    experiment = Experiment(cfg, shards, test_data)
     initial = experiment.params
     experiment.run_round(1)
 
     single, _ = client_update(
-        [clients[0]],
+        shards_of([data]),
+        [0],
         initial,
         TrainConfig(epochs=1, learning_rate=0.2, batch_size=64),
         [split_seed(cfg.seed, "train-r1", 0)],
@@ -352,9 +354,9 @@ def test_each_round_dispatches_the_cohort_in_one_call(monkeypatch):
     cohorts = []
     original = fedclf.server.client_update
 
-    def recording(clients, params, cfg, seeds):
-        cohorts.append([c.client_id for c in clients])
-        return original(clients, params, cfg, seeds)
+    def recording(shards, ids, params, cfg, seeds):
+        cohorts.append(list(ids))
+        return original(shards, ids, params, cfg, seeds)
 
     monkeypatch.setattr(fedclf.server, "client_update", recording)
     history = run_experiment(small_config(rounds=6, select_k=4, seed=31))
@@ -363,24 +365,47 @@ def test_each_round_dispatches_the_cohort_in_one_call(monkeypatch):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_update_names_round_and_clients():
-    clients = [
-        ClientDataset(i, make_synthetic(12, 3, 2, seed=i)) for i in range(4)
-    ]
-    features = clients[2].data.features.copy()
+    clients = [make_synthetic(12, 3, 2, seed=i) for i in range(4)]
+    features = clients[2].features.copy()
     features[0, 0] = np.nan
-    clients[2] = ClientDataset(2, LabeledDataset(features, clients[2].data.labels, 2))
+    clients[2] = LabeledDataset(features, clients[2].labels, 2)
     cfg = small_config(
         num_clients=4,
         select_k=4,
         rounds=3,
         partition=PartitionSpec(shard_size=3, split_mode=SplitMode.EQUAL, num_clients=4),
     )
-    experiment = Experiment(cfg, clients, make_synthetic(20, 3, 2, seed=9))
+    experiment = Experiment(cfg, shards_of(clients), make_synthetic(20, 3, 2, seed=9))
     with pytest.raises(NonFiniteUpdateError, match="^round 1: .*client\\(s\\) 2$") as err:
         experiment.run_round(1)
     assert err.value.round_index == 1
     assert err.value.client_ids == (2,)
     assert experiment.history == []
+
+
+def live(cls) -> int:
+    gc.collect()
+    return sum(isinstance(obj, cls) for obj in gc.get_objects())
+
+
+def test_no_per_client_object_is_built_at_setup_or_in_a_round():
+    # The many-clients shape: 1,000 clients, 100 warmup rounds and 20 that
+    # rank them all.  A client is a row range of the gathered training set,
+    # so that set is the one live dataset, whatever K is (the experiment
+    # keeps the test split as a sample stack).
+    cfg = small_config(
+        num_clients=1000,
+        select_k=10,
+        rounds=120,
+        feedback_enabled=False,
+        synthetic_shape=(10, 8, 24000),
+        partition=PartitionSpec(10, SplitMode.NONEQUAL, 1000),
+    )
+    before = live(LabeledDataset), live(Shards)
+    experiment = build_experiment(cfg)
+    assert (live(LabeledDataset) - before[0], live(Shards) - before[1]) == (1, 1)
+    assert len(experiment.run()) == 120
+    assert (live(LabeledDataset) - before[0], live(Shards) - before[1]) == (1, 1)
 
 
 def test_build_partition_peaks_near_two_copies_of_the_features():
@@ -397,11 +422,11 @@ def test_build_partition_peaks_near_two_copies_of_the_features():
         make_synthetic(num_samples, num_features, 10, seed=1)
         synthetic_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        clients, test = build_partition(cfg)
+        shards, test = build_partition(cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sum(c.n_k for c in clients) + test.num_samples == num_samples
+    assert shards.n_k.sum() + test.num_samples == num_samples
     assert synthetic_peak <= 1.1 * feature_bytes
     assert peak <= 2.2 * feature_bytes
 
@@ -431,14 +456,13 @@ class EagerExperiment(Experiment):
             acc, loss = self.initial_metrics
         record = super().run_round(round_index)
         ids = list(record.selected_ids)
-        cohort = [self.clients[cid] for cid in ids]
         seeds = [split_seed(cfg.seed, f"train-r{round_index}", cid) for cid in ids]
         train_cfg = TrainConfig(cfg.epochs, cfg.learning_rate, cfg.batch_size)
-        _, deltas = client_update(cohort, received, train_cfg, seeds)
+        _, deltas = client_update(self.shards, ids, received, train_cfg, seeds)
         loss_utility, grad_norm_utility = np.nan, np.nan
         if cfg.strategy not in UNMEASURED:
             loss_utility, grad_norm_utility = measure_utilities(
-                cohort, received, want_grad_norm=cfg.strategy is Strategy.GRAD_NORM
+                self.shards, ids, received, want_grad_norm=cfg.strategy is Strategy.GRAD_NORM
             )
         state = self.selector
         state.loss_utility[ids] = loss_utility
@@ -478,8 +502,8 @@ def run_recorded(cfg, experiment_cls, monkeypatch):
         writers.append(sys._getframe(1).f_code.co_name)
         return update(*args, **kwargs)
 
-    clients, test = build_partition(cfg)
-    experiment = experiment_cls(cfg, clients, test)
+    shards, test = build_partition(cfg)
+    experiment = experiment_cls(cfg, shards, test)
     with monkeypatch.context() as patch:
         patch.setattr(fedclf.server, "select", recording_select)
         patch.setattr(fedclf.server, "measure_utilities", counting_measure)
@@ -629,9 +653,9 @@ def test_a_battery_group_builds_its_data_once_and_keeps_one_group(monkeypatch):
     def build_partition(cfg):
         gc.collect()  # the previous group's data must be gone by now
         assert [ref() for ref in built] == [None] * len(built)
-        clients, test = real_build(cfg)
-        built.extend((weakref.ref(clients[0]), weakref.ref(test)))
-        return clients, test
+        shards, test = real_build(cfg)
+        built.extend((weakref.ref(shards), weakref.ref(test)))
+        return shards, test
 
     monkeypatch.setattr(fedclf.server, "build_partition", build_partition)
     cfgs = group_cells(list(Strategy))
@@ -644,18 +668,21 @@ def test_a_battery_group_builds_its_data_once_and_keeps_one_group(monkeypatch):
 
 
 def plain_clients():
-    return [ClientDataset(i, make_synthetic(12, 3, 2, seed=i)) for i in range(4)]
+    return [make_synthetic(12, 3, 2, seed=i) for i in range(4)]
+
+
+def scaled_clients(bad, scale):
+    """Four clients' shards; client ``bad``'s features scaled by ``scale``."""
+    clients = plain_clients()
+    data = clients[bad]
+    clients[bad] = LabeledDataset(data.features * scale, data.labels, data.num_classes)
+    return shards_of(clients)
 
 
 def overflowing_clients(bad):
     """Four clients; client ``bad``'s features are so large that its losses
     (about 1e198) are finite but their squares in the loss utility overflow."""
-    clients = plain_clients()
-    data = clients[bad].data
-    clients[bad] = ClientDataset(
-        bad, LabeledDataset(data.features * 1e200, data.labels, data.num_classes)
-    )
-    return clients
+    return scaled_clients(bad, 1e200)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -678,7 +705,7 @@ def test_non_finite_utility_names_training_round_and_clients(
         partition=PartitionSpec(shard_size=3, split_mode=SplitMode.EQUAL, num_clients=4),
     )
     test = make_synthetic(20, 3, 2, seed=9)
-    warmup = Experiment(cfg, plain_clients(), test)
+    warmup = Experiment(cfg, shards_of(plain_clients()), test)
     cohorts = [set(warmup.run_round(r).selected_ids) for r in (1, 2)]
     bad = min(cohorts[trained_in - 1])
     clients = overflowing_clients(bad)
@@ -714,14 +741,10 @@ def test_unmeasured_strategy_divergence_names_round_and_clients(strategy, tmp_pa
         partition=PartitionSpec(shard_size=3, split_mode=SplitMode.EQUAL, num_clients=4),
     )
     test = make_synthetic(20, 3, 2, seed=9)
-    warmup = Experiment(cfg, plain_clients(), test)
+    warmup = Experiment(cfg, shards_of(plain_clients()), test)
     warmup.run_round(1)
     bad = min(warmup.run_round(2).selected_ids)
-    clients = plain_clients()
-    data = clients[bad].data
-    clients[bad] = ClientDataset(
-        bad, LabeledDataset(data.features * 1e300, data.labels, data.num_classes)
-    )
+    clients = scaled_clients(bad, 1e300)
     measured = []
     monkeypatch.setattr(fedclf.server, "measure_utilities", lambda *a: measured.append(a))
     experiment = Experiment(cfg, clients, test)
