@@ -8,9 +8,10 @@ client-ordered index into the dealt rows, and the data is gathered through it
 once into one read-only dataset.  The result is a ``Shards``: that dataset
 and the ``K + 1`` offsets of its clients' consecutive row ranges, client
 ``i``'s id being ``i``.  No per-client object is kept; a client's view is
-built when it is read.  Skew is quantified per client as the L1 distance between
-its label distribution and a reference distribution (normally the label
-distribution of the full training set, which the dealt shards pool to).
+built when it is read.  Skew is quantified per client as the L1 distance
+between its label distribution and a reference distribution (normally the
+label distribution of the full training set, which the dealt shards pool
+to).
 
 File format (``FEDDS v1``): one ASCII header line
 ``FEDDS v1 <num_samples> <num_features> <num_classes>\\n`` followed, per
