@@ -2,13 +2,10 @@
 
 from .client import NonFiniteUpdateError, client_update
 from .dataset import (
-    LabelDistribution,
     LabeledDataset,
     PartitionSpec,
     Shards,
     SplitMode,
-    emd,
-    label_distribution,
     load_dataset,
     make_synthetic,
     partition,

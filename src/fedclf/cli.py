@@ -19,12 +19,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .dataset import (
-    SplitMode,
-    label_distribution,
-    partition_report,
-    save_dataset,
-)
+from .dataset import SplitMode, partition_report, save_dataset
 from .selection import Strategy
 from .server import (
     CONFIG_KEYS,
@@ -173,8 +168,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for client_id, shard in enumerate(shards):
         save_dataset(shard, out / f"client_{client_id:03d}.fedds")
-    # The shards pool to the training split's labels: the EMD reference.
-    report = partition_report(shards, label_distribution(shards.data))
+    report = partition_report(shards)
     (out / "report.csv").write_text(report)
     print(f"wrote {len(shards)} shard files and report.csv to {out}")
     print(report.splitlines()[-1])
@@ -201,6 +195,8 @@ def _parse_dataset_entry(entry: str) -> tuple[int, SplitMode]:
     size, _, mode = entry.lower().partition("-")
     if size[:1] != "s" or not size[1:].isdecimal() or mode not in [m.value for m in SplitMode]:
         raise ValueError(f"bad dataset entry {entry!r}, want s<S>-<equal|nonequal>")
+    if int(size[1:]) < 1:
+        raise ValueError(f"bad dataset entry {entry!r}, shard size S must be positive")
     return int(size[1:]), SplitMode(mode)
 
 

@@ -1,4 +1,4 @@
-"""Datasets, heterogeneity-controlled partitioning, and label-skew metrics.
+"""Datasets, heterogeneity-controlled partitioning, and the label-skew report.
 
 Client shards are produced by sorting the training set by label, cutting it
 into shards of a configurable size ``S``, shuffling the shards, and dealing
@@ -9,9 +9,8 @@ once into one read-only dataset.  The result is a ``Shards``: that dataset
 and the ``K + 1`` offsets of its clients' consecutive row ranges, client
 ``i``'s id being ``i``.  No per-client object is kept; a client's view is
 built when it is read.  Skew is quantified per client as the L1 distance
-between its label distribution and a reference distribution (normally the
-label distribution of the full training set, which the dealt shards pool
-to).
+between its label distribution and that of the dealt shards pooled (the
+label distribution of the rows dealt, which the deal keeps).
 
 File format (``FEDDS v1``): one ASCII header line
 ``FEDDS v1 <num_samples> <num_features> <num_classes>\\n`` followed, per
@@ -33,12 +32,9 @@ __all__ = [
     "DatasetFormatError",
     "LabeledDataset",
     "Shards",
-    "LabelDistribution",
     "PartitionSpec",
     "SplitMode",
     "partition",
-    "label_distribution",
-    "emd",
     "make_synthetic",
     "split_train_test",
     "load_dataset",
@@ -158,26 +154,6 @@ class Shards:
 
 
 @dataclass(frozen=True)
-class LabelDistribution:
-    """A probability vector over classes (sums to one)."""
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=np.float64)
-        if probs.ndim != 1:
-            raise ValueError("probs must be a vector")
-        if probs.size and abs(float(probs.sum()) - 1.0) > 1e-9:
-            raise ValueError(f"probs must sum to 1, got {probs.sum()!r}")
-        if np.any(probs < 0.0) or np.any(probs > 1.0):
-            raise ValueError("probs entries must lie in [0, 1]")
-        object.__setattr__(self, "probs", probs)
-
-    def __len__(self) -> int:
-        return self.probs.size
-
-
-@dataclass(frozen=True)
 class PartitionSpec:
     """How to deal a dataset to ``num_clients`` clients.
 
@@ -201,25 +177,6 @@ class PartitionSpec:
             raise ValueError("num_clients must be positive")
         if not 0.0 < self.min_fraction <= 1.0:
             raise ValueError("min_fraction must lie in (0, 1]")
-
-
-def label_distribution(*datasets: LabeledDataset) -> LabelDistribution:
-    """Empirical label distribution of ``datasets`` pooled (at least one)."""
-    num_classes = {data.num_classes for data in datasets}
-    if len(num_classes) != 1:
-        raise ValueError(f"cannot pool datasets of class counts {sorted(num_classes)}")
-    labels = np.concatenate([data.labels for data in datasets])
-    if labels.size == 0:
-        raise ValueError("cannot compute a label distribution of an empty dataset")
-    counts = np.bincount(labels, minlength=num_classes.pop())
-    return LabelDistribution(counts / labels.size)
-
-
-def emd(a: LabelDistribution, b: LabelDistribution) -> float:
-    """Per-class L1 distance between two label distributions; range [0, 2]."""
-    if len(a) != len(b):
-        raise ValueError(f"distribution lengths differ: {len(a)} vs {len(b)}")
-    return float(np.abs(a.probs - b.probs).sum())
 
 
 def _nonequal_counts(total: int, spec: PartitionSpec, rng) -> np.ndarray:
@@ -451,13 +408,21 @@ def load_dataset(path: str | Path) -> LabeledDataset:
     return LabeledDataset(features, labels, num_classes)
 
 
-def partition_report(shards: Shards, reference: LabelDistribution) -> str:
-    """CSV report: one ``client_id,n_k,emd`` row per client plus a mean row."""
+def partition_report(shards: Shards) -> str:
+    """CSV report: one ``client_id,n_k,emd`` row per client plus a mean row.
+
+    A client's EMD is the L1 distance between its label distribution and
+    that of every shard pooled, in [0, 2).  Every client's label counts
+    come from one ``bincount`` of the gathered labels keyed by client and
+    class, so no client's view is built.
+    """
+    labels, n_k = shards.data.labels, shards.n_k
+    num_clients, num_classes = n_k.size, shards.data.num_classes
+    keys = np.repeat(np.arange(num_clients) * num_classes, n_k) + labels
+    counts = np.bincount(keys, minlength=num_clients * num_classes).reshape(num_clients, -1)
+    reference = np.bincount(labels, minlength=num_classes) / labels.size
+    emd = np.abs(counts / n_k[:, None] - reference).sum(axis=1)
     lines = ["client_id,n_k,emd"]
-    values = []
-    for client_id, (shard, n_k) in enumerate(zip(shards, shards.n_k.tolist())):
-        value = emd(label_distribution(shard), reference)
-        values.append(value)
-        lines.append(f"{client_id},{n_k},{value:.10f}")
-    lines.append(f"mean,,{float(np.mean(values)):.10f}")
+    lines += [f"{i},{n},{e:.10f}" for i, (n, e) in enumerate(zip(n_k.tolist(), emd.tolist()))]
+    lines.append(f"mean,,{float(emd.mean()):.10f}")
     return "\n".join(lines) + "\n"

@@ -38,6 +38,8 @@ __all__ = [
     "SelectorState",
     "SelectionError",
     "MEASURED_UTILITIES",
+    "UTILITY_COLUMNS",
+    "ROUND_COLUMNS",
     "make_selector",
     "selection_factor",
     "utilities",
@@ -70,6 +72,8 @@ MEASURED_UTILITIES: dict[Strategy, tuple[str, ...]] = {
     Strategy.NEWT_LIKE: (),
     Strategy.GRAD_NORM: ("loss_utility", "grad_norm_utility"),
 }
+# Every utility column some strategy ranks by.
+UTILITY_COLUMNS = tuple(dict.fromkeys(c for cs in MEASURED_UTILITIES.values() for c in cs))
 
 
 class FactorMode(str, Enum):
@@ -123,6 +127,11 @@ class SelectorState:
     sampled_once: np.ndarray
     last_round_selected: np.ndarray
 
+
+# The selector columns a round writes whatever the strategy.
+ROUND_COLUMNS = (
+    "weight_delta_norm", "loss_anchor", "acc_anchor", "sampled_once", "last_round_selected"
+)
 
 def make_selector(
     strategy: Strategy,

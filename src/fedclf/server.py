@@ -83,6 +83,8 @@ from .model import (
 from .seeds import split_seed
 from .selection import (
     MEASURED_UTILITIES,
+    ROUND_COLUMNS,
+    UTILITY_COLUMNS,
     FactorMode,
     GlobalTrend,
     SelectorState,
@@ -442,14 +444,6 @@ class Experiment:
         return self.history
 
 
-# Every utility column some strategy ranks by: the shared rounds measure them all.
-_UTILITY_COLUMNS = tuple(dict.fromkeys(c for cs in MEASURED_UTILITIES.values() for c in cs))
-# The selector columns a round writes whatever the strategy.
-_ROUND_COLUMNS = (
-    "weight_delta_norm", "loss_anchor", "acc_anchor", "sampled_once", "last_round_selected"
-)
-
-
 class _Group:
     """The data of one config group built inside ``battery_groups``, and
     the state its shared rounds end in once one of its experiments has run
@@ -467,20 +461,21 @@ class _Group:
             return
         state = experiment.selector
         if self.prefix is None:
-            own, experiment.measured = experiment.measured, _UTILITY_COLUMNS
+            # The shared rounds measure every utility some strategy ranks by.
+            own, experiment.measured = experiment.measured, UTILITY_COLUMNS
             for round_index in range(1, shared + 1):
                 experiment.run_round(round_index)
             experiment.measured = own
             columns = {
-                name: getattr(state, name).copy() for name in _UTILITY_COLUMNS + _ROUND_COLUMNS
+                name: getattr(state, name).copy() for name in UTILITY_COLUMNS + ROUND_COLUMNS
             }
             self.prefix = experiment.params, list(experiment.history), columns
         # The global model is never written in place, so it is shared as is.
         experiment.params, history, columns = self.prefix
         experiment.history = list(history)
-        for name in _UTILITY_COLUMNS:
+        for name in UTILITY_COLUMNS:
             getattr(state, name)[:] = columns[name] if name in experiment.measured else np.nan
-        for name in _ROUND_COLUMNS:
+        for name in ROUND_COLUMNS:
             getattr(state, name)[:] = columns[name]
 
 

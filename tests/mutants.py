@@ -50,6 +50,8 @@ NONEQUAL_GOLDEN = "tests/test_golden.py::test_golden_outputs_unchanged[softmax/s
 CLASS_SUM_ORACLE = "tests/test_model.py::test_class_sum_is_numpy_row_sum_bitwise_at_every_class_count"
 WIDE_EVAL_ORACLE = "tests/test_model.py::test_evaluate_equals_row_wise_reference_at_wide_class_counts"
 GROUP_FORK = "tests/test_server.py::test_a_cell_built_in_a_battery_group_equals_the_cell_alone"
+REPORT_ORACLE = "tests/test_dataset.py::test_partition_report_equals_per_client_loop"
+REPORT_BYTES = "tests/test_cli.py::test_partition_report_bytes_are_pinned"
 
 MUTANTS = (
     Mutant(
@@ -445,11 +447,25 @@ MUTANTS = (
         ("tests/test_server.py::test_build_partition_peaks_near_two_copies_of_the_features",),
     ),
     Mutant(
-        "partition-report-against-test-split",
-        "src/fedclf/cli.py",
-        "label_distribution(shards.data)",
-        "label_distribution(build_partition(_config_from_sources(args))[1])",
-        ("tests/test_cli.py::test_partition_report_bytes_are_pinned",),
+        "report-divides-by-the-total",
+        "src/fedclf/dataset.py",
+        "counts / n_k[:, None]",
+        "counts / labels.size",
+        (REPORT_ORACLE, REPORT_BYTES),
+    ),
+    Mutant(
+        "report-reference-from-client-0",
+        "src/fedclf/dataset.py",
+        "reference = np.bincount(labels, minlength=num_classes) / labels.size",
+        "reference = np.bincount(labels[: n_k[0]], minlength=num_classes) / n_k[0]",
+        (REPORT_ORACLE, REPORT_BYTES),
+    ),
+    Mutant(
+        "report-through-client-views",
+        "src/fedclf/dataset.py",
+        "labels, n_k = shards.data.labels, shards.n_k",
+        "labels, n_k = np.concatenate([v.labels for v in shards]), shards.n_k",
+        ("tests/test_dataset.py::test_partition_report_builds_no_client_view",),
     ),
 )
 

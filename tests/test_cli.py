@@ -666,6 +666,16 @@ def test_battery_dataset_entry_error_names_file_line_and_key(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_battery_zero_shard_size_names_file_line_and_key(tmp_path, capsys):
+    spec = battery_spec(tmp_path)
+    set_spec_line(spec, "datasets", "datasets=s10-equal,s0-equal")
+    out = tmp_path / "battery"
+    assert run_cli("battery", str(spec), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert f"{spec}:9: datasets: bad dataset entry 's0-equal', shard size S must be positive" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "line, list_key",
     [

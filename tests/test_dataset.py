@@ -1,7 +1,8 @@
-"""Partitioning, skew metrics, and dataset file I/O."""
+"""Partitioning, the skew report, and dataset file I/O."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 
@@ -13,14 +14,11 @@ from hypothesis import strategies as st
 from fedclf.dataset import (
     ConfigurationError,
     DatasetFormatError,
-    LabelDistribution,
     LabeledDataset,
     PartitionSpec,
     Shards,
     SplitMode,
     _nonequal_counts,
-    emd,
-    label_distribution,
     load_dataset,
     make_synthetic,
     partition,
@@ -49,9 +47,45 @@ def shards_of(datasets) -> Shards:
     return Shards(data, np.cumsum([0, *(d.num_samples for d in datasets)]))
 
 
-def report_mean(clients, reference) -> float:
+def labeled(labels, num_classes) -> LabeledDataset:
+    return LabeledDataset(np.zeros((len(labels), 1)), np.array(labels, dtype=np.int64), num_classes)
+
+
+def dealt(num_classes, present, num_clients, shard_size, extra, mode, seed) -> Shards:
+    """``num_clients * shard_size + extra`` random labels of the first
+    ``present`` of ``num_classes`` classes, dealt in ``mode``."""
+    total = num_clients * shard_size + extra
+    labels = np.random.default_rng(seed).integers(0, present, total)
+    spec = PartitionSpec(shard_size, mode, num_clients, seed=seed)
+    return partition(labeled(labels, num_classes), spec)
+
+
+def report_rows(shards) -> list[str]:
+    """The report's emd column: one entry per client, then the mean."""
+    return [row.rpartition(",")[2] for row in partition_report(shards).splitlines()[1:]]
+
+
+def report_mean(shards) -> float:
     """The mean row of the partition report: the clients' mean EMD."""
-    return float(partition_report(clients, reference).splitlines()[-1].rpartition(",")[2])
+    return float(report_rows(shards)[-1])
+
+
+def reference_report(shards: Shards, pooled: np.ndarray | None = None) -> str:
+    """The partition report as a plain per-client loop: one view per client,
+    its labels' ``bincount / n`` and their L1 distance to the distribution
+    of ``pooled`` (by default, every view's labels pooled)."""
+    views = list(shards)
+    num_classes = shards.data.num_classes
+    if pooled is None:
+        pooled = np.concatenate([view.labels for view in views])
+    reference = np.bincount(pooled, minlength=num_classes) / pooled.size
+    lines, values = ["client_id,n_k,emd"], []
+    for client_id, view in enumerate(views):
+        probs = np.bincount(view.labels, minlength=num_classes) / view.labels.size
+        values.append(float(np.abs(probs - reference).sum()))
+        lines.append(f"{client_id},{view.num_samples},{values[-1]:.10f}")
+    lines.append(f"mean,,{float(np.mean(values)):.10f}")
+    return "\n".join(lines) + "\n"
 
 
 def sample_multiset(datasets):
@@ -75,94 +109,109 @@ def test_labeled_dataset_rejects_length_mismatch():
         LabeledDataset(np.zeros((3, 2)), np.array([0, 1]), num_classes=2)
 
 
-def test_label_distribution_must_sum_to_one():
-    with pytest.raises(ValueError, match="sum to 1"):
-        LabelDistribution(np.array([0.5, 0.4]))
+# ----------------------------------------------------- partition_report
 
 
-# ------------------------------------------------- label_distribution
-
-
-def test_label_distribution_balanced_two_class():
-    ds = LabeledDataset(np.zeros((4, 1)), np.array([0, 0, 1, 1]), 2)
-    assert label_distribution(ds).probs.tolist() == [0.5, 0.5]
-
-
-def test_label_distribution_single_class():
-    ds = LabeledDataset(np.zeros((4, 1)), np.array([0, 0, 0, 0]), 2)
-    assert label_distribution(ds).probs.tolist() == [1.0, 0.0]
-
-
-def test_label_distribution_with_absent_class():
-    ds = LabeledDataset(np.zeros((3, 1)), np.array([0, 1, 2]), 4)
-    assert label_distribution(ds).probs == pytest.approx([1 / 3, 1 / 3, 1 / 3, 0.0])
-
-
-def test_label_distribution_pools_datasets():
-    # Shards pool to the distribution of the rows they were dealt, bitwise.
-    ds = make_synthetic(301, 2, 7, seed=3)
-    clients = partition(ds, PartitionSpec(9, SplitMode.NONEQUAL, 5, seed=2))
-    pooled = label_distribution(*clients)
-    assert np.array_equal(pooled.probs, label_distribution(ds).probs)
-    other = LabeledDataset(np.zeros((1, 2)), np.array([0]), 3)
-    for datasets in ([ds, other], []):
-        with pytest.raises(ValueError, match="class counts"):
-            label_distribution(*datasets)
-
-
-def test_label_distribution_rejects_empty():
-    ds = LabeledDataset(np.zeros((0, 1)), np.array([], dtype=int), 2)
-    with pytest.raises(ValueError, match="empty"):
-        label_distribution(ds)
-
-
-# ------------------------------------------------------------------ emd
-
-
-def test_emd_identical_distributions_is_zero():
-    d = LabelDistribution(np.array([0.25, 0.5, 0.25]))
-    assert emd(d, d) == 0.0
-
-
-def test_emd_half_shift():
-    a = LabelDistribution(np.array([0.5, 0.5]))
-    b = LabelDistribution(np.array([1.0, 0.0]))
-    assert emd(a, b) == pytest.approx(1.0)
-
-
-def test_emd_disjoint_is_two():
-    a = LabelDistribution(np.array([1.0, 0.0]))
-    b = LabelDistribution(np.array([0.0, 1.0]))
-    assert emd(a, b) == pytest.approx(2.0)
-
-
-def test_emd_rejects_length_mismatch():
-    a = LabelDistribution(np.array([1.0]))
-    b = LabelDistribution(np.array([0.5, 0.5]))
-    with pytest.raises(ValueError, match="lengths differ"):
-        emd(a, b)
-
-
-def _distributions(n_classes):
-    return (
-        st.lists(
-            st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
-            min_size=n_classes,
-            max_size=n_classes,
-        )
-        .filter(lambda w: sum(w) > 1e-6)
-        .map(lambda w: LabelDistribution(np.array(w) / sum(w)))
+@st.composite
+def partitions(draw) -> Shards:
+    """A small random partition; with a few classes present, or large
+    shards, clients miss classes."""
+    num_classes = draw(st.one_of(st.integers(1, 12), st.integers(129, 300)))
+    num_clients = draw(st.integers(1, 12))
+    return dealt(
+        num_classes,
+        draw(st.integers(1, num_classes)),
+        num_clients,
+        draw(st.integers(1, 30)),
+        draw(st.integers(0, 60)),
+        draw(st.sampled_from(list(SplitMode))),
+        draw(st.integers(0, 2**16)),
     )
 
 
-@settings(max_examples=100, deadline=None)
-@given(a=_distributions(4), b=_distributions(4), c=_distributions(4))
-def test_emd_metric_axioms(a, b, c):
-    d_ab = emd(a, b)
-    assert 0.0 <= d_ab <= 2.0
-    assert d_ab == pytest.approx(emd(b, a))
-    assert emd(a, a) == pytest.approx(0.0, abs=1e-12)
-    assert emd(a, c) <= d_ab + emd(b, c) + 1e-12
+@settings(max_examples=60, deadline=None)
+@given(shards=partitions())
+@example(shards=dealt(1, 1, 4, 5, 3, SplitMode.NONEQUAL, 0))  # one class
+@example(shards=dealt(5, 5, 1, 7, 9, SplitMode.EQUAL, 1))  # one client
+@example(shards=dealt(300, 300, 6, 20, 17, SplitMode.NONEQUAL, 2))  # past 128 classes
+@example(shards=dealt(12, 9, 8, 30, 11, SplitMode.EQUAL, 3))  # clients miss classes
+def test_partition_report_equals_per_client_loop(shards):
+    assert partition_report(shards) == reference_report(shards)
+
+
+def test_partition_report_builds_no_client_view(monkeypatch):
+    shards = dealt(10, 10, 50, 10, 40, SplitMode.NONEQUAL, 4)
+    expected = reference_report(shards)
+
+    def no_view(self, i):
+        raise AssertionError(f"the report built client {i}'s view")
+
+    monkeypatch.setattr(Shards, "__getitem__", no_view)
+    assert partition_report(shards) == expected
+
+
+def test_label_distribution_balanced_two_class():
+    # One client holds the whole pool, so it reads 0.
+    shards = shards_of([labeled([0, 0, 1, 1], 2)])
+    assert partition_report(shards) == "client_id,n_k,emd\n0,4,0.0000000000\nmean,,0.0000000000\n"
+
+
+def test_label_distribution_single_class():
+    # With one class every client holds the pooled distribution.
+    shards = partition(labeled([0] * 40, 1), PartitionSpec(3, SplitMode.NONEQUAL, 6, seed=1))
+    assert report_rows(shards) == ["0.0000000000"] * 7
+
+
+def test_label_distribution_with_absent_class():
+    # A class no client holds adds nothing to any row.
+    three = shards_of([labeled([0, 1, 2], 3), labeled([0, 0, 0], 3)])
+    four = shards_of([labeled([0, 1, 2], 4), labeled([0, 0, 0], 4)])
+    assert partition_report(four) == partition_report(three)
+    assert report_rows(four) == ["0.6666666667"] * 3
+
+
+def test_label_distribution_pools_datasets():
+    # The reference is the distribution of the rows dealt, which the shards
+    # pool to bitwise: the report equals the per-client loop against those
+    # rows before the deal.
+    ds = make_synthetic(301, 2, 7, seed=3)
+    rows, _ = split_train_test(ds, 0.25, seed=5)
+    shards = partition(ds, PartitionSpec(9, SplitMode.NONEQUAL, 5, seed=2), rows)
+    assert partition_report(shards) == reference_report(shards, ds.labels[rows])
+
+
+def test_emd_identical_distributions_is_zero():
+    shards = shards_of([labeled([0, 1, 1, 2], 3)] * 3)
+    assert report_rows(shards) == ["0.0000000000"] * 4
+
+
+def test_emd_half_shift():
+    # Single-class clients over a balanced pool are half of it away: 1.
+    shards = shards_of([labeled([0, 0], 2), labeled([1, 1], 2), labeled([0, 1], 2)])
+    assert report_rows(shards) == ["1.0000000000", "1.0000000000", "0.0000000000", "0.6666666667"]
+
+
+def test_emd_of_a_disjoint_client_is_two_times_the_others_share():
+    # A client whose classes no other client holds is 2 * (1 - n_k / N) from
+    # the pool, which tends to the disjoint distance 2 as its share shrinks.
+    for n in (1, 3, 9):
+        shards = shards_of([labeled([2] * n, 3), labeled([0, 1] * 5, 3)])
+        assert float(report_rows(shards)[0]) == pytest.approx(2 * 10 / (n + 10), abs=1e-10)
+    shards = shards_of([labeled([1], 2), labeled([0] * 99_999, 2)])
+    assert report_rows(shards)[0] == "1.9999800000"
+
+
+@settings(max_examples=50, deadline=None)
+@given(shards=partitions())
+def test_emd_metric_axioms(shards):
+    # Each row is a distance to the pool: in [0, 2), and two clients' rows
+    # differ by at most the distance between them (triangle inequality).
+    values = [float(v) for v in report_rows(shards)[:-1]]
+    assert all(0.0 <= v < 2.0 for v in values)
+    num_classes = shards.data.num_classes
+    probs = [np.bincount(v.labels, minlength=num_classes) / v.num_samples for v in shards]
+    for i, j in itertools.combinations(range(len(shards)), 2):
+        assert abs(values[i] - values[j]) <= np.abs(probs[i] - probs[j]).sum() + 1e-9
 
 
 # ------------------------------------------------------------ partition
@@ -171,19 +220,17 @@ def test_emd_metric_axioms(a, b, c):
 def test_partition_two_sorted_classes_single_class_clients():
     # Both possible deals of the two shards yield single-class clients.
     ds = LabeledDataset(np.arange(10, dtype=float).reshape(10, 1), np.repeat([0, 1], 5), 2)
-    reference = label_distribution(ds)
     for seed in range(4):
         clients = partition(ds, equal_spec(shard_size=5, num_clients=2, seed=seed))
         for c in clients:
             assert len(set(c.labels.tolist())) == 1
-            assert emd(label_distribution(c), reference) == pytest.approx(1.0)
+        assert report_rows(clients) == ["1.0000000000"] * 3
 
 
 def test_partition_singleton_shards_approach_iid():
     ds = make_synthetic(4000, 2, 2, seed=11)
     clients = partition(ds, equal_spec(shard_size=1, num_clients=2, seed=5))
-    reference = label_distribution(ds)
-    assert report_mean(clients, reference) < 0.1
+    assert report_mean(clients) < 0.1
 
 
 def test_partition_conservation_and_determinism():
@@ -488,23 +535,20 @@ def test_partition_emd_ladder_ordering_on_cifar_like_data():
     # Larger shards concentrate fewer classes per client, so skew rises with
     # shard size.
     ds = make_synthetic(20_000, 4, 10, seed=31)
-    reference = label_distribution(ds)
     values = {}
     for shard_size in (5, 50, 200):
         clients = partition(ds, equal_spec(shard_size, num_clients=50, seed=31))
-        values[shard_size] = report_mean(clients, reference)
+        values[shard_size] = report_mean(clients)
     assert values[200] > values[50] > values[5]
 
 
 def test_mean_partition_emd_trivial_cases():
     ds = LabeledDataset(np.zeros((8, 1)), np.array([0, 1] * 4), 2)
-    reference = label_distribution(ds)
     clients = partition(ds, equal_spec(shard_size=4, num_clients=2, seed=0))
-    # Two single-class clients over a balanced reference: each row and the
-    # mean row read 1.
-    rows = partition_report(clients, reference).splitlines()[1:]
-    assert [row.rpartition(",")[2] for row in rows] == ["1.0000000000"] * 3
-    assert report_mean(clients, reference) == 1.0
+    # Two single-class clients over a balanced pool: each row and the mean
+    # row read 1.
+    assert report_rows(clients) == ["1.0000000000"] * 3
+    assert report_mean(clients) == 1.0
 
 
 # -------------------------------------------------------- make_synthetic
@@ -649,7 +693,7 @@ def test_load_dataset_reports_truncation_offset(tmp_path):
 def test_partition_report_format():
     ds = LabeledDataset(np.zeros((8, 1)), np.array([0, 1] * 4), 2)
     clients = partition(ds, equal_spec(shard_size=4, num_clients=2, seed=0))
-    report = partition_report(clients, label_distribution(ds))
+    report = partition_report(clients)
     lines = report.strip().splitlines()
     assert lines[0] == "client_id,n_k,emd"
     assert lines[-1].startswith("mean,,")
