@@ -19,7 +19,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .dataset import SplitMode, partition_report, save_dataset
+from .dataset import ConfigurationError, SplitMode, partition_report, save_dataset
 from .selection import Strategy
 from .server import (
     CONFIG_KEYS,
@@ -249,7 +249,11 @@ def cmd_battery(args: argparse.Namespace) -> int:
                         base_cfg, strategy=strategy, partition=shards, seed=seed,
                         feedback_enabled=feedback,
                     )
-                    histories[strategy, seed] = run_experiment(cfg)
+                    try:
+                        histories[strategy, seed] = run_experiment(cfg)
+                    except ConfigurationError as exc:
+                        where = f"{args.spec}:{values['datasets'][0]}: datasets: {name}"
+                        raise ValueError(f"{where}: {exc}") from None
             cells = []
             for strategy in strategies:
                 final_ma = []

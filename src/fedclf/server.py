@@ -21,12 +21,14 @@ from one round to the next.
 
 Inside ``battery_groups``, experiments whose configs differ only in
 ``strategy`` and ``feedback_enabled`` (a battery's cells for one dataset and
-seed) share their data and their first ``min(W - 1, rounds - 1)`` rounds,
-where ``W`` is the warmup length.  Those rounds select by warmup draws, train
-and measure alike for every strategy, save that a strategy measures only the
-utilities it ranks by; the shared rounds measure all of them, and each cell
-keeps its own.  Round ``W`` is not shared: whether it measures depends on the
-feedback gate.
+seed) form a group that builds their data once.  Their first
+``min(W - 1, rounds - 1)`` rounds, where ``W`` is the warmup length, select
+by warmup draws, train and measure alike for every strategy, save that a
+strategy measures only the utilities it ranks by.  The group runs those
+rounds once, on an experiment of its own that measures all of them, and
+``run_experiment`` starts each cell from a copy of the state they end in,
+keeping the cell's own utilities.  Round ``W`` is not shared: whether it
+measures depends on the feedback gate.
 
 The gate resamples only when test accuracy strictly declined between the last
 two rounds; rounds 1 and 2 and every warmup round always select.  Disabling
@@ -352,7 +354,6 @@ class Experiment:
         self.history: list[RoundRecord] = []
         # The utility columns a measurement of a cohort writes.
         self.measured = MEASURED_UTILITIES[cfg.strategy]
-        self._group: _Group | None = None
         # Test (accuracy, loss) of the initial model: round 1's anchors.  Only
         # compound mode reads anchors, so only it evaluates the initial model.
         self.initial_metrics: tuple[float | None, float | None] = (None, None)
@@ -371,11 +372,11 @@ class Experiment:
         The cohort trains in one stacked call, rows in client-id order.  When
         the next round's gate opens, or this is the last round, the cohort is
         then measured at the model it received, for the utilities
-        ``measured`` names (its strategy's, or every strategy's in a group's
-        shared rounds), and the record's ``wall_time`` includes that.  A
-        non-finite update or utility raises ``NonFiniteUpdateError`` naming
-        this round; a non-finite utility is found after this round's record
-        is appended.
+        ``measured`` names (its strategy's, or every strategy's on a battery
+        group's own experiment), and the record's ``wall_time`` includes
+        that.  A non-finite update or utility raises ``NonFiniteUpdateError``
+        naming this round; a non-finite utility is found after this round's
+        record is appended.
         """
         expected = len(self.history) + 1
         if round_index != expected:
@@ -429,61 +430,50 @@ class Experiment:
         return record
 
     def run(self) -> list[RoundRecord]:
-        """Run rounds ``len(history) + 1`` to ``cfg.rounds``; return the history.
-
-        An experiment built inside ``battery_groups`` first takes its group's
-        shared rounds: the group's first experiment to run runs them, and
-        each later one starts from a copy of the state they end in.  Their
-        records, ``elapsed_s`` included, are the same in every experiment of
-        the group.
-        """
-        if self._group is not None and not self.history:
-            self._group.start(self)
+        """Run rounds ``len(history) + 1`` to ``cfg.rounds``; return the history."""
         for round_index in range(len(self.history) + 1, self.cfg.rounds + 1):
             self.run_round(round_index)
         return self.history
 
 
 class _Group:
-    """The data of one config group built inside ``battery_groups``, and
-    the state its shared rounds end in once one of its experiments has run
-    them."""
+    """One config group built inside ``battery_groups``: its data, and the
+    experiment on which it runs the shared rounds when its first cell
+    starts.  ``key`` is the group's configs with ``strategy`` and
+    ``feedback_enabled`` set to fixed values."""
 
-    def __init__(self, data: tuple[Shards, LabeledDataset]):
-        self.data = data
-        self.prefix: tuple[ModelParams, list[RoundRecord], dict[str, np.ndarray]] | None = None
+    def __init__(self, key: ExperimentConfig):
+        self.key = key
+        self.data = build_partition(key)
+        self.shared: Experiment | None = None
 
     def start(self, experiment: Experiment) -> None:
         """Bring a fresh ``experiment`` of this group to the end of the shared
-        rounds, running them if no experiment of the group has."""
-        shared = min(experiment.selector.warmup - 1, experiment.cfg.rounds - 1)
-        if shared < 1:
+        rounds, which the group runs first if no cell has started yet."""
+        rounds = min(experiment.selector.warmup - 1, experiment.cfg.rounds - 1)
+        if rounds < 1:
             return
-        state = experiment.selector
-        if self.prefix is None:
+        if self.shared is None:
+            self.shared = Experiment(self.key, *self.data)
             # The shared rounds measure every utility some strategy ranks by.
-            own, experiment.measured = experiment.measured, UTILITY_COLUMNS
-            for round_index in range(1, shared + 1):
-                experiment.run_round(round_index)
-            experiment.measured = own
-            columns = {
-                name: getattr(state, name).copy() for name in UTILITY_COLUMNS + ROUND_COLUMNS
-            }
-            self.prefix = experiment.params, list(experiment.history), columns
+            self.shared.measured = UTILITY_COLUMNS
+            for round_index in range(1, rounds + 1):
+                self.shared.run_round(round_index)
         # The global model is never written in place, so it is shared as is.
-        experiment.params, history, columns = self.prefix
-        experiment.history = list(history)
+        experiment.params = self.shared.params
+        experiment.history = list(self.shared.history)
+        state, shared = experiment.selector, self.shared.selector
         for name in UTILITY_COLUMNS:
-            getattr(state, name)[:] = columns[name] if name in experiment.measured else np.nan
+            kept = name in experiment.measured
+            getattr(state, name)[:] = getattr(shared, name) if kept else np.nan
         for name in ROUND_COLUMNS:
-            getattr(state, name)[:] = columns[name]
+            getattr(state, name)[:] = getattr(shared, name)
 
 
-# Inside ``battery_groups``: the group built last, keyed by its configs with
-# ``strategy`` and ``feedback_enabled`` set to fixed values.  It is module
-# state because a battery's cells reach ``build_experiment`` only through
-# ``run_experiment``.
-_open: dict[ExperimentConfig, _Group] | None = None
+# Inside ``battery_groups``: a list that holds the group built last.  It is
+# module state because a battery's cells reach ``build_experiment`` and the
+# fork only through ``run_experiment``.
+_open: list[_Group] | None = None
 
 
 @contextmanager
@@ -492,14 +482,15 @@ def battery_groups() -> Iterator[None]:
     that differ only in ``strategy`` and ``feedback_enabled``.
 
     Consecutive builds of such configs form a group: it builds its data
-    once, and its experiments share their first ``min(W - 1, rounds - 1)``
-    rounds (see the module docstring).  Each experiment still ends in the
+    once, and ``run_experiment`` starts its experiments from the end of
+    their first ``min(W - 1, rounds - 1)`` rounds, which the group runs once
+    (see the module docstring).  Each experiment still ends in the
     state and outputs it would reach built outside the block.  Only the last
     group's data is kept, so a caller that builds group by group holds one
     group's data at a time.
     """
     global _open
-    outer, _open = _open, {}
+    outer, _open = _open, []
     try:
         yield
     finally:
@@ -546,13 +537,10 @@ def build_experiment(cfg: ExperimentConfig) -> Experiment:
     if _open is None:
         return Experiment(cfg, *build_partition(cfg))
     key = replace(cfg, strategy=Strategy.FEDCLF, feedback_enabled=True)
-    group = _open.get(key)
-    if group is None:
+    if not _open or _open[0].key != key:
         _open.clear()  # the last group's data goes before the next is built
-        group = _open[key] = _Group(build_partition(cfg))
-    experiment = Experiment(cfg, *group.data)
-    experiment._group = group
-    return experiment
+        _open.append(_Group(key))
+    return Experiment(cfg, *_open[0].data)
 
 
 def run_log_csv(history: Sequence[RoundRecord], timestamp: str | None = None) -> str:
@@ -627,10 +615,13 @@ def run_experiment(
 ) -> list[RoundRecord]:
     """Run one experiment; once it completes, write its run and selection
     logs and summary to ``out_dir`` when one is given.  A bad ``out_dir``
-    fails before the first round."""
+    fails before the first round.  Inside ``battery_groups``, the experiment
+    starts from its group's shared rounds."""
     experiment = build_experiment(cfg)
     if out_dir is not None:
         check_out_dir(out_dir)
+    if _open:
+        _open[0].start(experiment)
     history = experiment.run()
     if out_dir is not None:
         out_path = Path(out_dir)

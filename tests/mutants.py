@@ -135,16 +135,52 @@ MUTANTS = (
     Mutant(
         "fork-keeps-an-unmeasured-utility",
         "src/fedclf/server.py",
-        "columns[name] if name in experiment.measured else np.nan",
-        "columns[name]",
+        "getattr(shared, name) if kept else np.nan",
+        "getattr(shared, name)",
+        (GROUP_FORK,),
+    ),
+    Mutant(
+        # The group's experiment measures every utility column, so this
+        # gives every cell every column.
+        "every-cell-gets-every-utility-column",
+        "src/fedclf/server.py",
+        "kept = name in experiment.measured",
+        "kept = name in self.shared.measured",
+        (GROUP_FORK,),
+    ),
+    Mutant(
+        "group-measures-only-its-key-strategys-utilities",
+        "src/fedclf/server.py",
+        "            self.shared.measured = UTILITY_COLUMNS\n",
+        "",
         (GROUP_FORK,),
     ),
     Mutant(
         "fork-aliases-the-prefix-columns",
         "src/fedclf/server.py",
-        "            getattr(state, name)[:] = columns[name]\n",
-        "            setattr(state, name, columns[name])\n",
+        "            getattr(state, name)[:] = getattr(shared, name)\n",
+        "            setattr(state, name, getattr(shared, name))\n",
         (GROUP_FORK,),
+    ),
+    Mutant(
+        "fork-shares-the-group-history",
+        "src/fedclf/server.py",
+        "experiment.history = list(self.shared.history)",
+        "experiment.history = self.shared.history",
+        (GROUP_FORK,),
+    ),
+    Mutant(
+        # Every cell then runs its shared rounds itself: the outputs stay
+        # right and only the round counts show it.
+        "run-experiment-skips-the-fork",
+        "src/fedclf/server.py",
+        "    if _open:\n        _open[0].start(experiment)\n",
+        "",
+        (
+            GROUP_FORK,
+            "tests/test_cli.py::test_battery_builds_each_groups_data_once_and_shares_its_warmup_rounds",
+            "tests/test_work_budget.py::test_work_counts_match_the_budget[battery]",
+        ),
     ),
     Mutant(
         "next-group-built-while-the-last-is-kept",

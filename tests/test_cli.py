@@ -676,6 +676,16 @@ def test_battery_zero_shard_size_names_file_line_and_key(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_battery_entry_whose_partition_fails_names_file_line_key_and_entry(tmp_path, capsys):
+    spec = battery_spec(tmp_path)
+    set_spec_line(spec, "datasets", "datasets=s10-equal,s500-equal")
+    out = tmp_path / "battery"
+    assert run_cli("battery", str(spec), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert f"error: {spec}:9: datasets: s500-equal: shard_size S=500 yields only 1 shards " in err
+    assert not (out / "battery.csv").exists()
+
+
 @pytest.mark.parametrize(
     "line, list_key",
     [

@@ -592,8 +592,7 @@ def test_a_rounds_elapsed_time_includes_its_measurement(monkeypatch):
 # ------------------------------------------------------- battery groups
 
 
-def cell_outputs(cfg, experiment):
-    history = experiment.run()
+def cell_outputs(cfg, history):
     return (
         deterministic_csv_payload(run_log_csv(history)),
         selection_log_csv(cfg, history),
@@ -628,17 +627,37 @@ GROUP_CASES = {
 
 @pytest.mark.parametrize("dataset", sorted(GROUP_DATASETS))
 @pytest.mark.parametrize("case", sorted(GROUP_CASES))
-def test_a_cell_built_in_a_battery_group_equals_the_cell_alone(case, dataset):
+def test_a_cell_built_in_a_battery_group_equals_the_cell_alone(case, dataset, monkeypatch):
+    # Each cell runs as a battery runs it, through ``run_experiment``; the
+    # wrapper keeps the experiment each call builds.
     strategies, overrides = GROUP_CASES[case]
     cfgs = group_cells(strategies, partition=GROUP_DATASETS[dataset], **overrides)
-    with fedclf.server.battery_groups():
-        grouped = [build_experiment(cfg) for cfg in cfgs[:2]]
-        grouped[0].run()  # the group's shared rounds run before a later build
-        grouped += [build_experiment(cfg) for cfg in cfgs[2:]]
-        outputs = [cell_outputs(cfg, e) for cfg, e in zip(cfgs, grouped)]
-    for cfg, experiment, output in zip(cfgs, grouped, outputs):
+    grouped, rounds = [], []
+    real_build, real_round = build_experiment, Experiment.run_round
+
+    def keep_build(cfg):
+        grouped.append(real_build(cfg))
+        return grouped[-1]
+
+    def run_round(self, round_index):
+        rounds.append(round_index)
+        return real_round(self, round_index)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fedclf.server, "build_experiment", keep_build)
+        patch.setattr(Experiment, "run_round", run_round)
+        with fedclf.server.battery_groups():
+            histories = [run_experiment(cfg) for cfg in cfgs]
+    assert len(grouped) == len(cfgs)
+    # The group runs its shared rounds 1..P once; each cell runs the rest.
+    cfg = cfgs[0]
+    warmup = math.ceil(cfg.num_clients / cfg.select_k) if cfg.warmup_enabled else 0
+    shared = max(0, min(warmup - 1, cfg.rounds - 1))
+    own = list(range(shared + 1, cfg.rounds + 1))
+    assert rounds == list(range(1, shared + 1)) + own * len(cfgs)
+    for cfg, experiment, history in zip(cfgs, grouped, histories):
         alone = build_experiment(cfg)
-        assert output == cell_outputs(cfg, alone), cfg.strategy
+        assert cell_outputs(cfg, history) == cell_outputs(cfg, alone.run()), cfg.strategy
         for name, column in vars(alone.selector).items():
             if isinstance(column, np.ndarray):
                 np.testing.assert_array_equal(
@@ -662,7 +681,7 @@ def test_a_battery_group_builds_its_data_once_and_keeps_one_group(monkeypatch):
     with fedclf.server.battery_groups():
         for seed in (1, 2):
             for cfg in cfgs:
-                build_experiment(replace(cfg, seed=seed)).run()
+                run_experiment(replace(cfg, seed=seed))
     assert len(built) == 2 * 2
     assert fedclf.server._open is None
 
