@@ -52,6 +52,9 @@ WIDE_EVAL_ORACLE = "tests/test_model.py::test_evaluate_equals_row_wise_reference
 GROUP_FORK = "tests/test_server.py::test_a_cell_built_in_a_battery_group_equals_the_cell_alone"
 REPORT_ORACLE = "tests/test_dataset.py::test_partition_report_equals_per_client_loop"
 REPORT_BYTES = "tests/test_cli.py::test_partition_report_bytes_are_pinned"
+REFERENCE = "tests/test_reference.py::test_a_run_equals_the_reference_simulator"
+BATTERY_REFERENCE = "tests/test_reference.py::test_every_battery_cell_equals_its_reference_run"
+BUDGET = "tests/test_work_budget.py::test_work_counts_match_the_budget"
 
 MUTANTS = (
     Mutant(
@@ -121,7 +124,31 @@ MUTANTS = (
         "src/fedclf/server.py",
         "self.history[round_index - 2]",
         "self.history[round_index - 1]",
-        (f"{ORACLE}[fedclf-compound]",),
+        (f"{ORACLE}[fedclf-compound]", REFERENCE),
+    ),
+    Mutant(
+        "gate-resamples-on-a-tie",
+        "src/fedclf/server.py",
+        "return acc_prev < acc_prev2",
+        "return acc_prev <= acc_prev2",
+        (REFERENCE, f"{BATTERY_REFERENCE}[battery]"),
+    ),
+    Mutant(
+        # Reuse rounds overwrite what they measure, so only the counts show it.
+        "measure-on-every-round",
+        "src/fedclf/server.py",
+        "if round_index == cfg.rounds or feedback_gate(",
+        "if True or feedback_gate(",
+        (f"{BUDGET}[paper-default]",),
+    ),
+    Mutant(
+        "train-a-reuse-cohort-twice",
+        "src/fedclf/server.py",
+        "            trained, deltas = client_update(self.shards, ids, received, self.train_cfg, seeds)\n",
+        "            trained, deltas = client_update(self.shards, ids, received, self.train_cfg, seeds)\n"
+        "            if not gate:\n"
+        "                trained, deltas = client_update(self.shards, ids, received, self.train_cfg, seeds)\n",
+        (f"{BUDGET}[paper-default]",),
     ),
     Mutant(
         # Round W measures only if the next gate opens, which depends on
@@ -130,7 +157,7 @@ MUTANTS = (
         "src/fedclf/server.py",
         "min(experiment.selector.warmup - 1, experiment.cfg.rounds - 1)",
         "min(experiment.selector.warmup, experiment.cfg.rounds - 1)",
-        (GROUP_FORK,),
+        (GROUP_FORK, f"{BATTERY_REFERENCE}[battery]"),
     ),
     Mutant(
         "fork-keeps-an-unmeasured-utility",
@@ -179,7 +206,7 @@ MUTANTS = (
         (
             GROUP_FORK,
             "tests/test_cli.py::test_battery_builds_each_groups_data_once_and_shares_its_warmup_rounds",
-            "tests/test_work_budget.py::test_work_counts_match_the_budget[battery]",
+            f"{BUDGET}[battery]",
         ),
     ),
     Mutant(

@@ -1,4 +1,4 @@
-"""Work budgets: exact counts of the expensive calls in three small runs.
+"""Work budgets: exact counts of the expensive calls in four small runs.
 
 A change that does more or less work per run, such as an extra evaluation,
 a round run twice or a partition built per cell, moves a count here even
@@ -16,6 +16,7 @@ import json
 import sys
 import tempfile
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -64,12 +65,18 @@ BATTERY_SPEC = (
     "strategies=fedclf,rawloss,random,oort,newt,gradnorm\n"
     "datasets=s1-equal,s10-nonequal\nseeds=1,2\n"
 )
+# The same battery, and again in compound mode, whose round-1 anchors are
+# the initial model's test metrics.
+BATTERY_SPECS = {
+    "battery": BATTERY_SPEC,
+    "battery-compound": BATTERY_SPEC + "compound_factors=1\n",
+}
 
 
-def run_battery() -> None:
+def run_battery(spec_text: str) -> None:
     with tempfile.TemporaryDirectory(prefix="fedclf-budget-") as tmp:
         spec = Path(tmp) / "battery.conf"
-        spec.write_text(BATTERY_SPEC)
+        spec.write_text(spec_text)
         with contextlib.redirect_stdout(io.StringIO()):
             code = main(["battery", str(spec), "--out", str(Path(tmp) / "out")])
         if code != 0:
@@ -79,7 +86,7 @@ def run_battery() -> None:
 RUNS = {
     "paper-default": lambda: run_experiment(PAPER_DEFAULT),
     "many-clients": lambda: run_experiment(MANY_CLIENTS),
-    "battery": run_battery,
+    **{name: partial(run_battery, spec) for name, spec in BATTERY_SPECS.items()},
 }
 
 
