@@ -16,8 +16,10 @@ model the cohort received, and writes them, the weight-change norms and the
 received model's test metrics to the selector in one
 ``update_after_round`` call.  In any other round the same clients train
 again before any selection, and would overwrite those values unread.
-Nothing but the global model, the selector and the round records passes
-from one round to the next.
+The received model's test metrics are the previous round's; round 1's
+anchors are read only in compound mode, so only there does round 1 evaluate
+the initial model.  Nothing but the global model, the selector and the
+round records passes from one round to the next.
 
 Inside ``battery_groups``, experiments whose configs differ only in
 ``strategy`` and ``feedback_enabled`` (a battery's cells for one dataset and
@@ -25,10 +27,11 @@ seed) form a group that builds their data once.  Their first
 ``min(W - 1, rounds - 1)`` rounds, where ``W`` is the warmup length, select
 by warmup draws, train and measure alike for every strategy, save that a
 strategy measures only the utilities it ranks by.  The group runs those
-rounds once, on an experiment of its own that measures all of them, and
-``run_experiment`` starts each cell from a copy of the state they end in,
-keeping the cell's own utilities.  Round ``W`` is not shared: whether it
-measures depends on the feedback gate.
+rounds once, on a ``gradnorm`` experiment of its own (the one strategy that
+ranks by every utility column), and ``run_experiment`` starts each cell
+from a copy of the state they end in, keeping the cell's own utilities.
+Round ``W`` is not shared: whether it measures depends on the feedback
+gate.
 
 The gate resamples only when test accuracy strictly declined between the last
 two rounds; rounds 1 and 2 and every warmup round always select.  Disabling
@@ -352,17 +355,10 @@ class Experiment:
             compound_factors=cfg.compound_factors,
         )
         self.history: list[RoundRecord] = []
-        # The utility columns a measurement of a cohort writes.
-        self.measured = MEASURED_UTILITIES[cfg.strategy]
-        # Test (accuracy, loss) of the initial model: round 1's anchors.  Only
-        # compound mode reads anchors, so only it evaluates the initial model.
-        self.initial_metrics: tuple[float | None, float | None] = (None, None)
-        if cfg.compound_factors:
-            self.initial_metrics = self._test_metrics()
 
-    def _test_metrics(self) -> tuple[float, float]:
-        """Test accuracy and mean loss of the current global model."""
-        result = evaluate(self.params, self.test_stack)
+    def _test_metrics(self, params: ModelParams) -> tuple[float, float]:
+        """Test accuracy and mean loss of ``params``."""
+        result = evaluate(params, self.test_stack)
         hits = result.per_sample_hits  # a sum of 0.0/1.0 values is the count
         return int(np.count_nonzero(hits)) / hits.size, float(np.mean(result.per_sample_losses))
 
@@ -371,12 +367,13 @@ class Experiment:
 
         The cohort trains in one stacked call, rows in client-id order.  When
         the next round's gate opens, or this is the last round, the cohort is
-        then measured at the model it received, for the utilities
-        ``measured`` names (its strategy's, or every strategy's on a battery
-        group's own experiment), and the record's ``wall_time`` includes
-        that.  A non-finite update or utility raises ``NonFiniteUpdateError``
-        naming this round; a non-finite utility is found after this round's
-        record is appended.
+        then measured at the model it received, for the utilities its
+        strategy ranks by (``MEASURED_UTILITIES``), and anchored to that
+        model's test metrics, the previous round's (in round 1, in compound
+        mode, the initial model's, evaluated then); the record's
+        ``wall_time`` includes that.  A non-finite update or utility raises
+        ``NonFiniteUpdateError`` naming this round; a non-finite utility is
+        found after this round's record is appended.
         """
         expected = len(self.history) + 1
         if round_index != expected:
@@ -395,7 +392,7 @@ class Experiment:
         try:
             trained, deltas = client_update(self.shards, ids, received, self.train_cfg, seeds)
             self.params = aggregate(trained, self.shards.n_k[ids].tolist())
-            accuracy, loss = self._test_metrics()
+            accuracy, loss = self._test_metrics(self.params)
             window = cfg.moving_avg_window
             recent = [r.test_accuracy for r in self.history[max(0, round_index - window) :]]
             recent.append(accuracy)
@@ -412,16 +409,16 @@ class Experiment:
             if round_index == cfg.rounds or feedback_gate(
                 self.history, round_index + 1, cfg.feedback_enabled, self.selector.warmup
             ):
-                measured = self.measured
+                measured = MEASURED_UTILITIES[cfg.strategy]
                 want_grad_norm = "grad_norm_utility" in measured
-                utilities = None, None
+                utilities = anchor = (None, None)
                 if measured:
                     utilities = measure_utilities(self.shards, ids, received, want_grad_norm)
-                if round_index == 1:
-                    anchor = self.initial_metrics
-                else:
+                if round_index > 1:
                     received_from = self.history[round_index - 2]
                     anchor = received_from.test_accuracy, received_from.test_loss
+                elif cfg.compound_factors:
+                    anchor = self._test_metrics(received)
                 update_after_round(self.selector, ids, deltas, *utilities, *anchor)
                 record = replace(record, wall_time=time.perf_counter() - started)
                 self.history[-1] = record
@@ -439,8 +436,8 @@ class Experiment:
 class _Group:
     """One config group built inside ``battery_groups``: its data, and the
     experiment on which it runs the shared rounds when its first cell
-    starts.  ``key`` is the group's configs with ``strategy`` and
-    ``feedback_enabled`` set to fixed values."""
+    starts.  ``key`` is the group's configs as a ``gradnorm`` experiment
+    with feedback, so its shared rounds measure every utility column."""
 
     def __init__(self, key: ExperimentConfig):
         self.key = key
@@ -455,8 +452,6 @@ class _Group:
             return
         if self.shared is None:
             self.shared = Experiment(self.key, *self.data)
-            # The shared rounds measure every utility some strategy ranks by.
-            self.shared.measured = UTILITY_COLUMNS
             for round_index in range(1, rounds + 1):
                 self.shared.run_round(round_index)
         # The global model is never written in place, so it is shared as is.
@@ -464,7 +459,7 @@ class _Group:
         experiment.history = list(self.shared.history)
         state, shared = experiment.selector, self.shared.selector
         for name in UTILITY_COLUMNS:
-            kept = name in experiment.measured
+            kept = name in MEASURED_UTILITIES[experiment.cfg.strategy]
             getattr(state, name)[:] = getattr(shared, name) if kept else np.nan
         for name in ROUND_COLUMNS:
             getattr(state, name)[:] = getattr(shared, name)
@@ -536,7 +531,7 @@ def build_experiment(cfg: ExperimentConfig) -> Experiment:
     cfg.validate()
     if _open is None:
         return Experiment(cfg, *build_partition(cfg))
-    key = replace(cfg, strategy=Strategy.FEDCLF, feedback_enabled=True)
+    key = replace(cfg, strategy=Strategy.GRAD_NORM, feedback_enabled=True)
     if not _open or _open[0].key != key:
         _open.clear()  # the last group's data goes before the next is built
         _open.append(_Group(key))

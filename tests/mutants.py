@@ -55,6 +55,7 @@ REPORT_BYTES = "tests/test_cli.py::test_partition_report_bytes_are_pinned"
 REFERENCE = "tests/test_reference.py::test_a_run_equals_the_reference_simulator"
 BATTERY_REFERENCE = "tests/test_reference.py::test_every_battery_cell_equals_its_reference_run"
 BUDGET = "tests/test_work_budget.py::test_work_counts_match_the_budget"
+COMPOUND_ANCHORS = "tests/test_server.py::test_only_compound_mode_evaluates_the_initial_model"
 
 MUTANTS = (
     Mutant(
@@ -127,6 +128,20 @@ MUTANTS = (
         (f"{ORACLE}[fedclf-compound]", REFERENCE),
     ),
     Mutant(
+        "round-1-anchors-to-the-aggregated-model",
+        "src/fedclf/server.py",
+        "anchor = self._test_metrics(received)",
+        "anchor = self._test_metrics(self.params)",
+        (COMPOUND_ANCHORS, f"{ORACLE}[fedclf-compound]", REFERENCE),
+    ),
+    Mutant(
+        "plain-round-1-evaluates-the-initial-model",
+        "src/fedclf/server.py",
+        "                elif cfg.compound_factors:\n",
+        "                else:\n",
+        (COMPOUND_ANCHORS, f"{BUDGET}[paper-default]"),
+    ),
+    Mutant(
         "gate-resamples-on-a-tie",
         "src/fedclf/server.py",
         "return acc_prev < acc_prev2",
@@ -171,15 +186,15 @@ MUTANTS = (
         # gives every cell every column.
         "every-cell-gets-every-utility-column",
         "src/fedclf/server.py",
-        "kept = name in experiment.measured",
-        "kept = name in self.shared.measured",
+        "kept = name in MEASURED_UTILITIES[experiment.cfg.strategy]",
+        "kept = name in MEASURED_UTILITIES[self.shared.cfg.strategy]",
         (GROUP_FORK,),
     ),
     Mutant(
         "group-measures-only-its-key-strategys-utilities",
         "src/fedclf/server.py",
-        "            self.shared.measured = UTILITY_COLUMNS\n",
-        "",
+        "key = replace(cfg, strategy=Strategy.GRAD_NORM,",
+        "key = replace(cfg, strategy=Strategy.FEDCLF,",
         (GROUP_FORK,),
     ),
     Mutant(
@@ -356,8 +371,8 @@ MUTANTS = (
     Mutant(
         "test-stack-rebuilt-each-round",
         "src/fedclf/server.py",
-        "evaluate(self.params, self.test_stack)",
-        "evaluate(self.params, replace(self.test_stack))",
+        "evaluate(params, self.test_stack)",
+        "evaluate(params, replace(self.test_stack))",
         ("tests/test_server.py::test_each_round_reduces_the_test_accuracy_once",),
     ),
     Mutant(

@@ -15,26 +15,10 @@ from hypothesis import strategies as st
 import fedclf.cli
 from fedclf.dataset import PartitionSpec, SplitMode
 from fedclf.selection import FactorMode, Strategy
-from fedclf.server import (
-    ExperimentConfig,
-    deterministic_csv_payload,
-    run_experiment,
-    run_log_csv,
-    selection_log_csv,
-    summary_text,
-)
+from fedclf.server import ExperimentConfig, run_experiment
 from reference import reference_run
+from test_server import cell_outputs
 from test_work_budget import BATTERY_SPECS
-
-
-def outputs(cfg, history):
-    """The deterministic bytes of a run: the ``run.csv`` payload,
-    ``selection.csv`` and ``summary.txt``."""
-    return (
-        deterministic_csv_payload(run_log_csv(history)),
-        selection_log_csv(cfg, history),
-        summary_text(cfg, history),
-    )
 
 
 PARTITIONS = {
@@ -84,7 +68,7 @@ def example_config(**overrides):
 @example(cfg=example_config(strategy=Strategy.GRAD_NORM, warmup_enabled=False))
 @example(cfg=example_config(strategy=Strategy.NEWT_LIKE, shape_tag="mlp:3"))
 def test_a_run_equals_the_reference_simulator(cfg):
-    assert outputs(cfg, run_experiment(cfg)) == outputs(cfg, reference_run(cfg))
+    assert cell_outputs(cfg, run_experiment(cfg)) == cell_outputs(cfg, reference_run(cfg))
 
 
 @pytest.mark.parametrize("battery", sorted(BATTERY_SPECS))
@@ -106,4 +90,4 @@ def test_every_battery_cell_equals_its_reference_run(battery, monkeypatch):
             assert fedclf.cli.main(["battery", str(spec), "--out", str(Path(tmp) / "out")]) == 0
     assert len(cells) == 24
     for cfg, history in cells:
-        assert outputs(cfg, history) == outputs(cfg, reference_run(cfg)), cfg
+        assert cell_outputs(cfg, history) == cell_outputs(cfg, reference_run(cfg)), cfg

@@ -24,9 +24,9 @@ from fedclf.dataset import (
     SplitMode,
     make_synthetic,
 )
-from fedclf.model import ModelParams, TrainConfig, softmax_tag
+from fedclf.model import ModelParams, TrainConfig, evaluate, softmax_tag
 from fedclf.seeds import split_seed
-from fedclf.selection import FactorMode, Strategy
+from fedclf.selection import MEASURED_UTILITIES, UTILITY_COLUMNS, FactorMode, Strategy
 from fedclf.server import (
     Experiment,
     ExperimentConfig,
@@ -443,17 +443,21 @@ class EagerExperiment(Experiment):
     """Reference: right after every round, writes the cohort's utilities
     (measured at the model it received; NaN for the ``UNMEASURED``
     strategies), weight-change norms (of training it again from that model
-    with the round's seeds) and anchors (the received model's test metrics)
-    to the selector columns itself.  It reads only the round's record, the
-    global model and the public selector columns, and it overwrites whatever
+    with the round's seeds) and anchors (the received model's test metrics,
+    which it evaluates itself in round 1 of compound mode) to the selector
+    columns itself.  It reads only the round's record, the global model, the
+    test split and the public selector columns, and it overwrites whatever
     the round itself stored."""
 
     def run_round(self, round_index):
         cfg, received = self.cfg, self.params
+        acc = loss = None
         if self.history:
             acc, loss = self.history[-1].test_accuracy, self.history[-1].test_loss
-        else:
-            acc, loss = self.initial_metrics
+        elif cfg.compound_factors:
+            result = evaluate(received, self.test_stack)
+            acc = float(np.mean(result.per_sample_hits))
+            loss = float(np.mean(result.per_sample_losses))
         record = super().run_round(round_index)
         ids = list(record.selected_ids)
         seeds = [split_seed(cfg.seed, f"train-r{round_index}", cid) for cid in ids]
@@ -648,7 +652,10 @@ def test_a_cell_built_in_a_battery_group_equals_the_cell_alone(case, dataset, mo
         patch.setattr(Experiment, "run_round", run_round)
         with fedclf.server.battery_groups():
             histories = [run_experiment(cfg) for cfg in cfgs]
+            key = fedclf.server._open[0].key
     assert len(grouped) == len(cfgs)
+    # The group's own experiment measures every column some cell keeps.
+    assert MEASURED_UTILITIES[key.strategy] == UTILITY_COLUMNS
     # The group runs its shared rounds 1..P once; each cell runs the rest.
     cfg = cfgs[0]
     warmup = math.ceil(cfg.num_clients / cfg.select_k) if cfg.warmup_enabled else 0
@@ -819,21 +826,32 @@ def test_selection_log_of_a_round_by_round_history_is_the_written_log(
 
 
 def test_only_compound_mode_evaluates_the_initial_model(monkeypatch):
+    # Building an experiment evaluates nothing.  Round 1 always measures its
+    # cohort, and anchors it to the initial model's test metrics only where
+    # anchors are read: compound mode evaluates that model in round 1, one
+    # server evaluation more than round 2.
     calls = []
-    original = fedclf.server.evaluate
-
-    def counting(params, data):
-        calls.append(1)
-        return original(params, data)
-
-    monkeypatch.setattr(fedclf.server, "evaluate", counting)
+    monkeypatch.setattr(
+        fedclf.server, "evaluate", lambda *args: calls.append(1) or evaluate(*args)
+    )
     for compound in (False, True):
         calls.clear()
         experiment = build_experiment(small_config(compound_factors=compound))
-        assert len(calls) == int(compound)
+        assert calls == []
+        initial = evaluate(experiment.params, experiment.test_stack)
         ids = list(experiment.run_round(1).selected_ids)
-        # Round 1's cohort is anchored only where anchors are read.
-        assert np.isnan(experiment.selector.loss_anchor[ids]).all() != compound
+        first = len(calls)
+        calls.clear()
+        experiment.run_round(2)
+        assert first == len(calls) + compound
+        state = experiment.selector
+        anchors = state.acc_anchor[ids], state.loss_anchor[ids]
+        if compound:
+            expected = np.mean(initial.per_sample_hits), np.mean(initial.per_sample_losses)
+            for anchor, value in zip(anchors, expected):
+                assert anchor.tobytes() == np.full(len(ids), value).tobytes()
+        else:
+            assert np.isnan(anchors).all()
 
 
 def test_deterministic_csv_payload_strips_clock_readings():
