@@ -3,11 +3,6 @@
 
 from __future__ import annotations
 
-import contextlib
-import io
-import tempfile
-from pathlib import Path
-
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -18,7 +13,7 @@ from fedclf.selection import FactorMode, Strategy
 from fedclf.server import ExperimentConfig, run_experiment
 from reference import reference_run
 from test_server import cell_outputs
-from test_work_budget import BATTERY_SPECS
+from test_work_budget import BATTERY_SPECS, run_battery
 
 
 PARTITIONS = {
@@ -78,16 +73,12 @@ def test_every_battery_cell_equals_its_reference_run(battery, monkeypatch):
     cells = []
     real_run = fedclf.cli.run_experiment
 
-    def keep_cell(cfg, *args, **kwargs):
-        cells.append((cfg, real_run(cfg, *args, **kwargs)))
+    def keep_cell(cfg):
+        cells.append((cfg, real_run(cfg)))
         return cells[-1][1]
 
     monkeypatch.setattr(fedclf.cli, "run_experiment", keep_cell)
-    with tempfile.TemporaryDirectory(prefix="fedclf-reference-") as tmp:
-        spec = Path(tmp) / "battery.conf"
-        spec.write_text(BATTERY_SPECS[battery])
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert fedclf.cli.main(["battery", str(spec), "--out", str(Path(tmp) / "out")]) == 0
+    run_battery(BATTERY_SPECS[battery])
     assert len(cells) == 24
     for cfg, history in cells:
         assert cell_outputs(cfg, history) == cell_outputs(cfg, reference_run(cfg)), cfg
