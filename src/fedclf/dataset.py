@@ -3,12 +3,14 @@
 Client shards are produced by sorting the training set by label, cutting it
 into shards of a configurable size ``S``, shuffling the shards, and dealing
 them to clients.  Large shards concentrate few classes per client; ``S=1``
-degenerates to a uniform random split.  The deal is computed as one
-client-ordered index into the dealt rows, and the data is gathered through it
-once into one read-only dataset.  The result is a ``Shards``: that dataset
-and the ``K + 1`` offsets of its clients' consecutive row ranges, client
-``i``'s id being ``i``.  No per-client object is kept; a client's view is
-built when it is read.  Skew is quantified per client as the L1 distance
+degenerates to a uniform random split.  The split (``split_rows``) and the
+deal (``deal``: a client-ordered row index and the client counts) read no
+feature, so synthetic rows can be written once, straight into their dealt
+places (``make_synthetic``'s ``order``); a loaded dataset is gathered through
+the deal once (``partition``).  The result is a ``Shards``: one read-only
+dataset and the ``K + 1`` offsets of its clients' consecutive row ranges,
+client ``i``'s id being ``i``.  No per-client object is kept; a client's view
+is built when it is read.  Skew is quantified per client as the L1 distance
 between its label distribution and that of the dealt shards pooled (the
 label distribution of the rows dealt, which the deal keeps).
 
@@ -34,8 +36,10 @@ __all__ = [
     "Shards",
     "PartitionSpec",
     "SplitMode",
+    "deal",
     "partition",
     "make_synthetic",
+    "split_rows",
     "split_train_test",
     "load_dataset",
     "save_dataset",
@@ -205,13 +209,13 @@ def _nonequal_counts(total: int, spec: PartitionSpec, rng) -> np.ndarray:
     return counts
 
 
-def partition(
-    dataset: LabeledDataset, spec: PartitionSpec, rows: np.ndarray | None = None
-) -> Shards:
-    """Deal ``rows`` of ``dataset`` (all of it when ``None``) to
-    ``spec.num_clients`` clients via sort-and-shard.
+def deal(
+    labels: np.ndarray, num_classes: int, spec: PartitionSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """Deal the rows of ``labels`` to ``spec.num_clients`` clients via
+    sort-and-shard: the client-ordered row index and the client counts.
 
-    The label-sorted data is cut into shards of ``shard_size`` (a trailing
+    The label-sorted rows are cut into shards of ``shard_size`` (a trailing
     short shard when it does not divide the total), laid out as the rows of
     one padded index grid, and the rows are shuffled.  Equal mode deals whole
     shuffled shards round-robin (shard ``p`` to client ``p % num_clients``)
@@ -221,18 +225,9 @@ def partition(
     divides the number of shards.  Non-equal mode cuts the shuffled shard
     sequence into contiguous blocks whose sizes follow seeded random weights,
     floored at ``min_fraction * (total / num_clients)`` (at most
-    ``total // num_clients``).
-
-    Either way the deal is one client-ordered index into the dealt rows.  It
-    is composed with ``rows``, so features and labels are gathered once,
-    straight from ``dataset``, into read-only arrays, and client ``i`` holds
-    its consecutive row range of them (see ``Shards``).
-    Dealing ``rows`` gives the shards of ``partition(dataset.subset(rows),
-    spec)`` bit for bit, without the subset's copy.  The union of client
-    samples is always exactly the multiset of the dealt rows, and the result
-    is a pure function of ``(dataset, spec, rows)`` including ``spec.seed``.
+    ``total // num_clients``).  Client ``i`` holds the next ``counts[i]``
+    rows of the index, a pure function of ``(labels, num_classes, spec)``.
     """
-    labels = dataset.labels if rows is None else dataset.labels[rows]
     total = labels.size
     k, size = spec.num_clients, spec.shard_size
     if total == 0:
@@ -249,7 +244,7 @@ def partition(
     grid = np.full(num_shards * size, -1, dtype=np.int64)
     # numpy radix-sorts int16 keys (timsort for int64); the stable order of
     # equal labels is the same either way.
-    keys = labels.astype(np.int16) if dataset.num_classes <= 2**15 else labels
+    keys = labels.astype(np.int16) if num_classes <= 2**15 else labels
     grid[:total] = np.argsort(keys, kind="stable")
     dealt = grid.reshape(num_shards, size)[rng.permutation(num_shards)].ravel()
     present = dealt >= 0
@@ -267,7 +262,18 @@ def partition(
         counts = np.bincount(client, minlength=k)
     else:
         counts = _nonequal_counts(total, spec, rng)
+    return index, counts
 
+
+def partition(
+    dataset: LabeledDataset, spec: PartitionSpec, rows: np.ndarray | None = None
+) -> Shards:
+    """``deal`` ``rows`` of ``dataset`` (all of it when ``None``), gathered
+    once, straight from ``dataset``, into read-only arrays (see ``Shards``):
+    the shards of ``partition(dataset.subset(rows), spec)`` bit for bit,
+    without the subset's copy."""
+    labels = dataset.labels if rows is None else dataset.labels[rows]
+    index, counts = deal(labels, dataset.num_classes, spec)
     if rows is not None:
         index = rows[index]
     # np.take copies whole rows faster than fancy indexing does.
@@ -278,58 +284,78 @@ def partition(
     return Shards(LabeledDataset(features, labels, dataset.num_classes), offsets)
 
 
+# Bytes of normals per chunk, in whole class cycles: the paper default's
+# 460 KB of features take two chunks.
+_CHUNK_BYTES = 1 << 18
+
+
 def make_synthetic(
     num_samples: int,
     num_features: int,
     num_classes: int,
     seed: int,
     cluster_spread: float = 1.0,
+    order: np.ndarray | None = None,
 ) -> LabeledDataset:
     """Class-conditional Gaussian clusters with balanced classes.
 
     Class means are drawn from a standard normal; samples add isotropic noise
     of scale ``cluster_spread``.  Labels cycle through the classes so each
     class count is within one of ``num_samples / num_classes``.  Deterministic
-    given ``seed``.
+    given ``seed``.  Given ``order``, a permutation of the rows, the result
+    is ``make_synthetic(...).subset(order)`` bit for bit, each row written
+    once straight into its place.
     """
     if num_samples < 1 or num_features < 1 or num_classes < 1:
         raise ValueError("num_samples, num_features and num_classes must be positive")
     rng = np.random.default_rng(seed)
     means = rng.normal(0.0, 1.0, size=(num_classes, num_features))
-    labels = np.arange(num_samples, dtype=np.int64) % num_classes
-    # normal(0.0, 1.0) would give 0.0 + 1.0 * z for the same draws z, which only
-    # turns a -0.0 into +0.0; scaled and added to a mean, which is never -0.0,
-    # either zero gives the same bits.
-    features = rng.standard_normal((num_samples, num_features))
-    # In place, one dataset-sized array: the bits of means[labels] + spread * noise,
-    # adding the means one whole cycle of classes at a time, then the leftover rows.
-    features *= cluster_spread
-    rest = num_samples % num_classes
-    whole = num_samples - rest
-    cycles = features[:whole].reshape(-1, num_classes, num_features)
-    cycles += means
-    features[whole:] += means[:rest]
+    labels = (np.arange(num_samples, dtype=np.int64) if order is None else order) % num_classes
+    step = max(1, _CHUNK_BYTES // (8 * num_features * num_classes)) * num_classes
+    if order is not None:
+        dest = np.empty_like(order)
+        dest[order] = np.arange(num_samples)
+        chunk = np.empty((min(step, num_samples), num_features))
+        row = np.dtype((np.void, 8 * num_features))  # a row scatters as one copy
+    features = np.empty((num_samples, num_features))
+    # Stream-order normals z, a chunk at a time, get means[labels] + spread * z
+    # a cycle at a time (normal(0.0, 1.0)'s +0.0 for -0.0 changes no sum's bits).
+    for start in range(0, num_samples, step):
+        rows = min(step, num_samples - start)
+        z = features[start : start + rows] if order is None else chunk[:rows]
+        rng.standard_normal(out=z)
+        z *= cluster_spread
+        whole = rows - rows % num_classes
+        cycles = z[:whole].reshape(-1, num_classes, num_features)
+        cycles += means
+        z[whole:] += means[: rows - whole]
+        if order is not None:
+            features.view(row)[dest[start : start + rows], 0] = z.view(row)[:, 0]
     return LabeledDataset(features, labels, num_classes)
+
+
+def split_rows(num_samples: int, test_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """One seeded permutation of ``num_samples`` rows: the training rows,
+    then the test rows (its first ``round(n * test_fraction)``)."""
+    if not 0.0 < test_fraction < 1.0:
+        raise ValueError("test_fraction must lie in (0, 1)")
+    n_test = int(round(num_samples * test_fraction))
+    for rows, side in ((n_test, "test"), (num_samples - n_test, "training")):
+        if rows < 1:
+            raise ValueError(
+                f"test_fraction={test_fraction} of {num_samples} samples gives 0 {side} rows"
+            )
+    perm = np.random.default_rng(seed).permutation(num_samples)
+    return perm[n_test:], perm[:n_test]
 
 
 def split_train_test(
     dataset: LabeledDataset, test_fraction: float, seed: int
 ) -> tuple[np.ndarray, LabeledDataset]:
-    """Seeded random split: the training rows as an int64 index, and the test
-    split gathered from ``dataset``.
-
-    One seeded permutation of the rows: its first ``round(n * test_fraction)``
-    rows are the test split, the rest are the training rows.  Those are not
-    copied here: ``partition(dataset, spec, rows)`` gathers them once.
-    """
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError("test_fraction must lie in (0, 1)")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(dataset.num_samples)
-    n_test = int(round(dataset.num_samples * test_fraction))
-    if n_test < 1 or n_test >= dataset.num_samples:
-        raise ValueError("test_fraction leaves an empty split")
-    return perm[n_test:], dataset.subset(perm[:n_test])
+    """``split_rows`` of ``dataset``, the test rows gathered; ``partition(
+    dataset, spec, rows)`` gathers the training rows once."""
+    train_rows, test_rows = split_rows(dataset.num_samples, test_fraction, seed)
+    return train_rows, dataset.subset(test_rows)
 
 
 def save_dataset(dataset: LabeledDataset, path: str | Path) -> None:

@@ -72,9 +72,11 @@ from .dataset import (
     PartitionSpec,
     Shards,
     SplitMode,
+    deal,
     load_dataset,
     make_synthetic,
     partition,
+    split_rows,
     split_train_test,
 )
 from .model import (
@@ -498,30 +500,37 @@ def build_partition(cfg: ExperimentConfig) -> tuple[Shards, LabeledDataset]:
     Reads only the data, seed, client-count and partition settings of
     ``cfg``: the shards are the partition of the training split that a run
     with these settings trains on.  Checks those settings before any work.
-    The split yields only the training rows' index, so ``partition`` gathers
-    the training rows once, straight from the generated or loaded dataset.
+    The split and the deal of synthetic rows run before any feature exists;
+    ``make_synthetic`` then writes each row once into one array whose two
+    ends are the shards' data (in client order) and the test split.  A file
+    is loaded, then ``partition`` gathers its training rows once.
     """
     cfg.check_data_settings()
-    if cfg.dataset_path is not None:
-        full = load_dataset(cfg.dataset_path)
-    else:
-        num_classes, num_features, num_samples = cfg.synthetic_shape
-        full = make_synthetic(
-            num_samples,
-            num_features,
-            num_classes,
-            split_seed(cfg.seed, "synthetic"),
-            cluster_spread=cfg.cluster_spread,
-        )
-    train_rows, test = split_train_test(
-        full, cfg.test_fraction, split_seed(cfg.seed, "test-split")
-    )
     spec = replace(
         cfg.partition,
         num_clients=cfg.num_clients,
         seed=split_seed(cfg.seed, "partition"),
     )
-    return partition(full, spec, train_rows), test
+    split = cfg.test_fraction, split_seed(cfg.seed, "test-split")
+    if cfg.dataset_path is not None:
+        full = load_dataset(cfg.dataset_path)
+        train_rows, test = split_train_test(full, *split)
+        return partition(full, spec, train_rows), test
+    num_classes, num_features, num_samples = cfg.synthetic_shape
+    train_rows, test_rows = split_rows(num_samples, *split)
+    # make_synthetic labels row r with r % num_classes.
+    index, counts = deal(train_rows % num_classes, num_classes, spec)
+    n, order = index.size, np.concatenate((train_rows[index], test_rows))
+    del train_rows, test_rows, index  # only the order is kept while rows are drawn
+    full = make_synthetic(
+        num_samples, num_features, num_classes, split_seed(cfg.seed, "synthetic"),
+        cluster_spread=cfg.cluster_spread, order=order,
+    )
+    features, labels = full.features, full.labels
+    features.flags.writeable = labels.flags.writeable = False
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    shards = Shards(LabeledDataset(features[:n], labels[:n], num_classes), offsets)
+    return shards, LabeledDataset(features[n:], labels[n:], num_classes)
 
 
 def build_experiment(cfg: ExperimentConfig) -> Experiment:
@@ -558,7 +567,7 @@ def selection_log_csv(cfg: ExperimentConfig, history: Sequence[RoundRecord]) -> 
     factor that round's trend (its two previous records) gives."""
     lines = [SELECTION_LOG_HEADER]
     for i, r in enumerate(history):
-        factor = selection_factor(_trend(history[:i]), cfg.factor_mode)
+        factor = selection_factor(_trend(history[max(0, i - 2) : i]), cfg.factor_mode)
         lines.append(
             f"{r.round_index},{cfg.strategy.value},{int(r.selection_ran)},"
             f"{';'.join(str(c) for c in r.selected_ids)},{cfg.factor_mode.value},"

@@ -56,6 +56,12 @@ REFERENCE = "tests/test_reference.py::test_a_run_equals_the_reference_simulator"
 BATTERY_REFERENCE = "tests/test_reference.py::test_every_battery_cell_equals_its_reference_run"
 BUDGET = "tests/test_work_budget.py::test_work_counts_match_the_budget"
 COMPOUND_ANCHORS = "tests/test_server.py::test_only_compound_mode_evaluates_the_initial_model"
+ONE_COPY_PEAK = "tests/test_server.py::test_build_partition_peaks_near_one_copy_of_the_features"
+FILE_PEAK = "tests/test_server.py::test_build_partition_of_a_file_gathers_its_training_rows_once"
+PLAIN_BUILD = "tests/test_server.py::test_build_partition_equals_the_plain_composition_byte_for_byte"
+ORDERED_SYNTHETIC = (
+    "tests/test_dataset.py::test_make_synthetic_in_chunks_and_in_a_given_order_is_the_whole_draw"
+)
 
 MUTANTS = (
     Mutant(
@@ -475,8 +481,8 @@ MUTANTS = (
     Mutant(
         "int16-label-keys-past-32767",
         "src/fedclf/dataset.py",
-        "dataset.num_classes <= 2**15",
-        "dataset.num_classes <= 2**16",
+        "num_classes <= 2**15",
+        "num_classes <= 2**16",
         ("tests/test_dataset.py::test_partition_label_sort_matches_int64_argsort_at_any_class_count",),
     ),
     Mutant(
@@ -504,25 +510,59 @@ MUTANTS = (
     Mutant(
         "synthetic-leftover-rows-get-last-means",
         "src/fedclf/dataset.py",
-        "features[whole:] += means[:rest]",
-        "features[whole:] += means[-rest:]",
+        "z[whole:] += means[: rows - whole]",
+        "z[whole:] += means[num_classes - (rows - whole) :]",
         ("tests/test_dataset.py::test_make_synthetic_features_are_means_plus_scaled_noise_bitwise",),
     ),
     Mutant(
         "synthetic-means-through-a-temporary",
         "src/fedclf/dataset.py",
-        "    cycles = features[:whole].reshape(-1, num_classes, num_features)\n"
-        "    cycles += means\n"
-        "    features[whole:] += means[:rest]\n",
-        "    features += means[labels]\n",
-        ("tests/test_server.py::test_build_partition_peaks_near_two_copies_of_the_features",),
+        "        cycles = z[:whole].reshape(-1, num_classes, num_features)\n"
+        "        cycles += means\n"
+        "        z[whole:] += means[: rows - whole]\n"
+        "        if order is not None:\n"
+        "            features.view(row)[dest[start : start + rows], 0] = z.view(row)[:, 0]\n"
+        "    return",
+        "        if order is not None:\n"
+        "            features.view(row)[dest[start : start + rows], 0] = z.view(row)[:, 0]\n"
+        "    features += means[labels]\n"
+        "    return",
+        ("tests/test_server.py::test_build_partition_peaks_near_one_copy_of_the_features",),
     ),
     Mutant(
         "training-split-copied-before-the-deal",
         "src/fedclf/server.py",
         "partition(full, spec, train_rows)",
         "partition(full.subset(train_rows), spec)",
-        ("tests/test_server.py::test_build_partition_peaks_near_two_copies_of_the_features",),
+        (FILE_PEAK,),
+    ),
+    Mutant(
+        "synthetic-rows-drawn-whole-then-gathered",
+        "src/fedclf/server.py",
+        " order=order,\n    )\n",
+        "\n    ).subset(order)\n",
+        (ONE_COPY_PEAK,),
+    ),
+    Mutant(
+        "rows-written-through-the-order-not-its-inverse",
+        "src/fedclf/dataset.py",
+        "features.view(row)[dest[start : start + rows], 0]",
+        "features.view(row)[order[start : start + rows], 0]",
+        (PLAIN_BUILD, ORDERED_SYNTHETIC),
+    ),
+    Mutant(
+        "chunk-off-a-class-cycle",
+        "src/fedclf/dataset.py",
+        "(8 * num_features * num_classes)) * num_classes",
+        "(8 * num_features * num_classes)) * num_classes + 1",
+        (PLAIN_BUILD, ORDERED_SYNTHETIC),
+    ),
+    Mutant(
+        "test-rows-from-the-training-end",
+        "src/fedclf/server.py",
+        "LabeledDataset(features[n:], labels[n:], num_classes)",
+        "LabeledDataset(features[: num_samples - n], labels[: num_samples - n], num_classes)",
+        (PLAIN_BUILD,),
     ),
     Mutant(
         "report-divides-by-the-total",

@@ -473,6 +473,21 @@ def test_run_rejects_a_non_finite_setting_before_any_work(tmp_path, capsys, flag
     assert not out.exists()
 
 
+@pytest.mark.parametrize(("fraction", "side"), [("0.001", "test"), ("0.999", "training")])
+def test_run_with_an_empty_split_names_the_fraction_and_the_samples(
+    tmp_path, capsys, fraction, side
+):
+    out = tmp_path / "out"
+    code = run_cli(
+        "run", "--synthetic", "3x3x240", "--clients", "6", "--select-k", "2", "--S", "5",
+        "--test-fraction", fraction, "--out", str(out),
+    )
+    assert code == 1
+    message = f"error: test_fraction={fraction} of 240 samples gives 0 {side} rows"
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_value_error_names_file_line_and_key(tmp_path, capsys):
     config = tmp_path / "run.conf"
     config.write_text("rounds=1\nlr=\n")

@@ -5,12 +5,14 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fedclf.dataset
 from fedclf.dataset import (
     ConfigurationError,
     DatasetFormatError,
@@ -24,6 +26,7 @@ from fedclf.dataset import (
     partition,
     partition_report,
     save_dataset,
+    split_rows,
     split_train_test,
 )
 
@@ -599,6 +602,43 @@ def test_make_synthetic_features_are_means_plus_scaled_noise_bitwise(
     assert np.array_equal(np.signbit(features), np.signbit(expected))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    num_samples=st.integers(1, 300),
+    num_features=st.integers(1, 6),
+    num_classes=st.integers(1, 7),
+    chunk_bytes=st.sampled_from([fedclf.dataset._CHUNK_BYTES]) | st.integers(1, 2000),
+    seed=st.integers(0, 2**16),
+)
+def test_make_synthetic_in_chunks_and_in_a_given_order_is_the_whole_draw(
+    num_samples, num_features, num_classes, chunk_bytes, seed
+):
+    # Small chunk sizes cut the draws into many chunks of whole cycles of
+    # classes, the last one often short; the default size makes one chunk
+    # here, as in the plain-expression test above.
+    order = np.random.default_rng(seed).permutation(num_samples)
+    args = num_samples, num_features, num_classes, seed, -0.5
+    with patch.object(fedclf.dataset, "_CHUNK_BYTES", chunk_bytes):
+        chunked = make_synthetic(*args)
+        ordered = make_synthetic(*args, order=order)
+    whole = make_synthetic(*args)
+    assert chunked.features.tobytes() == whole.features.tobytes()
+    assert ordered.features.tobytes() == whole.subset(order).features.tobytes()
+    assert np.array_equal(ordered.labels, whole.labels[order])
+
+
+@pytest.mark.parametrize(
+    ("test_fraction", "message"),
+    [
+        (0.001, "test_fraction=0.001 of 240 samples gives 0 test rows"),
+        (0.999, "test_fraction=0.999 of 240 samples gives 0 training rows"),
+    ],
+)
+def test_split_rows_names_the_empty_side(test_fraction, message):
+    with pytest.raises(ValueError, match=message):
+        split_rows(240, test_fraction, seed=1)
+
+
 def test_split_train_test_sizes_and_determinism():
     # Each row's one feature is its own row number.
     ds = LabeledDataset(np.arange(1200.0)[:, None], np.arange(1200) % 4, 4)
@@ -613,6 +653,9 @@ def test_split_train_test_sizes_and_determinism():
     test_rows = test_a.features[:, 0].astype(np.int64)
     assert np.array_equal(test_a.labels, ds.labels[test_rows])
     assert np.array_equal(np.sort(np.concatenate([rows_a, test_rows])), np.arange(1200))
+    # The split reads only the row count.
+    rows_c, test_rows_c = split_rows(1200, 1 / 6, seed=4)
+    assert np.array_equal(rows_c, rows_a) and np.array_equal(test_rows_c, test_rows)
 
 
 # -------------------------------------------------------------- file I/O

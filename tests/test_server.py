@@ -4,29 +4,41 @@ from __future__ import annotations
 
 import gc
 import math
+import re
 import sys
 import tracemalloc
 import weakref
 from dataclasses import fields, replace
 from types import SimpleNamespace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fedclf.dataset
 import fedclf.server
 from fedclf.client import NonFiniteUpdateError, client_update, measure_utilities
 from fedclf.dataset import (
+    ConfigurationError,
     LabeledDataset,
     PartitionSpec,
     Shards,
     SplitMode,
     make_synthetic,
+    partition,
+    save_dataset,
 )
 from fedclf.model import ModelParams, TrainConfig, evaluate, softmax_tag
 from fedclf.seeds import split_seed
-from fedclf.selection import MEASURED_UTILITIES, UTILITY_COLUMNS, FactorMode, Strategy
+from fedclf.selection import (
+    MEASURED_UTILITIES,
+    UTILITY_COLUMNS,
+    FactorMode,
+    Strategy,
+    selection_factor,
+)
 from fedclf.server import (
     Experiment,
     ExperimentConfig,
@@ -408,11 +420,12 @@ def test_no_per_client_object_is_built_at_setup_or_in_a_round():
     assert (live(LabeledDataset) - before[0], live(Shards) - before[1]) == (1, 1)
 
 
-def test_build_partition_peaks_near_two_copies_of_the_features():
-    # The synthetic features are made in place (a means[labels] temporary
-    # would double that peak), the split copies only the test rows, and the
-    # partition gathers the training rows once: about twice the features'
-    # bytes in all (a copy of the training split would take it near 2.8x).
+def test_build_partition_peaks_near_one_copy_of_the_features():
+    # The split and the deal read only labels, so each synthetic row is
+    # written once into its dealt place in the one array whose two ends are
+    # the shards' data and the test split: one copy of the features, plus a
+    # chunk of normals and a few row indices.  Drawing every row before the
+    # deal and gathering them would take it near 2x.
     num_samples, num_features = 6000, 64
     feature_bytes = num_samples * num_features * 8
     cfg = small_config(num_clients=10, synthetic_shape=(10, num_features, num_samples))
@@ -427,8 +440,120 @@ def test_build_partition_peaks_near_two_copies_of_the_features():
     finally:
         tracemalloc.stop()
     assert shards.n_k.sum() + test.num_samples == num_samples
-    assert synthetic_peak <= 1.1 * feature_bytes
-    assert peak <= 2.2 * feature_bytes
+    assert shards.data.features.base is test.features.base is not None
+    assert synthetic_peak <= 1.1 * feature_bytes, (synthetic_peak, feature_bytes)
+    assert peak <= 1.2 * feature_bytes, (peak, feature_bytes)
+
+
+def test_build_partition_of_a_file_gathers_its_training_rows_once(tmp_path):
+    # A FEDDS file is loaded (its float64 features are one copy), then
+    # ``partition`` gathers the training rows once, straight from it: about
+    # 2.2x the feature bytes (a copy of the training split before the deal
+    # would take it near 2.9x).
+    num_samples, num_features = 6000, 64
+    feature_bytes = num_samples * num_features * 8
+    path = tmp_path / "data.fedds"
+    save_dataset(make_synthetic(num_samples, num_features, 10, seed=1), path)
+    cfg = small_config(num_clients=10, dataset_path=str(path))
+    build_partition(cfg)  # modules that the first build imports are not counted
+    tracemalloc.start()
+    try:
+        shards, test = build_partition(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert shards.n_k.sum() + test.num_samples == num_samples
+    assert peak <= 2.4 * feature_bytes, (peak, feature_bytes)
+
+
+def plain_build(cfg):
+    """The shards and test split of ``cfg`` the plain way: the whole dataset
+    by the ``means[labels] + spread * z`` formula, the seeded split of its
+    rows, then ``partition``'s gather of the training rows."""
+    num_classes, num_features, num_samples = cfg.synthetic_shape
+    rng = np.random.default_rng(split_seed(cfg.seed, "synthetic"))
+    means = rng.normal(0.0, 1.0, size=(num_classes, num_features))
+    noise = rng.normal(0.0, 1.0, size=(num_samples, num_features))
+    labels = np.arange(num_samples) % num_classes
+    full = LabeledDataset(means[labels] + cfg.cluster_spread * noise, labels, num_classes)
+    perm = np.random.default_rng(split_seed(cfg.seed, "test-split")).permutation(num_samples)
+    n_test = int(round(num_samples * cfg.test_fraction))
+    spec = replace(
+        cfg.partition, num_clients=cfg.num_clients, seed=split_seed(cfg.seed, "partition")
+    )
+    return partition(full, spec, perm[n_test:]), full.subset(perm[:n_test])
+
+
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    num_classes=st.integers(1, 7),
+    num_features=st.integers(1, 5),
+    num_samples=st.integers(20, 400),
+    shard_size=st.integers(1, 12),
+    num_clients=st.integers(1, 9),
+    mode=st.sampled_from(list(SplitMode)),
+    test_fraction=st.floats(0.1, 0.6),
+    spread=st.sampled_from([0.0, -0.0, -1.5, 1.0]) | st.floats(-3.0, 3.0),
+    chunk_bytes=st.sampled_from([1 << 18]) | st.integers(1, 3000),
+    seed=st.integers(0, 2**16),
+)
+def test_build_partition_equals_the_plain_composition_byte_for_byte(
+    num_classes, num_features, num_samples, shard_size, num_clients, mode,
+    test_fraction, spread, chunk_bytes, seed,
+):
+    # Small chunk sizes cut the draws into many chunks, most of them not
+    # dividing the sample count.
+    cfg = small_config(
+        num_clients=num_clients,
+        seed=seed,
+        synthetic_shape=(num_classes, num_features, num_samples),
+        cluster_spread=spread,
+        test_fraction=test_fraction,
+        partition=PartitionSpec(shard_size, mode, num_clients),
+    )
+    try:
+        expected = plain_build(cfg)
+    except ConfigurationError as exc:
+        with pytest.raises(ConfigurationError, match=re.escape(str(exc))):
+            build_partition(cfg)
+        return
+    with patch.object(fedclf.dataset, "_CHUNK_BYTES", chunk_bytes):
+        shards, test = build_partition(cfg)
+    (want_shards, want_test) = expected
+    assert same_bytes(shards.offsets, want_shards.offsets)
+    for got, want in ((shards.data, want_shards.data), (test, want_test)):
+        assert got.num_classes == want.num_classes
+        assert same_bytes(got.features, want.features)
+        assert same_bytes(got.labels, want.labels)
+
+
+def test_selection_log_reads_two_records_per_row(monkeypatch):
+    # A row's factor reads the two records before it, so the log is linear
+    # in rounds; the factors are those of the whole prefix's trend.
+    history = [
+        RoundRecord(i, 0.5 + i % 3 / 10, 1.0 - i % 4 / 10, 0.5, i % 2 == 0, (i % 5,), 0.0)
+        for i in range(1, 41)
+    ]
+    real_trend = fedclf.server._trend
+    for mode in FactorMode:
+        cfg = small_config(factor_mode=mode)
+        expected = [selection_factor(real_trend(history[:i]), mode) for i in range(len(history))]
+        read = []
+
+        def trend(records):
+            read.append(len(records))
+            return real_trend(records)
+
+        with monkeypatch.context() as m:
+            m.setattr(fedclf.server, "_trend", trend)
+            rows = selection_log_csv(cfg, history).splitlines()[1:]
+        assert read == [min(i, 2) for i in range(len(history))]
+        factors = [row.rsplit(",", 1)[1] for row in rows]
+        assert factors == ["" if math.isnan(f) else f"{f:.10f}" for f in expected]
 
 
 # ---------------------------------------------------- deferred measurement

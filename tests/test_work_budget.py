@@ -15,6 +15,7 @@ import io
 import json
 import sys
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -22,6 +23,7 @@ from pathlib import Path
 import pytest
 
 import fedclf.client
+import fedclf.dataset
 import fedclf.model
 import fedclf.server
 from fedclf.cli import main
@@ -124,6 +126,50 @@ def test_work_counts_match_the_budget(run):
         if expected.get(name) != counts.get(name)
     ]
     assert not changed, f"{run} work counts changed:\n" + "\n".join(changed)
+
+
+def traced_peak(call) -> int:
+    """The ``tracemalloc`` peak, in bytes, while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+STEADY_ROUND = 30  # past the warmup: rounds 1 to 29 run untraced first
+
+
+@pytest.mark.parametrize("cfg", [PAPER_DEFAULT, MANY_CLIENTS], ids=["paper-default", "many-clients"])
+def test_build_and_round_peaks_stay_within_their_shape_bounds(cfg):
+    # A build holds one copy of the features, one chunk of normals (the
+    # whole draw here, where a build is smaller than one chunk) and a few
+    # int64 row indices per sample.  A round's largest arrays are the test
+    # split's per-class rows in evaluation and the cohort's rows in training.
+    num_classes, num_features, num_samples = cfg.synthetic_shape
+    feature_bytes = 8 * num_samples * num_features
+    cycle_bytes = 8 * num_features * num_classes
+    chunk_bytes = min(feature_bytes, max(fedclf.dataset._CHUNK_BYTES, cycle_bytes))
+    build_bound = feature_bytes + chunk_bytes + 10 * 8 * num_samples
+
+    fedclf.server.build_partition(cfg)  # modules that a build imports are not counted
+    built = []
+    build_peak = traced_peak(lambda: built.append(fedclf.server.build_partition(cfg)))
+    experiment = fedclf.server.Experiment(cfg, *built.pop())
+    for round_index in range(1, STEADY_ROUND):
+        experiment.run_round(round_index)
+    test_rows = experiment.test_stack.num_samples
+    cohort_rows = cfg.select_k * int(experiment.shards.n_k.max())
+    round_bound = 8 * (6 * test_rows * num_classes + 2 * cohort_rows * (num_features + num_classes))
+    round_peak = traced_peak(lambda: experiment.run_round(STEADY_ROUND))
+
+    over = [
+        f"{name} peak {peak} B > bound {bound} B"
+        for name, peak, bound in (("build", build_peak, build_bound), ("round", round_peak, round_bound))
+        if peak > bound
+    ]
+    assert not over, "\n".join(over)
 
 
 if __name__ == "__main__":
