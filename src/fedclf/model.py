@@ -34,6 +34,9 @@ every step's stack once per call: a slice of the cohort's schedule, gathered
 from that dataset by global row index (checked once), its runs and its
 one-hot targets;
 ``gradient`` subtracts the targets, bitwise ``delta[i, y_i] -= 1.0``.
+One function, ``_layers``, maps a flat ``(g, P)`` block to per-layer views:
+parameters are read through them, ``gradient`` writes each layer's gradient
+through them and ``init_params`` draws each weight matrix into them.
 
 ``evaluate`` and ``gradient`` share the forward pass up to the last matmul.
 ``evaluate``'s softmax head is class-major: one ``(C, ...)`` copy of the
@@ -115,15 +118,10 @@ def resolve_shape_tag(model: str, num_features: int, num_classes: int) -> str:
     return tag
 
 
-def _layer_sizes(dims: tuple[int, ...]) -> list[tuple[int, int]]:
-    """(fan_in, fan_out) per layer; the flat vector is W, b of each in turn."""
-    return list(zip(dims, dims[1:]))
-
-
 @cache
 def param_count(tag: str) -> int:
     _, dims = parse_shape_tag(tag)
-    return sum(fan_in * fan_out + fan_out for fan_in, fan_out in _layer_sizes(dims))
+    return sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(dims, dims[1:]))
 
 
 @dataclass(frozen=True)
@@ -254,19 +252,17 @@ class SampleStack:
         n = self.num_samples
         return self.labels * n + np.arange(n)
 
-    def layer_gradient(self, a: np.ndarray, d: np.ndarray) -> list[np.ndarray]:
-        """A linear layer's weight and bias gradients, ``(g, in * out)`` and
-        ``(g, out)``, from its per-row input ``a`` and output delta ``d``:
-        each model's ``a.T @ d`` and sum of ``d``, one of each per run."""
-        if len(self.runs) == 1:
-            gw = a.transpose(0, 2, 1) @ d
-            return [gw.reshape(len(gw), -1), np.add.reduce(d, axis=1)]
-        gw = np.empty((len(self.sizes), a.shape[1], d.shape[1]))
-        gb = np.empty((len(self.sizes), d.shape[1]))
-        for models, a_run, d_run in self._views(a, d):
+    def layer_gradient(
+        self, a: np.ndarray, d: np.ndarray, gw: np.ndarray, gb: np.ndarray
+    ) -> None:
+        """Write a linear layer's weight and bias gradients into ``gw``
+        ``(g, in, out)`` and ``gb`` ``(g, out)``, from its per-row input ``a``
+        and output delta ``d``: each model's ``a.T @ d`` and sum of ``d``,
+        one of each per run."""
+        views = [(slice(None), a, d)] if len(self.runs) == 1 else self._views(a, d)
+        for models, a_run, d_run in views:
             np.matmul(a_run.transpose(0, 2, 1), d_run, out=gw[models])
             np.add.reduce(d_run, axis=1, out=gb[models])
-        return [gw.reshape(len(gw), -1), gb]
 
 
 @dataclass(frozen=True)
@@ -305,15 +301,11 @@ def init_params(shape_tag: str, seed: int) -> ModelParams:
     """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weights, zero biases."""
     _, dims = parse_shape_tag(shape_tag)
     rng = np.random.default_rng(seed)
-    values = np.zeros(param_count(shape_tag), dtype=np.float64)
-    pos = 0
-    for fan_in, fan_out in _layer_sizes(dims):
-        bound = 1.0 / np.sqrt(fan_in)
-        values[pos : pos + fan_in * fan_out] = rng.uniform(
-            -bound, bound, size=fan_in * fan_out
-        )
-        pos += fan_in * fan_out + fan_out
-    return ModelParams(values, shape_tag)
+    values = np.zeros((1, param_count(shape_tag)))
+    for w, _ in _layers(dims, values):
+        bound = 1.0 / np.sqrt(w.shape[1])
+        w[0] = rng.uniform(-bound, bound, size=w.shape[1:])
+    return ModelParams(values[0], shape_tag)
 
 
 def _check_data(params: ModelParams, *datasets) -> tuple[int, ...]:
@@ -353,9 +345,10 @@ def _stacked(params: ModelParams, data):
 
 
 def _layers(dims: tuple[int, ...], values: np.ndarray) -> list:
-    """Per layer, views of the weights ``(g, in, out)`` and biases ``(g, out)``."""
+    """Per layer, views of the weights ``(g, in, out)`` and biases ``(g, out)``
+    of a ``(g, P)`` block, whose rows hold each layer's ``W``, then its ``b``."""
     layers, pos = [], 0
-    for fan_in, fan_out in _layer_sizes(dims):
+    for fan_in, fan_out in zip(dims, dims[1:]):
         w = values[:, pos : pos + fan_in * fan_out].reshape(-1, fan_in, fan_out)
         pos += fan_in * fan_out
         layers.append((w, values[:, pos : pos + fan_out]))
@@ -365,7 +358,7 @@ def _layers(dims: tuple[int, ...], values: np.ndarray) -> list:
 
 def _forward(params: ModelParams, data):
     """Check ``data``; the forward pass over stacked inputs up to the last
-    layer's matmul, ``(stack, layers, acts, y, out)``: the input activation
+    layer's matmul, ``(dims, stack, layers, acts, y, out)``: the input activation
     of every layer (``x``, then tanh) and the last layer's output ``out``
     without its bias, which each head adds in the layout it works in."""
     dims = _check_data(params, data)
@@ -377,7 +370,7 @@ def _forward(params: ModelParams, data):
         out += stack.row_bias(b)
         acts.append(np.tanh(out, out=out))
         out = stack.matmul(out, w)
-    return stack, layers, acts, y, out
+    return dims, stack, layers, acts, y, out
 
 
 def _class_sum(rows: np.ndarray) -> np.ndarray:
@@ -422,7 +415,7 @@ def evaluate(params: ModelParams, data, want_grad_norms: bool = False) -> Evalua
     Per-sample gradient L2 norms (over the full parameter vector) are
     returned only when requested; they cost an extra backward pass.
     """
-    stack, layers, acts, y, out = _forward(params, data)
+    _, stack, layers, acts, y, out = _forward(params, data)
     # The class-major head: one (C, ...) copy of the logits, plus the bias.
     classes_first = (-1, *range(out.ndim - 1))
     bias = stack.row_bias(layers[-1][1])
@@ -457,7 +450,7 @@ def gradient(params: ModelParams, data) -> np.ndarray:
     """Gradient of each model's mean cross-entropy loss: a ``(g, P)`` stack,
     one row per model (one row for a single parameter vector and dataset).
     Its head works row-major, the layout the backward pass reads."""
-    stack, layers, acts, y, logits = _forward(params, data)
+    dims, stack, layers, acts, y, logits = _forward(params, data)
     logits += stack.row_bias(layers[-1][1])
     class_major = logits.transpose(-1, *range(logits.ndim - 1))
     row_max = np.maximum.reduce(np.ascontiguousarray(class_major))
@@ -470,10 +463,11 @@ def gradient(params: ModelParams, data) -> np.ndarray:
     delta_rows -= np.eye(delta.shape[-1]).take(y.reshape(-1), axis=0) if targets is None else targets
     for _, rows, size in stack.runs:  # each model's loss is the mean over its block
         np.divide(delta_rows[rows], size, out=delta_rows[rows])
-    parts = []
-    for a, d in _backward(layers, stack, acts, delta):
-        parts[:0] = stack.layer_gradient(a, d)
-    return np.concatenate(parts, axis=1)
+    grad = np.empty((len(stack.sizes), params.values.shape[-1]))
+    views = reversed(_layers(dims, grad))  # last layer first, as _backward yields
+    for (gw, gb), (a, d) in zip(views, _backward(layers, stack, acts, delta)):
+        stack.layer_gradient(a, d, gw, gb)
+    return grad
 
 
 def sgd_epochs(
@@ -539,8 +533,11 @@ def sgd_epochs(
             x[start:end], y[start:end], sizes, num_classes, runs[sizes], targets[start:end]
         )
         model = models[len(sizes)]
+        grad = gradient(model, batch)
+        grad *= cfg.learning_rate
         active = model.values  # a view of the models still training
-        active -= cfg.learning_rate * gradient(model, batch)
+        active -= grad
+        del grad  # freed before the next step's gradient is allocated
     if order != sorted(order):
         values[order] = values.copy()
     return ModelParams(values, params.shape_tag)

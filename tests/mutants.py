@@ -59,6 +59,12 @@ COMPOUND_ANCHORS = "tests/test_server.py::test_only_compound_mode_evaluates_the_
 ONE_COPY_PEAK = "tests/test_server.py::test_build_partition_peaks_near_one_copy_of_the_features"
 FILE_PEAK = "tests/test_server.py::test_build_partition_of_a_file_gathers_its_training_rows_once"
 PLAIN_BUILD = "tests/test_server.py::test_build_partition_equals_the_plain_composition_byte_for_byte"
+GRADIENT_VIEWS = (
+    "tests/test_model.py::test_gradient_writes_each_layer_through_views_of_the_block_it_returns"
+)
+STEP_PEAK = (
+    "tests/test_work_budget.py::test_a_cohort_step_holds_one_gradient_block_beside_the_start_stack"
+)
 ORDERED_SYNTHETIC = (
     "tests/test_dataset.py::test_make_synthetic_in_chunks_and_in_a_given_order_is_the_whole_draw"
 )
@@ -584,6 +590,41 @@ MUTANTS = (
         "labels, n_k = shards.data.labels, shards.n_k",
         "labels, n_k = np.concatenate([v.labels for v in shards]), shards.n_k",
         ("tests/test_dataset.py::test_partition_report_builds_no_client_view",),
+    ),
+    Mutant(
+        "gradient-views-in-forward-order",
+        "src/fedclf/model.py",
+        "views = reversed(_layers(dims, grad))",
+        "views = _layers(dims, grad)",
+        (GRADIENT_VIEWS, GRAD_ORACLE),
+    ),
+    Mutant(
+        "learning-rate-scale-dropped",
+        "src/fedclf/model.py",
+        "        grad *= cfg.learning_rate\n",
+        "",
+        (SGD_ORACLE,),
+    ),
+    Mutant(
+        "learning-rate-scale-through-a-temporary",
+        "src/fedclf/model.py",
+        "        grad *= cfg.learning_rate\n",
+        "        grad = cfg.learning_rate * grad\n",
+        (STEP_PEAK,),
+    ),
+    Mutant(
+        "step-gradient-held-across-the-next-step",
+        "src/fedclf/model.py",
+        "        del grad  ",
+        "        #  ",
+        (STEP_PEAK,),
+    ),
+    Mutant(
+        "init-bound-from-fan-out",
+        "src/fedclf/model.py",
+        "bound = 1.0 / np.sqrt(w.shape[1])",
+        "bound = 1.0 / np.sqrt(w.shape[2])",
+        ("tests/test_model.py::test_init_params_equals_the_plain_offset_loop",),
     ),
 )
 

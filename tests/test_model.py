@@ -83,6 +83,23 @@ def test_init_params_mlp_biases_zero():
     assert np.all(b1 == 0.0) and np.all(b2 == 0.0)
 
 
+@pytest.mark.parametrize(
+    "tag",
+    [softmax_tag(4, 3), softmax_tag(9, 5), mlp_tag(4, 6, 3), mlp_tag(32, 64, 10), mlp_tag(1, 1, 1)],
+)
+def test_init_params_equals_the_plain_offset_loop(tag):
+    # The flat layout spelled out by offsets: each layer's row-major W, then
+    # its zero b; every layer's weights drawn from one stream in turn.
+    dims = parse_shape_tag(tag)[1]
+    rng = np.random.default_rng(7)
+    values, pos = np.zeros(param_count(tag)), 0
+    for fan_in, fan_out in zip(dims, dims[1:]):
+        bound = 1.0 / np.sqrt(fan_in)
+        values[pos : pos + fan_in * fan_out] = rng.uniform(-bound, bound, size=fan_in * fan_out)
+        pos += fan_in * fan_out + fan_out
+    assert init_params(tag, seed=7).values.tobytes() == values.tobytes()
+
+
 # --------------------------------------------------------------- evaluate
 
 
@@ -431,6 +448,7 @@ def at_odd_offset(a, words):
 @settings(max_examples=150, deadline=None)
 @given(
     sizes=st.lists(st.integers(1, 40), min_size=1, max_size=6),
+    equal=st.booleans(),
     fan_in=st.integers(2, 70),
     fan_out=st.integers(2, 70),
     shared=st.booleans(),
@@ -438,15 +456,18 @@ def at_odd_offset(a, words):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_per_run_blas_calls_at_odd_offsets_equal_each_block_alone_bitwise(
-    sizes, fan_in, fan_out, shared, words, seed
+    sizes, equal, fan_in, fan_out, shared, words, seed
 ):
     # The stack's matmul (forward, and backward through a transposed weight)
     # and layer gradient, on rows, weights and deltas placed at odd 8-byte
-    # offsets, against each block alone at the allocator's alignment: the
+    # offsets and written into the layer's views of one (g, P) block placed
+    # there too, against each block alone at the allocator's alignment: the
     # one-block stack a single client's kernel runs on.  Widths start at 2:
     # numpy computes a product with a 1 x 1 result as a BLAS dot, which some
     # OpenBLAS kernels (Katmai) sum in an order that follows the address; in
     # the model that takes a hidden width or class count of 1.
+    if equal:
+        sizes = sizes[:1] * len(sizes)
     rng = np.random.default_rng(seed)
     n, g = sum(sizes), len(sizes)
     a = rng.normal(size=(n, fan_in)) * 10.0 ** rng.integers(-6, 7, (n, fan_in))
@@ -460,7 +481,11 @@ def test_per_run_blas_calls_at_odd_offsets_equal_each_block_alone_bitwise(
     a_odd, d_odd, w_odd = (at_odd_offset(v, words) for v in (a, d, w))
     out = stack.matmul(layout(a_odd), w_odd).reshape(n, -1)
     back = stack.matmul(layout(d_odd), w_odd.transpose(0, 2, 1)).reshape(n, -1)
-    gw, gb = stack.layer_gradient(layout(a_odd), layout(d_odd))
+    dims, width = (fan_in, fan_out), fan_in * fan_out + fan_out
+    block = at_odd_offset(np.full((g, width), np.nan), words)
+    [(gw, gb)] = fedclf.model._layers(dims, block)
+    assert np.shares_memory(gw, block) and np.shares_memory(gb, block)
+    stack.layer_gradient(layout(a_odd), layout(d_odd), gw, gb)
     for i, rows in enumerate(blocks_of(sizes)):
         size = sizes[i]
         alone = SampleStack(np.zeros((size, 1)), np.zeros(size, dtype=np.int64), (size,), 1)
@@ -468,9 +493,36 @@ def test_per_run_blas_calls_at_odd_offsets_equal_each_block_alone_bitwise(
         a_i, d_i = a[None, rows].copy(), d[None, rows].copy()
         assert_same_bits(out[rows], alone.matmul(a_i, w_i)[0])
         assert_same_bits(back[rows], alone.matmul(d_i, w_i.transpose(0, 2, 1))[0])
-        gw_i, gb_i = alone.layer_gradient(a_i, d_i)
+        [(gw_i, gb_i)] = fedclf.model._layers(dims, np.empty((1, width)))
+        alone.layer_gradient(a_i, d_i, gw_i, gb_i)
         assert_same_bits(gw[i], gw_i[0])
         assert_same_bits(gb[i], gb_i[0])
+
+
+@pytest.mark.parametrize("sizes", [(6, 6, 6), (9, 6, 6, 2)])
+def test_gradient_writes_each_layer_through_views_of_the_block_it_returns(monkeypatch, sizes):
+    # Each layer's gradient is written into the views that _layers decodes
+    # from the returned (g, P) block, last layer first.  With g > 1 a layer's
+    # weight columns are a strided slice, whose reshape to (g, in, out) must
+    # be a view: a copy would take the layer's gradient and lose it.
+    written, real = [], SampleStack.layer_gradient
+
+    def recording(self, a, d, gw, gb):
+        written.append((gw, gb))
+        real(self, a, d, gw, gb)
+
+    monkeypatch.setattr(SampleStack, "layer_gradient", recording)
+    tag = mlp_tag(4, 5, 3)
+    dims = parse_shape_tag(tag)[1]
+    values = np.random.default_rng(9).normal(size=(len(sizes), param_count(tag)))
+    data = small_data(n=sum(sizes), seed=9)
+    grad = gradient(ModelParams(values, tag), SampleStack(data.features, data.labels, sizes, 3))
+    assert len(written) == 2
+    for (gw, gb), (w, b) in zip(written, reversed(fedclf.model._layers(dims, grad))):
+        for view, expected in ((gw, w), (gb, b)):
+            assert np.shares_memory(view, grad)
+            assert view.shape == expected.shape and view.strides == expected.strides
+            assert view.ctypes.data == expected.ctypes.data
 
 
 @pytest.mark.parametrize("rows", [(1,), (5,), (2, 33)])

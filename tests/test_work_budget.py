@@ -20,6 +20,7 @@ from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fedclf.client
@@ -27,7 +28,8 @@ import fedclf.dataset
 import fedclf.model
 import fedclf.server
 from fedclf.cli import main
-from fedclf.dataset import PartitionSpec, SplitMode
+from fedclf.dataset import PartitionSpec, Shards, SplitMode, make_synthetic
+from fedclf.model import TrainConfig, init_params, mlp_tag, param_count
 from fedclf.server import ExperimentConfig, run_experiment
 
 BUDGET = Path(__file__).resolve().parent / "work_budget.json"
@@ -42,6 +44,12 @@ COUNTED = {
     "client.evaluate": (fedclf.client, "evaluate"),
     "model.gradient": (fedclf.model, "gradient"),
     "select": (fedclf.server, "select"),
+}
+# Count name -> (the ``COUNTED`` binding, what one of its calls adds).  The
+# models each gradient call steps catch a model trained an extra step even
+# when the number of stacked gradient calls stays the same.
+TALLIED = {
+    "model.gradient.models": ("model.gradient", lambda params, data: len(data.sizes)),
 }
 
 # Shaped like the paper default: softmax, feedback on, equal shards.
@@ -93,8 +101,9 @@ RUNS = {
 
 
 def count_work(run) -> dict[str, int]:
-    """Calls of each ``COUNTED`` binding while ``run()`` runs."""
-    counts = dict.fromkeys(COUNTED, 0)
+    """Calls of each ``COUNTED`` binding, and each ``TALLIED`` sum over
+    them, while ``run()`` runs."""
+    counts = dict.fromkeys([*COUNTED, *TALLIED], 0)
     originals = {name: getattr(*where) for name, where in COUNTED.items()}
 
     def counting(name):
@@ -102,6 +111,9 @@ def count_work(run) -> dict[str, int]:
 
         def counted(*args, **kwargs):
             counts[name] += 1
+            for tally, (of, units) in TALLIED.items():
+                if of == name:
+                    counts[tally] += units(*args, **kwargs)
             return real(*args, **kwargs)
 
         return counted
@@ -170,6 +182,34 @@ def test_build_and_round_peaks_stay_within_their_shape_bounds(cfg):
         if peak > bound
     ]
     assert not over, "\n".join(over)
+
+
+def test_a_cohort_step_holds_one_gradient_block_beside_the_start_stack():
+    # An mlp-wide-shaped cohort at a batch of 2, where one (g, P) block of
+    # parameters outweighs a step's activations.  client_update holds the
+    # start stack, which it trains in place, and each step one gradient
+    # block, scaled and subtracted in place; the weight change after
+    # training takes the gradient's place.  Besides them: the rows gathered
+    # for every step (features, one-hot targets, and a label, a row index and
+    # a schedule entry in int64), each batch's schedule slice (an array view
+    # of under 512 B) and a step's activations (five hidden-width and four
+    # class-width float64 arrays per row of the step).
+    clients, rows, batch, features, hidden, classes = 20, 20, 2, 32, 64, 10
+    tag = mlp_tag(features, hidden, classes)
+    data = make_synthetic(clients * rows, features, classes, seed=1)
+    shards = Shards(data, np.arange(0, clients * rows + 1, rows))
+    cfg = TrainConfig(epochs=1, learning_rate=0.01, batch_size=batch)
+    ids, seeds = list(range(clients)), list(range(100, 100 + clients))
+    update = partial(fedclf.client.client_update, shards, ids, init_params(tag, seed=1), cfg, seeds)
+    update()  # modules and caches that a first call fills are not counted
+
+    block_bytes = 8 * clients * param_count(tag)
+    gathered = clients * rows * cfg.epochs
+    rows_bytes = 8 * gathered * (features + classes + 3) + 512 * gathered // batch
+    step_bytes = 8 * clients * batch * (5 * hidden + 4 * classes)
+    bound = 2 * block_bytes + rows_bytes + step_bytes
+    peak = traced_peak(update)
+    assert peak <= bound, f"client_update peak {peak} B > bound {bound} B, {block_bytes} B a block"
 
 
 if __name__ == "__main__":
